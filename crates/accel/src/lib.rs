@@ -63,8 +63,9 @@ pub use pipeline::{
 };
 pub use service::{Fleet, ServiceInstance, WavefrontReport};
 pub use streaming::{
-    maintain_tree_sequence, run_frame_stream, run_frame_stream_on_trees, FrameReport,
-    MaintainedTree, StreamReport, StreamSearchConfig, TreeMaintenance,
+    aggregate_stream, compose_stream, maintain_tree_sequence, run_frame_stream,
+    run_frame_stream_on_trees, search_stream, FrameReport, FrameSearch, MaintainedTree,
+    MaintenanceCost, StreamReport, StreamSearchConfig, TreeMaintenance,
     DEFAULT_STREAM_ELISION_DEPTH,
 };
 pub use systolic::{gemm_report, mlp_report, SystolicReport};

@@ -16,6 +16,13 @@
 //! through the whole sequence so the descent buffers are recycled and
 //! cross-frame sub-tree locality is measured.
 //!
+//! The driver is a chain of stage functions — [`maintain_tree_sequence`],
+//! [`search_stream`], [`aggregate_stream`] and the pure
+//! [`compose_stream`] — and [`run_frame_stream_on_trees`] is their
+//! composition. The sweep explorer calls the same functions one by one,
+//! each once per distinct value of the knobs it reads, so there is one
+//! implementation of the stream model.
+//!
 //! # Timing model
 //!
 //! The search stage runs the **unified banked-arbitration model**: the
@@ -63,10 +70,10 @@ use crescent_kdtree::{
     BatchSearchConfig, BatchSearchStats, BatchState, KdTree, RefitConfig, RefitScratch, SplitTree,
     NODE_BYTES,
 };
-use crescent_memsim::{EnergyLedger, StreamLedger};
+use crescent_memsim::{EnergyLedger, SramConfig, StreamLedger};
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
 
-use crate::aggregation::simulate_aggregation;
+use crate::aggregation::{simulate_aggregation, AggregationReport};
 use crate::config::AcceleratorConfig;
 use crate::engine::PE_PIPELINE_DEPTH;
 use crate::pipeline::CrescentKnobs;
@@ -145,7 +152,7 @@ impl Default for StreamSearchConfig {
 }
 
 /// Timing and statistics of one frame in a stream.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FrameReport {
     /// 0-based frame index.
     pub frame: usize,
@@ -230,7 +237,7 @@ impl FrameReport {
 }
 
 /// Aggregate report of a frame-sequence simulation.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamReport {
     /// Per-frame reports, in frame order.
     pub frames: Vec<FrameReport>,
@@ -371,10 +378,11 @@ pub fn run_frame_stream(
 /// One frame's maintained tree plus the modeled cost of maintaining it —
 /// the per-frame element of [`maintain_tree_sequence`]'s output.
 ///
-/// Everything downstream of maintenance (split, search, aggregation,
-/// timing, energy) reads only this snapshot, which is what lets the
-/// sweep explorer compute a scenario's tree sequence once and share it
-/// across every grid point whose maintenance inputs coincide.
+/// Everything downstream of maintenance reads only this snapshot: the
+/// search stage ([`search_stream`]) reads the tree, the compose step
+/// ([`compose_stream`]) reads the cost ([`MaintainedTree::cost`]). That
+/// split is what lets the sweep explorer keep the trees once per
+/// distinct tree sequence and only the cost vectors of the others.
 #[derive(Clone, Debug)]
 pub struct MaintainedTree {
     /// The tree as it stands after this frame's maintenance.
@@ -389,6 +397,46 @@ pub struct MaintainedTree {
     pub full_rebuild: bool,
 }
 
+impl MaintainedTree {
+    /// The frame's maintenance bill, detached from the tree.
+    pub fn cost(&self) -> MaintenanceCost {
+        MaintenanceCost {
+            build_cycles: self.build_cycles,
+            build_dram_bytes: self.build_dram_bytes,
+            subtrees_rebuilt: self.subtrees_rebuilt,
+            full_rebuild: self.full_rebuild,
+        }
+    }
+}
+
+/// What one frame's tree maintenance cost, without the tree itself —
+/// the maintenance input of [`compose_stream`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MaintenanceCost {
+    /// Modeled maintenance cycles (full build or refit work).
+    pub build_cycles: u64,
+    /// DRAM bytes the maintenance streamed.
+    pub build_dram_bytes: u64,
+    /// Dirty sub-trees a refit rebuilt (`0` for full builds).
+    pub subtrees_rebuilt: usize,
+    /// Whether this frame (re)built the whole tree from scratch.
+    pub full_rebuild: bool,
+}
+
+/// The search stage's output for one frame: the counters the compose
+/// step needs, without the neighbor sets.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FrameSearch {
+    /// Points in the frame cloud.
+    pub points: usize,
+    /// Queries issued against the frame.
+    pub queries: usize,
+    /// Total neighbors returned across all queries.
+    pub neighbors: usize,
+    /// Statistics of the frame's batched banked search.
+    pub stats: BatchSearchStats,
+}
+
 /// Runs the tree-maintenance phase alone over a stream of clouds,
 /// returning each frame's tree snapshot and modeled maintenance cost.
 ///
@@ -396,13 +444,16 @@ pub struct MaintainedTree {
 /// and — for [`TreeMaintenance::Refit`] — `check_height` (the refit
 /// validator walks the top `check_height` levels, i.e. the granted
 /// `h_t`). In particular it is **independent of every other
-/// architecture knob** (PE count, banking, elision, DRAM bandwidth),
-/// which is the invariant the explorer's tree-sequence memo relies on.
+/// architecture knob** (PE count, banking, elision, DRAM bandwidth).
+/// The *trees* usually do not even depend on the policy or
+/// `check_height` (refit ≡ rebuild), only the costs do — but where split
+/// coordinates tie, a valid refit may keep a tied point in another heap
+/// slot than a fresh build would, so a caller sharing one search across
+/// sequences compares them first ([`KdTree::same_nodes`]).
 ///
 /// [`run_frame_stream`] is exactly `maintain_tree_sequence` +
 /// [`run_frame_stream_on_trees`]; callers that run many knob points
-/// over one stream call the two halves themselves and reuse the
-/// sequence.
+/// over one stream call the stages themselves and reuse their outputs.
 pub fn maintain_tree_sequence(
     clouds: &[&PointCloud],
     maintenance: TreeMaintenance,
@@ -445,9 +496,16 @@ pub fn maintain_tree_sequence(
 /// The search/aggregation/timing/energy half of [`run_frame_stream`],
 /// applied to a pre-maintained tree sequence (one [`MaintainedTree`] per
 /// frame, as produced by [`maintain_tree_sequence`] on the same clouds,
-/// policy, and granted `h_t`). Byte-identical to calling
-/// [`run_frame_stream`] directly — the split exists so the explorer can
-/// amortize maintenance across knob points, not to change the model.
+/// policy, and granted `h_t`).
+///
+/// It is the composition of the three stages the sweep explorer calls
+/// one by one, each reading only the inputs named on it:
+///
+/// 1. [`search_stream`] — the banked wavefront search of every frame;
+/// 2. [`aggregate_stream`] — the Point-Buffer gathers of its results;
+/// 3. [`compose_stream`] — DMA, slots, the build/search schedule, the
+///    fill and the energy ledger, from the counters of 1–2 and the
+///    maintenance costs.
 ///
 /// # Panics
 ///
@@ -459,17 +517,117 @@ pub fn run_frame_stream_on_trees(
     knobs: CrescentKnobs,
     config: &AcceleratorConfig,
 ) -> (Vec<Vec<Vec<Neighbor>>>, StreamReport) {
-    assert_eq!(trees.len(), frames.len(), "one maintained tree per frame");
-    let mut results = Vec::with_capacity(frames.len());
-    let mut report = StreamReport::default();
-    let mut state = BatchState::new();
-    let em = &config.energy;
+    let (results, searched) = search_stream(frames, trees, search, knobs.top_height, config);
+    let aggregated = aggregate_stream(&results, config.point_buffer, config.aggregation_elision);
+    let costs: Vec<MaintenanceCost> = trees.iter().map(MaintainedTree::cost).collect();
+    let report = compose_stream(&searched, &aggregated, &costs, config);
+    (results, report)
+}
 
+/// The search stage: re-splits each frame's tree below `top_height`
+/// (clamped to the tree) through the allocation-recycling
+/// [`SplitTree::resplit`] path and answers the frame's queries with the
+/// batched two-stage search through the banked tree-buffer arbitration
+/// model. One [`BatchState`] is threaded through the whole sequence, so
+/// descent buffers are recycled and cross-frame locality is measured.
+///
+/// Reads the trees, the queries, `top_height`, the radius, neighbor cap,
+/// elision depth and descendant reuse of `search`, and the PE and
+/// tree-bank counts of `config` — never the maintenance policy, the DRAM
+/// bandwidth or anything of aggregation. Returns the neighbor sets and
+/// the per-frame counters the compose step needs.
+///
+/// # Panics
+///
+/// Panics if `trees.len() != frames.len()`.
+pub fn search_stream(
+    frames: &[(&PointCloud, &[Point3])],
+    trees: &[MaintainedTree],
+    search: &StreamSearchConfig,
+    top_height: usize,
+    config: &AcceleratorConfig,
+) -> (Vec<Vec<Vec<Neighbor>>>, Vec<FrameSearch>) {
+    assert_eq!(trees.len(), frames.len(), "one maintained tree per frame");
+    let batch_cfg = BatchSearchConfig::banked(
+        search.radius,
+        search.max_neighbors,
+        config.num_pes,
+        config.tree_buffer.num_banks,
+        search.elision_depth,
+    )
+    .with_descendant_reuse(search.descendant_reuse);
+    let mut state = BatchState::new();
     let mut roots_pool: Vec<usize> = Vec::new();
-    // recycled working memory: the aggregation unit's per-query index
-    // lists live across frames so the steady-state loop allocates
-    // nothing per frame
-    let mut neighbor_lists: Vec<Vec<usize>> = Vec::new();
+    frames
+        .iter()
+        .zip(trees)
+        .map(|(&(cloud, queries), maintained)| {
+            let tree = &maintained.tree;
+            let ht = if tree.is_empty() { 0 } else { top_height.min(tree.height() - 1) };
+            let split = SplitTree::resplit(tree, ht, std::mem::take(&mut roots_pool))
+                .expect("clamped top height is valid");
+            let (hits, stats) = split.search_batch(queries, &batch_cfg, &mut state);
+            roots_pool = split.into_subtree_roots();
+            let frame = FrameSearch {
+                points: cloud.len(),
+                queries: queries.len(),
+                neighbors: hits.iter().map(Vec::len).sum(),
+                stats,
+            };
+            (hits, frame)
+        })
+        .unzip()
+}
+
+/// The aggregation stage: per frame, the aggregation unit gathers every
+/// query's neighbor list from the banked Point Buffer
+/// ([`simulate_aggregation`]); conflicted gathers serialize unless
+/// `elide` replicates the winner's neighbor. Reads only the neighbor
+/// indices, the Point Buffer geometry and the elision flag.
+pub fn aggregate_stream(
+    neighbor_sets: &[Vec<Vec<Neighbor>>],
+    point_buffer: SramConfig,
+    elide: bool,
+) -> Vec<AggregationReport> {
+    // recycled working memory: the per-query index lists live across
+    // frames so the steady-state loop allocates nothing per frame
+    let mut lists: Vec<Vec<usize>> = Vec::new();
+    neighbor_sets
+        .iter()
+        .map(|frame| {
+            if lists.len() < frame.len() {
+                lists.resize_with(frame.len(), Vec::new);
+            }
+            for (list, hits) in lists.iter_mut().zip(frame) {
+                list.clear();
+                list.extend(hits.iter().map(|n| n.index));
+            }
+            simulate_aggregation(&lists[..frame.len()], point_buffer, point_buffer.num_banks, elide)
+        })
+        .collect()
+}
+
+/// The compose step: a pure function of the per-frame search counters,
+/// aggregation reports and maintenance costs. It derives each frame's
+/// DMA and slot cycles, the inter-frame build/search schedule, the
+/// once-per-stream pipeline fill and the energy ledger, reading only the
+/// DRAM and energy models of `config`.
+///
+/// # Panics
+///
+/// Panics if the three per-frame inputs differ in length.
+pub fn compose_stream(
+    searched: &[FrameSearch],
+    aggregated: &[AggregationReport],
+    maintenance: &[MaintenanceCost],
+    config: &AcceleratorConfig,
+) -> StreamReport {
+    assert!(
+        searched.len() == aggregated.len() && searched.len() == maintenance.len(),
+        "one search, aggregation and maintenance record per frame"
+    );
+    let em = &config.energy;
+    let mut report = StreamReport::default();
     // pipeline schedule state: when the build unit / search engine free
     // up, plus the search-completion time two frames back (the spare
     // tree buffer only frees once the search reading it finishes)
@@ -477,54 +635,10 @@ pub fn run_frame_stream_on_trees(
     let mut search_end: u64 = 0;
     let mut search_end_prev: u64 = 0;
 
-    for (frame_idx, (&(cloud, queries), maintained)) in frames.iter().zip(trees).enumerate() {
-        // ---- tree maintenance (pre-computed) ----
-        let MaintainedTree {
-            ref tree,
-            build_cycles,
-            build_dram_bytes,
-            subtrees_rebuilt,
-            full_rebuild,
-        } = *maintained;
-        let tree_ref = tree;
-
-        // ---- search ----
-        let ht = if tree_ref.is_empty() {
-            0
-        } else {
-            knobs.top_height.min(tree_ref.height().saturating_sub(1))
-        };
-        let split = SplitTree::resplit(tree_ref, ht, std::mem::take(&mut roots_pool))
-            .expect("clamped top height is valid");
-        let batch_cfg = BatchSearchConfig::banked(
-            search.radius,
-            search.max_neighbors,
-            config.num_pes,
-            config.tree_buffer.num_banks,
-            search.elision_depth,
-        )
-        .with_descendant_reuse(search.descendant_reuse);
-        let (frame_results, stats) = split.search_batch(queries, &batch_cfg, &mut state);
-        roots_pool = split.into_subtree_roots();
-
-        // ---- aggregation ----
-        // The aggregation unit gathers every query's neighbor list from
-        // the banked Point Buffer; conflicted gathers serialize unless
-        // aggregation elision replicates the winner's neighbor.
-        if neighbor_lists.len() < frame_results.len() {
-            neighbor_lists.resize_with(frame_results.len(), Vec::new);
-        }
-        for (list, hits) in neighbor_lists.iter_mut().zip(&frame_results) {
-            list.clear();
-            list.extend(hits.iter().map(|n| n.index));
-        }
-        let agg = simulate_aggregation(
-            &neighbor_lists[..frame_results.len()],
-            config.point_buffer,
-            config.point_buffer.num_banks,
-            config.aggregation_elision,
-        );
-
+    for (frame_idx, ((searched, agg), cost)) in
+        searched.iter().zip(aggregated).zip(maintenance).enumerate()
+    {
+        let stats = &searched.stats;
         // ---- timing ----
         // Search stage: the wavefront issues one fetch per touched
         // top-tree node (payload shared by every query on the node); the
@@ -537,8 +651,8 @@ pub fn run_frame_stream_on_trees(
         let dma = config.dram.stream_cycles(stats.dram_bytes);
         let slot = (compute + agg.rounds).max(dma);
         // Build stage: internally double-buffered the same way.
-        let build_dma = config.dram.stream_cycles(build_dram_bytes);
-        let build_slot = build_cycles.max(build_dma);
+        let build_dma = config.dram.stream_cycles(cost.build_dram_bytes);
+        let build_slot = cost.build_cycles.max(build_dma);
 
         // ---- inter-frame schedule ----
         // One build unit, one search engine, two tree buffers: frame i's
@@ -552,8 +666,8 @@ pub fn run_frame_stream_on_trees(
 
         // ---- energy ----
         let mut energy = EnergyLedger::new();
-        energy.charge_dram_streaming(em, stats.dram_bytes + build_dram_bytes);
-        energy.charge_tree_build(em, build_cycles);
+        energy.charge_dram_streaming(em, stats.dram_bytes + cost.build_dram_bytes);
+        energy.charge_tree_build(em, cost.build_cycles);
         // only honored fetches read data out of the tree buffer; stalled
         // re-issues retry, elided ones never return their own node
         let reads = (stats.top_fetches + stats.subtree_visits) as u64;
@@ -566,9 +680,9 @@ pub fn run_frame_stream_on_trees(
 
         report.frames.push(FrameReport {
             frame: frame_idx,
-            points: cloud.len(),
-            queries: queries.len(),
-            neighbors: frame_results.iter().map(Vec::len).sum(),
+            points: searched.points,
+            queries: searched.queries,
+            neighbors: searched.neighbors,
             compute_cycles: compute,
             agg_cycles: agg.rounds,
             dma_cycles: dma,
@@ -577,19 +691,18 @@ pub fn run_frame_stream_on_trees(
             elided_conflicts: stats.conflicts_elided as u64,
             agg_conflicts: agg.conflicts,
             agg_elided: agg.elided,
-            build_cycles,
+            build_cycles: cost.build_cycles,
             build_dma_cycles: build_dma,
             build_slot_cycles: build_slot,
-            build_dram_bytes,
-            subtrees_rebuilt,
-            full_rebuild,
+            build_dram_bytes: cost.build_dram_bytes,
+            subtrees_rebuilt: cost.subtrees_rebuilt,
+            full_rebuild: cost.full_rebuild,
             dram_streaming_bytes: stats.dram_bytes,
             tree_buffer_reads: reads,
-            search: stats,
+            search: stats.clone(),
             energy,
         });
         report.ledger.push_frame(energy);
-        results.push(frame_results);
     }
 
     // A stream that never did any work pays no fill; otherwise the fill
@@ -606,7 +719,7 @@ pub fn run_frame_stream_on_trees(
         report.serial_cycles = report.frames.iter().map(FrameReport::standalone_cycles).sum();
         report.overlapped_build_cycles = total_build - exposed_build;
     }
-    (results, report)
+    report
 }
 
 #[cfg(test)]

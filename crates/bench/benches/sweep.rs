@@ -79,8 +79,7 @@ fn radius_search_aos(
 }
 
 /// One sweep grid point end-to-end — scenario rendering, the recall
-/// oracle, and the streaming + engine passes — the whole unit of work
-/// behind each `{row, nanos}` entry in the `--timings` sidecar.
+/// oracle, and every stage of the cascade run for a single key.
 fn bench_sweep_point(c: &mut Criterion) {
     let mut spec = SweepSpec::quick();
     spec.label = "bench-one-point".to_string();
@@ -100,8 +99,8 @@ fn bench_sweep_point(c: &mut Criterion) {
 }
 
 /// One scenario against the full quick-grid knob cross (16 points) —
-/// the slice of the quick grid the maintained-tree-sequence and
-/// `h_e = 0` result memos amortize over. A single point (above) pays
+/// the slice of the quick grid the stage cascade amortizes over (2
+/// maintenance sequences, 8 search keys). A single point (above) pays
 /// every setup cost itself; this is where the sweep's cross-point
 /// sharing shows up in wall-clock.
 fn bench_sweep_scenario(c: &mut Criterion) {
@@ -117,7 +116,7 @@ fn bench_sweep_scenario(c: &mut Criterion) {
 /// The entire quick grid (160 points), exactly what
 /// `repro sweep --quick` times in the `--timings` sidecar's
 /// `total_nanos` — the headline wall-clock number of the fast-path
-/// work, with every scenario and all cross-point memo sharing in play.
+/// work, with every scenario and all cross-point stage sharing in play.
 fn bench_sweep_quick_grid(c: &mut Criterion) {
     let spec = SweepSpec::quick();
     c.bench_function("sweep_quick_grid_160_points", |b| {

@@ -16,8 +16,8 @@
 //!
 //! Every metric in the report is modeled, so `--check` is exact: any
 //! byte of drift is a real behavioural change. Wall-clock measurements
-//! travel on a separate channel: every run prints its total/setup/point
-//! wall time to **stderr**, and `--timings <path>` additionally writes
+//! travel on a separate channel: every run prints its total, setup and
+//! per-stage wall time to **stderr**, and `--timings <path>` additionally writes
 //! the per-scenario and per-point breakdown as a sidecar JSON
 //! ([`SweepTimings::to_json`]) that is never digested, never compared
 //! by `--check`, and rejected by `sweep-merge` if a shard inlines it. To acknowledge intended
@@ -33,7 +33,7 @@ use std::time::Instant;
 use crescent::format_table;
 use crescent_explorer::{
     default_workers, diff_reports, merge_shards, run_sweep_shard_timed, run_sweep_timed, ShardFile,
-    SweepReport, SweepSpec, SweepTimings,
+    SweepReport, SweepRunStats, SweepSpec, SweepTimings,
 };
 
 /// Default location of the checked-in quick-sweep baseline, relative to
@@ -172,7 +172,7 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
     print!("{}", render_summary(&report));
     // the wall-clock accounting goes to STDERR in every mode: measured
     // time is operator feedback, never report data
-    eprint_timings(&timings, stats.workers);
+    eprint_timings(&timings, &stats);
 
     let json = report.to_json();
     if let Some(path) = &args.json {
@@ -391,14 +391,19 @@ pub fn render_summary(report: &SweepReport) -> String {
 
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
 /// the run total, the serial scenario-setup prologue — overall and per
-/// scenario — and the per-point time summed across the worker pool.
-fn eprint_timings(timings: &SweepTimings, workers: usize) {
+/// scenario — and each stage of the cascade summed across the worker
+/// pool (compose is the per-point clock of the sidecar).
+fn eprint_timings(timings: &SweepTimings, stats: &SweepRunStats) {
     eprintln!(
-        "# wall-clock: total {:.3}s (scenario setup {:.3}s serial, points {:.3}s summed over \
-         {workers} workers)",
+        "# wall-clock: total {:.3}s (scenario setup {:.3}s serial; summed over {} workers: \
+         maintain {:.3}s, search {:.3}s, engine {:.3}s, compose {:.3}s)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),
-        secs(timings.point_nanos()),
+        stats.workers,
+        secs(stats.maintain_nanos),
+        secs(stats.search_nanos),
+        secs(stats.engine_nanos),
+        secs(stats.point_nanos),
     );
     for (scenario, nanos) in &timings.setup {
         eprintln!("#   setup {scenario}: {:.3}s", secs(*nanos));

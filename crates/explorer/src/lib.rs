@@ -11,10 +11,12 @@
 //!   its validated builder), the approximation knobs `h_t`/`h_e`, the
 //!   [`TreeMaintenance`](crescent_accel::TreeMaintenance) policies, and
 //!   every [`StreamScenario`](crescent::workload::StreamScenario);
-//! * [`run_sweep`] — expands the grid and runs every point through the
-//!   streaming engine on a `std::thread::scope` worker pool, with the
-//!   per-scenario frame rendering and the brute-force recall oracle
-//!   computed once and shared;
+//! * [`run_sweep`] — expands the grid and runs it as a stage cascade on
+//!   a `std::thread::scope` worker pool: per scenario, the frame
+//!   rendering and the brute-force recall oracle are computed once, each
+//!   stage of the streaming engine runs once per distinct value of the
+//!   axes it reads, and every grid point is composed from those shared
+//!   outputs (see the [`runner`] module docs);
 //! * [`SweepReport`] — a deterministic, schema-versioned JSON report
 //!   (modeled cycles, DRAM bytes, energy by ledger category, recall vs.
 //!   the exact baseline, a result digest) plus per-scenario Pareto
@@ -30,7 +32,7 @@
 //!   shards form a complete disjoint partition of one spec before
 //!   reassembling **byte-identical** output to a single-process run;
 //! * [`SweepTimings`] — the wall-clock sidecar (`repro sweep --timings`):
-//!   measured scenario-setup and per-point times, kept in a separate
+//!   measured scenario-setup and per-point compose times, kept in a separate
 //!   file that the exact comparator never sees (see the [`timings`]
 //!   module docs for the three guarantees keeping measured time out of
 //!   the gated bytes).

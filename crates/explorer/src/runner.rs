@@ -1,35 +1,64 @@
-//! The parallel sweep executor: expands a [`SweepSpec`], renders and
-//! brute-force-solves each scenario's frame stream once, then fans the
-//! grid points out over a `std::thread::scope` worker pool.
+//! The parallel sweep executor: an explicit stage cascade over a
+//! [`SweepSpec`].
 //!
-//! Since the streaming wavefront learned the unified banked-arbitration
-//! model, ONE `h_e`-sensitive streaming pass per point carries every
-//! axis — maintenance, `h_t`, `h_e`, PE count, tree banks, aggregation
-//! elision, cache geometry, DRAM bandwidth. The standalone engine pass
-//! survives only as a *cross-check column*: the same `h = <h_t, h_e>`
-//! point evaluated on frame 0 by the per-query lock-step model, so a
-//! divergence between the two implementations of the same hardware
-//! shows up as baseline drift instead of going unnoticed.
+//! The sweep handles **one scenario at a time**. It renders the
+//! scenario's frame stream, solves its recall oracle and builds frame
+//! 0's tree (the *setup*); enumerates the distinct stage keys of the
+//! scenario's grid points; runs every stage once per key on a
+//! `std::thread::scope` worker pool; composes each grid point's row
+//! from the stage outputs; and drops the scenario's trees before the
+//! next scenario starts. Each stage runs once for the axes it reads:
+//!
+//! | stage | runs once per (within a scenario) | reads |
+//! |---|---|---|
+//! | maintenance ([`maintain_tree_sequence`]) | policy × granted `h_t` (rebuild: policy only) | the clouds; the granted `h_t` as the refit `check_height` |
+//! | search ([`search_stream`]) | distinct tree sequence × granted `h_t` × PEs × tree banks × `h_e` | the trees, the queries, radius and `k`, descendant reuse |
+//! | aggregation ([`aggregate_stream`]) | search key × aggregation elision | the search key's neighbor sets, the Point Buffer |
+//! | engine cross-check ([`run_crescent_search`]) | PEs × tree KiB × tree banks × DRAM bandwidth × granted `h_t` × `h_e` | frame 0's tree and queries |
+//! | compose ([`compose_stream`]) | grid point | the counters above, the maintenance costs, DRAM bandwidth, the energy model |
+//!
+//! The tree-KiB axis reaches the stream only through the `h_t` grant
+//! (the Sec 3.3 feasibility clamp against frame 0's tree). The search
+//! stage reads the *trees* of a maintained sequence, not its policy:
+//! refit ≡ rebuild makes every sequence of a scenario hold the same
+//! trees in the common case, so one search serves them all and the
+//! other sequences are kept only for their cost vectors. Duplicate
+//! points can tie a median, though, and a refit then keeps a valid tree
+//! laid out differently from a fresh build — so the runner compares the
+//! sequences node for node ([`KdTree::same_nodes`]) and searches each
+//! distinct one, instead of assuming they match. Each search job also
+//! runs the aggregation for every aggregation-elision value of the spec
+//! and derives recall, digest and neighbor count, then drops its
+//! neighbor sets.
+//!
+//! The standalone engine pass survives only as a *cross-check column*:
+//! the same `h = <h_t, h_e>` point evaluated on frame 0 by the per-query
+//! lock-step model, so a divergence between the two implementations of
+//! the same hardware shows up as baseline drift instead of going
+//! unnoticed.
 //!
 //! # Determinism
 //!
 //! The report is a pure function of the spec, whatever the worker count:
-//! every grid point is simulated independently (single-threaded, seeded,
-//! entirely modeled — no wall-clock anywhere), workers claim points by
-//! atomic index but write each row into its own pre-allocated slot, and
-//! the report is assembled in grid order. Two runs — or a 1-worker and
-//! an N-worker run — therefore serialize to byte-identical JSON, which
-//! is what lets the CI gate compare reports with an exact comparator.
+//! stage keys are enumerated before the pool starts, so each runs
+//! exactly once; every stage is single-threaded, seeded and entirely
+//! modeled (no wall-clock anywhere); workers claim jobs by atomic index
+//! but write each output into its own pre-allocated slot; and rows are
+//! assembled in grid order. Two runs — or a 1-worker and an N-worker run
+//! — therefore serialize to byte-identical JSON, which is what lets the
+//! CI gate compare reports with an exact comparator.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crescent::workload::{Frame, FrameStream};
 use crescent_accel::{
-    maintain_tree_sequence, run_crescent_search, run_frame_stream_on_trees, CrescentKnobs,
-    MaintainedTree, StreamSearchConfig, TreeMaintenance,
+    aggregate_stream, compose_stream, maintain_tree_sequence, run_crescent_search, search_stream,
+    AcceleratorConfig, AggregationReport, FrameSearch, MaintainedTree, MaintenanceCost,
+    StreamSearchConfig, TreeMaintenance,
 };
 use crescent_kdtree::KdTree;
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
@@ -42,74 +71,82 @@ use crate::timings::SweepTimings;
 /// oracle, computed once per scenario by brute force.
 type ExactSets = Vec<Vec<Vec<usize>>>;
 
-/// Everything about a scenario that no architecture knob can change,
-/// rendered/solved once and shared read-only by every grid point of the
-/// scenario: the frames, the brute-force recall oracle, and frame 0's
-/// K-d tree (the standalone-engine workload).
-struct ScenarioCache {
-    frames: Vec<Frame>,
-    exact: ExactSets,
-    tree0: KdTree,
-}
+/// Maintenance-stage key: the policy variant, its rebuild threshold's
+/// bit pattern (only identity matters), and — for refit only — the
+/// granted `h_t` (the refit validator's `check_height`). Rebuild
+/// sequences are height-independent, so they key `h_t` as 0.
+type MaintainKey = (bool, u64, usize);
 
-/// Memo key for the standalone engine cross-check pass: every axis
-/// EXCEPT the maintenance policy (which cannot influence a single-tree
-/// search) and aggregation elision (the engine pass has no aggregation
-/// stage). The DRAM bandwidth is keyed by its bit pattern — only
-/// identity matters.
-///
-/// The `h_t` component is the **granted** `top_height_used`, not the
-/// requested `point.top_height`: the pass is computed with the granted
-/// height, so two grid points whose requested heights clamp to the same
-/// grant run byte-identical passes and must share one memo entry.
-/// (Keying on the request used to silently re-run those passes.)
-type EngineKey = (usize, usize, usize, usize, u64, usize, usize);
-
-/// Memo key for a scenario's maintained-tree sequence: the only knobs
-/// [`maintain_tree_sequence`] reads are the maintenance policy (variant
-/// plus rebuild threshold, keyed by its bit pattern — only identity
-/// matters) and, for refit, the granted `h_t` (the refit validator's
-/// `check_height`). Rebuild sequences are height-independent, so they
-/// key `h_t` as 0 and every grant shares one entry. All remaining axes
-/// — PE count, banking, elision, DRAM bandwidth, aggregation — cannot
-/// touch maintenance, which is exactly why the quick grid's 16 points
-/// per scenario collapse onto 2 tree sequences.
-type TreeKey = (usize, bool, u64, usize);
-
-fn tree_key(scenario_idx: usize, maintenance: TreeMaintenance, granted_h_t: usize) -> TreeKey {
+fn maintain_key(maintenance: TreeMaintenance, granted_h_t: usize) -> MaintainKey {
     match maintenance {
-        TreeMaintenance::RebuildEveryFrame => (scenario_idx, false, 0, 0),
+        TreeMaintenance::RebuildEveryFrame => (false, 0, 0),
         TreeMaintenance::Refit { rebuild_threshold } => {
-            (scenario_idx, true, rebuild_threshold.to_bits(), granted_h_t)
+            (true, rebuild_threshold.to_bits(), granted_h_t)
         }
     }
 }
 
-/// The row columns derived purely from a point's neighbor sets. At
-/// `h_e = 0` no fetch is ever elided, so the stream's neighbor sets are
-/// bit-identical across every remaining knob (the fuzz-tested
-/// h_e = 0 bit-identity invariant) — a pure function of the
-/// maintained-tree sequence — and these columns are memoized on
-/// [`TreeKey`]. The digest walk is a serial FNV chain over every
-/// neighbor, so recomputing it per sibling row is real wall-clock.
-#[derive(Clone, Copy)]
-struct ResultStats {
+/// Search-stage key: the distinct tree sequence, granted `h_t`, PE
+/// count, tree banks, `h_e` (radius, neighbor cap and descendant reuse
+/// are fixed within a scenario).
+type SearchKey = (usize, usize, usize, usize, usize);
+
+/// Engine-stage key: every axis except the maintenance policy (the pass
+/// searches one fixed tree) and aggregation elision (it has no gather
+/// stage). The DRAM bandwidth is keyed by its bit pattern, and `h_t` is
+/// the **granted** height — requests that clamp to the same grant run
+/// byte-identical passes.
+type EngineKey = (usize, usize, usize, u64, usize, usize);
+
+/// The distinct keys of one stage in first-seen order, each remembered
+/// with the first plan that produced it (the plan the stage job reads
+/// its inputs from).
+struct Keys<K> {
+    index: HashMap<K, usize>,
+    first: Vec<usize>,
+}
+
+impl<K: Eq + Hash> Keys<K> {
+    fn new() -> Self {
+        Keys { index: HashMap::new(), first: Vec::new() }
+    }
+
+    /// The stage-output slot of `key`, assigning the next one on first
+    /// sight.
+    fn slot(&mut self, key: K, plan: usize) -> usize {
+        *self.index.entry(key).or_insert_with(|| {
+            self.first.push(plan);
+            self.first.len() - 1
+        })
+    }
+}
+
+/// One grid point's place in the cascade: its validated configuration,
+/// its derived `h` values, and the slots of the maintenance and engine
+/// outputs it is composed from (its search slot is known only once the
+/// maintained trees can be compared).
+struct Plan<'a> {
+    point: &'a SweepPoint,
+    config: AcceleratorConfig,
+    engine_elision_level: usize,
+    top_height_used: usize,
+    maintain: usize,
+    engine: usize,
+}
+
+/// The search stage's output for one search key. The neighbor sets are
+/// already reduced to these columns and dropped.
+struct SearchOut {
+    frames: Vec<FrameSearch>,
+    /// Per-frame aggregation reports, indexed by the aggregation-elision
+    /// flag (`None` for a value the spec never uses).
+    aggregated: [Option<Vec<AggregationReport>>; 2],
     neighbors: usize,
     recall: f64,
     digest: u64,
 }
 
-fn result_stats(neighbor_sets: &[Vec<Vec<Neighbor>>], exact: &ExactSets) -> ResultStats {
-    ResultStats {
-        neighbors: neighbor_sets.iter().flatten().map(Vec::len).sum(),
-        recall: recall(neighbor_sets, exact),
-        digest: digest(neighbor_sets),
-    }
-}
-
-/// The engine pass's contribution to a row, shared by the sibling rows
-/// that differ only in maintenance policy.
-#[derive(Clone, Copy)]
+/// The engine pass's contribution to a row.
 struct EnginePass {
     cycles: u64,
     dram_bytes: u64,
@@ -137,19 +174,29 @@ pub struct SweepRunStats {
     /// the point count — what the CLI reports, so "8 workers" is never
     /// printed for a 4-point run.
     pub workers: usize,
-    /// Standalone engine cross-check passes actually executed (memo
-    /// misses). With the memo keyed on the granted `h_t`, sibling grid
-    /// points whose requested heights clamp to the same grant share one
-    /// pass — the regression this counter pins down.
+    /// Standalone engine cross-check passes executed: exactly one per
+    /// distinct engine key of each scenario, whatever the worker count.
     pub engine_passes: usize,
+    /// Search passes executed: exactly one per distinct search key of
+    /// each scenario, whatever the worker count.
+    pub search_passes: usize,
     /// Total **wall-clock** nanoseconds spent in the serial scenario
     /// prologue (frame rendering + recall oracle + frame 0's tree). A
     /// measured quantity — it lives here and in the `--timings` sidecar
     /// precisely because it can never live in the report bytes.
     pub setup_nanos: u64,
-    /// Total **wall-clock** nanoseconds spent simulating grid points,
-    /// summed across workers (so up to `workers`× the elapsed time of
-    /// the pool phase). Measured, never part of the report.
+    /// Total **wall-clock** nanoseconds of the maintenance stage, summed
+    /// across workers. Measured, never part of the report.
+    pub maintain_nanos: u64,
+    /// Total **wall-clock** nanoseconds of the search stage (search,
+    /// aggregation, recall and digest), summed across workers.
+    pub search_nanos: u64,
+    /// Total **wall-clock** nanoseconds of the engine cross-check stage,
+    /// summed across workers.
+    pub engine_nanos: u64,
+    /// Total **wall-clock** nanoseconds of the compose step — the
+    /// per-point clocks of the `--timings` sidecar — summed across
+    /// workers.
     pub point_nanos: u64,
 }
 
@@ -217,7 +264,7 @@ pub fn run_sweep_shard_timed(
 }
 
 /// Simulates `points` (any subset of the expanded grid, in grid order)
-/// over a worker pool and returns their rows in the same order, plus
+/// scenario by scenario and returns their rows in the same order, plus
 /// the run's wall-clock measurements. The clocks only *observe* the run
 /// (each measurement brackets work that happens regardless), so the
 /// rows — and therefore the report bytes — cannot depend on them.
@@ -227,223 +274,260 @@ fn run_points(
     workers: usize,
 ) -> (Vec<SweepRow>, SweepRunStats, SweepTimings) {
     let run_start = Instant::now();
-    // Per-scenario caches, computed once up front (per-point
-    // recomputation would be pure waste — none of this depends on the
-    // architecture knobs). Only scenarios the subset actually visits are
-    // rendered and brute-force-solved: a shard must not pay the oracle
-    // cost of scenarios it never simulates.
-    let mut needed = vec![false; spec.scenarios.len()];
-    for point in points {
-        needed[point.scenario_idx] = true;
-    }
-    let mut setup: Vec<(String, u64)> = Vec::new();
-    let caches: Vec<Option<ScenarioCache>> = spec
-        .scenarios
-        .iter()
-        .zip(&needed)
-        .map(|(&scenario, &needed)| {
-            needed.then(|| {
-                let build_start = Instant::now();
-                let mut wcfg = spec.workload;
-                wcfg.scenario = scenario;
-                let frames: Vec<Frame> = FrameStream::new(&wcfg).collect();
-                let exact = exact_baseline(&frames, wcfg.radius, wcfg.max_neighbors);
-                let tree0 = KdTree::build(&frames[0].cloud);
-                setup.push((scenario.label().to_string(), build_start.elapsed().as_nanos() as u64));
-                ScenarioCache { frames, exact, tree0 }
-            })
-        })
-        .collect();
-
     let workers = workers.clamp(1, points.len().max(1));
-    let next = AtomicUsize::new(0);
-    let engine_runs = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepRow>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let point_clocks: Vec<AtomicU64> = points.iter().map(|_| AtomicU64::new(0)).collect();
-    let engine_memo: Mutex<HashMap<EngineKey, EnginePass>> = Mutex::new(HashMap::new());
-    let tree_memo: Mutex<HashMap<TreeKey, Arc<Vec<MaintainedTree>>>> = Mutex::new(HashMap::new());
-    let result_memo: Mutex<HashMap<TreeKey, ResultStats>> = Mutex::new(HashMap::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let cache =
-                    caches[point.scenario_idx].as_ref().expect("needed scenario cache built");
-                let point_start = Instant::now();
-                let row = run_point(
-                    spec,
-                    point,
-                    cache,
-                    &engine_memo,
-                    &tree_memo,
-                    &result_memo,
-                    &engine_runs,
-                );
-                point_clocks[i].store(point_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *slots[i].lock().expect("row slot poisoned") = Some(row);
-            });
-        }
-    });
-
-    let rows: Vec<SweepRow> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("row slot poisoned").expect("every claimed point completed")
-        })
-        .collect();
-    let timings = SweepTimings {
-        total_nanos: run_start.elapsed().as_nanos() as u64,
-        setup,
-        points: points
-            .iter()
-            .zip(&point_clocks)
-            .map(|(point, clock)| (point.index, clock.load(Ordering::Relaxed)))
-            .collect(),
-    };
-    let stats = SweepRunStats {
+    let mut stats = SweepRunStats {
         points: points.len(),
         workers,
-        engine_passes: engine_runs.load(Ordering::Relaxed),
-        setup_nanos: timings.setup_nanos(),
-        point_nanos: timings.point_nanos(),
+        engine_passes: 0,
+        search_passes: 0,
+        setup_nanos: 0,
+        maintain_nanos: 0,
+        search_nanos: 0,
+        engine_nanos: 0,
+        point_nanos: 0,
     };
+    let mut timings = SweepTimings::default();
+    let mut rows = Vec::with_capacity(points.len());
+    // the scenario is the outermost grid axis, so a grid-ordered subset
+    // holds each scenario's points as one contiguous run — and a shard
+    // never pays the setup of a scenario it does not visit
+    for scenario_points in points.chunk_by(|a, b| a.scenario_idx == b.scenario_idx) {
+        run_scenario(spec, scenario_points, workers, &mut rows, &mut stats, &mut timings);
+    }
+    timings.total_nanos = run_start.elapsed().as_nanos() as u64;
+    stats.setup_nanos = timings.setup_nanos();
+    stats.point_nanos = timings.point_nanos();
     (rows, stats, timings)
 }
 
-/// Simulates one grid point and derives its report row.
-///
-/// The **streaming pass** (the `run_frame_stream` driver behind
-/// `Crescent::run_stream`) over every cached frame is the pass of
-/// record: with the unified banked-arbitration model every axis moves it
-/// — maintenance, `h_t`, PE count, tree banks, DRAM bandwidth, `h_e`
-/// (which trades stream recall for arbitration rounds), and aggregation
-/// elision (which trades nothing for gather rounds, Sec 4.2).
-///
-/// The **engine cross-check** (`run_crescent_search` on frame 0's tree
-/// and queries) evaluates the same `h = <h_t, h_e>` point on the
-/// per-query lock-step model — its columns exist so the two
-/// implementations of the same hardware are diffed by the CI gate, not
-/// because the sweep needs a second pass for `h_e` sensitivity anymore.
-/// The depth-based `h_e` is converted to the engine's level threshold
-/// `height(frame 0 tree) − h_e` (`SweepRow::engine_elision_level`).
-///
-/// The requested `h_t` is first clamped into the Sec 3.3 feasibility
-/// range for the point's tree buffer against frame 0's tree
-/// (`top_height_range`), so the cache-geometry axis constrains the
-/// split depth exactly the way the real hardware would. Both engines
-/// still re-clamp against each actual tree's height, so `h_t_used` is
-/// the *granted* height — individual shallow frames may run below it
-/// (see [`SweepRow::top_height_used`](crate::SweepRow)).
-///
-/// The engine pass is memoized across the maintenance and
-/// aggregation-elision axes (it searches one fixed tree and has no
-/// gather stage, so neither can touch it), keyed on the **granted**
-/// `top_height_used` so requested heights that clamp to the same grant
-/// also share one pass. A racing recompute of the same key is harmless:
-/// the pass is deterministic, so both writers insert identical values.
-fn run_point(
+/// Runs the cascade for the points of one scenario, appending their rows
+/// (in the given order) and accounting the stages in `stats` and
+/// `timings`. Everything the scenario allocates — frames, oracle, trees,
+/// stage outputs — is dropped on return.
+fn run_scenario(
     spec: &SweepSpec,
-    point: &SweepPoint,
-    cache: &ScenarioCache,
-    engine_memo: &Mutex<HashMap<EngineKey, EnginePass>>,
-    tree_memo: &Mutex<HashMap<TreeKey, Arc<Vec<MaintainedTree>>>>,
-    result_memo: &Mutex<HashMap<TreeKey, ResultStats>>,
-    engine_runs: &AtomicUsize,
-) -> SweepRow {
-    let mut config = point.config().expect("spec validation checked every grid point");
-    // the engine cross-check's level threshold is a per-tree quantity:
-    // depth-from-leaves h_e on frame 0's tree
-    let engine_elision_level = cache.tree0.height().saturating_sub(point.elision_depth);
-    if let Some(e) = config.search_elision.as_mut() {
-        e.elision_height = engine_elision_level;
-    }
-    let top_height_used = match config.top_height_range(cache.tree0.height()) {
-        Some((lo, hi)) => point.top_height.clamp(lo, hi),
-        None => point.top_height,
-    };
-    let knobs = CrescentKnobs { top_height: top_height_used, elision_height: engine_elision_level };
-    let search = StreamSearchConfig {
-        radius: spec.workload.radius,
-        max_neighbors: spec.workload.max_neighbors,
-        maintenance: point.maintenance,
-        elision_depth: point.elision_depth,
-        // scenario-derived, like the stream facade: only the
-        // descendant-reuse workload turns the salvage knob on, so every
-        // other scenario's rows stay on the stall/elide-only model
-        descendant_reuse: point.scenario.descendant_reuse(),
-    };
-    let inputs: Vec<(&PointCloud, &[Point3])> =
-        cache.frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
-    // The maintained-tree sequence is shared across every sibling point
-    // whose maintenance inputs coincide (see [`TreeKey`]) — in the quick
-    // grid that is 8 points per sequence. Like the engine memo, a racing
-    // recompute is harmless: the sequence is deterministic, so both
-    // writers insert byte-identical values.
-    let tkey = tree_key(point.scenario_idx, point.maintenance, top_height_used);
-    let memoized_trees = tree_memo.lock().expect("tree memo poisoned").get(&tkey).cloned();
-    let trees = memoized_trees.unwrap_or_else(|| {
-        let clouds: Vec<&PointCloud> = cache.frames.iter().map(|f| &f.cloud).collect();
-        let seq = Arc::new(maintain_tree_sequence(&clouds, point.maintenance, top_height_used));
-        tree_memo.lock().expect("tree memo poisoned").insert(tkey, Arc::clone(&seq));
-        seq
+    points: &[SweepPoint],
+    workers: usize,
+    rows: &mut Vec<SweepRow>,
+    stats: &mut SweepRunStats,
+    timings: &mut SweepTimings,
+) {
+    // ---- setup: everything no architecture knob can change ----
+    let setup_start = Instant::now();
+    let scenario = points[0].scenario;
+    let mut wcfg = spec.workload;
+    wcfg.scenario = scenario;
+    let frames: Vec<Frame> = FrameStream::new(&wcfg).collect();
+    let exact = exact_baseline(&frames, wcfg.radius, wcfg.max_neighbors);
+    let tree0 = KdTree::build(&frames[0].cloud);
+    timings.setup.push((scenario.label().to_string(), setup_start.elapsed().as_nanos() as u64));
+
+    // ---- plan: every point's maintenance and engine keys ----
+    let mut maintain_keys: Keys<MaintainKey> = Keys::new();
+    let mut engine_keys: Keys<EngineKey> = Keys::new();
+    let plans: Vec<Plan> = points
+        .iter()
+        .enumerate()
+        .map(|(i, point)| {
+            let mut config = point.config().expect("spec validation checked every grid point");
+            // the engine cross-check's level threshold is a per-tree
+            // quantity: depth-from-leaves h_e on frame 0's tree
+            let engine_elision_level = tree0.height().saturating_sub(point.elision_depth);
+            if let Some(e) = config.search_elision.as_mut() {
+                e.elision_height = engine_elision_level;
+            }
+            // the requested h_t, clamped into the Sec 3.3 feasibility
+            // range of the point's tree buffer against frame 0's tree
+            let top_height_used = match config.top_height_range(tree0.height()) {
+                Some((lo, hi)) => point.top_height.clamp(lo, hi),
+                None => point.top_height,
+            };
+            let engine_key = (
+                point.num_pes,
+                point.tree_kb,
+                point.tree_banks,
+                point.dram_bytes_per_cycle.to_bits(),
+                top_height_used,
+                point.elision_depth,
+            );
+            Plan {
+                point,
+                config,
+                engine_elision_level,
+                top_height_used,
+                maintain: maintain_keys.slot(maintain_key(point.maintenance, top_height_used), i),
+                engine: engine_keys.slot(engine_key, i),
+            }
+        })
+        .collect();
+    stats.engine_passes += engine_keys.first.len();
+
+    // ---- maintenance: one sequence per key, kept once per distinct tree content ----
+    let clouds: Vec<&PointCloud> = frames.iter().map(|f| &f.cloud).collect();
+    let maintained = par_map(&maintain_keys.first, workers, |_, &p| {
+        let plan = &plans[p];
+        maintain_tree_sequence(&clouds, plan.point.maintenance, plan.top_height_used)
     });
-    let (neighbor_sets, report) =
-        run_frame_stream_on_trees(&inputs, &trees, &search, knobs, &config);
+    let mut costs: Vec<Vec<MaintenanceCost>> = Vec::with_capacity(maintained.len());
+    let mut tree_sets: Vec<Vec<MaintainedTree>> = Vec::new();
+    let mut tree_set_of: Vec<usize> = Vec::with_capacity(maintained.len());
+    for (seq, nanos) in maintained {
+        stats.maintain_nanos += nanos;
+        costs.push(seq.iter().map(MaintainedTree::cost).collect());
+        let known = tree_sets.iter().position(|set| same_trees(set, &seq));
+        tree_set_of.push(known.unwrap_or_else(|| {
+            tree_sets.push(seq);
+            tree_sets.len() - 1
+        }));
+    }
 
-    // The neighbor-set-derived columns. At h_e = 0 they are shared
-    // across every sibling point of the tree sequence (see
-    // [`ResultStats`]); the sets themselves still come from this
-    // point's own stream pass above, so the memo only skips re-deriving
-    // identical statistics, never the simulation.
-    let results = if point.elision_depth == 0 {
-        let memoized = result_memo.lock().expect("result memo poisoned").get(&tkey).copied();
-        let results = memoized.unwrap_or_else(|| {
-            let s = result_stats(&neighbor_sets, &cache.exact);
-            result_memo.lock().expect("result memo poisoned").insert(tkey, s);
-            s
-        });
-        debug_assert_eq!(results.digest, digest(&neighbor_sets), "h_e = 0 bit-identity violated");
-        results
-    } else {
-        result_stats(&neighbor_sets, &cache.exact)
-    };
+    // ---- search + aggregation: one pass per search key ----
+    let mut search_keys: Keys<SearchKey> = Keys::new();
+    let search_slots: Vec<usize> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            let point = plan.point;
+            let key = (
+                tree_set_of[plan.maintain],
+                plan.top_height_used,
+                point.num_pes,
+                point.tree_banks,
+                point.elision_depth,
+            );
+            search_keys.slot(key, i)
+        })
+        .collect();
+    stats.search_passes += search_keys.first.len();
+    let inputs: Vec<(&PointCloud, &[Point3])> =
+        frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
+    let searched = par_map(&search_keys.first, workers, |_, &p| {
+        let plan = &plans[p];
+        let trees = &tree_sets[tree_set_of[plan.maintain]];
+        let search = StreamSearchConfig {
+            radius: spec.workload.radius,
+            max_neighbors: spec.workload.max_neighbors,
+            maintenance: plan.point.maintenance,
+            elision_depth: plan.point.elision_depth,
+            // scenario-derived, like the stream facade: only the
+            // descendant-reuse workload turns the salvage knob on, so
+            // every other scenario's rows stay on the stall/elide-only
+            // model
+            descendant_reuse: scenario.descendant_reuse(),
+        };
+        let (sets, frames) =
+            search_stream(&inputs, trees, &search, plan.top_height_used, &plan.config);
+        let aggregate = |elide: bool| {
+            spec.aggregation_elision
+                .contains(&elide)
+                .then(|| aggregate_stream(&sets, plan.config.point_buffer, elide))
+        };
+        SearchOut {
+            aggregated: [aggregate(false), aggregate(true)],
+            neighbors: frames.iter().map(|f| f.neighbors).sum(),
+            recall: recall(&sets, &exact),
+            digest: digest(&sets),
+            frames,
+        }
+    });
+    drop(tree_sets);
+    let searched: Vec<SearchOut> = searched
+        .into_iter()
+        .map(|(out, nanos)| {
+            stats.search_nanos += nanos;
+            out
+        })
+        .collect();
 
-    let key: EngineKey = (
-        point.scenario_idx,
-        point.num_pes,
-        point.tree_kb,
-        point.tree_banks,
-        point.dram_bytes_per_cycle.to_bits(),
-        // the pass runs at the GRANTED height — keying the requested
-        // height would re-run identical passes for every request that
-        // clamps to the same grant
-        top_height_used,
-        point.elision_depth,
-    );
-    let memoized = engine_memo.lock().expect("engine memo poisoned").get(&key).copied();
-    let engine = memoized.unwrap_or_else(|| {
-        engine_runs.fetch_add(1, Ordering::Relaxed);
-        let (engine_results, engine) = run_crescent_search(
-            &cache.tree0,
-            top_height_used,
-            &cache.frames[0].queries,
+    // ---- engine cross-check: one pass per engine key ----
+    let engines = par_map(&engine_keys.first, workers, |_, &p| {
+        let plan = &plans[p];
+        let (results, engine) = run_crescent_search(
+            &tree0,
+            plan.top_height_used,
+            &frames[0].queries,
             spec.workload.radius,
             spec.workload.max_neighbors,
-            &config,
+            &plan.config,
         );
-        let pass = EnginePass {
+        EnginePass {
             cycles: engine.cycles,
             dram_bytes: engine.dram_streaming_bytes,
             nodes_visited: engine.stats.nodes_visited,
             nodes_elided: engine.stats.nodes_elided,
-            recall: recall(std::slice::from_ref(&engine_results), &cache.exact[..1]),
-            digest: digest(std::slice::from_ref(&engine_results)),
-        };
-        engine_memo.lock().expect("engine memo poisoned").insert(key, pass);
-        pass
+            recall: recall(std::slice::from_ref(&results), &exact[..1]),
+            digest: digest(std::slice::from_ref(&results)),
+        }
     });
+    let engines: Vec<EnginePass> = engines
+        .into_iter()
+        .map(|(pass, nanos)| {
+            stats.engine_nanos += nanos;
+            pass
+        })
+        .collect();
 
+    // ---- compose: one row per point, in the given order ----
+    let composed = par_map(&plans, workers, |i, plan| {
+        let search = &searched[search_slots[i]];
+        compose_row(plan, frames.len(), &costs[plan.maintain], search, &engines[plan.engine])
+    });
+    for ((row, nanos), plan) in composed.into_iter().zip(&plans) {
+        timings.points.push((plan.point.index, nanos));
+        rows.push(row);
+    }
+}
+
+/// Maps `f` over `items` (with each item's position) on up to `workers`
+/// scoped threads. Workers claim items by atomic index and write each
+/// output into the item's own slot, so the outputs come back in input
+/// order whatever the worker count — each with the wall-clock
+/// nanoseconds `f` took on it.
+fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<(R, u64)> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<(R, u64)>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.clamp(1, items.len().max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let start = Instant::now();
+                let out = f(i, item);
+                let nanos = start.elapsed().as_nanos() as u64;
+                *slots[i].lock().expect("stage slot poisoned") = Some((out, nanos));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("stage slot poisoned").expect("every job completed"))
+        .collect()
+}
+
+/// Whether two maintained sequences hold the same tree in every frame.
+fn same_trees(a: &[MaintainedTree], b: &[MaintainedTree]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.tree.same_nodes(&y.tree))
+}
+
+/// The compose step of one grid point: [`compose_stream`] over its
+/// search key's counters, its aggregation-elision value's gather
+/// reports and its maintenance key's costs, then the report row.
+fn compose_row(
+    plan: &Plan,
+    frames: usize,
+    costs: &[MaintenanceCost],
+    search: &SearchOut,
+    engine: &EnginePass,
+) -> SweepRow {
+    let point = plan.point;
+    let aggregated = search.aggregated[usize::from(point.aggregation_elision)]
+        .as_deref()
+        .expect("the search stage aggregated every elision value of the spec");
+    let report = compose_stream(&search.frames, aggregated, costs, &plan.config);
     SweepRow {
         index: point.index,
         scenario: point.scenario.label(),
@@ -456,11 +540,11 @@ fn run_point(
         top_height: point.top_height,
         elision_depth: point.elision_depth,
         descendant_reuse: point.scenario.descendant_reuse(),
-        engine_elision_level,
-        top_height_used,
-        frames: cache.frames.len(),
+        engine_elision_level: plan.engine_elision_level,
+        top_height_used: plan.top_height_used,
+        frames,
         queries: report.total_queries(),
-        neighbors: results.neighbors,
+        neighbors: search.neighbors,
         pipelined_cycles: report.pipelined_cycles,
         serial_cycles: report.serial_cycles,
         build_cycles: report.total_build_cycles(),
@@ -476,8 +560,8 @@ fn run_point(
         full_rebuilds: report.frames.iter().filter(|f| f.full_rebuild).count(),
         subtrees_rebuilt: report.frames.iter().map(|f| f.subtrees_rebuilt).sum(),
         energy: *report.ledger.total(),
-        recall: results.recall,
-        digest: results.digest,
+        recall: search.recall,
+        digest: search.digest,
         engine_cycles: engine.cycles,
         engine_dram_bytes: engine.dram_bytes,
         nodes_visited: engine.nodes_visited,
@@ -703,7 +787,7 @@ mod tests {
     fn clamped_heights_share_one_engine_pass() {
         // 6 KiB tree buffer -> the feasibility range caps well below
         // either request, so h_t = 20 and h_t = 30 clamp to the SAME
-        // granted height and must share one memoized engine pass.
+        // granted height and must share one engine and one search pass.
         let mut spec = tiny_spec();
         spec.top_heights = vec![20, 30];
         let (report, stats) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
@@ -719,6 +803,7 @@ mod tests {
             stats.engine_passes, 2,
             "requested heights clamping to the same grant must not re-run the engine"
         );
+        assert_eq!(stats.search_passes, 2, "nor the search");
         // ... and the deduplication is observable in the rows: sibling
         // rows differing only in requested h_t carry identical engine
         // columns (they ARE the same pass)
@@ -726,6 +811,64 @@ mod tests {
             assert_eq!(pe_rows[0].engine_cycles, pe_rows[1].engine_cycles);
             assert_eq!(pe_rows[0].engine_digest, pe_rows[1].engine_digest);
             assert_eq!(pe_rows[0].engine_recall, pe_rows[1].engine_recall);
+        }
+    }
+
+    /// Stage keys are enumerated before the pool starts, so no two
+    /// workers can race to run the same key: the pass counts are exact
+    /// and equal at every worker count.
+    #[test]
+    fn every_stage_key_runs_exactly_once_at_any_worker_count() {
+        let mut spec = tiny_spec();
+        spec.dram_bytes_per_cycle = vec![10.24, 20.48];
+        spec.aggregation_elision = vec![false, true];
+        spec.elision_depths = vec![0, 2];
+        assert_eq!(spec.num_points(), 32);
+        let (one, one_stats) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
+        let (four, four_stats) = run_sweep_with_stats(&spec, 4).expect("sweep runs");
+        assert_eq!(one.to_json(), four.to_json());
+        for stats in [one_stats, four_stats] {
+            // one grant x 2 PE counts x 1 bank count x 2 h_e
+            assert_eq!(stats.search_passes, 4);
+            // ... x 2 DRAM bandwidths (the engine pass reads bandwidth)
+            assert_eq!(stats.engine_passes, 8);
+        }
+    }
+
+    /// The pass counts of the two grids the repository times: the quick
+    /// grid and the benchmark's 384-point design-space slice (three
+    /// scenarios of the full grid; 2 PE counts, 2 bank counts, 2 `h_t`
+    /// requests that clamp to one grant, 2 `h_e`, and maintenance, DRAM
+    /// bandwidth and aggregation elision twice each). On the quick grid
+    /// every refit sequence holds the rebuild trees, so each scenario
+    /// searches 2 × 2 × 2 keys once. On the slice's noise-free
+    /// 12k-point scenes a few refit frames keep a tied median in another
+    /// heap slot, so each scenario searches two tree sequences: 2 × 8
+    /// search keys per scenario instead of 8.
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "the quick grid and the slice are slow unoptimized; run with --release"
+    )]
+    #[test]
+    fn quick_grid_and_dse_slice_run_each_key_once() {
+        let mut slice = SweepSpec::full();
+        slice.scenarios = StreamScenario::canonical_matrix()
+            .into_iter()
+            .filter(|s| matches!(s.label(), "registered" | "rotation_burst" | "multi_sensor"))
+            .collect();
+        slice.num_pes = vec![2, 8];
+        slice.tree_kb = vec![6];
+        slice.tree_banks = vec![2, 8];
+        slice.top_heights = vec![2, 4];
+        slice.elision_depths = vec![0, 4];
+        assert_eq!(slice.num_points(), 384);
+        for (spec, search_passes, engine_passes) in [(SweepSpec::quick(), 80, 80), (slice, 48, 48)]
+        {
+            for workers in [1, 4] {
+                let (_, stats) = run_sweep_with_stats(&spec, workers).expect("sweep runs");
+                assert_eq!(stats.search_passes, search_passes, "{} at {workers}", spec.label);
+                assert_eq!(stats.engine_passes, engine_passes, "{} at {workers}", spec.label);
+            }
         }
     }
 

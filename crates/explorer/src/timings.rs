@@ -45,16 +45,19 @@ pub const TIMINGS_SCHEMA: &str = "crescent-sweep-timings/v1";
 /// beside the report instead of inside it.
 #[derive(Clone, Debug, Default)]
 pub struct SweepTimings {
-    /// Wall time of the whole run (scenario setup + the worker-pool
-    /// phase), in nanoseconds.
+    /// Wall time of the whole run (every scenario's setup and stages),
+    /// in nanoseconds.
     pub total_nanos: u64,
     /// Per-scenario setup cost, in scenario order: rendering the frame
     /// stream, solving the recall oracle, and building frame 0's tree.
     /// Only scenarios the run actually visited appear (a shard skips
     /// the setup of scenarios it never simulates).
     pub setup: Vec<(String, u64)>,
-    /// Per-grid-point simulation cost as `(global row index, nanos)`,
-    /// in row order of the produced report.
+    /// Per-grid-point cost as `(global row index, nanos)`, in row order
+    /// of the produced report. Since the sweep runs as a stage cascade
+    /// this times only the point's **compose** step: the maintenance,
+    /// search and engine stages are shared across points and totalled
+    /// per stage in [`SweepRunStats`](crate::SweepRunStats) instead.
     pub points: Vec<(usize, u64)>,
 }
 
@@ -64,9 +67,7 @@ impl SweepTimings {
         self.setup.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Total per-point simulation wall time, summed across workers —
-    /// with an N-worker pool this exceeds the elapsed wall time of the
-    /// pool phase by up to a factor of N.
+    /// Total per-point (compose) wall time, summed across workers.
     pub fn point_nanos(&self) -> u64 {
         self.points.iter().map(|&(_, n)| n).sum()
     }

@@ -158,6 +158,13 @@ impl KdTree {
         &self.build_stats
     }
 
+    /// Whether `other` holds the same node in every heap slot — the same
+    /// tree to every search, whatever produced it. Build statistics are
+    /// ignored (a refit keeps those of the build it started from).
+    pub fn same_nodes(&self, other: &KdTree) -> bool {
+        self.height == other.height && self.meta == other.meta && self.points == other.points
+    }
+
     /// Number of nodes (== number of points).
     #[inline]
     pub fn len(&self) -> usize {
@@ -409,6 +416,25 @@ mod tests {
         assert_eq!(left_subtree_size(6), 3);
         assert_eq!(left_subtree_size(7), 3);
         assert_eq!(left_subtree_size(15), 7);
+    }
+
+    #[test]
+    fn same_nodes_compares_layout_not_build_stats() {
+        let base = random_cloud(500, 7);
+        let moved: PointCloud = base.iter().map(|&p| p + Point3::new(0.01, 0.0, 0.0)).collect();
+        // an in-place refit keeps the stats of the build it started from,
+        // but holds the fresh build's nodes
+        let mut refit = KdTree::build(&base);
+        refit.refit(&moved, &crate::RefitConfig::default());
+        let fresh = KdTree::build(&moved);
+        assert!(refit.same_nodes(&fresh));
+        assert!(fresh.same_nodes(&refit));
+        // the same coordinates under other point indices are another tree
+        let mut reversed: Vec<Point3> = moved.iter().copied().collect();
+        reversed.reverse();
+        let other = KdTree::build(&reversed.into_iter().collect());
+        assert!(!fresh.same_nodes(&other));
+        assert!(!fresh.same_nodes(&KdTree::build(&base)));
     }
 
     #[test]

@@ -3,15 +3,38 @@
 //! stream, the serial-vs-pipelined gap decomposes exactly into hidden
 //! fills plus overlapped build work, and the incremental refit policy is
 //! bit-identical to rebuild-every-frame on drifting streams.
+//!
+//! One property pins the sweep explorer's stage cascade on
+//! [`ScenarioGen`] streams: a search-and-aggregation output shared the
+//! way the explorer shares it (per distinct tree sequence), composed
+//! under random maintenance / DRAM-bandwidth / aggregation-elision
+//! points, equals a direct `run_frame_stream` field for field.
 
 use proptest::prelude::*;
 
 use crescent::accel::{
-    run_frame_stream, AcceleratorConfig, StreamSearchConfig, TreeMaintenance, PE_PIPELINE_DEPTH,
+    aggregate_stream, compose_stream, maintain_tree_sequence, run_frame_stream, search_stream,
+    AcceleratorConfig, MaintainedTree, MaintenanceCost, StreamSearchConfig, TreeMaintenance,
+    PE_PIPELINE_DEPTH,
 };
 use crescent::kdtree::{KdTree, RefitConfig, RefitOutcome};
 use crescent::pointcloud::{Point3, PointCloud};
+use crescent::testgen::ScenarioGen;
+use crescent::workload::{Frame, FrameStream};
 use crescent::CrescentKnobs;
+
+/// Scenario streams small enough for a debug-profile property run.
+fn small_streams() -> ScenarioGen {
+    ScenarioGen { max_points: 1_200, max_frames: 5, max_queries: 48 }
+}
+
+fn policy(refit: bool) -> TreeMaintenance {
+    if refit {
+        TreeMaintenance::refit()
+    } else {
+        TreeMaintenance::RebuildEveryFrame
+    }
+}
 
 /// A random base cloud of 32..150 points in a 4-unit box.
 fn arb_cloud() -> impl Strategy<Value = PointCloud> {
@@ -143,5 +166,89 @@ proptest! {
         let fresh = KdTree::build(&moved);
         prop_assert_eq!(tree.nodes(), fresh.nodes());
         prop_assert!(tree.check_invariants());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The sweep explorer's cascade in miniature: ONE search pass per
+    /// distinct tree sequence and one aggregation pass per elision value,
+    /// composed under random maintenance / DRAM-bandwidth /
+    /// aggregation-elision points, equals a direct `run_frame_stream` at
+    /// each point — neighbors, every `FrameReport`, the three cycle
+    /// totals and the ledger's energy bits.
+    #[test]
+    fn composed_stages_equal_the_one_shot_stream(
+        cfg in small_streams(),
+        (pes, log_banks, top_height) in (1usize..9, 0usize..4, 1usize..7),
+        points in prop::collection::vec((0usize..2, 2.0f64..64.0, 0usize..2), 1..4),
+    ) {
+        let frames: Vec<Frame> = FrameStream::new(&cfg).collect();
+        let clouds: Vec<&PointCloud> = frames.iter().map(|f| &f.cloud).collect();
+        let inputs: Vec<(&PointCloud, &[Point3])> =
+            frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
+        let config = |dram: f64, elide: bool| {
+            AcceleratorConfig::builder()
+                .num_pes(pes)
+                .tree_banks(1 << log_banks)
+                .dram_stream_bytes_per_cycle(dram)
+                .aggregation_elision(elide)
+                .build()
+                .expect("valid accelerator config")
+        };
+        let search = StreamSearchConfig {
+            radius: cfg.radius,
+            max_neighbors: cfg.max_neighbors,
+            maintenance: TreeMaintenance::RebuildEveryFrame,
+            elision_depth: cfg.elision_depth,
+            descendant_reuse: cfg.scenario.descendant_reuse(),
+        };
+        let knobs = CrescentKnobs { top_height, ..CrescentKnobs::default() };
+
+        // the shared stages, run once per distinct tree sequence (the
+        // refit sequence usually holds the rebuild trees node for node)
+        let shared = config(20.48, false);
+        let stages = |trees: &[MaintainedTree]| {
+            let (sets, searched) = search_stream(&inputs, trees, &search, top_height, &shared);
+            let aggregated =
+                [false, true].map(|elide| aggregate_stream(&sets, shared.point_buffer, elide));
+            (sets, searched, aggregated)
+        };
+        let sequences = [false, true]
+            .map(|refit| maintain_tree_sequence(&clouds, policy(refit), top_height));
+        let same = sequences[0]
+            .iter()
+            .zip(&sequences[1])
+            .all(|(a, b)| a.tree.same_nodes(&b.tree));
+        let rebuild_stages = stages(&sequences[0]);
+        let refit_stages = if same { None } else { Some(stages(&sequences[1])) };
+
+        for (refit, dram, elide) in points {
+            let (sets, searched, aggregated) = match (&refit_stages, refit) {
+                (Some(own), 1) => own,
+                _ => &rebuild_stages,
+            };
+            let costs: Vec<MaintenanceCost> =
+                sequences[refit].iter().map(MaintainedTree::cost).collect();
+            let point = config(dram, elide == 1);
+            let composed = compose_stream(searched, &aggregated[elide], &costs, &point);
+            let (direct_sets, direct) = run_frame_stream(
+                &inputs,
+                &StreamSearchConfig { maintenance: policy(refit == 1), ..search },
+                knobs,
+                &point,
+            );
+            prop_assert_eq!(sets, &direct_sets);
+            prop_assert_eq!(&composed.frames, &direct.frames);
+            prop_assert_eq!(composed.pipelined_cycles, direct.pipelined_cycles);
+            prop_assert_eq!(composed.serial_cycles, direct.serial_cycles);
+            prop_assert_eq!(composed.overlapped_build_cycles, direct.overlapped_build_cycles);
+            prop_assert_eq!(composed.ledger.frames(), direct.ledger.frames());
+            prop_assert_eq!(
+                composed.ledger.total().total().to_bits(),
+                direct.ledger.total().total().to_bits()
+            );
+        }
     }
 }
