@@ -8,18 +8,17 @@
 //! repro list                     # available ids
 //! repro sweep --quick --json target/sweep.json   # design-space sweep
 //! repro sweep --quick --check    # exact gate vs bench/baseline.json
-//! repro sweep --quick --shard 2/3 --json shard-2.json   # one shard
-//! repro sweep-merge --check shard-*.json         # reassemble + gate
 //! repro serve --quick --check    # multi-tenant service gate vs bench/serve-baseline.json
 //! ```
 //!
 //! `--quick` shrinks the workloads (seconds instead of minutes); the
 //! trends are unchanged. Run with `--release` — the accuracy figures
-//! train networks. See `crescent_bench::sweep` for the sweep flags.
+//! train networks. See `crescent_bench::sweep` for the sweep flags. An
+//! unknown id or subcommand prints the usage and exits non-zero.
 
 use std::time::Instant;
 
-use crescent_bench::{run_figure, MergeArgs, Scale, ServeArgs, SweepArgs, ALL_FIGURES};
+use crescent_bench::{run_figure, Scale, ServeArgs, SweepArgs, ALL_FIGURES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,8 +30,7 @@ fn main() {
                 eprintln!("{err}");
                 eprintln!(
                     "usage: repro sweep [--quick] [--json <path>] [--check] \
-                     [--baseline <path>] [--workers <n>] [--shard <i/N>] \
-                     [--timings <path>]"
+                     [--baseline <path>] [--workers <n>] [--timings <path>]"
                 );
                 std::process::exit(2);
             }
@@ -55,30 +53,16 @@ fn main() {
         std::process::exit(crescent_bench::run_serve_command(&parsed));
     }
 
-    if args.first().map(String::as_str) == Some("sweep-merge") {
-        let parsed = match MergeArgs::parse(&args[1..]) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                eprintln!("{err}");
-                eprintln!(
-                    "usage: repro sweep-merge [--json <path>] [--check] \
-                     [--baseline <path>] <shard.json>..."
-                );
-                std::process::exit(2);
-            }
-        };
-        std::process::exit(crescent_bench::run_sweep_merge_command(&parsed));
-    }
-
     let quick = args.iter().any(|a| a == "--quick");
     let scale = Scale::from_flag(quick);
     let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
 
-    if ids.is_empty() || ids.contains(&"help") {
-        eprintln!(
-            "usage: repro [--quick] <all|list|fig ids...|sweep ...|sweep-merge ...|serve ...>"
-        );
+    let usage = || {
+        eprintln!("usage: repro [--quick] <all|list|fig ids...|sweep ...|serve ...>");
         eprintln!("figures: {}", ALL_FIGURES.join(" "));
+    };
+    if ids.is_empty() || ids.contains(&"help") {
+        usage();
         return;
     }
     if ids.contains(&"list") {
@@ -88,6 +72,7 @@ fn main() {
     let run_ids: Vec<&str> = if ids.contains(&"all") { ALL_FIGURES.to_vec() } else { ids };
 
     println!("# Crescent (ISCA 2022) figure reproduction — scale: {scale:?}");
+    let mut unknown = false;
     for id in run_ids {
         let start = Instant::now();
         match run_figure(id, scale) {
@@ -97,7 +82,14 @@ fn main() {
                 }
                 println!("[{id} took {:.1?}]", start.elapsed());
             }
-            None => eprintln!("unknown figure id: {id} (try `repro list`)"),
+            None => {
+                eprintln!("unknown figure id: {id} (try `repro list`)");
+                unknown = true;
+            }
         }
+    }
+    if unknown {
+        usage();
+        std::process::exit(2);
     }
 }

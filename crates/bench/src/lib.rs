@@ -16,7 +16,7 @@ pub mod sweep;
 
 pub use common::{FigRow, Figure, Scale};
 pub use serve::{run_serve_command, ServeArgs};
-pub use sweep::{run_sweep_command, run_sweep_merge_command, MergeArgs, SweepArgs};
+pub use sweep::{run_sweep_command, SweepArgs};
 
 /// Runs one figure by id; `None` if the id is unknown.
 ///

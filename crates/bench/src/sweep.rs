@@ -1,17 +1,13 @@
-//! The `repro sweep` / `repro sweep-merge` subcommands: run the
-//! design-space explorer (whole grid or one shard of it), emit the
-//! machine-readable report, reassemble shard reports byte-exactly, and
-//! (in `--check` mode) gate against the checked-in baseline with the
-//! exact comparator.
+//! The `repro sweep` subcommand: run the design-space explorer, emit
+//! the machine-readable report, and (in `--check` mode) gate against
+//! the checked-in baseline with the exact comparator.
 //!
 //! ```text
 //! repro sweep --quick --json target/sweep.json   # run + write report
 //! repro sweep --quick --check                    # CI gate vs bench/baseline.json
 //! repro sweep --quick --check --baseline other.json
 //! repro sweep --workers 4                        # full grid, pinned pool
-//! repro sweep --quick --shard 2/3 --json target/shard-2.json
 //! repro sweep --quick --timings target/timings.json  # wall-clock sidecar
-//! repro sweep-merge --check --json target/sweep.json target/shard-*.json
 //! ```
 //!
 //! Every metric in the report is modeled, so `--check` is exact: any
@@ -19,21 +15,17 @@
 //! travel on a separate channel: every run prints its total, setup and
 //! per-stage wall time to **stderr**, and `--timings <path>` additionally writes
 //! the per-scenario and per-point breakdown as a sidecar JSON
-//! ([`SweepTimings::to_json`]) that is never digested, never compared
-//! by `--check`, and rejected by `sweep-merge` if a shard inlines it. To acknowledge intended
-//! drift, refresh the baseline with
-//! `repro sweep --quick --json bench/baseline.json` and commit the diff.
-//! A sharded run (`--shard i/N` for every `i`, then `sweep-merge`)
-//! produces bytes identical to the single-process run, so the two
-//! workflows gate interchangeably.
+//! ([`SweepTimings::to_json`]) that is never digested and never
+//! compared by `--check`. To acknowledge intended drift, refresh the
+//! baseline with `repro sweep --quick --json bench/baseline.json` and
+//! commit the diff.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crescent::format_table;
 use crescent_explorer::{
-    default_workers, diff_reports, merge_shards, run_sweep_shard_timed, run_sweep_timed, ShardFile,
-    SweepReport, SweepRunStats, SweepSpec, SweepTimings,
+    default_workers, diff_reports, run_sweep_timed, SweepReport, SweepRunStats, SweepSpec,
+    SweepTimings,
 };
 
 /// Default location of the checked-in quick-sweep baseline, relative to
@@ -53,13 +45,9 @@ pub struct SweepArgs {
     pub baseline: PathBuf,
     /// Worker-thread count (never affects the report bytes).
     pub workers: usize,
-    /// Run only shard `i` of `N` (`--shard i/N`, 1-based round-robin
-    /// projection); `None` = the whole grid.
-    pub shard: Option<(usize, usize)>,
     /// Write the wall-clock timings sidecar here (`--timings <path>`).
     /// A *separate* file from the report: measured time is never part
-    /// of the gated report bytes, never diffed by `--check`, and
-    /// `sweep-merge` rejects shards that inline it.
+    /// of the gated report bytes and never diffed by `--check`.
     pub timings: Option<PathBuf>,
 }
 
@@ -73,7 +61,6 @@ impl SweepArgs {
             check: false,
             baseline: PathBuf::from(DEFAULT_BASELINE),
             workers: default_workers(),
-            shard: None,
             timings: None,
         };
         let mut it = args.iter();
@@ -81,19 +68,6 @@ impl SweepArgs {
             match arg.as_str() {
                 "--quick" => parsed.quick = true,
                 "--check" => parsed.check = true,
-                "--shard" => {
-                    let value = it.next().ok_or("--shard needs i/N (e.g. --shard 2/3)")?;
-                    let (i, n) = value
-                        .split_once('/')
-                        .and_then(|(i, n)| {
-                            Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?))
-                        })
-                        .ok_or_else(|| format!("bad --shard value: {value} (want i/N)"))?;
-                    if n == 0 || i == 0 || i > n {
-                        return Err(format!("--shard {value}: need 1 <= i <= N"));
-                    }
-                    parsed.shard = Some((i, n));
-                }
                 "--json" => {
                     let path = it.next().ok_or("--json needs a path")?;
                     parsed.json = Some(PathBuf::from(path));
@@ -117,13 +91,6 @@ impl SweepArgs {
                 other => return Err(format!("unknown sweep flag: {other}")),
             }
         }
-        if parsed.shard.is_some() && parsed.check {
-            return Err(
-                "--shard runs a partial grid; gate the merged report with `sweep-merge --check` \
-                 instead"
-                    .to_string(),
-            );
-        }
         Ok(parsed)
     }
 }
@@ -135,33 +102,10 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
     // announce the EFFECTIVE worker pool (requested count clamped to the
     // point count, exactly as run_sweep will clamp it) — the honest
     // number, not the requested one
-    let points = match args.shard {
-        Some((index, count)) => match spec.shard_points(index, count) {
-            Ok(points) => points.len(),
-            Err(err) => {
-                eprintln!("sweep failed: {err}");
-                return 1;
-            }
-        },
-        None => spec.num_points(),
-    };
+    let points = spec.num_points();
     let workers = args.workers.clamp(1, points.max(1));
-    match args.shard {
-        Some((index, count)) => println!(
-            "# design-space sweep: {} shard {index}/{count} ({points} of {} points, {workers} \
-             workers)",
-            spec.label,
-            spec.num_points()
-        ),
-        None => {
-            println!("# design-space sweep: {} ({points} points, {workers} workers)", spec.label)
-        }
-    }
-    let outcome = match args.shard {
-        Some((index, count)) => run_sweep_shard_timed(&spec, index, count, args.workers),
-        None => run_sweep_timed(&spec, args.workers),
-    };
-    let (report, stats, timings) = match outcome {
+    println!("# design-space sweep: {} ({points} points, {workers} workers)", spec.label);
+    let (report, stats, timings) = match run_sweep_timed(&spec, args.workers) {
         Ok(triple) => triple,
         Err(err) => {
             eprintln!("sweep failed: {err}");
@@ -183,7 +127,7 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
         println!("report written to {}", path.display());
     }
     if let Some(path) = &args.timings {
-        if let Err(err) = write_report(path, &timings.to_json(&spec, report.shard)) {
+        if let Err(err) = write_report(path, &timings.to_json(&spec)) {
             eprintln!("cannot write {}: {err}", path.display());
             return 1;
         }
@@ -221,123 +165,6 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
     0
 }
 
-/// Parsed `repro sweep-merge ...` arguments.
-#[derive(Clone, Debug)]
-pub struct MergeArgs {
-    /// Shard report files to merge (positional, order-insensitive).
-    pub inputs: Vec<PathBuf>,
-    /// Write the merged report here.
-    pub json: Option<PathBuf>,
-    /// Compare the merged report against `baseline` and fail on drift.
-    pub check: bool,
-    /// Baseline path for `--check`.
-    pub baseline: PathBuf,
-}
-
-impl MergeArgs {
-    /// Parses the arguments that follow the `sweep-merge` keyword.
-    /// Positional arguments are shard report paths.
-    pub fn parse(args: &[String]) -> Result<MergeArgs, String> {
-        let mut parsed = MergeArgs {
-            inputs: Vec::new(),
-            json: None,
-            check: false,
-            baseline: PathBuf::from(DEFAULT_BASELINE),
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--check" => parsed.check = true,
-                "--json" => {
-                    let path = it.next().ok_or("--json needs a path")?;
-                    parsed.json = Some(PathBuf::from(path));
-                }
-                "--baseline" => {
-                    let path = it.next().ok_or("--baseline needs a path")?;
-                    parsed.baseline = PathBuf::from(path);
-                }
-                flag if flag.starts_with('-') => {
-                    return Err(format!("unknown sweep-merge flag: {flag}"));
-                }
-                path => parsed.inputs.push(PathBuf::from(path)),
-            }
-        }
-        if parsed.inputs.is_empty() {
-            return Err("sweep-merge needs at least one shard report file".to_string());
-        }
-        Ok(parsed)
-    }
-}
-
-/// Runs the sweep-merge subcommand end to end; returns the process exit
-/// code (0 = success / no drift, 1 = drift or error).
-pub fn run_sweep_merge_command(args: &MergeArgs) -> i32 {
-    let merge_start = Instant::now();
-    let mut shards = Vec::with_capacity(args.inputs.len());
-    for path in &args.inputs {
-        match std::fs::read_to_string(path) {
-            Ok(text) => shards.push(ShardFile { name: path.display().to_string(), text }),
-            Err(err) => {
-                eprintln!("cannot read shard report {}: {err}", path.display());
-                return 1;
-            }
-        }
-    }
-    let json = match merge_shards(&shards) {
-        Ok(json) => json,
-        Err(err) => {
-            eprintln!("sweep-merge failed: {err}");
-            return 1;
-        }
-    };
-    // name the resolved input order: the merge is order-insensitive by
-    // construction, and printing the order is what lets the acceptance
-    // test (and a suspicious operator) verify that claim end to end
-    println!("# merged {} shard report(s):", shards.len());
-    for shard in &shards {
-        println!("#   {}", shard.name);
-    }
-    // a merge reassembles bytes — no setup/point phases — so the
-    // wall-clock line covers reading + verifying + reassembling
-    eprintln!("# wall-clock: merge {:.3}s", secs(merge_start.elapsed().as_nanos() as u64));
-
-    if let Some(path) = &args.json {
-        if let Err(err) = write_report(path, &json) {
-            eprintln!("cannot write {}: {err}", path.display());
-            return 1;
-        }
-        println!("report written to {}", path.display());
-    }
-
-    if args.check {
-        let baseline = match std::fs::read_to_string(&args.baseline) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "cannot read baseline {}: {err}\n\
-                     (generate one with `repro sweep --quick --json {}` and commit it)",
-                    args.baseline.display(),
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        };
-        match diff_reports(&baseline, &json) {
-            None => println!("sweep-merge check OK: report matches {}", args.baseline.display()),
-            Some(drift) => {
-                eprintln!("{drift}");
-                eprintln!(
-                    "if this drift is intended, refresh the baseline:\n\
-                     cargo run --release -p crescent-bench --bin repro -- sweep --quick --json {}",
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        }
-    }
-    0
-}
-
 /// A short human-readable digest of the report: the per-scenario Pareto
 /// fronts with each member's headline metrics.
 pub fn render_summary(report: &SweepReport) -> String {
@@ -345,14 +172,7 @@ pub fn render_summary(report: &SweepReport) -> String {
     let mut rows = Vec::new();
     for (scenario, front) in report.pareto() {
         for &idx in &front {
-            // front members are GLOBAL grid indices; in a shard report
-            // the rows are a subset, so look the row up by its index
-            // instead of assuming index == position
-            let r = report
-                .rows
-                .iter()
-                .find(|r| r.index == idx)
-                .expect("pareto front references a row of this report");
+            let r = &report.rows[idx];
             rows.push(vec![
                 scenario.to_string(),
                 format!("{idx}"),
@@ -455,31 +275,14 @@ mod tests {
     fn parses_the_timings_sidecar_path() {
         let a = SweepArgs::parse(&strings(&["--quick", "--timings", "target/t.json"])).unwrap();
         assert_eq!(a.timings.as_deref(), Some(Path::new("target/t.json")));
-        // the sidecar composes with every mode, including shards (CI
-        // uploads one sidecar per shard) and --check (the sidecar is
-        // not an input to the comparator)
-        let b = SweepArgs::parse(&strings(&[
-            "--quick",
-            "--shard",
-            "1/3",
-            "--json",
-            "s.json",
-            "--timings",
-            "t.json",
-        ]))
-        .unwrap();
+        // the sidecar composes with every mode, including --check (the
+        // sidecar is not an input to the comparator)
+        let b = SweepArgs::parse(&strings(&["--quick", "--json", "s.json", "--timings", "t.json"]))
+            .unwrap();
         assert_eq!(b.timings.as_deref(), Some(Path::new("t.json")));
         let c = SweepArgs::parse(&strings(&["--quick", "--check", "--timings", "t.json"])).unwrap();
         assert!(c.check);
         assert!(SweepArgs::parse(&strings(&["--timings"])).is_err(), "path is mandatory");
-    }
-
-    #[test]
-    fn parses_the_shard_projection() {
-        let a = SweepArgs::parse(&strings(&["--quick", "--shard", "2/3"])).unwrap();
-        assert_eq!(a.shard, Some((2, 3)));
-        let whole = SweepArgs::parse(&strings(&["--quick"])).unwrap();
-        assert_eq!(whole.shard, None);
     }
 
     #[test]
@@ -491,39 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_shard_values() {
-        assert!(SweepArgs::parse(&strings(&["--shard"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--shard", "2"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--shard", "0/3"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--shard", "4/3"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--shard", "1/0"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--shard", "a/b"])).is_err());
-    }
-
-    #[test]
-    fn rejects_check_on_a_partial_grid() {
-        let err =
-            SweepArgs::parse(&strings(&["--quick", "--shard", "1/2", "--check"])).unwrap_err();
-        assert!(err.contains("sweep-merge --check"), "points at the right gate: {err}");
-    }
-
-    #[test]
-    fn parses_merge_invocations() {
-        let a = MergeArgs::parse(&strings(&[
-            "--check",
-            "--json",
-            "target/sweep.json",
-            "a.json",
-            "b.json",
-        ]))
-        .unwrap();
-        assert!(a.check);
-        assert_eq!(a.json.as_deref(), Some(Path::new("target/sweep.json")));
-        assert_eq!(a.inputs, vec![PathBuf::from("a.json"), PathBuf::from("b.json")]);
-        assert_eq!(a.baseline, Path::new(DEFAULT_BASELINE));
-
-        assert!(MergeArgs::parse(&strings(&[])).is_err(), "no shard files");
-        assert!(MergeArgs::parse(&strings(&["--frobnicate", "a.json"])).is_err());
-        assert!(MergeArgs::parse(&strings(&["a.json", "--json"])).is_err());
+    fn rejects_the_retired_shard_flag() {
+        // an unknown flag is an error, never silently ignored
+        for args in [&["--shard", "1/2"][..], &["--quick", "--shard", "1/2", "--check"]] {
+            let err = SweepArgs::parse(&strings(args)).unwrap_err();
+            assert_eq!(err, "unknown sweep flag: --shard");
+        }
     }
 }

@@ -25,12 +25,6 @@
 //!   `sweep-gate`: every metric is modeled (never wall-clock), so the
 //!   report is bit-reproducible and any drift against the checked-in
 //!   `bench/baseline.json` is a real behavioural change;
-//! * [`run_sweep_shard`] / [`merge_shards`] — the grid is embarrassingly
-//!   parallel, so a sweep can shard across processes or machines
-//!   (`repro sweep --shard i/N`): every shard report carries the spec
-//!   fingerprint plus its shard coordinates, and the merger verifies the
-//!   shards form a complete disjoint partition of one spec before
-//!   reassembling **byte-identical** output to a single-process run;
 //! * [`SweepTimings`] — the wall-clock sidecar (`repro sweep --timings`):
 //!   measured scenario-setup and per-point compose times, kept in a separate
 //!   file that the exact comparator never sees (see the [`timings`]
@@ -57,18 +51,15 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod merge;
 pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod timings;
 
 pub use json::Json;
-pub use merge::{merge_shards, ShardFile};
-pub use report::{diff_reports, spec_fingerprint, ShardInfo, SweepReport, SweepRow, SCHEMA};
+pub use report::{diff_reports, spec_fingerprint, SweepReport, SweepRow, SCHEMA};
 pub use runner::{
-    default_workers, run_sweep, run_sweep_shard, run_sweep_shard_timed, run_sweep_timed,
-    run_sweep_with_stats, SweepRunStats,
+    default_workers, run_sweep, run_sweep_timed, run_sweep_with_stats, SweepRunStats,
 };
 pub use spec::{maintenance_label, SweepPoint, SweepSpec};
 pub use timings::{SweepTimings, TIMINGS_SCHEMA};

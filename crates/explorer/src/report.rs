@@ -9,22 +9,19 @@ use crescent_memsim::EnergyLedger;
 use crate::json::Json;
 use crate::spec::SweepSpec;
 
-/// Schema identifier embedded in every report. Bump the `/v4` suffix on
+/// Schema identifier embedded in every report. Bump the `/v5` suffix on
 /// any change to the report layout, key set, or metric semantics — the
 /// CI comparator is exact, so an unversioned layout change would show up
 /// as inexplicable metric drift instead of an obvious schema break.
 ///
-/// `v4` (this version): every row gained two descendant-reuse columns —
-/// `descendant_reuse` (config echo: whether the scenario's stream ran
-/// the banked arbiter with the Sec 4.2 salvage on) and
-/// `conflict_reuses` (elision-eligible conflicts that continued from
-/// the winner's multicast descendant node instead of dropping their
-/// subtree). The canonical
-/// scenario axis also grew from five to ten workloads. Header, shard,
-/// and Pareto semantics are unchanged from `v3` (which introduced
-/// `fingerprint` and `shard`). Field-by-field documentation lives in
+/// `v5` (this version): the `"shard": null` header line is gone — a
+/// report is always one process's run of the whole grid. Rows and
+/// Pareto fronts are unchanged from `v4`, which added the
+/// `descendant_reuse` and `conflict_reuses` row columns and grew the
+/// canonical scenario axis to ten workloads. Field-by-field
+/// documentation lives in
 /// [`docs/SWEEP_SCHEMA.md`](../../../docs/SWEEP_SCHEMA.md).
-pub const SCHEMA: &str = "crescent-sweep/v4";
+pub const SCHEMA: &str = "crescent-sweep/v5";
 
 /// One sweep point's configuration echo plus its modeled metrics. All
 /// metrics are *modeled* (cycles, bytes, energy units, recall against a
@@ -154,7 +151,7 @@ impl SweepRow {
 
 impl SweepRow {
     /// The row as a compact JSON object (one report line).
-    pub(crate) fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let mut energy: Vec<(&'static str, Json)> = self
             .energy
             .category_rows()
@@ -206,37 +203,21 @@ impl SweepRow {
     }
 }
 
-/// Which shard of a sharded sweep a report covers. `repro sweep --shard
-/// i/N` produces a report carrying `ShardInfo { index: i, count: N }`;
-/// a whole-grid run (and the output of
-/// [`merge_shards`](crate::merge_shards)) carries `None`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardInfo {
-    /// 1-based shard index (`1 ≤ index ≤ count`).
-    pub index: usize,
-    /// Total number of shards in the partition.
-    pub count: usize,
-}
-
-/// A completed sweep: the spec that produced it plus one row per covered
-/// grid point, in grid order.
+/// A completed sweep: the spec that produced it plus one row per grid
+/// point, in grid order.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SweepReport {
     /// The spec the sweep ran.
     pub spec: SweepSpec,
-    /// The shard this report covers; `None` for a whole-grid run.
-    pub shard: Option<ShardInfo>,
-    /// One row per covered grid point (the whole grid when `shard` is
-    /// `None`, the shard's round-robin subset otherwise), ordered by the
-    /// **global** [`SweepRow::index`].
+    /// One row per grid point, ordered by [`SweepRow::index`] (so
+    /// `rows[i].index == i`).
     pub rows: Vec<SweepRow>,
 }
 
 /// FNV-1a fingerprint of a spec's canonical report echo (schema, label,
 /// workload, grid). Two reports carry the same fingerprint iff they were
-/// produced by byte-identical spec echoes — the cheap identity check
-/// [`merge_shards`](crate::merge_shards) uses to refuse mixing shards
-/// of different sweeps.
+/// produced by byte-identical spec echoes — a cheap identity check that
+/// also lets a stray timings sidecar be matched to its report.
 pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -268,87 +249,80 @@ impl SweepReport {
     /// meaningless). A row dominates another if it is no worse on all
     /// three objectives and strictly better on at least one.
     pub fn pareto(&self) -> Vec<(String, Vec<usize>)> {
-        let points: Vec<ParetoPoint> = self
-            .rows
-            .iter()
-            .map(|r| ParetoPoint {
-                index: r.index,
-                scenario: r.scenario.to_string(),
-                cycles: r.total_cycles(),
-                energy: r.energy.total(),
-                recall: r.worst_recall(),
+        let mut scenarios: Vec<&str> = Vec::new();
+        for r in &self.rows {
+            if !scenarios.contains(&r.scenario) {
+                scenarios.push(r.scenario);
+            }
+        }
+        scenarios
+            .into_iter()
+            .map(|scenario| {
+                let members: Vec<Objectives> = self
+                    .rows
+                    .iter()
+                    .filter(|r| r.scenario == scenario)
+                    .map(|r| (r.index, r.total_cycles(), r.energy.total(), r.worst_recall()))
+                    .collect();
+                let front = members
+                    .iter()
+                    .filter(|a| !members.iter().any(|b| dominates(b, a)))
+                    .map(|&(index, ..)| index)
+                    .collect();
+                (scenario.to_string(), front)
             })
-            .collect();
-        pareto_fronts(&points)
+            .collect()
     }
 
     /// Serializes the report: pretty top-level structure with each row
     /// (and each Pareto front) on its own line, so the exact comparator
     /// can point at individual sweep points when a metric drifts. The
     /// output is a pure function of the report — byte-identical across
-    /// runs and worker counts, and a merged set of shard reports
-    /// reproduces a whole-grid run byte for byte because both paths
-    /// funnel through the same header/body renderers.
+    /// runs and worker counts.
     pub fn to_json(&self) -> String {
-        let row_lines: Vec<String> = self.rows.iter().map(|r| r.to_json().to_compact()).collect();
+        let spec = &self.spec;
+        let mut out = String::with_capacity(256 * (self.rows.len() + 8));
+        out.push_str("{\n");
+        out.push_str(&format!("  \"schema\": {},\n", Json::from(SCHEMA).to_compact()));
+        out.push_str(&format!("  \"label\": {},\n", Json::from(spec.label.as_str()).to_compact()));
+        out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", spec_fingerprint(spec)));
+        out.push_str(&format!("  \"workload\": {},\n", workload_json(spec).to_compact()));
+        out.push_str(&format!("  \"grid\": {},\n", grid_json(spec).to_compact()));
+        out.push_str("  \"rows\": [\n");
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str("    ");
+            out.push_str(&row.to_json().to_compact());
+            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("  ],\n");
+        out.push_str("  \"pareto\": [\n");
         let fronts = self.pareto();
-        let mut out = render_header(&self.spec, self.shard, self.rows.len());
-        render_body(&mut out, &row_lines, &fronts);
+        for (i, (scenario, rows)) in fronts.iter().enumerate() {
+            let front = Json::Object(vec![
+                ("scenario", Json::from(scenario.as_str())),
+                ("rows", Json::Array(rows.iter().map(|&r| Json::U64(r as u64)).collect())),
+            ]);
+            out.push_str("    ");
+            out.push_str(&front.to_compact());
+            out.push_str(if i + 1 < fronts.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("  ]\n}\n");
         out
     }
 }
 
-/// One row reduced to its Pareto objectives — the representation shared
-/// by [`SweepReport::pareto`] (from structured rows) and the shard
-/// merger (from parsed row lines), so the two paths cannot disagree on
-/// a front.
-#[derive(Clone, Debug)]
-pub(crate) struct ParetoPoint {
-    /// Global grid index of the row.
-    pub index: usize,
-    /// Scenario label (fronts never mix scenarios).
-    pub scenario: String,
-    /// Total modeled cycles (stream + engine pass), minimized.
-    pub cycles: u64,
-    /// Total stream energy, minimized.
-    pub energy: f64,
-    /// Worst-case recall across the two passes, maximized.
-    pub recall: f64,
-}
+/// A row's Pareto objectives: `(index, cycles, energy, recall)`.
+type Objectives = (usize, u64, f64, f64);
 
-/// Per-scenario Pareto fronts over `points`, scenarios in first-seen
-/// order, front members in index order.
-pub(crate) fn pareto_fronts(points: &[ParetoPoint]) -> Vec<(String, Vec<usize>)> {
-    let mut fronts = Vec::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for p in points {
-        if !seen.contains(&p.scenario.as_str()) {
-            seen.push(&p.scenario);
-        }
-    }
-    for scenario in seen {
-        let members: Vec<&ParetoPoint> = points.iter().filter(|p| p.scenario == scenario).collect();
-        let mut front = Vec::new();
-        for a in &members {
-            let dominated = members.iter().any(|b| {
-                b.index != a.index
-                    && b.cycles <= a.cycles
-                    && b.energy <= a.energy
-                    && b.recall >= a.recall
-                    && (b.cycles < a.cycles || b.energy < a.energy || b.recall > a.recall)
-            });
-            if !dominated {
-                front.push(a.index);
-            }
-        }
-        fronts.push((scenario.to_string(), front));
-    }
-    fronts
+/// Whether `b` Pareto-dominates `a`: no worse on cycles, energy and
+/// recall, and strictly better on at least one.
+fn dominates(&(bi, bc, be, br): &Objectives, &(ai, ac, ae, ar): &Objectives) -> bool {
+    bi != ai && bc <= ac && be <= ae && br >= ar && (bc < ac || be < ae || br > ar)
 }
 
 /// The workload echo of the report header (an axis-independent pure
 /// function of the spec — part of the fingerprint).
-pub(crate) fn workload_json(spec: &SweepSpec) -> Json {
+fn workload_json(spec: &SweepSpec) -> Json {
     let w = &spec.workload;
     Json::Object(vec![
         ("total_points", Json::U64(w.scene.total_points as u64)),
@@ -365,7 +339,7 @@ pub(crate) fn workload_json(spec: &SweepSpec) -> Json {
 }
 
 /// The grid (axis) echo of the report header — part of the fingerprint.
-pub(crate) fn grid_json(spec: &SweepSpec) -> Json {
+fn grid_json(spec: &SweepSpec) -> Json {
     Json::Object(vec![
         ("scenarios", Json::Array(spec.scenarios.iter().map(|s| Json::from(s.label())).collect())),
         (
@@ -393,64 +367,6 @@ pub(crate) fn grid_json(spec: &SweepSpec) -> Json {
     ])
 }
 
-/// The serialized shard header value: `null` for a whole-grid report,
-/// otherwise the shard's coordinates plus its row count and the full
-/// grid size (what the merger checks coverage against).
-pub(crate) fn shard_json(shard: Option<ShardInfo>, rows: usize, points: usize) -> Json {
-    match shard {
-        None => Json::Null,
-        Some(s) => Json::Object(vec![
-            ("index", Json::U64(s.index as u64)),
-            ("count", Json::U64(s.count as u64)),
-            ("rows", Json::U64(rows as u64)),
-            ("points", Json::U64(points as u64)),
-        ]),
-    }
-}
-
-/// Renders the report header (everything before the `"rows"` section):
-/// schema, label, spec fingerprint, shard coordinates, workload echo,
-/// grid echo — one `  "key": value,` line each.
-pub(crate) fn render_header(spec: &SweepSpec, shard: Option<ShardInfo>, rows: usize) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", Json::from(SCHEMA).to_compact()));
-    out.push_str(&format!("  \"label\": {},\n", Json::from(spec.label.as_str()).to_compact()));
-    out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", spec_fingerprint(spec)));
-    out.push_str(&format!(
-        "  \"shard\": {},\n",
-        shard_json(shard, rows, spec.num_points()).to_compact()
-    ));
-    out.push_str(&format!("  \"workload\": {},\n", workload_json(spec).to_compact()));
-    out.push_str(&format!("  \"grid\": {},\n", grid_json(spec).to_compact()));
-    out
-}
-
-/// Appends the `"rows"` and `"pareto"` sections (one compact object per
-/// line) and the closing brace to a rendered header. `row_lines` are the
-/// compact per-row objects WITHOUT indentation or trailing commas.
-pub(crate) fn render_body(out: &mut String, row_lines: &[String], fronts: &[(String, Vec<usize>)]) {
-    out.reserve(256 * (row_lines.len() + 8));
-    out.push_str("  \"rows\": [\n");
-    for (i, line) in row_lines.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(line);
-        out.push_str(if i + 1 < row_lines.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"pareto\": [\n");
-    for (i, (scenario, rows)) in fronts.iter().enumerate() {
-        let front = Json::Object(vec![
-            ("scenario", Json::from(scenario.as_str())),
-            ("rows", Json::Array(rows.iter().map(|&r| Json::U64(r as u64)).collect())),
-        ]);
-        out.push_str("    ");
-        out.push_str(&front.to_compact());
-        out.push_str(if i + 1 < fronts.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-}
-
 /// Exact report comparator: `None` when `fresh` is byte-identical to
 /// `baseline`, otherwise a human-readable drift summary listing the
 /// first differing lines (a line is one sweep row, so the summary points
@@ -472,14 +388,7 @@ pub fn diff_reports(baseline: &str, fresh: &str) -> Option<String> {
     fn header_line<'a>(lines: &[&'a str], key: &str) -> &'a str {
         lines.iter().find(|l| l.trim_start().starts_with(key)).copied().unwrap_or("<missing>")
     }
-    for key in [
-        "\"schema\":",
-        "\"label\":",
-        "\"fingerprint\":",
-        "\"shard\":",
-        "\"workload\":",
-        "\"grid\":",
-    ] {
+    for key in ["\"schema\":", "\"label\":", "\"fingerprint\":", "\"workload\":", "\"grid\":"] {
         let b = header_line(&base_lines, key);
         let f = header_line(&fresh_lines, key);
         if b != f {
@@ -549,8 +458,8 @@ pub fn diff_reports(baseline: &str, fresh: &str) -> Option<String> {
 /// Splits one compact JSON object line (a report row) into its top-level
 /// `(key, raw value)` pairs. Returns `None` for lines that are not a
 /// single object — the comparator then falls back to whole-line output.
-/// Also the row/shard-header parser behind [`crate::merge_shards`].
-pub(crate) fn top_level_fields(line: &str) -> Option<Vec<(String, String)>> {
+/// Used only by [`diff_reports`].
+fn top_level_fields(line: &str) -> Option<Vec<(String, String)>> {
     let t = line.trim().trim_end_matches(',');
     let inner = t.strip_prefix('{')?.strip_suffix('}')?;
     let mut fields = Vec::new();
@@ -661,7 +570,7 @@ mod tests {
     }
 
     fn report(rows: Vec<SweepRow>) -> SweepReport {
-        SweepReport { spec: SweepSpec::quick(), shard: None, rows }
+        SweepReport { spec: SweepSpec::quick(), rows }
     }
 
     #[test]
@@ -691,9 +600,9 @@ mod tests {
     fn json_has_schema_one_row_per_line_and_is_reproducible() {
         let r = report(vec![row(0, "sweep", 100, 10.0, 0.875), row(1, "sweep", 50, 5.0, 1.0)]);
         let json = r.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"crescent-sweep/v4\",\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"crescent-sweep/v5\",\n"));
         assert!(json.contains("\n  \"fingerprint\": \""), "header carries the spec fingerprint");
-        assert!(json.contains("\n  \"shard\": null,\n"), "whole-grid reports are unsharded");
+        assert!(!json.contains("\"shard\""), "v5 headers have no shard line");
         assert_eq!(json.matches("{\"row\":").count(), 2);
         let row_lines: Vec<&str> =
             json.lines().filter(|l| l.trim_start().starts_with("{\"row\":")).collect();
@@ -757,12 +666,8 @@ mod tests {
         let quick = report(vec![row(0, "sweep", 100, 10.0, 0.9)]).to_json();
         let mut full_spec = SweepSpec::full();
         full_spec.label = "full".to_string();
-        let full = SweepReport {
-            spec: full_spec,
-            shard: None,
-            rows: vec![row(0, "sweep", 100, 10.0, 0.9)],
-        }
-        .to_json();
+        let full =
+            SweepReport { spec: full_spec, rows: vec![row(0, "sweep", 100, 10.0, 0.9)] }.to_json();
         let msg = diff_reports(&quick, &full).expect("different specs differ");
         assert!(msg.contains("different spec"), "{msg}");
         assert!(!msg.contains("drifted from baseline"), "{msg}");
@@ -779,27 +684,5 @@ mod tests {
         let mut reaxed = SweepSpec::quick();
         reaxed.elision_depths.push(2);
         assert_ne!(spec_fingerprint(&quick), spec_fingerprint(&reaxed));
-    }
-
-    #[test]
-    fn shard_reports_carry_their_coordinates() {
-        let mut r = report(vec![row(0, "sweep", 100, 10.0, 0.9)]);
-        r.shard = Some(ShardInfo { index: 2, count: 3 });
-        let json = r.to_json();
-        let points = r.spec.num_points();
-        assert!(
-            json.contains(&format!(
-                "\n  \"shard\": {{\"index\":2,\"count\":3,\"rows\":1,\"points\":{points}}},\n"
-            )),
-            "{json}"
-        );
-        // everything else in the header matches the unsharded form
-        let whole = report(vec![row(0, "sweep", 100, 10.0, 0.9)]).to_json();
-        for key in ["\"schema\":", "\"label\":", "\"fingerprint\":", "\"workload\":", "\"grid\":"] {
-            let line = |text: &str| {
-                text.lines().find(|l| l.trim_start().starts_with(key)).unwrap().to_string()
-            };
-            assert_eq!(line(&json), line(&whole), "{key} must not depend on sharding");
-        }
     }
 }

@@ -63,7 +63,7 @@ use crescent_accel::{
 use crescent_kdtree::KdTree;
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
-use crate::report::{ShardInfo, SweepReport, SweepRow};
+use crate::report::{SweepReport, SweepRow};
 use crate::spec::{maintenance_label, SweepPoint, SweepSpec};
 use crate::timings::SweepTimings;
 
@@ -157,18 +157,18 @@ struct EnginePass {
 }
 
 /// A reasonable worker count for the local machine, capped so the quick
-/// sweep does not oversubscribe CI runners.
+/// sweep (and the serve grid, which re-exports this) does not
+/// oversubscribe CI runners.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// Execution statistics of one sweep (or shard) run — operational
-/// facts about the run itself, deliberately kept OUT of the report
-/// bytes (the report is a pure function of the spec; these are not).
+/// Execution statistics of one sweep run — operational facts about the
+/// run itself, deliberately kept OUT of the report bytes (the report is
+/// a pure function of the spec; these are not).
 #[derive(Clone, Copy, Debug)]
 pub struct SweepRunStats {
-    /// Grid points actually simulated (the whole grid, or the shard's
-    /// round-robin subset).
+    /// Grid points simulated (the whole grid).
     pub points: usize,
     /// The **effective** worker count: the requested pool clamped to
     /// the point count — what the CLI reports, so "8 workers" is never
@@ -225,55 +225,18 @@ pub fn run_sweep_timed(
     workers: usize,
 ) -> Result<(SweepReport, SweepRunStats, SweepTimings), String> {
     spec.validate()?;
-    let points = spec.expand();
-    let (rows, stats, timings) = run_points(spec, &points, workers);
-    Ok((SweepReport { spec: spec.clone(), shard: None, rows }, stats, timings))
+    let (rows, stats, timings) = run_points(spec, workers);
+    Ok((SweepReport { spec: spec.clone(), rows }, stats, timings))
 }
 
-/// Runs shard `index` of `count` (1-based): the round-robin point subset
-/// of [`SweepSpec::shard_points`], producing a shard report whose rows
-/// keep their global grid indices and are bit-identical to the same rows
-/// of a whole-grid run — the property [`crate::merge_shards`] turns into
-/// a byte-identical merged report.
-pub fn run_sweep_shard(
-    spec: &SweepSpec,
-    index: usize,
-    count: usize,
-    workers: usize,
-) -> Result<(SweepReport, SweepRunStats), String> {
-    run_sweep_shard_timed(spec, index, count, workers).map(|(report, stats, _)| (report, stats))
-}
-
-/// [`run_sweep_shard`], also returning the shard run's wall-clock
-/// measurements — row indices in the timings stay global, matching the
-/// shard report's rows.
-pub fn run_sweep_shard_timed(
-    spec: &SweepSpec,
-    index: usize,
-    count: usize,
-    workers: usize,
-) -> Result<(SweepReport, SweepRunStats, SweepTimings), String> {
-    spec.validate()?;
-    let points = spec.shard_points(index, count)?;
-    let (rows, stats, timings) = run_points(spec, &points, workers);
-    Ok((
-        SweepReport { spec: spec.clone(), shard: Some(ShardInfo { index, count }), rows },
-        stats,
-        timings,
-    ))
-}
-
-/// Simulates `points` (any subset of the expanded grid, in grid order)
-/// scenario by scenario and returns their rows in the same order, plus
-/// the run's wall-clock measurements. The clocks only *observe* the run
-/// (each measurement brackets work that happens regardless), so the
-/// rows — and therefore the report bytes — cannot depend on them.
-fn run_points(
-    spec: &SweepSpec,
-    points: &[SweepPoint],
-    workers: usize,
-) -> (Vec<SweepRow>, SweepRunStats, SweepTimings) {
+/// Simulates every point of the expanded grid scenario by scenario and
+/// returns their rows in grid order, plus the run's wall-clock
+/// measurements. The clocks only *observe* the run (each measurement
+/// brackets work that happens regardless), so the rows — and therefore
+/// the report bytes — cannot depend on them.
+fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats, SweepTimings) {
     let run_start = Instant::now();
+    let points = spec.expand();
     let workers = workers.clamp(1, points.len().max(1));
     let mut stats = SweepRunStats {
         points: points.len(),
@@ -288,9 +251,8 @@ fn run_points(
     };
     let mut timings = SweepTimings::default();
     let mut rows = Vec::with_capacity(points.len());
-    // the scenario is the outermost grid axis, so a grid-ordered subset
-    // holds each scenario's points as one contiguous run — and a shard
-    // never pays the setup of a scenario it does not visit
+    // the scenario is the outermost grid axis, so the grid holds each
+    // scenario's points as one contiguous run
     for scenario_points in points.chunk_by(|a, b| a.scenario_idx == b.scenario_idx) {
         run_scenario(spec, scenario_points, workers, &mut rows, &mut stats, &mut timings);
     }
@@ -478,12 +440,24 @@ fn run_scenario(
     }
 }
 
-/// Maps `f` over `items` (with each item's position) on up to `workers`
-/// scoped threads. Workers claim items by atomic index and write each
-/// output into the item's own slot, so the outputs come back in input
-/// order whatever the worker count — each with the wall-clock
-/// nanoseconds `f` took on it.
-fn par_map<T: Sync, R: Send>(
+/// The worker pool behind every sweep stage and every serve grid point:
+/// maps `f` over `items` (with each item's position) on up to `workers`
+/// scoped threads (clamped to `1..=items.len()`).
+///
+/// Workers claim items by atomic index and write each output into the
+/// item's own slot, so the outputs come back in input order whatever the
+/// worker count — each with the wall-clock nanoseconds `f` took on it.
+/// A pure `f` therefore yields the same outputs at any worker count;
+/// only the clocks vary.
+///
+/// ```
+/// use crescent_explorer::runner::par_map;
+///
+/// let squares = par_map(&[1u64, 2, 3], 2, |i, &x| (i, x * x));
+/// let outputs: Vec<(usize, u64)> = squares.into_iter().map(|(out, _nanos)| out).collect();
+/// assert_eq!(outputs, vec![(0, 1), (1, 4), (2, 9)]);
+/// ```
+pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
     f: impl Fn(usize, &T) -> R + Sync,
@@ -891,12 +865,6 @@ mod tests {
         // observing the clock must not perturb the bytes
         let untimed = run_sweep(&spec, 2).expect("sweep runs");
         assert_eq!(report.to_json(), untimed.to_json());
-        // a shard's timings carry the shard rows' GLOBAL indices
-        let (shard, _, shard_timings) = run_sweep_shard_timed(&spec, 2, 3, 1).expect("shard runs");
-        assert_eq!(shard_timings.points.len(), shard.rows.len());
-        for ((index, _), row) in shard_timings.points.iter().zip(&shard.rows) {
-            assert_eq!(*index, row.index);
-        }
     }
 
     #[test]
@@ -907,30 +875,5 @@ mod tests {
         assert_eq!(stats.workers, report.rows.len(), "pool clamps to the point count");
         let (_, one) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
         assert_eq!(one.workers, 1);
-    }
-
-    #[test]
-    fn shard_rows_keep_global_indices_and_match_the_whole_run() {
-        let spec = tiny_spec();
-        let whole = run_sweep(&spec, 1).expect("sweep runs");
-        let mut seen = vec![false; whole.rows.len()];
-        for index in 1..=3 {
-            let (shard, _) = run_sweep_shard(&spec, index, 3, 2).expect("shard runs");
-            let info = shard.shard.expect("shard report carries its coordinates");
-            assert_eq!((info.index, info.count), (index, 3));
-            for row in &shard.rows {
-                assert_eq!(row.index % 3, index - 1, "round-robin projection");
-                assert!(!seen[row.index], "row {} covered twice", row.index);
-                seen[row.index] = true;
-                let reference = &whole.rows[row.index];
-                assert_eq!(row.digest, reference.digest);
-                assert_eq!(row.pipelined_cycles, reference.pipelined_cycles);
-                assert_eq!(row.engine_digest, reference.engine_digest);
-                assert_eq!(row.to_json().to_compact(), reference.to_json().to_compact());
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "three shards cover the whole grid");
-        assert!(run_sweep_shard(&spec, 4, 3, 1).is_err(), "index out of range");
-        assert!(run_sweep_shard(&spec, 0, 3, 1).is_err(), "indices are 1-based");
     }
 }

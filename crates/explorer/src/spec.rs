@@ -220,27 +220,6 @@ impl SweepSpec {
         points
     }
 
-    /// The stable shard projection: the subset of the expanded grid
-    /// assigned to shard `index` of `count` (1-based, `1 ≤ index ≤
-    /// count`). Points are dealt round-robin by global grid index
-    /// (`point.index % count == index − 1`), so every shard spans the
-    /// whole axis space (every scenario, every `h` point) instead of
-    /// getting one contiguous — and therefore load-skewed — block.
-    ///
-    /// Every returned point keeps its **global** `index`: a shard report
-    /// row is bit-identical to the same row of a single-process run, and
-    /// [`merge_shards`](crate::merge_shards) can verify that the shards
-    /// form a complete disjoint partition of `0..num_points()`.
-    pub fn shard_points(&self, index: usize, count: usize) -> Result<Vec<SweepPoint>, String> {
-        if count == 0 {
-            return Err("shard count must be >= 1".to_string());
-        }
-        if index == 0 || index > count {
-            return Err(format!("shard index {index} out of range 1..={count}"));
-        }
-        Ok(self.expand().into_iter().filter(|p| p.index % count == index - 1).collect())
-    }
-
     /// Validates the spec: every axis non-empty, a sane workload, and
     /// every grid point's accelerator config constructible.
     pub fn validate(&self) -> Result<(), String> {
@@ -354,39 +333,6 @@ mod tests {
         let spec = SweepSpec::full();
         spec.validate().expect("full spec is valid");
         assert!(spec.num_points() > SweepSpec::quick().num_points());
-    }
-
-    #[test]
-    fn shard_projection_is_a_complete_disjoint_partition() {
-        let spec = SweepSpec::quick();
-        let total = spec.num_points();
-        for count in [1, 2, 3, 7] {
-            let mut covered = vec![0usize; total];
-            for index in 1..=count {
-                let points = spec.shard_points(index, count).expect("valid shard");
-                assert!(!points.is_empty(), "shard {index}/{count} must not be empty");
-                for p in &points {
-                    // global indices survive the projection
-                    assert_eq!(p.index % count, index - 1);
-                    covered[p.index] += 1;
-                }
-            }
-            assert!(covered.iter().all(|&c| c == 1), "partition {count}: disjoint and complete");
-        }
-        // 1/1 is the whole grid in grid order
-        let all = spec.shard_points(1, 1).expect("valid shard");
-        assert_eq!(all.len(), total);
-        for (i, p) in all.iter().enumerate() {
-            assert_eq!(p.index, i);
-        }
-    }
-
-    #[test]
-    fn shard_projection_rejects_bad_indices() {
-        let spec = SweepSpec::quick();
-        assert!(spec.shard_points(0, 3).is_err(), "1-based indices");
-        assert!(spec.shard_points(4, 3).is_err(), "index past count");
-        assert!(spec.shard_points(1, 0).is_err(), "zero shards");
     }
 
     #[test]

@@ -15,28 +15,29 @@
 //!    header have no timing fields at all.
 //! 2. **Never diffed.** [`diff_reports`](crate::diff_reports) only ever
 //!    sees report bytes; the sidecar is not an input to `--check`.
-//! 3. **Rejected on re-entry.** [`merge_shards`](crate::merge_shards)
-//!    refuses any shard file containing a top-level `"timings"` section,
-//!    so a future writer that inlined timings into a shard report would
-//!    fail the merge loudly instead of laundering wall-clock into the
-//!    gated merged bytes.
+//! 3. **Rejected on re-entry.** The checked-in baseline is rendered by
+//!    the same timing-free writer, so a report that inlined a
+//!    `"timings"` section can never equal it: the comparator flags the
+//!    extra section as drift and `--check` fails loudly instead of
+//!    laundering wall-clock into the gated bytes.
 //!
-//! The sidecar echoes the spec label, fingerprint, and shard coordinates
-//! of the run that produced it, so a stray sidecar can always be matched
-//! to (or rejected against) its report.
+//! The sidecar echoes the spec label and fingerprint of the run that
+//! produced it, so a stray sidecar can always be matched to (or rejected
+//! against) its report.
 
 use std::fmt::Write as _;
 
 use crate::json::Json;
-use crate::report::{shard_json, spec_fingerprint, ShardInfo};
+use crate::report::spec_fingerprint;
 use crate::spec::SweepSpec;
 
 /// Schema identifier embedded in every timings sidecar. Versioned
 /// separately from the report schema: sidecar layout changes never
-/// imply report drift, and vice versa.
-pub const TIMINGS_SCHEMA: &str = "crescent-sweep-timings/v1";
+/// imply report drift, and vice versa. `v2` dropped the `shard` echo
+/// line of `v1`.
+pub const TIMINGS_SCHEMA: &str = "crescent-sweep-timings/v2";
 
-/// Wall-clock measurements of one sweep (or shard) run, captured with
+/// Wall-clock measurements of one sweep run, captured with
 /// [`std::time::Instant`] around the phases of
 /// [`run_sweep_timed`](crate::run_sweep_timed).
 ///
@@ -50,10 +51,8 @@ pub struct SweepTimings {
     pub total_nanos: u64,
     /// Per-scenario setup cost, in scenario order: rendering the frame
     /// stream, solving the recall oracle, and building frame 0's tree.
-    /// Only scenarios the run actually visited appear (a shard skips
-    /// the setup of scenarios it never simulates).
     pub setup: Vec<(String, u64)>,
-    /// Per-grid-point cost as `(global row index, nanos)`, in row order
+    /// Per-grid-point cost as `(row index, nanos)`, in row order
     /// of the produced report. Since the sweep runs as a stage cascade
     /// this times only the point's **compose** step: the maintenance,
     /// search and engine stages are shared across points and totalled
@@ -73,21 +72,16 @@ impl SweepTimings {
     }
 
     /// Renders the sidecar JSON: run identification (schema, spec label,
-    /// fingerprint, shard coordinates) followed by the measurements.
+    /// fingerprint) followed by the measurements.
     ///
     /// One line per section, like the report — but these bytes are for
     /// humans and dashboards, never for the exact comparator.
-    pub fn to_json(&self, spec: &SweepSpec, shard: Option<ShardInfo>) -> String {
+    pub fn to_json(&self, spec: &SweepSpec) -> String {
         let mut out = String::with_capacity(64 * (self.points.len() + self.setup.len() + 8));
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {},", Json::from(TIMINGS_SCHEMA).to_compact());
         let _ = writeln!(out, "  \"label\": {},", Json::from(spec.label.as_str()).to_compact());
         let _ = writeln!(out, "  \"fingerprint\": \"{:016x}\",", spec_fingerprint(spec));
-        let _ = writeln!(
-            out,
-            "  \"shard\": {},",
-            shard_json(shard, self.points.len(), spec.num_points()).to_compact()
-        );
         let _ = writeln!(out, "  \"total_nanos\": {},", self.total_nanos);
         let _ = writeln!(out, "  \"setup_nanos\": {},", self.setup_nanos());
         let _ = writeln!(out, "  \"point_nanos\": {},", self.point_nanos());
@@ -146,7 +140,7 @@ mod tests {
     #[test]
     fn sidecar_identifies_its_run_and_carries_every_measurement() {
         let spec = SweepSpec::quick();
-        let json = sample().to_json(&spec, Some(ShardInfo { index: 2, count: 3 }));
+        let json = sample().to_json(&spec);
         assert!(json.starts_with("{\n"), "{json}");
         assert!(json.contains(&format!("\"schema\": \"{TIMINGS_SCHEMA}\"")), "{json}");
         assert!(json.contains("\"label\": \"quick\""), "{json}");
@@ -154,22 +148,19 @@ mod tests {
             json.contains(&format!("\"fingerprint\": \"{:016x}\"", spec_fingerprint(&spec))),
             "{json}"
         );
-        assert!(json.contains("\"index\":2,\"count\":3"), "{json}");
         assert!(json.contains("\"total_nanos\": 5000"), "{json}");
         assert!(json.contains("\"setup_nanos\": 2000"), "{json}");
         assert!(json.contains("\"point_nanos\": 2700"), "{json}");
         assert!(json.contains(r#"{"scenario":"sweep","nanos":1200}"#), "{json}");
         assert!(json.contains(r#"{"row":4,"nanos":1100}"#), "{json}");
-        // whole-grid runs carry a null shard slot, like the report
-        let whole = sample().to_json(&spec, None);
-        assert!(whole.contains("\"shard\": null,"), "{whole}");
+        assert!(!json.contains("\"shard\""), "v2 sidecars carry no shard echo: {json}");
     }
 
     #[test]
     fn sidecar_schema_is_not_the_report_schema() {
-        // the merge rejects report files that inline timings; the
-        // reverse confusion (feeding a sidecar to the merge) must also
-        // fail, which it does because the schema line differs
+        // the comparator rejects reports that inline timings; the
+        // reverse confusion (checking a sidecar against a baseline) must
+        // also fail, which it does because the schema line differs
         assert_ne!(TIMINGS_SCHEMA, crate::report::SCHEMA);
     }
 }

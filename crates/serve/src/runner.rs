@@ -1,33 +1,29 @@
 //! The parallel serve executor: builds the shared [`ServiceContext`]
 //! once (map trees, canonical tenant mix, per-tick queries), then fans
-//! the service grid points out over a `std::thread::scope` worker pool.
+//! the service grid points out over the explorer's worker pool
+//! ([`par_map`]).
 //!
 //! # Determinism
 //!
 //! The report is a pure function of the spec, whatever the worker
 //! count: each grid point runs its own complete, single-threaded
-//! scheduler simulation over the shared read-only context, workers
-//! claim points by atomic index but write each row into its own
-//! pre-allocated slot, and the report is assembled in grid order. Two
+//! scheduler simulation over the shared read-only context, and
+//! [`par_map`] returns the rows in grid order whatever the worker
+//! count. Two
 //! runs — or a 1-worker and an N-worker run — therefore serialize to
 //! byte-identical JSON, which is what lets the CI serve gate compare
 //! reports with an exact comparator.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
+
+pub use crescent_explorer::default_workers;
+use crescent_explorer::runner::par_map;
 
 use crate::controller::ControlMode;
 use crate::report::{ServeReport, ServeRow};
 use crate::scheduler::{run_service, run_service_controlled, ServiceContext};
 use crate::spec::ServeSpec;
 use crate::timings::ServeTimings;
-
-/// A reasonable worker count for the local machine, capped so the quick
-/// serve run does not oversubscribe CI runners.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-}
 
 /// Execution statistics of one serve run — operational facts about the
 /// run itself, deliberately kept OUT of the report bytes (the report is
@@ -88,49 +84,27 @@ pub fn run_serve_timed(
 
     let points = spec.expand();
     let workers = workers.clamp(1, points.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ServeRow>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let point_clocks: Vec<AtomicU64> = points.iter().map(|_| AtomicU64::new(0)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let point_start = Instant::now();
-                let outcome = match point.controller {
-                    ControlMode::Static => {
-                        run_service(&ctx, point.tenants, point.fleet, point.elision_depth)
-                    }
-                    ControlMode::Slo => run_service_controlled(
-                        &ctx,
-                        point.tenants,
-                        point.fleet,
-                        point.elision_depth,
-                        &spec.controller,
-                    ),
-                };
-                let row = ServeRow::from_ledger(*point, &outcome.ledger);
-                point_clocks[i].store(point_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *slots[i].lock().expect("row slot poisoned") = Some(row);
-            });
-        }
+    let served = par_map(&points, workers, |_, point| {
+        let outcome = match point.controller {
+            ControlMode::Static => {
+                run_service(&ctx, point.tenants, point.fleet, point.elision_depth)
+            }
+            ControlMode::Slo => run_service_controlled(
+                &ctx,
+                point.tenants,
+                point.fleet,
+                point.elision_depth,
+                &spec.controller,
+            ),
+        };
+        ServeRow::from_ledger(*point, &outcome.ledger)
     });
-
-    let rows: Vec<ServeRow> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("row slot poisoned").expect("every claimed point completed")
-        })
-        .collect();
     let timings = ServeTimings {
         total_nanos: run_start.elapsed().as_nanos() as u64,
         context_nanos,
-        points: points
-            .iter()
-            .zip(&point_clocks)
-            .map(|(point, clock)| (point.index, clock.load(Ordering::Relaxed)))
-            .collect(),
+        points: served.iter().map(|(row, nanos)| (row.index, *nanos)).collect(),
     };
+    let rows: Vec<ServeRow> = served.into_iter().map(|(row, _)| row).collect();
     let stats = ServeRunStats {
         points: points.len(),
         workers,

@@ -4,16 +4,15 @@
 //! both tree-maintenance policies × the PE / `h_e` grid — on a worker
 //! pool, prints the per-scenario Pareto fronts, and asserts the
 //! properties the CI `sweep-gate` relies on: the report is byte-stable
-//! across runs and worker counts, sharding the grid and merging the
-//! shard reports gives the single-process bytes back, and the
-//! maintenance policy never changes a neighbor set (only its cost).
+//! across runs and worker counts, and the maintenance policy never
+//! changes a neighbor set (only its cost).
 //!
 //! ```text
 //! cargo run --release --example design_sweep
 //! ```
 
 use crescent_bench::sweep::render_summary;
-use crescent_explorer::{merge_shards, run_sweep, run_sweep_shard, ShardFile, SweepSpec, SCHEMA};
+use crescent_explorer::{run_sweep, SweepSpec, SCHEMA};
 
 fn main() {
     let spec = SweepSpec::quick();
@@ -29,21 +28,6 @@ fn main() {
     // bit-reproducible across reruns and worker counts
     let rerun = run_sweep(&spec, 1).expect("quick spec is valid");
     assert_eq!(json, rerun.to_json(), "report must be byte-identical across runs and workers");
-
-    // sharding is bit-invisible: split the grid i/N for several N,
-    // merge the shard reports, and demand the single-process bytes back
-    for count in [1usize, 2, 3, 7] {
-        let shards: Vec<ShardFile> = (1..=count)
-            .map(|index| {
-                let (report, _) =
-                    run_sweep_shard(&spec, index, count, 4).expect("quick spec is valid");
-                ShardFile { name: format!("shard-{index}.json"), text: report.to_json() }
-            })
-            .collect();
-        let merged = merge_shards(&shards).expect("complete partition merges");
-        assert_eq!(merged, json, "{count}-way shard+merge must be byte-identical");
-    }
-    println!("shard+merge is byte-identical for N in {{1, 2, 3, 7}}");
 
     // the maintenance policy is results-invariant: rows that differ only
     // in the policy produced bit-identical neighbor sets

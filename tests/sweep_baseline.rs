@@ -16,6 +16,10 @@
 //! (`cargo test --release -q --test sweep_baseline`); under debug it is
 //! ignored rather than silently pruned to a weaker grid.
 
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+
 use crescent_explorer::{default_workers, diff_reports, run_sweep, SweepSpec};
 
 #[cfg_attr(
@@ -40,23 +44,99 @@ fn quick_sweep_reproduces_the_checked_in_baseline_bytes() {
     assert_eq!(baseline, fresh, "comparator passed but bytes differ (renderer drift?)");
 }
 
+/// A real one-point report (every axis truncated to its first value),
+/// rendered once for the whole file.
+fn one_point_report() -> &'static str {
+    static REPORT: OnceLock<String> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let mut spec = SweepSpec::quick();
+        spec.label = "no-wall-clock".to_string();
+        spec.scenarios.truncate(1);
+        spec.maintenance.truncate(1);
+        spec.num_pes.truncate(1);
+        spec.tree_kb.truncate(1);
+        spec.tree_banks.truncate(1);
+        spec.dram_bytes_per_cycle.truncate(1);
+        spec.aggregation_elision.truncate(1);
+        spec.top_heights.truncate(1);
+        spec.elision_depths.truncate(1);
+        run_sweep(&spec, 1).expect("valid spec").to_json()
+    })
+}
+
 /// The timings sidecar must never be able to reach the gated bytes:
 /// the report renderer has no timing fields, so the word cannot occur.
 #[test]
 fn report_bytes_carry_no_wall_clock() {
-    let mut spec = SweepSpec::quick();
-    spec.label = "no-wall-clock".to_string();
-    spec.scenarios.truncate(1);
-    spec.maintenance.truncate(1);
-    spec.num_pes.truncate(1);
-    spec.tree_kb.truncate(1);
-    spec.tree_banks.truncate(1);
-    spec.dram_bytes_per_cycle.truncate(1);
-    spec.aggregation_elision.truncate(1);
-    spec.top_heights.truncate(1);
-    spec.elision_depths.truncate(1);
-    let report = run_sweep(&spec, 1).expect("valid spec");
-    let json = report.to_json();
+    let json = one_point_report();
     assert!(!json.contains("timings"), "report bytes must not carry a timings section");
     assert!(!json.contains("nanos"), "report bytes must not carry wall-clock fields");
+}
+
+/// ... and if a writer ever inlined a `"timings"` section anyway, the
+/// comparator behind `--check` rejects the report against its baseline.
+#[test]
+fn diff_reports_rejects_a_report_with_inlined_timings() {
+    let baseline = one_point_report();
+    let inlined = baseline.replacen(
+        "  \"workload\":",
+        "  \"timings\": {\"total_nanos\": 12345},\n  \"workload\":",
+        1,
+    );
+    assert!(inlined.contains("\"timings\""), "injection must have landed");
+    let drift = diff_reports(baseline, &inlined).expect("an inlined timings section is drift");
+    assert!(drift.contains("timings"), "the drift names the injected line: {drift}");
+}
+
+/// A baseline written before the `v5` schema bump (it still carries the
+/// `"shard": null` header line) reads as a different spec, not as
+/// metric drift.
+#[test]
+fn diff_reports_names_a_v4_baseline_a_different_spec() {
+    let v5 = one_point_report();
+    let v4 = v5.replacen("crescent-sweep/v5", "crescent-sweep/v4", 1).replacen(
+        "  \"workload\":",
+        "  \"shard\": null,\n  \"workload\":",
+        1,
+    );
+    let msg = diff_reports(&v4, v5).expect("v4 and v5 reports differ");
+    assert!(msg.contains("different spec"), "{msg}");
+    assert!(msg.contains("crescent-sweep/v4"), "{msg}");
+    assert!(!msg.contains("drifted from baseline"), "{msg}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The comparator reads untrusted files: a truncated or byte-mutated
+    /// copy of a real report, on either side, yields a named error and
+    /// never a panic.
+    #[test]
+    fn diff_reports_never_panics_on_damaged_reports(
+        mode in 0u8..3,
+        cut in 0usize..usize::MAX,
+        at in 0usize..usize::MAX,
+        pick in 0usize..usize::MAX,
+    ) {
+        const ALPHABET: &[u8] = b"{}[]\":,\\\n 0x-";
+        let real = one_point_report();
+        let mut bytes = real.as_bytes().to_vec();
+        if mode != 0 {
+            bytes[at % real.len()] = ALPHABET[pick % ALPHABET.len()];
+        }
+        if mode != 1 {
+            bytes.truncate(cut % real.len());
+        }
+        let damaged = String::from_utf8_lossy(&bytes);
+        for result in [diff_reports(real, &damaged), diff_reports(&damaged, real)] {
+            match result {
+                None => prop_assert_eq!(damaged.as_ref(), real),
+                Some(msg) => prop_assert!(
+                    msg.starts_with("sweep report drifted from baseline")
+                        || msg.starts_with("sweep baseline was produced by a different spec"),
+                    "unnamed error: {msg}"
+                ),
+            }
+        }
+    }
 }
