@@ -9,8 +9,8 @@
 use serde::{Deserialize, Serialize};
 
 use crescent_kdtree::{
-    crescent_dram_bytes, split_exhaustive_search, KdTree, SplitSearchConfig, SplitSearchStats,
-    SplitTree, NODE_BYTES,
+    crescent_dram_bytes, split_exhaustive_report, split_exhaustive_search, BaselineReport, KdTree,
+    SplitSearchConfig, SplitSearchStats, SplitTree,
 };
 use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
@@ -20,7 +20,7 @@ use crate::config::AcceleratorConfig;
 pub const PE_PIPELINE_DEPTH: u64 = 5;
 
 /// Timing + statistics of a neighbor-search engine run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SearchEngineReport {
     /// Datapath cycles (lock-step rounds only; the pipeline fill is
     /// charged exactly once, in [`SearchEngineReport::cycles`]).
@@ -80,10 +80,10 @@ pub fn run_crescent_search(
 
 /// Runs the Tigris-style baseline search (split tree + exhaustive sub-tree
 /// scan + sub-tree reloading) — the neighbor-search component of the
-/// Mesorasi and Tigris+GPU baselines.
+/// Mesorasi baseline, which aggregates the neighbor lists.
 ///
-/// `queue_capacity` is the on-chip query-buffer capacity in queries
-/// (derived from the config's query buffer by default).
+/// The on-chip query-buffer capacity (in queries) comes from the config's
+/// query buffer, double-buffered.
 pub fn run_tigris_search(
     tree: &KdTree,
     top_height: usize,
@@ -92,11 +92,45 @@ pub fn run_tigris_search(
     max_neighbors: Option<usize>,
     config: &AcceleratorConfig,
 ) -> (Vec<Vec<Neighbor>>, SearchEngineReport) {
-    let ht = clamp_top_height(tree, top_height);
-    let split = SplitTree::new(tree, ht).expect("clamped top height is valid");
-    let queue_capacity = (config.query_buffer_bytes / POINT_BYTES / 2).max(1); // double-buffered
-    let base = split_exhaustive_search(&split, queries, radius, max_neighbors, queue_capacity);
+    let split = SplitTree::new(tree, clamp_top_height(tree, top_height))
+        .expect("clamped top height is valid");
+    let (results, base) = split_exhaustive_search(
+        &split,
+        queries,
+        radius,
+        max_neighbors,
+        tigris_queue_capacity(config),
+    );
+    (results, tigris_report(&base, queries.len(), config))
+}
 
+/// The timing report of [`run_tigris_search`] without its neighbor
+/// lists: the Tigris+GPU baseline hands features to the GPU, which reads
+/// only the search cost. The report depends on the routing and the queue
+/// lengths alone, so it equals `run_tigris_search`'s report exactly.
+pub fn run_tigris_report(
+    tree: &KdTree,
+    top_height: usize,
+    queries: &[Point3],
+    radius: f32,
+    config: &AcceleratorConfig,
+) -> SearchEngineReport {
+    let split = SplitTree::new(tree, clamp_top_height(tree, top_height))
+        .expect("clamped top height is valid");
+    let base = split_exhaustive_report(&split, queries, radius, tigris_queue_capacity(config));
+    tigris_report(&base, queries.len(), config)
+}
+
+fn tigris_queue_capacity(config: &AcceleratorConfig) -> usize {
+    (config.query_buffer_bytes / POINT_BYTES / 2).max(1) // double-buffered
+}
+
+/// Engine timing of a Tigris baseline run of `num_queries` queries.
+fn tigris_report(
+    base: &BaselineReport,
+    num_queries: usize,
+    config: &AcceleratorConfig,
+) -> SearchEngineReport {
     // The exhaustive scan reads the sub-tree as one sequential stream,
     // one node per PE per cycle with no backtracking. Sequential streams
     // cannot bank-conflict (consecutive nodes hit consecutive banks), so
@@ -107,11 +141,11 @@ pub fn run_tigris_search(
     // Tigris/QuickNN flush partial query queues to scattered per-sub-tree
     // regions whenever a buffer fills: those write-backs are random, unlike
     // Crescent's phased staging (Sec 3.4)
-    let random_bytes = (queries.len() * POINT_BYTES) as u64;
+    let random_bytes = (num_queries * POINT_BYTES) as u64;
     let dma = config.dram.stream_cycles(base.dram_bytes)
         + config.dram.random_cycles(random_bytes.div_ceil(config.dram.burst_bytes), 4);
     let stats = SplitSearchStats { nodes_visited: base.nodes_visited, ..Default::default() };
-    let report = SearchEngineReport {
+    SearchEngineReport {
         compute_cycles: compute,
         dma_cycles: dma,
         cycles: compute.max(dma) + PE_PIPELINE_DEPTH,
@@ -119,50 +153,7 @@ pub fn run_tigris_search(
         dram_random_bytes: random_bytes,
         tree_buffer_reads: base.nodes_visited as u64,
         stats,
-    };
-    (base.results, report)
-}
-
-/// Exact (unsplit) K-d search with the tree resident in DRAM — what a
-/// GPU-style baseline does. Every node fetch beyond the on-chip working
-/// set is a random DRAM access (Fig 2/3 behaviour).
-pub fn run_unsplit_search(
-    tree: &KdTree,
-    queries: &[Point3],
-    radius: f32,
-    max_neighbors: Option<usize>,
-    config: &AcceleratorConfig,
-) -> (Vec<Vec<Neighbor>>, SearchEngineReport) {
-    let mut results = Vec::with_capacity(queries.len());
-    let mut visits: u64 = 0;
-    for &q in queries {
-        let (hits, stats) =
-            crescent_kdtree::radius_search_traced(tree, q, radius, max_neighbors, &mut |_| {});
-        visits += stats.nodes_visited as u64;
-        results.push(hits);
     }
-    // on-chip buffer covers a fraction of the tree; the rest are random
-    // DRAM node fetches
-    let resident = config.tree_buffer_nodes() as u64;
-    let total_nodes = tree.len() as u64;
-    let hit_frac =
-        if total_nodes == 0 { 1.0 } else { (resident as f64 / total_nodes as f64).min(1.0) };
-    let dram_fetches = ((visits as f64) * (1.0 - hit_frac)) as u64;
-    let dram_random_bytes = dram_fetches * NODE_BYTES as u64;
-    let compute = visits.div_ceil(config.pe_divisor());
-    let dma = config.dram.random_cycles(dram_fetches, config.pe_divisor());
-    let stats = SplitSearchStats { nodes_visited: visits as usize, ..Default::default() };
-    let report = SearchEngineReport {
-        compute_cycles: compute,
-        dma_cycles: dma,
-        // random accesses stall the datapath: latencies add, plus one fill
-        cycles: compute + dma + PE_PIPELINE_DEPTH,
-        dram_streaming_bytes: (queries.len() * POINT_BYTES) as u64,
-        dram_random_bytes,
-        tree_buffer_reads: visits,
-        stats,
-    };
-    (results, report)
 }
 
 fn clamp_top_height(tree: &KdTree, requested: usize) -> usize {
@@ -252,18 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn unsplit_search_pays_random_dram() {
-        let cloud = random_cloud(16384, 46);
-        let tree = KdTree::build(&cloud);
-        let qs = queries(64, 47);
-        let cfg = AcceleratorConfig::ans();
-        let (res, rep) = run_unsplit_search(&tree, &qs, 0.2, None, &cfg);
-        assert_eq!(res.len(), 64);
-        assert!(rep.dram_random_bytes > 0);
-        assert!(rep.cycles > rep.compute_cycles, "random DMA adds stall cycles");
-    }
-
-    #[test]
     fn double_buffering_takes_max() {
         let cloud = random_cloud(4096, 48);
         let tree = KdTree::build(&cloud);
@@ -290,9 +269,9 @@ mod tests {
     #[test]
     fn zero_pe_config_degrades_to_one_pe_everywhere() {
         // regression: the Tigris path divided by the raw field and
-        // panicked on num_pes == 0 while the unsplit path saturated; all
-        // engine paths now share the pe_divisor() guard and match the
-        // timing of an explicit 1-PE config
+        // panicked on num_pes == 0; all engine paths now share the
+        // pe_divisor() guard and match the timing of an explicit 1-PE
+        // config
         let cloud = random_cloud(2048, 52);
         let tree = KdTree::build(&cloud);
         let qs = queries(32, 53);
@@ -309,10 +288,42 @@ mod tests {
         let (rt1, t1) = run_tigris_search(&tree, 4, &qs, 0.25, Some(16), &one);
         assert_eq!(rt0, rt1);
         assert_eq!(t0.cycles, t1.cycles);
-        let (ru0, u0) = run_unsplit_search(&tree, &qs, 0.25, Some(16), &zero);
-        let (ru1, u1) = run_unsplit_search(&tree, &qs, 0.25, Some(16), &one);
-        assert_eq!(ru0, ru1);
-        assert_eq!(u0.cycles, u1.cycles);
+        let l0 = run_tigris_report(&tree, 4, &qs, 0.25, &zero);
+        let l1 = run_tigris_report(&tree, 4, &qs, 0.25, &one);
+        assert_eq!(l0.cycles, l1.cycles);
+        assert_eq!(l0.cycles, t1.cycles);
+    }
+
+    #[test]
+    fn tigris_report_matches_the_search_report() {
+        // ragged (non-power-of-two) trees, every legal top height, queue
+        // capacities 1, 7 and at least the query count, and empty query
+        // sets
+        for (n, seed) in [(1usize, 54u64), (100, 55), (777, 56), (1500, 57)] {
+            let cloud = random_cloud(n, seed);
+            let tree = KdTree::build(&cloud);
+            for top in 0..tree.height() {
+                for nq in [0usize, 40] {
+                    let qs = queries(nq, seed + 100);
+                    for capacity in [1usize, 7, 40, 4096] {
+                        let mut cfg = AcceleratorConfig::ans();
+                        cfg.query_buffer_bytes = capacity * POINT_BYTES * 2;
+                        let (_, full) = run_tigris_search(&tree, top, &qs, 0.3, Some(8), &cfg);
+                        let lean = run_tigris_report(&tree, top, &qs, 0.3, &cfg);
+                        assert_eq!(lean, full, "n {n} top {top} queries {nq} capacity {capacity}");
+                    }
+                }
+            }
+        }
+        // an empty tree, whatever the requested top height
+        let empty = KdTree::build(&PointCloud::new());
+        let cfg = AcceleratorConfig::ans();
+        let qs = queries(5, 58);
+        for top in [0, 3] {
+            let (res, full) = run_tigris_search(&empty, top, &qs, 0.3, None, &cfg);
+            assert!(res.iter().all(Vec::is_empty));
+            assert_eq!(run_tigris_report(&empty, top, &qs, 0.3, &cfg), full);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`engine`] — the neighbor-search engine of Fig 7 (lock-step PEs,
 //!   banked tree buffer, streaming/double-buffered DMA), plus the
-//!   Tigris-style and unsplit baselines;
+//!   Tigris-style baseline;
 //! * [`aggregation`] — the Mesorasi-style neighbor gather over the banked
 //!   Point Buffer, with Crescent's conflict elision;
 //! * [`systolic`] — the 16×16 TPU-style MAC array timing model;
@@ -54,7 +54,7 @@ pub mod systolic;
 pub use aggregation::{conflict_rate_single_issue, simulate_aggregation, AggregationReport};
 pub use config::{AcceleratorConfig, ConfigBuilder, ConfigError};
 pub use engine::{
-    run_crescent_search, run_tigris_search, run_unsplit_search, SearchEngineReport,
+    run_crescent_search, run_tigris_report, run_tigris_search, SearchEngineReport,
     PE_PIPELINE_DEPTH,
 };
 pub use gpu::{GpuModel, GpuReport};

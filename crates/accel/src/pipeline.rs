@@ -19,7 +19,9 @@ use crescent_pointcloud::{replicate_to_k, Point3, PointCloud, POINT_BYTES};
 
 use crate::aggregation::{simulate_aggregation, AggregationReport};
 use crate::config::AcceleratorConfig;
-use crate::engine::{run_crescent_search, run_tigris_search, SearchEngineReport};
+use crate::engine::{
+    run_crescent_search, run_tigris_report, run_tigris_search, SearchEngineReport,
+};
 use crate::gpu::GpuModel;
 use crate::systolic::{mlp_report, SystolicReport};
 
@@ -341,58 +343,44 @@ pub fn run_network(
     for layer in &spec.layers {
         let points: PointCloud = stride_sample(cloud, layer.n_points).into_iter().collect();
         let queries = stride_sample(&points, layer.n_centroids);
-        let tree = KdTree::build(&points);
+        let tree = || KdTree::build(&points);
 
-        // ---- neighbor search ----
+        // ---- neighbor search: only the systolic variants gather
+        // neighbor lists; the GPU variants are priced from counts ----
         let (results, ns) = match variant {
             Variant::Gpu => {
-                // brute force on the GPU; neighbor sets are exact
+                // exact brute force, priced by the analytic GPU model
                 let g = gpu.neighbor_search(points.len(), queries.len());
                 cycles.search += g.ns_cycles;
                 energy.compute += g.energy;
-                let res: Vec<Vec<crescent_pointcloud::Neighbor>> = queries
-                    .iter()
-                    .map(|&q| crescent_kdtree::radius_search(&tree, q, layer.radius, Some(layer.k)))
-                    .collect();
-                (res, SearchEngineReport::default())
+                (Vec::new(), SearchEngineReport::default())
             }
-            Variant::TigrisGpu | Variant::Mesorasi => {
-                let (res, rep) = run_tigris_search(
-                    &tree,
-                    knobs.top_height,
-                    &queries,
-                    layer.radius,
-                    Some(layer.k),
-                    &config,
-                );
-                cycles.search += rep.cycles;
-                charge_search_energy(&mut energy, em, &rep);
-                (res, rep)
-            }
-            Variant::Ans | Variant::AnsBce => {
-                let (res, rep) = run_crescent_search(
-                    &tree,
-                    knobs.top_height,
-                    &queries,
-                    layer.radius,
-                    Some(layer.k),
-                    &config,
-                );
-                cycles.search += rep.cycles;
-                charge_search_energy(&mut energy, em, &rep);
-                (res, rep)
-            }
+            Variant::TigrisGpu => (
+                Vec::new(),
+                run_tigris_report(&tree(), knobs.top_height, &queries, layer.radius, &config),
+            ),
+            Variant::Mesorasi => run_tigris_search(
+                &tree(),
+                knobs.top_height,
+                &queries,
+                layer.radius,
+                Some(layer.k),
+                &config,
+            ),
+            Variant::Ans | Variant::AnsBce => run_crescent_search(
+                &tree(),
+                knobs.top_height,
+                &queries,
+                layer.radius,
+                Some(layer.k),
+                &config,
+            ),
         };
+        cycles.search += ns.cycles;
+        charge_search_energy(&mut energy, em, &ns);
         merge_search(&mut search_total, &ns);
 
         // ---- aggregation ----
-        let lists: Vec<Vec<usize>> = results
-            .iter()
-            .map(|hits| {
-                let idx: Vec<usize> = hits.iter().map(|n| n.index).collect();
-                replicate_to_k(&idx, layer.k, Some(0))
-            })
-            .collect();
         // delayed aggregation gathers post-MLP features: one fetch moves
         // an out_ch-wide feature vector
         let out_ch = *layer.mlp_dims.last().unwrap_or(&3);
@@ -429,6 +417,13 @@ pub fn run_network(
 
                 // ---- aggregation: gather each centroid's k neighbor
                 // feature vectors from the banked Point Buffer ----
+                let lists: Vec<Vec<usize>> = results
+                    .iter()
+                    .map(|hits| {
+                        let idx: Vec<usize> = hits.iter().map(|n| n.index).collect();
+                        replicate_to_k(&idx, layer.k, Some(0))
+                    })
+                    .collect();
                 let agg = simulate_aggregation(
                     &lists,
                     config.point_buffer,
@@ -544,6 +539,19 @@ mod tests {
             ],
             head_dims: vec![128, 64, 10],
         }
+    }
+
+    #[test]
+    fn mesorasi_ignores_tree_buffer_banks() {
+        // fig22 simulates Mesorasi once per PE count on this property
+        let cloud = test_cloud();
+        let knobs = CrescentKnobs { top_height: 4, elision_height: 9 };
+        let run = |banks: usize| {
+            let mut cfg = AcceleratorConfig::default();
+            cfg.tree_buffer.num_banks = banks;
+            format!("{:?}", run_network(&small_spec(), &cloud, Variant::Mesorasi, knobs, &cfg))
+        };
+        assert_eq!(run(2), run(32));
     }
 
     #[test]

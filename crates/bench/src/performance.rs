@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 
 use crescent::accel::{
-    run_crescent_search, run_network, run_tigris_search, AcceleratorConfig, CrescentKnobs,
+    run_crescent_search, run_network, run_tigris_report, AcceleratorConfig, CrescentKnobs,
     NetworkSpec, PipelineReport, Variant,
 };
-use crescent::kdtree::{crescent_dram_bytes, split_exhaustive_search, KdTree, SplitTree};
+use crescent::kdtree::{crescent_dram_bytes, split_exhaustive_report, KdTree, SplitTree};
 use crescent::memsim::SramConfig;
 use crescent::pointcloud::{Point3, PointCloud, POINT_BYTES};
 
@@ -222,14 +222,22 @@ pub fn fig22(scale: Scale) -> (Figure, Figure) {
     let mut speed_rows = Vec::new();
     let mut energy_rows = Vec::new();
     let grid = [2usize, 4, 8, 16, 32];
+    // Mesorasi's search is unelided and its aggregation reads the point
+    // buffer, so the tree-buffer banks never reach it: one run per PE count
+    let mesorasi: Vec<PipelineReport> = grid
+        .iter()
+        .map(|&pes| {
+            let cfg = AcceleratorConfig { num_pes: pes, ..Default::default() };
+            run_network(&spec, &cloud, Variant::Mesorasi, knobs, &cfg)
+        })
+        .collect();
     for &banks in &grid {
         let mut speeds = Vec::new();
         let mut energies = Vec::new();
-        for &pes in &grid {
+        for (&pes, meso) in grid.iter().zip(&mesorasi) {
             let mut cfg = AcceleratorConfig::default();
             cfg.num_pes = pes;
             cfg.tree_buffer = SramConfig { num_banks: banks, ..cfg.tree_buffer };
-            let meso = run_network(&spec, &cloud, Variant::Mesorasi, knobs, &cfg);
             let bce = run_network(&spec, &cloud, Variant::AnsBce, knobs, &cfg);
             speeds.push(meso.total_cycles() as f64 / bce.total_cycles() as f64);
             energies.push(bce.energy.total() / meso.energy.total());
@@ -277,11 +285,10 @@ pub fn fig24(scale: Scale) -> Figure {
         let tree = KdTree::build(&pts);
         let (_, ours) =
             run_crescent_search(&tree, knobs.top_height, &queries, layer.radius, None, &cfg);
-        let (_, tigris) =
-            run_tigris_search(&tree, knobs.top_height, &queries, layer.radius, None, &cfg);
+        let tigris = run_tigris_report(&tree, knobs.top_height, &queries, layer.radius, &cfg);
         let ht = knobs.top_height.min(tree.height().saturating_sub(1));
         let split = SplitTree::new(&tree, ht).expect("valid split");
-        let quicknn = split_exhaustive_search(&split, &queries, layer.radius, None, 32);
+        let quicknn = split_exhaustive_report(&split, &queries, layer.radius, 32);
         let ours_dram = crescent_dram_bytes(&split, &queries, layer.radius);
         let visit_red = (1.0
             - ours.stats.nodes_visited as f64 / tigris.stats.nodes_visited.max(1) as f64)

@@ -311,6 +311,14 @@ mod tests {
     }
 
     #[test]
+    fn an_slo_that_rounds_to_zero_cycles_fails_the_command() {
+        // positive, so it parses, but 1e-7 ms is 0.1 cycle at 1 GHz: the
+        // spec's validation rejects the zero-cycle deadline before any run
+        let args = ServeArgs::parse(&strings(&["--quick", "--slo-ms", "0.0000001"])).unwrap();
+        assert_eq!(run_serve_command(&args), 1);
+    }
+
+    #[test]
     fn rejects_bad_flags() {
         assert!(ServeArgs::parse(&strings(&["--jsn", "x"])).is_err());
         assert!(ServeArgs::parse(&strings(&["--json"])).is_err());

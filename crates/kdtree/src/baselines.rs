@@ -18,11 +18,10 @@ use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 use crate::split::SplitTree;
 use crate::tree::NODE_BYTES;
 
-/// Outcome of a baseline batch search.
-#[derive(Clone, Debug, Default)]
+/// Cost of a baseline batch search. It depends only on how the queries
+/// route through the top tree, never on what the sub-tree scans find.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BaselineReport {
-    /// Per-query neighbor lists (sorted ascending by distance).
-    pub results: Vec<Vec<Neighbor>>,
     /// Total tree nodes / points inspected ("search load").
     pub nodes_visited: usize,
     /// Total DRAM traffic in bytes (tree loads + query movement).
@@ -33,7 +32,8 @@ pub struct BaselineReport {
 
 /// Tigris/QuickNN-style batch search: top-tree routing, then **exhaustive**
 /// scan of the assigned sub-tree, reloading a sub-tree whenever its
-/// `queue_capacity`-entry query buffer fills.
+/// `queue_capacity`-entry query buffer fills. Returns the per-query
+/// neighbor lists (sorted ascending by distance) and the cost report.
 ///
 /// `queue_capacity` is the number of queries buffered on-chip per sub-tree
 /// between reloads (QuickNN's query-buffer size).
@@ -47,73 +47,107 @@ pub fn split_exhaustive_search(
     radius: f32,
     max_neighbors: Option<usize>,
     queue_capacity: usize,
-) -> BaselineReport {
-    assert!(queue_capacity > 0, "queue capacity must be positive");
+) -> (Vec<Vec<Neighbor>>, BaselineReport) {
+    let Routed { hits: mut results, queues, report } =
+        route_and_account(split, queries, radius, queue_capacity);
     let tree = split.tree();
-    let mut report =
-        BaselineReport { results: vec![Vec::new(); queries.len()], ..BaselineReport::default() };
-    if tree.is_empty() {
-        return report;
-    }
     let r2 = radius * radius;
 
-    // stage 1: route every query through the top tree (streaming read)
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); split.num_subtrees()];
-    for (qi, &q) in queries.iter().enumerate() {
-        let mut hits = Vec::new();
-        let mut fetches = 0usize;
-        if let Some(s) = split.route_query(q, radius, &mut hits, &mut |_| fetches += 1) {
-            queues[s].push(qi);
-        }
-        report.nodes_visited += fetches;
-        report.results[qi] = hits;
-    }
-
-    // stage 2: exhaustive scan per sub-tree, one load per queue_capacity
-    // queries (the reload behavior Crescent eliminates)
+    // stage 2: exhaustive scan of each queue's sub-tree
     let mut subtree_nodes: Vec<usize> = Vec::new();
     for (s, queue) in queues.iter().enumerate() {
         if queue.is_empty() {
             continue;
         }
-        let root = split.subtree_roots()[s];
-        collect_subtree(tree, root, &mut subtree_nodes);
-        let loads = queue.len().div_ceil(queue_capacity);
-        report.subtree_loads += loads;
-        report.dram_bytes += (loads * subtree_nodes.len() * NODE_BYTES) as u64;
+        collect_subtree(tree, split.subtree_roots()[s], &mut subtree_nodes);
         for &qi in queue {
             let q = queries[qi];
             for &idx in &subtree_nodes {
-                report.nodes_visited += 1;
                 let d2 = tree.point_of(idx).dist2(q);
                 if d2 <= r2 {
-                    report.results[qi]
-                        .push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
+                    results[qi].push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
                 }
             }
         }
         subtree_nodes.clear();
     }
 
-    // query movement: each query read for stage 1 and again for stage 2
-    report.dram_bytes += (2 * queries.len() * POINT_BYTES) as u64;
-    // top tree loaded once
-    report.dram_bytes += (split.top_len() * NODE_BYTES) as u64;
-
-    for hits in &mut report.results {
+    for hits in &mut results {
         hits.sort_by(|a, b| a.dist2.partial_cmp(&b.dist2).unwrap_or(std::cmp::Ordering::Equal));
         hits.dedup_by_key(|n| n.index);
         if let Some(k) = max_neighbors {
             hits.truncate(k);
         }
     }
-    report
+    (results, report)
 }
 
-/// Pure brute-force search load (the GPU baseline's strategy): every query
-/// scans every point.
-pub fn exhaustive_visits(num_points: usize, num_queries: usize) -> usize {
-    num_points * num_queries
+/// The cost report of [`split_exhaustive_search`] without the sub-tree
+/// scans that only produce its neighbor lists.
+///
+/// # Panics
+///
+/// Panics if `queue_capacity == 0`.
+pub fn split_exhaustive_report(
+    split: &SplitTree<'_>,
+    queries: &[Point3],
+    radius: f32,
+    queue_capacity: usize,
+) -> BaselineReport {
+    route_and_account(split, queries, radius, queue_capacity).report
+}
+
+/// Stage 1 of the baseline, and the cost of both stages.
+struct Routed {
+    /// Candidate neighbors found among each query's top-tree nodes.
+    hits: Vec<Vec<Neighbor>>,
+    /// The queries routed to each sub-tree, in query order.
+    queues: Vec<Vec<usize>>,
+    report: BaselineReport,
+}
+
+/// Routes every query through the top tree (streaming read) and accounts
+/// for both stages. Stage 2 scans every node of a queue's sub-tree once
+/// per queued query, and loads the sub-tree once per `queue_capacity`
+/// queries (the reload behavior Crescent eliminates).
+fn route_and_account(
+    split: &SplitTree<'_>,
+    queries: &[Point3],
+    radius: f32,
+    queue_capacity: usize,
+) -> Routed {
+    assert!(queue_capacity > 0, "queue capacity must be positive");
+    let mut report = BaselineReport::default();
+    let mut hits = vec![Vec::new(); queries.len()];
+    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); split.num_subtrees()];
+    if split.tree().is_empty() {
+        return Routed { hits, queues, report };
+    }
+
+    for (qi, &q) in queries.iter().enumerate() {
+        let mut fetches = 0usize;
+        if let Some(s) = split.route_query(q, radius, &mut hits[qi], &mut |_| fetches += 1) {
+            queues[s].push(qi);
+        }
+        report.nodes_visited += fetches;
+    }
+
+    for (s, queue) in queues.iter().enumerate() {
+        if queue.is_empty() {
+            continue;
+        }
+        let subtree_len = split.subtree_len(s);
+        let loads = queue.len().div_ceil(queue_capacity);
+        report.nodes_visited += queue.len() * subtree_len;
+        report.subtree_loads += loads;
+        report.dram_bytes += (loads * subtree_len * NODE_BYTES) as u64;
+    }
+
+    // query movement: each query read for stage 1 and again for stage 2
+    report.dram_bytes += (2 * queries.len() * POINT_BYTES) as u64;
+    // top tree loaded once
+    report.dram_bytes += (split.top_len() * NODE_BYTES) as u64;
+    Routed { hits, queues, report }
 }
 
 /// DRAM bytes of the Crescent schedule for the same workload: every query
@@ -178,11 +212,11 @@ mod tests {
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries: Vec<Point3> = random_cloud(40, 22).into_points();
-        let base = split_exhaustive_search(&split, &queries, 0.3, Some(16), 8);
+        let (base, _) = split_exhaustive_search(&split, &queries, 0.3, Some(16), 8);
         let cfg =
             SplitSearchConfig { radius: 0.3, max_neighbors: Some(16), num_pes: 4, elision: None };
         let (ours, _) = split.batch_search(&queries, &cfg);
-        for (a, b) in base.results.iter().zip(&ours) {
+        for (a, b) in base.iter().zip(&ours) {
             let ai: Vec<usize> = a.iter().map(|n| n.index).collect();
             let bi: Vec<usize> = b.iter().map(|n| n.index).collect();
             assert_eq!(ai, bi);
@@ -196,7 +230,7 @@ mod tests {
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, 4).unwrap();
         let queries: Vec<Point3> = random_cloud(64, 24).into_points();
-        let base = split_exhaustive_search(&split, &queries, 0.15, None, 16);
+        let base = split_exhaustive_report(&split, &queries, 0.15, 16);
         let cfg =
             SplitSearchConfig { radius: 0.15, max_neighbors: None, num_pes: 4, elision: None };
         let (_, stats) = split.batch_search(&queries, &cfg);
@@ -215,7 +249,7 @@ mod tests {
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries: Vec<Point3> = random_cloud(256, 26).into_points();
-        let quicknn = split_exhaustive_search(&split, &queries, 0.2, None, 8);
+        let quicknn = split_exhaustive_report(&split, &queries, 0.2, 8);
         let ours = crescent_dram_bytes(&split, &queries, 0.2);
         assert!(ours < quicknn.dram_bytes, "crescent {ours} vs quicknn {}", quicknn.dram_bytes);
         assert!(quicknn.subtree_loads > split.num_subtrees());
@@ -227,15 +261,9 @@ mod tests {
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, 2).unwrap();
         let queries: Vec<Point3> = random_cloud(64, 28).into_points();
-        let r = split_exhaustive_search(&split, &queries, 0.2, None, usize::MAX >> 1);
+        let r = split_exhaustive_report(&split, &queries, 0.2, usize::MAX >> 1);
         // one load per non-empty sub-tree
         assert!(r.subtree_loads <= split.num_subtrees());
-    }
-
-    #[test]
-    fn exhaustive_visits_formula() {
-        assert_eq!(exhaustive_visits(1000, 10), 10_000);
-        assert_eq!(exhaustive_visits(0, 10), 0);
     }
 
     #[test]
@@ -248,11 +276,35 @@ mod tests {
     }
 
     #[test]
+    fn report_without_results_matches_the_search_report() {
+        // ragged (non-power-of-two) trees, every legal top height, queue
+        // capacities below, between and above the query count, and an
+        // empty query set
+        for (n, seed) in [(1usize, 30u64), (100, 31), (600, 32), (1023, 33), (1500, 34)] {
+            let cloud = random_cloud(n, seed);
+            let tree = KdTree::build(&cloud);
+            for top in 0..tree.height() {
+                let split = SplitTree::new(&tree, top).unwrap();
+                for nq in [0usize, 37] {
+                    let queries: Vec<Point3> = random_cloud(nq, seed + 100).into_points();
+                    for cap in [1usize, 7, 37, usize::MAX] {
+                        let (_, full) =
+                            split_exhaustive_search(&split, &queries, 0.3, Some(8), cap);
+                        let lean = split_exhaustive_report(&split, &queries, 0.3, cap);
+                        assert_eq!(lean, full, "n {n} top {top} queries {nq} capacity {cap}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_tree_report() {
         let tree = KdTree::build(&PointCloud::new());
         let split = SplitTree::new(&tree, 0).unwrap();
-        let r = split_exhaustive_search(&split, &[Point3::ZERO], 1.0, None, 4);
+        let (results, r) = split_exhaustive_search(&split, &[Point3::ZERO], 1.0, None, 4);
         assert_eq!(r.nodes_visited, 0);
-        assert!(r.results[0].is_empty());
+        assert!(results[0].is_empty());
+        assert_eq!(split_exhaustive_report(&split, &[Point3::ZERO], 1.0, 4), r);
     }
 }

@@ -56,7 +56,7 @@ pub mod split;
 pub mod tree;
 
 pub use baselines::{
-    crescent_dram_bytes, exhaustive_visits, split_exhaustive_search, BaselineReport,
+    crescent_dram_bytes, split_exhaustive_report, split_exhaustive_search, BaselineReport,
 };
 pub use batch::{
     BatchBankModel, BatchSearchConfig, BatchSearchStats, BatchState, TaggedBatch, TaggedResults,

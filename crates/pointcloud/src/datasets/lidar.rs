@@ -82,6 +82,12 @@ pub struct LidarScene {
 /// emitted in azimuthal sweep order, like a spinning LiDAR, which is what
 /// makes the *memory* order of spatially-adjacent tree nodes irregular.
 pub fn generate_scene(cfg: &LidarSceneConfig) -> LidarScene {
+    let (pts, car_boxes) = scatter_scene(cfg);
+    LidarScene { cloud: PointCloud::from_points(sweep_order(pts)), car_boxes }
+}
+
+/// The scene's points in generation order, and its car boxes.
+fn scatter_scene(cfg: &LidarSceneConfig) -> (Vec<Point3>, Vec<Aabb>) {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n = cfg.total_points;
     let he = cfg.half_extent;
@@ -153,15 +159,18 @@ pub fn generate_scene(cfg: &LidarSceneConfig) -> LidarScene {
         ));
     }
 
-    // Emit in azimuthal sweep order (sensor at origin), like a spinning
-    // LiDAR: sort by angle, breaking memory locality of spatial neighbors.
-    pts.sort_by(|a, b| {
-        let aa = a.y.atan2(a.x);
-        let ab = b.y.atan2(b.x);
-        aa.partial_cmp(&ab).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    (pts, car_boxes)
+}
 
-    LidarScene { cloud: PointCloud::from_points(pts), car_boxes }
+/// Emits points in azimuthal sweep order (sensor at origin), like a
+/// spinning LiDAR: sort by angle, breaking memory locality of spatial
+/// neighbors. Each azimuth is computed once per point, not per
+/// comparison. The sort is stable and compares with `partial_cmp`, so
+/// tied azimuths (including −0.0 against +0.0) keep generation order.
+fn sweep_order(pts: Vec<Point3>) -> Vec<Point3> {
+    let mut keyed: Vec<(f32, Point3)> = pts.into_iter().map(|p| (p.y.atan2(p.x), p)).collect();
+    keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    keyed.into_iter().map(|(_, p)| p).collect()
 }
 
 /// One frustum detection sample: the points in a view frustum containing a
@@ -334,6 +343,46 @@ mod tests {
         let scene = generate_scene(&tiny_scene_cfg());
         let angles: Vec<f32> = scene.cloud.iter().map(|p| p.y.atan2(p.x)).collect();
         assert!(angles.windows(2).all(|w| w[0] <= w[1] + 1e-6));
+    }
+
+    /// The sweep order before azimuths were computed once per point: a
+    /// stable sort with `atan2` per comparison.
+    fn reference_sweep_order(mut pts: Vec<Point3>) -> Vec<Point3> {
+        pts.sort_by(|a, b| {
+            let aa = a.y.atan2(a.x);
+            let ab = b.y.atan2(b.x);
+            aa.partial_cmp(&ab).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        pts
+    }
+
+    #[test]
+    fn scene_order_matches_the_per_comparison_reference() {
+        let (raw, _) = scatter_scene(&tiny_scene_cfg());
+        let reference = reference_sweep_order(raw);
+        let scene = generate_scene(&tiny_scene_cfg());
+        assert_eq!(scene.cloud.iter().copied().collect::<Vec<_>>(), reference);
+    }
+
+    #[test]
+    fn sweep_order_keeps_tied_azimuths_in_generation_order() {
+        // points on the four axis rays tie exactly in azimuth, and z marks
+        // generation order; the +x ray mixes +0.0 and −0.0 (total_cmp
+        // would split them), and the count is past the small-slice cutoff
+        // below which an unstable sort happens to be stable
+        let pts: Vec<Point3> = (0..256)
+            .map(|i| {
+                let r = 1.0 + (i % 3) as f32;
+                let z = i as f32;
+                match i % 4 {
+                    0 => Point3::new(r, if i % 8 == 0 { 0.0 } else { -0.0 }, z),
+                    1 => Point3::new(0.0, r, z),
+                    2 => Point3::new(-r, 0.0, z),
+                    _ => Point3::new(0.0, -r, z),
+                }
+            })
+            .collect();
+        assert_eq!(sweep_order(pts.clone()), reference_sweep_order(pts));
     }
 
     #[test]

@@ -190,6 +190,9 @@ impl ServeSpec {
         if self.frame_period == 0 {
             return Err("frame period must be >= 1 cycle".into());
         }
+        if self.base_deadline == 0 {
+            return Err("base deadline must be >= 1 cycle".into());
+        }
         if self.max_backlog == 0 {
             return Err("max backlog must admit at least one frame".into());
         }
@@ -261,6 +264,9 @@ mod tests {
         let mut s = ServeSpec::quick();
         s.max_backlog = 0;
         assert!(s.validate().is_err());
+        let mut s = ServeSpec::quick();
+        s.base_deadline = 0;
+        assert_eq!(s.validate(), Err("base deadline must be >= 1 cycle".to_string()));
         let mut s = ServeSpec::quick();
         s.tenant_base.queries_per_frame = 0;
         assert!(s.validate().is_err());

@@ -55,7 +55,10 @@ fn quick_figures_reproduce_the_checked_in_baseline_bytes() {
             .enumerate()
             .find(|(_, (a, b))| a != b)
             .map(|(i, pair)| (i + 1, pair))
-            .unwrap_or((baseline.lines().count().min(fresh.lines().count()) + 1, ("<end>", "<end>")));
+            .unwrap_or((
+                baseline.lines().count().min(fresh.lines().count()) + 1,
+                ("<end>", "<end>"),
+            ));
         panic!(
             "quick figures drifted from bench/figures-baseline.txt at line {line}:\n\
              baseline: {want}\n   fresh: {got}\n\
