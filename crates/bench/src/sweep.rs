@@ -181,9 +181,9 @@ pub fn render_summary(report: &SweepReport) -> String {
                 format!("{}", r.tree_banks),
                 if r.aggregation_elision { "on".to_string() } else { "off".to_string() },
                 format!("<{},{}>", r.top_height_used, r.elision_depth),
-                format!("{}", r.total_cycles()),
+                format!("{}", r.pipelined_cycles),
                 format!("{:.0}", r.energy.total()),
-                format!("{:.4}", r.worst_recall()),
+                format!("{:.4}", r.recall),
             ]);
         }
     }
@@ -216,13 +216,12 @@ pub fn render_summary(report: &SweepReport) -> String {
 fn eprint_timings(timings: &SweepTimings, stats: &SweepRunStats) {
     eprintln!(
         "# wall-clock: total {:.3}s (scenario setup {:.3}s serial; summed over {} workers: \
-         maintain {:.3}s, search {:.3}s, engine {:.3}s, compose {:.3}s)",
+         maintain {:.3}s, search {:.3}s, compose {:.3}s)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),
         stats.workers,
         secs(stats.maintain_nanos),
         secs(stats.search_nanos),
-        secs(stats.engine_nanos),
         secs(stats.point_nanos),
     );
     for (scenario, nanos) in &timings.setup {

@@ -264,6 +264,23 @@ impl Default for FrameStreamConfig {
     }
 }
 
+impl FrameStreamConfig {
+    /// Checks the search every query of the stream runs: a finite,
+    /// positive radius and, when capped, room for at least one neighbor.
+    /// A NaN radius or a zero cap would otherwise run to completion with
+    /// no neighbors and a vacuous recall of 1.0, and a negative radius
+    /// would still find neighbors through its square.
+    pub fn validate_search(&self) -> Result<(), String> {
+        if !(self.radius.is_finite() && self.radius > 0.0) {
+            return Err(format!("search radius must be finite and positive, got {}", self.radius));
+        }
+        if self.max_neighbors == Some(0) {
+            return Err("max_neighbors must be at least 1 (None = unbounded)".to_string());
+        }
+        Ok(())
+    }
+}
+
 /// One rendered frame of a stream.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Frame {

@@ -9,19 +9,17 @@ use crescent_memsim::EnergyLedger;
 use crate::json::Json;
 use crate::spec::SweepSpec;
 
-/// Schema identifier embedded in every report. Bump the `/v5` suffix on
+/// Schema identifier embedded in every report. Bump the `/v6` suffix on
 /// any change to the report layout, key set, or metric semantics — the
 /// CI comparator is exact, so an unversioned layout change would show up
 /// as inexplicable metric drift instead of an obvious schema break.
 ///
-/// `v5` (this version): the `"shard": null` header line is gone — a
-/// report is always one process's run of the whole grid. Rows and
-/// Pareto fronts are unchanged from `v4`, which added the
-/// `descendant_reuse` and `conflict_reuses` row columns and grew the
-/// canonical scenario axis to ten workloads. Field-by-field
-/// documentation lives in
+/// `v6` (this version): the seven engine cross-check columns are gone,
+/// and the Pareto fronts rank the stream alone — ⟨`pipelined_cycles`,
+/// `energy.total`, `recall`⟩. `v5` dropped the `"shard": null` header
+/// line. Field-by-field documentation lives in
 /// [`docs/SWEEP_SCHEMA.md`](../../../docs/SWEEP_SCHEMA.md).
-pub const SCHEMA: &str = "crescent-sweep/v5";
+pub const SCHEMA: &str = "crescent-sweep/v6";
 
 /// One sweep point's configuration echo plus its modeled metrics. All
 /// metrics are *modeled* (cycles, bytes, energy units, recall against a
@@ -55,14 +53,10 @@ pub struct SweepRow {
     /// (the Sec 4.2 salvage on elided fetches). Scenario-derived: `true`
     /// exactly on `descendant_reuse` rows.
     pub descendant_reuse: bool,
-    /// The level threshold the engine cross-check ran at:
-    /// `height(frame 0 tree) − elision_depth` — the paper's level-based
-    /// form of the same `h_e` point.
-    pub engine_elision_level: usize,
     /// The `h_t` the sweep *granted*: the requested height clamped into
     /// the Sec 3.3 feasibility range of the point's tree buffer against
     /// frame 0's tree — the coupling through which cache geometry
-    /// constrains the split depth. Both engines additionally clamp to
+    /// constrains the split depth. The stream additionally clamps to
     /// each actual tree's height, so a frame whose tree ends up
     /// shallower than this (or an infeasibly small tree buffer, for
     /// which no feasible range exists and the requested `h_t` passes
@@ -117,36 +111,6 @@ pub struct SweepRow {
     /// distance bits) — two rows with equal digests produced
     /// bit-identical results.
     pub digest: u64,
-    /// Standalone two-stage engine latency on frame 0 — the per-query
-    /// lock-step model evaluated at the same `h` point, kept as a
-    /// cross-check column against the streaming pass.
-    pub engine_cycles: u64,
-    /// The engine pass's streaming DRAM bytes.
-    pub engine_dram_bytes: u64,
-    /// Tree nodes the engine pass visited.
-    pub nodes_visited: usize,
-    /// Conflicted fetches the engine pass elided (0 above `h_e`).
-    pub nodes_elided: usize,
-    /// Recall of the engine pass against the exact baseline — elision
-    /// drops neighbors, so this is where `h_e`, banking, and PE count
-    /// show up as accuracy.
-    pub engine_recall: f64,
-    /// FNV-1a fingerprint of the engine pass's neighbor sets.
-    pub engine_digest: u64,
-}
-
-impl SweepRow {
-    /// Total modeled cycles of the point's two passes (stream +
-    /// standalone engine) — the latency objective of the Pareto fronts.
-    pub fn total_cycles(&self) -> u64 {
-        self.pipelined_cycles + self.engine_cycles
-    }
-
-    /// Worst-case accuracy across the two passes — the accuracy
-    /// objective of the Pareto fronts.
-    pub fn worst_recall(&self) -> f64 {
-        self.recall.min(self.engine_recall)
-    }
 }
 
 impl SweepRow {
@@ -171,7 +135,6 @@ impl SweepRow {
             ("h_t", Json::U64(self.top_height as u64)),
             ("h_e", Json::U64(self.elision_depth as u64)),
             ("descendant_reuse", Json::Bool(self.descendant_reuse)),
-            ("engine_h_e_level", Json::U64(self.engine_elision_level as u64)),
             ("h_t_used", Json::U64(self.top_height_used as u64)),
             ("frames", Json::U64(self.frames as u64)),
             ("queries", Json::U64(self.queries as u64)),
@@ -193,12 +156,6 @@ impl SweepRow {
             ("energy", Json::Object(energy)),
             ("recall", Json::F64(self.recall)),
             ("digest", Json::Str(format!("{:016x}", self.digest))),
-            ("engine_cycles", Json::U64(self.engine_cycles)),
-            ("engine_dram_bytes", Json::U64(self.engine_dram_bytes)),
-            ("nodes_visited", Json::U64(self.nodes_visited as u64)),
-            ("nodes_elided", Json::U64(self.nodes_elided as u64)),
-            ("engine_recall", Json::F64(self.engine_recall)),
-            ("engine_digest", Json::Str(format!("{:016x}", self.engine_digest))),
         ])
     }
 }
@@ -239,11 +196,9 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
 }
 
 impl SweepReport {
-    /// The per-scenario Pareto fronts over the cycles × energy ×
-    /// accuracy triple — cycles = [`SweepRow::total_cycles`] (stream +
-    /// standalone engine), energy = the stream's total ledger energy,
-    /// accuracy = [`SweepRow::worst_recall`] (the worse of the two
-    /// passes' recalls). For each scenario label, the row indices not
+    /// The per-scenario Pareto fronts over the stream's cycles × energy ×
+    /// accuracy triple — `pipelined_cycles`, the total ledger energy and
+    /// `recall`. For each scenario label, the row indices not
     /// dominated by any other row *of the same scenario* (comparing
     /// operating points across different workloads would be
     /// meaningless). A row dominates another if it is no worse on all
@@ -262,7 +217,7 @@ impl SweepReport {
                     .rows
                     .iter()
                     .filter(|r| r.scenario == scenario)
-                    .map(|r| (r.index, r.total_cycles(), r.energy.total(), r.worst_recall()))
+                    .map(|r| (r.index, r.pipelined_cycles, r.energy.total(), r.recall))
                     .collect();
                 let front = members
                     .iter()
@@ -538,7 +493,6 @@ mod tests {
             top_height: 4,
             elision_depth: 4,
             descendant_reuse: false,
-            engine_elision_level: 8,
             top_height_used: 4,
             frames: 2,
             queries: 8,
@@ -560,12 +514,6 @@ mod tests {
             energy: ledger,
             recall,
             digest: 0xdead_beef,
-            engine_cycles: 0,
-            engine_dram_bytes: 512,
-            nodes_visited: 100,
-            nodes_elided: 3,
-            engine_recall: recall,
-            engine_digest: 0xdead_beef,
         }
     }
 
@@ -600,9 +548,10 @@ mod tests {
     fn json_has_schema_one_row_per_line_and_is_reproducible() {
         let r = report(vec![row(0, "sweep", 100, 10.0, 0.875), row(1, "sweep", 50, 5.0, 1.0)]);
         let json = r.to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"crescent-sweep/v5\",\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"crescent-sweep/v6\",\n"));
         assert!(json.contains("\n  \"fingerprint\": \""), "header carries the spec fingerprint");
-        assert!(!json.contains("\"shard\""), "v5 headers have no shard line");
+        assert!(!json.contains("\"shard\""), "v6 headers have no shard line");
+        assert!(!json.contains("engine"), "v6 rows carry no engine cross-check column");
         assert_eq!(json.matches("{\"row\":").count(), 2);
         let row_lines: Vec<&str> =
             json.lines().filter(|l| l.trim_start().starts_with("{\"row\":")).collect();

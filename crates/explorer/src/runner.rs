@@ -14,7 +14,6 @@
 //! | maintenance ([`maintain_tree_sequence`]) | policy × granted `h_t` (rebuild: policy only) | the clouds; the granted `h_t` as the refit `check_height` |
 //! | search ([`search_stream`]) | distinct tree sequence × granted `h_t` × PEs × tree banks × `h_e` | the trees, the queries, radius and `k`, descendant reuse |
 //! | aggregation ([`aggregate_stream`]) | search key × aggregation elision | the search key's neighbor sets, the Point Buffer |
-//! | engine cross-check ([`run_crescent_search`]) | PEs × tree KiB × tree banks × DRAM bandwidth × granted `h_t` × `h_e` | frame 0's tree and queries |
 //! | compose ([`compose_stream`]) | grid point | the counters above, the maintenance costs, DRAM bandwidth, the energy model |
 //!
 //! The tree-KiB axis reaches the stream only through the `h_t` grant
@@ -30,12 +29,6 @@
 //! runs the aggregation for every aggregation-elision value of the spec
 //! and derives recall, digest and neighbor count, then drops its
 //! neighbor sets.
-//!
-//! The standalone engine pass survives only as a *cross-check column*:
-//! the same `h = <h_t, h_e>` point evaluated on frame 0 by the per-query
-//! lock-step model, so a divergence between the two implementations of
-//! the same hardware shows up as baseline drift instead of going
-//! unnoticed.
 //!
 //! # Determinism
 //!
@@ -56,9 +49,9 @@ use std::time::Instant;
 
 use crescent::workload::{Frame, FrameStream};
 use crescent_accel::{
-    aggregate_stream, compose_stream, maintain_tree_sequence, run_crescent_search, search_stream,
-    AcceleratorConfig, AggregationReport, FrameSearch, MaintainedTree, MaintenanceCost,
-    StreamSearchConfig, TreeMaintenance,
+    aggregate_stream, compose_stream, maintain_tree_sequence, search_stream, AcceleratorConfig,
+    AggregationReport, FrameSearch, MaintainedTree, MaintenanceCost, StreamSearchConfig,
+    TreeMaintenance,
 };
 use crescent_kdtree::KdTree;
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
@@ -91,13 +84,6 @@ fn maintain_key(maintenance: TreeMaintenance, granted_h_t: usize) -> MaintainKey
 /// are fixed within a scenario).
 type SearchKey = (usize, usize, usize, usize, usize);
 
-/// Engine-stage key: every axis except the maintenance policy (the pass
-/// searches one fixed tree) and aggregation elision (it has no gather
-/// stage). The DRAM bandwidth is keyed by its bit pattern, and `h_t` is
-/// the **granted** height — requests that clamp to the same grant run
-/// byte-identical passes.
-type EngineKey = (usize, usize, usize, u64, usize, usize);
-
 /// The distinct keys of one stage in first-seen order, each remembered
 /// with the first plan that produced it (the plan the stage job reads
 /// its inputs from).
@@ -122,16 +108,14 @@ impl<K: Eq + Hash> Keys<K> {
 }
 
 /// One grid point's place in the cascade: its validated configuration,
-/// its derived `h` values, and the slots of the maintenance and engine
-/// outputs it is composed from (its search slot is known only once the
-/// maintained trees can be compared).
+/// its granted `h_t`, and the slot of the maintenance output it is
+/// composed from (its search slot is known only once the maintained
+/// trees can be compared).
 struct Plan<'a> {
     point: &'a SweepPoint,
     config: AcceleratorConfig,
-    engine_elision_level: usize,
     top_height_used: usize,
     maintain: usize,
-    engine: usize,
 }
 
 /// The search stage's output for one search key. The neighbor sets are
@@ -142,16 +126,6 @@ struct SearchOut {
     /// flag (`None` for a value the spec never uses).
     aggregated: [Option<Vec<AggregationReport>>; 2],
     neighbors: usize,
-    recall: f64,
-    digest: u64,
-}
-
-/// The engine pass's contribution to a row.
-struct EnginePass {
-    cycles: u64,
-    dram_bytes: u64,
-    nodes_visited: usize,
-    nodes_elided: usize,
     recall: f64,
     digest: u64,
 }
@@ -174,9 +148,6 @@ pub struct SweepRunStats {
     /// the point count — what the CLI reports, so "8 workers" is never
     /// printed for a 4-point run.
     pub workers: usize,
-    /// Standalone engine cross-check passes executed: exactly one per
-    /// distinct engine key of each scenario, whatever the worker count.
-    pub engine_passes: usize,
     /// Search passes executed: exactly one per distinct search key of
     /// each scenario, whatever the worker count.
     pub search_passes: usize,
@@ -191,9 +162,6 @@ pub struct SweepRunStats {
     /// Total **wall-clock** nanoseconds of the search stage (search,
     /// aggregation, recall and digest), summed across workers.
     pub search_nanos: u64,
-    /// Total **wall-clock** nanoseconds of the engine cross-check stage,
-    /// summed across workers.
-    pub engine_nanos: u64,
     /// Total **wall-clock** nanoseconds of the compose step — the
     /// per-point clocks of the `--timings` sidecar — summed across
     /// workers.
@@ -241,12 +209,10 @@ fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats
     let mut stats = SweepRunStats {
         points: points.len(),
         workers,
-        engine_passes: 0,
         search_passes: 0,
         setup_nanos: 0,
         maintain_nanos: 0,
         search_nanos: 0,
-        engine_nanos: 0,
         point_nanos: 0,
     };
     let mut timings = SweepTimings::default();
@@ -284,45 +250,27 @@ fn run_scenario(
     let tree0 = KdTree::build(&frames[0].cloud);
     timings.setup.push((scenario.label().to_string(), setup_start.elapsed().as_nanos() as u64));
 
-    // ---- plan: every point's maintenance and engine keys ----
+    // ---- plan: every point's maintenance key ----
     let mut maintain_keys: Keys<MaintainKey> = Keys::new();
-    let mut engine_keys: Keys<EngineKey> = Keys::new();
     let plans: Vec<Plan> = points
         .iter()
         .enumerate()
         .map(|(i, point)| {
-            let mut config = point.config().expect("spec validation checked every grid point");
-            // the engine cross-check's level threshold is a per-tree
-            // quantity: depth-from-leaves h_e on frame 0's tree
-            let engine_elision_level = tree0.height().saturating_sub(point.elision_depth);
-            if let Some(e) = config.search_elision.as_mut() {
-                e.elision_height = engine_elision_level;
-            }
+            let config = point.config().expect("spec validation checked every grid point");
             // the requested h_t, clamped into the Sec 3.3 feasibility
             // range of the point's tree buffer against frame 0's tree
             let top_height_used = match config.top_height_range(tree0.height()) {
                 Some((lo, hi)) => point.top_height.clamp(lo, hi),
                 None => point.top_height,
             };
-            let engine_key = (
-                point.num_pes,
-                point.tree_kb,
-                point.tree_banks,
-                point.dram_bytes_per_cycle.to_bits(),
-                top_height_used,
-                point.elision_depth,
-            );
             Plan {
                 point,
                 config,
-                engine_elision_level,
                 top_height_used,
                 maintain: maintain_keys.slot(maintain_key(point.maintenance, top_height_used), i),
-                engine: engine_keys.slot(engine_key, i),
             }
         })
         .collect();
-    stats.engine_passes += engine_keys.first.len();
 
     // ---- maintenance: one sequence per key, kept once per distinct tree content ----
     let clouds: Vec<&PointCloud> = frames.iter().map(|f| &f.cloud).collect();
@@ -401,38 +349,10 @@ fn run_scenario(
         })
         .collect();
 
-    // ---- engine cross-check: one pass per engine key ----
-    let engines = par_map(&engine_keys.first, workers, |_, &p| {
-        let plan = &plans[p];
-        let (results, engine) = run_crescent_search(
-            &tree0,
-            plan.top_height_used,
-            &frames[0].queries,
-            spec.workload.radius,
-            spec.workload.max_neighbors,
-            &plan.config,
-        );
-        EnginePass {
-            cycles: engine.cycles,
-            dram_bytes: engine.dram_streaming_bytes,
-            nodes_visited: engine.stats.nodes_visited,
-            nodes_elided: engine.stats.nodes_elided,
-            recall: recall(std::slice::from_ref(&results), &exact[..1]),
-            digest: digest(std::slice::from_ref(&results)),
-        }
-    });
-    let engines: Vec<EnginePass> = engines
-        .into_iter()
-        .map(|(pass, nanos)| {
-            stats.engine_nanos += nanos;
-            pass
-        })
-        .collect();
-
     // ---- compose: one row per point, in the given order ----
     let composed = par_map(&plans, workers, |i, plan| {
         let search = &searched[search_slots[i]];
-        compose_row(plan, frames.len(), &costs[plan.maintain], search, &engines[plan.engine])
+        compose_row(plan, frames.len(), &costs[plan.maintain], search)
     });
     for ((row, nanos), plan) in composed.into_iter().zip(&plans) {
         timings.points.push((plan.point.index, nanos));
@@ -495,7 +415,6 @@ fn compose_row(
     frames: usize,
     costs: &[MaintenanceCost],
     search: &SearchOut,
-    engine: &EnginePass,
 ) -> SweepRow {
     let point = plan.point;
     let aggregated = search.aggregated[usize::from(point.aggregation_elision)]
@@ -514,7 +433,6 @@ fn compose_row(
         top_height: point.top_height,
         elision_depth: point.elision_depth,
         descendant_reuse: point.scenario.descendant_reuse(),
-        engine_elision_level: plan.engine_elision_level,
         top_height_used: plan.top_height_used,
         frames,
         queries: report.total_queries(),
@@ -536,12 +454,6 @@ fn compose_row(
         energy: *report.ledger.total(),
         recall: search.recall,
         digest: search.digest,
-        engine_cycles: engine.cycles,
-        engine_dram_bytes: engine.dram_bytes,
-        nodes_visited: engine.nodes_visited,
-        nodes_elided: engine.nodes_elided,
-        engine_recall: engine.recall,
-        engine_digest: engine.digest,
     }
 }
 
@@ -758,10 +670,10 @@ mod tests {
     }
 
     #[test]
-    fn clamped_heights_share_one_engine_pass() {
+    fn clamped_heights_share_one_search_pass() {
         // 6 KiB tree buffer -> the feasibility range caps well below
         // either request, so h_t = 20 and h_t = 30 clamp to the SAME
-        // granted height and must share one engine and one search pass.
+        // granted height and must share one search pass.
         let mut spec = tiny_spec();
         spec.top_heights = vec![20, 30];
         let (report, stats) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
@@ -774,17 +686,15 @@ mod tests {
         // unique passes = PE counts only: maintenance, aggregation, and
         // the two clamped h_t requests all collapse onto the same key
         assert_eq!(
-            stats.engine_passes, 2,
-            "requested heights clamping to the same grant must not re-run the engine"
+            stats.search_passes, 2,
+            "requested heights clamping to the same grant must not re-run the search"
         );
-        assert_eq!(stats.search_passes, 2, "nor the search");
         // ... and the deduplication is observable in the rows: sibling
-        // rows differing only in requested h_t carry identical engine
-        // columns (they ARE the same pass)
+        // rows differing only in requested h_t carry identical results
+        // (they ARE the same pass)
         for pe_rows in report.rows.chunks(2) {
-            assert_eq!(pe_rows[0].engine_cycles, pe_rows[1].engine_cycles);
-            assert_eq!(pe_rows[0].engine_digest, pe_rows[1].engine_digest);
-            assert_eq!(pe_rows[0].engine_recall, pe_rows[1].engine_recall);
+            assert_eq!(pe_rows[0].digest, pe_rows[1].digest);
+            assert_eq!(pe_rows[0].recall, pe_rows[1].recall);
         }
     }
 
@@ -804,8 +714,6 @@ mod tests {
         for stats in [one_stats, four_stats] {
             // one grant x 2 PE counts x 1 bank count x 2 h_e
             assert_eq!(stats.search_passes, 4);
-            // ... x 2 DRAM bandwidths (the engine pass reads bandwidth)
-            assert_eq!(stats.engine_passes, 8);
         }
     }
 
@@ -836,12 +744,10 @@ mod tests {
         slice.top_heights = vec![2, 4];
         slice.elision_depths = vec![0, 4];
         assert_eq!(slice.num_points(), 384);
-        for (spec, search_passes, engine_passes) in [(SweepSpec::quick(), 80, 80), (slice, 48, 48)]
-        {
+        for (spec, search_passes) in [(SweepSpec::quick(), 80), (slice, 48)] {
             for workers in [1, 4] {
                 let (_, stats) = run_sweep_with_stats(&spec, workers).expect("sweep runs");
                 assert_eq!(stats.search_passes, search_passes, "{} at {workers}", spec.label);
-                assert_eq!(stats.engine_passes, engine_passes, "{} at {workers}", spec.label);
             }
         }
     }

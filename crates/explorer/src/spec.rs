@@ -32,8 +32,7 @@ pub struct SweepSpec {
     /// Tree-buffer capacities in KiB (cache-geometry axis).
     pub tree_kb: Vec<usize>,
     /// Tree-buffer bank counts (the arbitration-width axis: fewer banks
-    /// ⇒ more conflicts ⇒ more stall rounds or more elision, in both
-    /// the streaming pass and the engine cross-check).
+    /// ⇒ more conflicts ⇒ more stall rounds or more elision).
     pub tree_banks: Vec<usize>,
     /// Streaming DRAM bandwidths in bytes per accelerator cycle.
     pub dram_bytes_per_cycle: Vec<f64>,
@@ -44,8 +43,7 @@ pub struct SweepSpec {
     pub top_heights: Vec<usize>,
     /// Streaming elision depths `h_e` (innermost axis): conflicted
     /// fetches in the `h_e` deepest tree levels are dropped; `0` = exact
-    /// stall-only search. The engine cross-check pass converts each
-    /// value to its level threshold `height − h_e`.
+    /// stall-only search.
     pub elision_depths: Vec<usize>,
 }
 
@@ -78,20 +76,17 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// Builds the validated accelerator configuration for this point.
-    ///
-    /// The search-elision *level* threshold is a per-tree quantity
-    /// (`height − h_e`), so it is installed here as the stall-only
-    /// placeholder `usize::MAX` and patched by the runner once frame 0's
-    /// tree height is known; banking, capacity, bandwidth, and the
-    /// aggregation-elision flag are fully determined by the point.
+    /// Builds the validated accelerator configuration for this point:
+    /// banking, capacity, bandwidth and the aggregation-elision flag.
+    /// The point's `h_e` travels to the stream as its depth form
+    /// ([`elision_depth`](SweepPoint::elision_depth)), so the config
+    /// carries no level-form search elision.
     pub fn config(&self) -> Result<AcceleratorConfig, ConfigError> {
         AcceleratorConfig::builder()
             .num_pes(self.num_pes)
             .tree_buffer_kb(self.tree_kb)
             .tree_banks(self.tree_banks)
             .dram_stream_bytes_per_cycle(self.dram_bytes_per_cycle)
-            .elision_height(usize::MAX)
             .aggregation_elision(self.aggregation_elision)
             .build()
     }
@@ -220,7 +215,8 @@ impl SweepSpec {
         points
     }
 
-    /// Validates the spec: every axis non-empty, a sane workload, and
+    /// Validates the spec: every axis non-empty, a sane workload (at
+    /// least one frame, a usable search radius and neighbor cap), and
     /// every grid point's accelerator config constructible.
     pub fn validate(&self) -> Result<(), String> {
         if self.scenarios.is_empty()
@@ -238,6 +234,7 @@ impl SweepSpec {
         if self.workload.num_frames == 0 {
             return Err("workload needs at least one frame".to_string());
         }
+        self.workload.validate_search().map_err(|e| format!("workload: {e}"))?;
         for point in self.expand() {
             point.config().map_err(|e| format!("grid point {}: {e}", point.index))?;
         }
@@ -326,6 +323,22 @@ mod tests {
         spec.num_pes = vec![0];
         let err = spec.validate().unwrap_err();
         assert!(err.contains("num_pes"), "{err}");
+    }
+
+    #[test]
+    fn unusable_search_is_rejected() {
+        for radius in [f32::NAN, f32::INFINITY, 0.0, -1.0] {
+            let mut spec = SweepSpec::quick();
+            spec.workload.radius = radius;
+            let err = spec.validate().unwrap_err();
+            assert!(err.starts_with("workload: search radius"), "radius {radius}: {err}");
+        }
+        let mut spec = SweepSpec::quick();
+        spec.workload.max_neighbors = Some(0);
+        let err = spec.validate().unwrap_err();
+        assert!(err.starts_with("workload: max_neighbors"), "{err}");
+        spec.workload.max_neighbors = None;
+        spec.validate().expect("an unbounded cap is valid");
     }
 
     #[test]

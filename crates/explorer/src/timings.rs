@@ -54,8 +54,8 @@ pub struct SweepTimings {
     pub setup: Vec<(String, u64)>,
     /// Per-grid-point cost as `(row index, nanos)`, in row order
     /// of the produced report. Since the sweep runs as a stage cascade
-    /// this times only the point's **compose** step: the maintenance,
-    /// search and engine stages are shared across points and totalled
+    /// this times only the point's **compose** step: the maintenance and
+    /// search stages are shared across points and totalled
     /// per stage in [`SweepRunStats`](crate::SweepRunStats) instead.
     pub points: Vec<(usize, u64)>,
 }

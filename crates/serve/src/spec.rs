@@ -199,6 +199,7 @@ impl ServeSpec {
         if self.tenant_base.queries_per_frame == 0 {
             return Err("tenants must issue at least one query per frame".into());
         }
+        self.tenant_base.validate_search().map_err(|e| format!("tenant_base: {e}"))?;
         self.controller.validate()?;
         for (name, empty) in [
             ("tenant_counts", self.tenant_counts.is_empty()),
@@ -285,5 +286,21 @@ mod tests {
         let mut s = ServeSpec::quick();
         s.controller.window = 0;
         assert!(s.validate().is_err(), "controller tuning is validated with the spec");
+    }
+
+    #[test]
+    fn validation_rejects_an_unusable_search() {
+        for radius in [f32::NAN, f32::INFINITY, 0.0, -1.0] {
+            let mut s = ServeSpec::quick();
+            s.tenant_base.radius = radius;
+            let err = s.validate().unwrap_err();
+            assert!(err.starts_with("tenant_base: search radius"), "radius {radius}: {err}");
+        }
+        let mut s = ServeSpec::quick();
+        s.tenant_base.max_neighbors = Some(0);
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("tenant_base: max_neighbors"), "{err}");
+        s.tenant_base.max_neighbors = None;
+        s.validate().expect("an unbounded cap is valid");
     }
 }

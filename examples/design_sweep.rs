@@ -50,8 +50,8 @@ fn main() {
         }
     }
 
-    // the unified model: h_e moves the STREAMING pass on its own — the
-    // sweep no longer needs the engine pass for elision sensitivity
+    // the unified model: h_e moves the streaming pass's cycles, conflict
+    // counters and recall
     for a in &report.rows {
         for b in &report.rows {
             if a.index < b.index
@@ -104,19 +104,10 @@ fn main() {
             r.elision_depth,
             r.recall
         );
-        assert!(
-            r.engine_recall > floor && r.engine_recall <= 1.0,
-            "row {} (h_e {}): engine recall {}",
-            r.index,
-            r.elision_depth,
-            r.engine_recall
-        );
     }
-    // and elision actually fires somewhere in the grid — in the stream
-    // AND in the engine cross-check — so the accuracy axis of the
-    // Pareto fronts is live
+    // and elision actually fires somewhere in the grid, so the accuracy
+    // axis of the Pareto fronts is live
     assert!(report.rows.iter().any(|r| r.elided_conflicts > 0), "no stream row elided anything");
-    assert!(report.rows.iter().any(|r| r.nodes_elided > 0), "no engine row elided anything");
 
     println!(
         "\nall sweep invariants hold ({} rows, refit {refit} vs rebuild {rebuild} stream cycles)",

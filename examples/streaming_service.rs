@@ -3,7 +3,7 @@
 //! Runs the CI-scale quick serve grid — tenant mixes of 2 / 4 / 8 over
 //! a shared maintained map, fleets of 1 and 2, `h_e ∈ {0, 4}` — prints
 //! the tail-latency ledger, and asserts the properties the CI
-//! `serve-gate` relies on: the report is byte-stable across runs and
+//! serve gate relies on: the report is byte-stable across runs and
 //! worker counts, `h_e = 0` answers are bit-identical whatever the
 //! fleet size (co-tenants move cycles, never answers), and admission
 //! control plus deadline grading conserve every frame.

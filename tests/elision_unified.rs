@@ -3,16 +3,22 @@
 //! SAME banked-arbitration hardware, so
 //!
 //! * at `h_e = 0` (stall-only) the wavefront's neighbor sets are
-//!   bit-identical to per-query `search_one` on every frame of every
-//!   scenario, and its stage-2 conflict-round counts are identical to
-//!   the engine model's on the same queues;
+//!   bit-identical to per-query `search_one` and to the standalone
+//!   engine ([`run_crescent_search`]) on every frame of every scenario,
+//!   and its stage-2 conflict-round counts are identical to the engine
+//!   model's on the same queues — the agreement the design-space sweep
+//!   relies on to rank the stream alone;
+//! * the engine elides at the level form of the sweep's `h_e = 4`
+//!   point (`height − 4`);
 //! * raising `h_e` (eliding deeper) never costs stream cycles
 //!   (monotonicity) and never invents a neighbor;
 //! * the default operating point actually elides, and `h_e = 0`
 //!   provably does not — the assertions `examples/streaming_lidar.rs`
 //!   doubles as an executable doc for.
 
-use crescent::accel::{run_frame_stream, AcceleratorConfig, StreamSearchConfig};
+use crescent::accel::{
+    run_crescent_search, run_frame_stream, AcceleratorConfig, StreamSearchConfig,
+};
 use crescent::kdtree::{
     BatchSearchConfig, BatchState, ElisionConfig, KdTree, SplitSearchConfig, SplitTree,
 };
@@ -40,9 +46,15 @@ fn borrowed(frames: &[(PointCloud, Vec<Point3>)]) -> Vec<(&PointCloud, &[Point3]
 fn h_e_zero_matches_search_one_and_engine_rounds_on_every_scenario() {
     let accel = AcceleratorConfig::default();
     let (pes, banks) = (accel.num_pes, accel.tree_buffer.num_banks);
+    // the engine at a level threshold: usize::MAX is stall-only
+    let engine_at = |level: usize| AcceleratorConfig {
+        search_elision: Some(ElisionConfig::new(level, banks)),
+        ..accel
+    };
     for scenario in StreamScenario::canonical_matrix() {
         let cfg = stream_cfg(scenario);
         let mut state = BatchState::new();
+        let mut registered_elided = 0;
         for frame in FrameStream::new(&cfg) {
             let tree = KdTree::build(&frame.cloud);
             let ht = CrescentKnobs::default().top_height.min(tree.height().saturating_sub(1));
@@ -87,6 +99,30 @@ fn h_e_zero_matches_search_one_and_engine_rounds_on_every_scenario() {
             );
             assert_eq!(wstats.subtree_visits, estats.subtree_visits, "{}", scenario.label());
             assert_eq!(estats.nodes_elided, 0);
+
+            // (c) the standalone engine the figures run agrees with the
+            // wavefront at h_e = 0
+            let search = |level: usize| {
+                let (sets, report) = run_crescent_search(
+                    &tree,
+                    ht,
+                    &frame.queries,
+                    cfg.radius,
+                    cfg.max_neighbors,
+                    &engine_at(level),
+                );
+                (sets, report.stats.nodes_elided)
+            };
+            let (stall_only, elided) = search(usize::MAX);
+            assert_eq!(stall_only, wave, "{}: frame {}", scenario.label(), frame.index);
+            assert_eq!(elided, 0, "{}", scenario.label());
+            if scenario == StreamScenario::Registered {
+                // the sweep's h_e = 4 in the engine's level form
+                registered_elided += search(tree.height() - 4).1;
+            }
+        }
+        if scenario == StreamScenario::Registered {
+            assert!(registered_elided > 0, "the engine must elide at level height - 4");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! In-repo edition of the CI serve gate: run the quick service grid and
 //! assert the rendered report is **byte-identical** to the checked-in
-//! `bench/serve-baseline.json` — the same exactness the `serve-gate`
-//! workflow enforces through `repro serve --quick --check`, available
+//! `bench/serve-baseline.json` — the same exactness the CI `sweep-gate`
+//! job enforces through `repro serve --quick --check`, available
 //! to plain `cargo test --release` with no subprocess and no network.
 //!
 //! Everything in the serve ledger is modeled — admission decisions,

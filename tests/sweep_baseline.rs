@@ -88,21 +88,28 @@ fn diff_reports_rejects_a_report_with_inlined_timings() {
     assert!(drift.contains("timings"), "the drift names the injected line: {drift}");
 }
 
-/// A baseline written before the `v5` schema bump (it still carries the
-/// `"shard": null` header line) reads as a different spec, not as
-/// metric drift.
+/// Baselines written under an older schema read as a different spec,
+/// never as metric drift: a `v4` one still carries the `"shard": null`
+/// header line, and a `v5` one still carries the engine cross-check
+/// columns on every row.
 #[test]
-fn diff_reports_names_a_v4_baseline_a_different_spec() {
-    let v5 = one_point_report();
-    let v4 = v5.replacen("crescent-sweep/v5", "crescent-sweep/v4", 1).replacen(
+fn diff_reports_names_stale_baselines_a_different_spec() {
+    let current = one_point_report();
+    let v4 = current.replacen("crescent-sweep/v6", "crescent-sweep/v4", 1).replacen(
         "  \"workload\":",
         "  \"shard\": null,\n  \"workload\":",
         1,
     );
-    let msg = diff_reports(&v4, v5).expect("v4 and v5 reports differ");
-    assert!(msg.contains("different spec"), "{msg}");
-    assert!(msg.contains("crescent-sweep/v4"), "{msg}");
-    assert!(!msg.contains("drifted from baseline"), "{msg}");
+    let v5 = current
+        .replacen("crescent-sweep/v6", "crescent-sweep/v5", 1)
+        .replace("\"}\n", "\",\"engine_digest\":\"00000000deadbeef\"}\n");
+    assert!(v5.contains("engine_digest"), "the stale column must have landed");
+    for (schema, stale) in [("crescent-sweep/v4", v4), ("crescent-sweep/v5", v5)] {
+        let msg = diff_reports(&stale, current).expect("stale and current reports differ");
+        assert!(msg.contains("different spec"), "{schema}: {msg}");
+        assert!(msg.contains(schema), "{schema}: {msg}");
+        assert!(!msg.contains("drifted from baseline"), "{schema}: {msg}");
+    }
 }
 
 proptest! {
