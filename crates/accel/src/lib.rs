@@ -19,8 +19,9 @@
 //!   with the current frame's search, per-frame cycle and energy
 //!   accounting);
 //! * [`service`] — the multi-tenant fleet instance model: cross-tenant
-//!   tagged wavefronts executed with the streaming driver's search
-//!   physics, dispatched by the `crescent-serve` scheduler;
+//!   tagged wavefronts run as one-frame streams through the streaming
+//!   driver's per-frame steps, dispatched by the `crescent-serve`
+//!   scheduler;
 //! * [`config`] — the Sec 6 hardware configuration (buffer sizes, banking,
 //!   PE count) including the Sec 3.3 top-tree-height feasibility range.
 //!
@@ -61,7 +62,7 @@ pub use gpu::{GpuModel, GpuReport};
 pub use pipeline::{
     run_network, CrescentKnobs, LayerSpec, NetworkSpec, PipelineReport, StageCycles, Variant,
 };
-pub use service::{Fleet, ServiceInstance, WavefrontReport};
+pub use service::{Fleet, ServiceInstance};
 pub use streaming::{
     aggregate_stream, compose_stream, maintain_tree_sequence, run_frame_stream,
     run_frame_stream_on_trees, search_stream, FrameReport, FrameSearch, MaintainedTree,

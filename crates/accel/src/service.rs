@@ -2,75 +2,31 @@
 //! modeled Crescent accelerator per instance, executing cross-tenant
 //! *wavefronts* (tenant-tagged query batches against a shared map tree).
 //!
-//! The per-wavefront timing and energy model is the search half of the
-//! single-stream driver ([`crate::run_frame_stream_on_trees`]) — same
-//! [`SplitTree::resplit`] top/sub split, same banked
-//! [`search_batch`](SplitTree::search_batch) arbitration, same
-//! Point-Buffer aggregation gather, same
-//! `max(compute + aggregation, DMA)` double-buffered slot, same energy
-//! charges. It is deliberately *not* shared code with that driver's
-//! loop, because the scheduling differs (a service dispatches wavefronts
-//! when tenants are ready, a stream runs frames back to back), but every
-//! formula is kept field-for-field identical so a one-tenant service and
-//! a solo stream agree on the modeled physics.
-//!
-//! Tree **maintenance** is not modeled here: the service maintains one
-//! shared map tree per tick (via [`crate::maintain_tree_sequence`]) and
-//! charges it once, fleet-wide — an instance only ever *searches*.
+//! A wavefront is a one-frame stream: it runs the stream driver's
+//! per-frame search and aggregation steps and is priced by
+//! [`FrameReport`]'s one slot and energy model, with no maintenance
+//! bill. Tree **maintenance** is charged elsewhere: the service
+//! maintains one shared map tree per tick (via
+//! [`crate::maintain_tree_sequence`]) and charges it once, fleet-wide —
+//! an instance only ever *searches*.
 
-use crescent_kdtree::{
-    BatchSearchConfig, BatchSearchStats, BatchState, KdTree, SplitTree, TaggedBatch, TaggedResults,
-    NODE_BYTES,
-};
-use crescent_memsim::EnergyLedger;
-use crescent_pointcloud::POINT_BYTES;
+use crescent_kdtree::{KdTree, TaggedBatch, TaggedResults};
 
-use crate::aggregation::simulate_aggregation;
 use crate::config::AcceleratorConfig;
-use crate::engine::PE_PIPELINE_DEPTH;
 use crate::pipeline::CrescentKnobs;
-use crate::streaming::StreamSearchConfig;
-
-/// Modeled outcome of one cross-tenant wavefront on one instance.
-#[derive(Clone, Debug)]
-pub struct WavefrontReport {
-    /// Queries in the wavefront (all tenants).
-    pub queries: usize,
-    /// Neighbors returned across all queries.
-    pub neighbors: usize,
-    /// Search compute: amortized top-tree fetches + lock-step sub-tree
-    /// rounds (bank conflicts already serialized in).
-    pub compute_cycles: u64,
-    /// Aggregation-unit gather rounds through the banked Point Buffer.
-    pub agg_cycles: u64,
-    /// Streaming-DMA cycles for the wavefront's DRAM bytes.
-    pub dma_cycles: u64,
-    /// Occupancy of the instance: `max(compute + agg, dma)` — the
-    /// double-buffered slot, excluding pipeline fill.
-    pub slot_cycles: u64,
-    /// Dispatch-to-completion latency: the slot plus the PE pipeline
-    /// fill (a service wavefront is latency-critical, so unlike the
-    /// back-to-back stream bound the fill is paid per wavefront).
-    pub latency_cycles: u64,
-    /// The underlying batched-search statistics (amortization, conflict,
-    /// and DRAM counters).
-    pub search: BatchSearchStats,
-    /// Energy of the wavefront (search + aggregation + leakage during
-    /// the slot; map maintenance is charged fleet-wide by the service).
-    pub energy: EnergyLedger,
-}
+use crate::streaming::{
+    FrameEngine, FrameReport, FrameSearch, MaintenanceCost, StreamSearchConfig,
+};
 
 /// One modeled accelerator instance of the service fleet: recycled
 /// search state plus its dispatch schedule.
 #[derive(Debug, Default)]
 pub struct ServiceInstance {
-    state: BatchState,
-    roots_pool: Vec<usize>,
-    neighbor_lists: Vec<Vec<usize>>,
+    engine: FrameEngine,
     /// The modeled cycle at which this instance finishes its current
     /// wavefront and can accept the next one.
     pub free_at: u64,
-    /// Total slot cycles this instance has executed.
+    /// Total latency cycles this instance has executed.
     pub busy_cycles: u64,
     /// Wavefronts dispatched to this instance.
     pub wavefronts: usize,
@@ -83,9 +39,16 @@ impl ServiceInstance {
     }
 
     /// Executes one tenant-tagged wavefront against the shared map
-    /// `tree`, returning per-segment neighbor lists (via
-    /// [`SplitTree::search_batch_tagged`], so tags cannot perturb the
-    /// engine) and the wavefront's modeled timing/energy.
+    /// `tree`, returning per-segment neighbor lists and the wavefront's
+    /// modeled frame record. The search sees only the flat concatenated
+    /// batch ([`TaggedBatch::split_results`] demultiplexes afterwards),
+    /// so tags cannot perturb the engine.
+    ///
+    /// The dispatch-to-completion latency is
+    /// [`FrameReport::standalone_cycles`]: the slot plus one PE pipeline
+    /// fill (a service wavefront is latency-critical, so unlike the
+    /// back-to-back stream bound the fill is paid per wavefront), and
+    /// zero for a wavefront with no work.
     ///
     /// The caller owns the dispatch schedule: this method models the
     /// wavefront in isolation and updates only the instance-local
@@ -98,88 +61,17 @@ impl ServiceInstance {
         search: &StreamSearchConfig,
         knobs: CrescentKnobs,
         config: &AcceleratorConfig,
-    ) -> (TaggedResults, WavefrontReport) {
-        self.run_wavefront_at(tree, batch, search, search.elision_depth, knobs, config)
-    }
-
-    /// [`Self::run_wavefront`] with a per-dispatch elision-depth
-    /// override: the wavefront runs at `elision_depth` instead of
-    /// `search.elision_depth`. This is the actuator of `crescent-serve`'s
-    /// SLO controller — the controller moves `h_e` dispatch by dispatch
-    /// while every other search parameter stays pinned by the spec.
-    /// `run_wavefront(..)` ≡ `run_wavefront_at(.., search.elision_depth, ..)`.
-    pub fn run_wavefront_at(
-        &mut self,
-        tree: &KdTree,
-        batch: &TaggedBatch,
-        search: &StreamSearchConfig,
-        elision_depth: usize,
-        knobs: CrescentKnobs,
-        config: &AcceleratorConfig,
-    ) -> (TaggedResults, WavefrontReport) {
-        let em = &config.energy;
-        // same clamp as the stream driver: a degenerate tree grants h_t = 0
-        let ht =
-            if tree.is_empty() { 0 } else { knobs.top_height.min(tree.height().saturating_sub(1)) };
-        let split = SplitTree::resplit(tree, ht, std::mem::take(&mut self.roots_pool))
-            .expect("clamped top height is valid");
-        let batch_cfg = BatchSearchConfig::banked(
-            search.radius,
-            search.max_neighbors,
-            config.num_pes,
-            config.tree_buffer.num_banks,
-            elision_depth,
-        )
-        .with_descendant_reuse(search.descendant_reuse);
-        let (tagged, stats) = split.search_batch_tagged(batch, &batch_cfg, &mut self.state);
-        self.roots_pool = split.into_subtree_roots();
-
-        // aggregation gathers every query's neighbor list from the
-        // banked Point Buffer, across segment boundaries — the gather
-        // unit is as tenant-blind as the search engine
-        let n = batch.len();
-        if self.neighbor_lists.len() < n {
-            self.neighbor_lists.resize_with(n, Vec::new);
-        }
-        let flat = tagged.iter().flat_map(|(_, seg)| seg.iter());
-        for (list, hits) in self.neighbor_lists.iter_mut().zip(flat) {
-            list.clear();
-            list.extend(hits.iter().map(|h| h.index));
-        }
-        let agg = simulate_aggregation(
-            &self.neighbor_lists[..n],
-            config.point_buffer,
-            config.point_buffer.num_banks,
-            config.aggregation_elision,
-        );
-
-        let compute = stats.top_fetches as u64 + stats.subtree_rounds as u64;
-        let dma = config.dram.stream_cycles(stats.dram_bytes);
-        let slot = (compute + agg.rounds).max(dma);
-        let has_work = n > 0 && !tree.is_empty();
-        let latency = if has_work { slot + PE_PIPELINE_DEPTH } else { 0 };
-
-        let mut energy = EnergyLedger::new();
-        energy.charge_dram_streaming(em, stats.dram_bytes);
-        let reads = (stats.top_fetches + stats.subtree_visits) as u64;
-        energy.charge_sram_search(em, reads * NODE_BYTES as u64);
-        energy.charge_sram_aggregation(em, agg.grants * POINT_BYTES as u64 + agg.requests * 4);
-        energy.charge_leakage(em, slot);
-
-        self.busy_cycles += latency;
+    ) -> (TaggedResults, FrameReport) {
+        let (hits, stats) =
+            self.engine.search(tree, batch.queries(), knobs.top_height, search, config);
+        // the gather unit is as tenant-blind as the search engine: it
+        // reads the flat hits, across segment boundaries
+        let agg = self.engine.aggregate(&hits, config.point_buffer, config.aggregation_elision);
+        let searched = FrameSearch::new(tree.len(), &hits, stats);
+        let report = FrameReport::compose(0, &searched, &agg, &MaintenanceCost::default(), config);
+        self.busy_cycles += report.standalone_cycles();
         self.wavefronts += 1;
-        let report = WavefrontReport {
-            queries: n,
-            neighbors: tagged.iter().map(|(_, seg)| seg.iter().map(Vec::len).sum::<usize>()).sum(),
-            compute_cycles: compute,
-            agg_cycles: agg.rounds,
-            dma_cycles: dma,
-            slot_cycles: slot,
-            latency_cycles: latency,
-            search: stats,
-            energy,
-        };
-        (tagged, report)
+        (batch.split_results(hits), report)
     }
 }
 
@@ -231,6 +123,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PE_PIPELINE_DEPTH;
     use crescent_pointcloud::{Point3, PointCloud};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -286,39 +179,13 @@ mod tests {
         assert_eq!(wf.agg_cycles, frame.agg_cycles);
         assert_eq!(wf.dma_cycles, frame.dma_cycles);
         assert_eq!(wf.slot_cycles, frame.slot_cycles);
-        assert_eq!(wf.latency_cycles, frame.slot_cycles + PE_PIPELINE_DEPTH);
+        assert_eq!(wf.standalone_cycles(), frame.slot_cycles + PE_PIPELINE_DEPTH);
         // the wavefront carries no build charges; everything else matches
         assert_eq!(wf.energy.tree_build, 0.0);
         assert_eq!(wf.energy.sram_search, frame.energy.sram_search);
         assert_eq!(wf.energy.sram_aggregation, frame.energy.sram_aggregation);
-        assert_eq!(inst.busy_cycles, wf.latency_cycles);
+        assert_eq!(inst.busy_cycles, wf.standalone_cycles());
         assert_eq!(inst.wavefronts, 1);
-    }
-
-    #[test]
-    fn per_dispatch_elision_override_matches_the_config_path() {
-        // run_wavefront_at(h_e) must be indistinguishable from baking
-        // the same h_e into the search config — the controller's
-        // actuator cannot be a second timing model
-        let cloud = random_cloud(2_000, 17);
-        let queries = random_queries(64, 18);
-        let tree = KdTree::build(&cloud);
-        let cfg = AcceleratorConfig::default();
-        let knobs = CrescentKnobs::default();
-        let mut batch = TaggedBatch::new();
-        batch.push_segment(0, &queries);
-        for h_e in [0usize, 2, 4] {
-            let baked = StreamSearchConfig { elision_depth: h_e, ..search() };
-            let mut a = ServiceInstance::new();
-            let (res_a, wf_a) = a.run_wavefront(&tree, &batch, &baked, knobs, &cfg);
-            let mut b = ServiceInstance::new();
-            let (res_b, wf_b) = b.run_wavefront_at(&tree, &batch, &search(), h_e, knobs, &cfg);
-            assert_eq!(res_a, res_b, "override must not change answers at h_e = {h_e}");
-            assert_eq!(wf_a.slot_cycles, wf_b.slot_cycles);
-            assert_eq!(wf_a.latency_cycles, wf_b.latency_cycles);
-            assert_eq!(wf_a.search.conflicts_elided, wf_b.search.conflicts_elided);
-            assert_eq!(wf_a.energy.total(), wf_b.energy.total());
-        }
     }
 
     #[test]
@@ -334,7 +201,7 @@ mod tests {
             &AcceleratorConfig::default(),
         );
         assert!(tagged.is_empty());
-        assert_eq!(wf.latency_cycles, 0, "no work, no fill");
+        assert_eq!(wf.standalone_cycles(), 0, "no work, no fill");
         assert_eq!(wf.neighbors, 0);
     }
 

@@ -20,8 +20,10 @@
 //! [`search_stream`], [`aggregate_stream`] and the pure
 //! [`compose_stream`] — and [`run_frame_stream_on_trees`] is their
 //! composition. The sweep explorer calls the same functions one by one,
-//! each once per distinct value of the knobs it reads, so there is one
-//! implementation of the stream model.
+//! each once per distinct value of the knobs it reads, and a service
+//! wavefront ([`crate::ServiceInstance::run_wavefront`]) is one frame of
+//! the same per-frame steps, so there is one implementation of the
+//! stream model.
 //!
 //! # Timing model
 //!
@@ -132,7 +134,7 @@ pub struct StreamSearchConfig {
     /// Descendant reuse in the banked arbiter: an elision-eligible fetch
     /// that loses arbitration to an *ancestor* of its own node continues
     /// beneath the winner instead of dropping its subtree (see
-    /// [`BatchBankModel::descendant_reuse`](crescent_kdtree::BatchBankModel)).
+    /// [`BatchSearchConfig::descendant_reuse`]).
     /// Only meaningful with `elision_depth > 0` — at depth 0 no fetch is
     /// elision-eligible, so the knob is inert and results stay
     /// bit-identical to the stall-only model.
@@ -218,6 +220,76 @@ pub struct FrameReport {
 }
 
 impl FrameReport {
+    /// Prices one frame — a pure function of its search counters, its
+    /// aggregation report and its maintenance bill, reading only the
+    /// DRAM and energy models of `config`. This is the one definition of
+    /// the double-buffered slots and the per-frame energy: the stream's
+    /// compose step and a service wavefront (a one-frame stream with no
+    /// maintenance) both price frames here.
+    pub(crate) fn compose(
+        frame: usize,
+        searched: &FrameSearch,
+        agg: &AggregationReport,
+        cost: &MaintenanceCost,
+        config: &AcceleratorConfig,
+    ) -> FrameReport {
+        let em = &config.energy;
+        let stats = &searched.stats;
+        // ---- timing ----
+        // Search stage: the wavefront issues one fetch per touched
+        // top-tree node (payload shared by every query on the node); the
+        // PEs then drain each sub-tree queue in lock-step through the
+        // banked tree buffer, so the round count already carries both PE
+        // parallelism and conflict serialization. No fill in here — it
+        // is charged once per stream (or once per standalone frame), and
+        // a frame with no work costs nothing.
+        let compute = stats.top_fetches as u64 + stats.subtree_rounds as u64;
+        let dma = config.dram.stream_cycles(stats.dram_bytes);
+        let slot = (compute + agg.rounds).max(dma);
+        // Build stage: internally double-buffered the same way.
+        let build_dma = config.dram.stream_cycles(cost.build_dram_bytes);
+        let build_slot = cost.build_cycles.max(build_dma);
+
+        // ---- energy ----
+        let mut energy = EnergyLedger::new();
+        energy.charge_dram_streaming(em, stats.dram_bytes + cost.build_dram_bytes);
+        energy.charge_tree_build(em, cost.build_cycles);
+        // only honored fetches read data out of the tree buffer; stalled
+        // re-issues retry, elided ones never return their own node
+        let reads = (stats.top_fetches + stats.subtree_visits) as u64;
+        energy.charge_sram_search(em, reads * NODE_BYTES as u64);
+        // granted gathers move one point record each; every issue also
+        // reads one 4-byte word of the neighbor-index matrix; elided
+        // gathers reuse the winner's data for free
+        energy.charge_sram_aggregation(em, agg.grants * POINT_BYTES as u64 + agg.requests * 4);
+        energy.charge_leakage(em, build_slot + slot);
+
+        FrameReport {
+            frame,
+            points: searched.points,
+            queries: searched.queries,
+            neighbors: searched.neighbors,
+            compute_cycles: compute,
+            agg_cycles: agg.rounds,
+            dma_cycles: dma,
+            slot_cycles: slot,
+            conflict_stall_cycles: stats.stall_rounds as u64,
+            elided_conflicts: stats.conflicts_elided as u64,
+            agg_conflicts: agg.conflicts,
+            agg_elided: agg.elided,
+            build_cycles: cost.build_cycles,
+            build_dma_cycles: build_dma,
+            build_slot_cycles: build_slot,
+            build_dram_bytes: cost.build_dram_bytes,
+            subtrees_rebuilt: cost.subtrees_rebuilt,
+            full_rebuild: cost.full_rebuild,
+            dram_streaming_bytes: stats.dram_bytes,
+            tree_buffer_reads: reads,
+            search: stats.clone(),
+            energy,
+        }
+    }
+
     /// Whether the frame did any modeled work at all (build or search).
     pub fn has_work(&self) -> bool {
         self.slot_cycles > 0 || self.build_slot_cycles > 0
@@ -437,6 +509,19 @@ pub struct FrameSearch {
     pub stats: BatchSearchStats,
 }
 
+impl FrameSearch {
+    /// The counters of one frame: `points` in its cloud, and the
+    /// neighbor sets and statistics its search returned.
+    pub(crate) fn new(points: usize, hits: &[Vec<Neighbor>], stats: BatchSearchStats) -> Self {
+        FrameSearch {
+            points,
+            queries: hits.len(),
+            neighbors: hits.iter().map(Vec::len).sum(),
+            stats,
+        }
+    }
+}
+
 /// Runs the tree-maintenance phase alone over a stream of clouds,
 /// returning each frame's tree snapshot and modeled maintenance cost.
 ///
@@ -548,32 +633,14 @@ pub fn search_stream(
     config: &AcceleratorConfig,
 ) -> (Vec<Vec<Vec<Neighbor>>>, Vec<FrameSearch>) {
     assert_eq!(trees.len(), frames.len(), "one maintained tree per frame");
-    let batch_cfg = BatchSearchConfig::banked(
-        search.radius,
-        search.max_neighbors,
-        config.num_pes,
-        config.tree_buffer.num_banks,
-        search.elision_depth,
-    )
-    .with_descendant_reuse(search.descendant_reuse);
-    let mut state = BatchState::new();
-    let mut roots_pool: Vec<usize> = Vec::new();
+    let mut engine = FrameEngine::default();
     frames
         .iter()
         .zip(trees)
         .map(|(&(cloud, queries), maintained)| {
-            let tree = &maintained.tree;
-            let ht = if tree.is_empty() { 0 } else { top_height.min(tree.height() - 1) };
-            let split = SplitTree::resplit(tree, ht, std::mem::take(&mut roots_pool))
-                .expect("clamped top height is valid");
-            let (hits, stats) = split.search_batch(queries, &batch_cfg, &mut state);
-            roots_pool = split.into_subtree_roots();
-            let frame = FrameSearch {
-                points: cloud.len(),
-                queries: queries.len(),
-                neighbors: hits.iter().map(Vec::len).sum(),
-                stats,
-            };
+            let (hits, stats) =
+                engine.search(&maintained.tree, queries, top_height, search, config);
+            let frame = FrameSearch::new(cloud.len(), &hits, stats);
             (hits, frame)
         })
         .unzip()
@@ -589,29 +656,15 @@ pub fn aggregate_stream(
     point_buffer: SramConfig,
     elide: bool,
 ) -> Vec<AggregationReport> {
-    // recycled working memory: the per-query index lists live across
-    // frames so the steady-state loop allocates nothing per frame
-    let mut lists: Vec<Vec<usize>> = Vec::new();
-    neighbor_sets
-        .iter()
-        .map(|frame| {
-            if lists.len() < frame.len() {
-                lists.resize_with(frame.len(), Vec::new);
-            }
-            for (list, hits) in lists.iter_mut().zip(frame) {
-                list.clear();
-                list.extend(hits.iter().map(|n| n.index));
-            }
-            simulate_aggregation(&lists[..frame.len()], point_buffer, point_buffer.num_banks, elide)
-        })
-        .collect()
+    let mut engine = FrameEngine::default();
+    neighbor_sets.iter().map(|frame| engine.aggregate(frame, point_buffer, elide)).collect()
 }
 
 /// The compose step: a pure function of the per-frame search counters,
-/// aggregation reports and maintenance costs. It derives each frame's
-/// DMA and slot cycles, the inter-frame build/search schedule, the
-/// once-per-stream pipeline fill and the energy ledger, reading only the
-/// DRAM and energy models of `config`.
+/// aggregation reports and maintenance costs. It prices each frame
+/// ([`FrameReport::compose`]), then derives the inter-frame
+/// build/search schedule, the once-per-stream pipeline fill and the
+/// energy ledger, reading only the DRAM and energy models of `config`.
 ///
 /// # Panics
 ///
@@ -626,7 +679,6 @@ pub fn compose_stream(
         searched.len() == aggregated.len() && searched.len() == maintenance.len(),
         "one search, aggregation and maintenance record per frame"
     );
-    let em = &config.energy;
     let mut report = StreamReport::default();
     // pipeline schedule state: when the build unit / search engine free
     // up, plus the search-completion time two frames back (the spare
@@ -638,71 +690,18 @@ pub fn compose_stream(
     for (frame_idx, ((searched, agg), cost)) in
         searched.iter().zip(aggregated).zip(maintenance).enumerate()
     {
-        let stats = &searched.stats;
-        // ---- timing ----
-        // Search stage: the wavefront issues one fetch per touched
-        // top-tree node (payload shared by every query on the node); the
-        // PEs then drain each sub-tree queue in lock-step through the
-        // banked tree buffer, so the round count already carries both PE
-        // parallelism and conflict serialization. No fill in here — it
-        // is charged once per stream below, and a frame with no work
-        // costs nothing.
-        let compute = stats.top_fetches as u64 + stats.subtree_rounds as u64;
-        let dma = config.dram.stream_cycles(stats.dram_bytes);
-        let slot = (compute + agg.rounds).max(dma);
-        // Build stage: internally double-buffered the same way.
-        let build_dma = config.dram.stream_cycles(cost.build_dram_bytes);
-        let build_slot = cost.build_cycles.max(build_dma);
-
-        // ---- inter-frame schedule ----
+        let frame = FrameReport::compose(frame_idx, searched, agg, cost, config);
         // One build unit, one search engine, two tree buffers: frame i's
         // build may start once the build unit is free AND the buffer
         // frame i−2 was searched from has drained.
         let build_start = build_end.max(search_end_prev);
-        build_end = build_start + build_slot;
+        build_end = build_start + frame.build_slot_cycles;
         let search_start = search_end.max(build_end);
         search_end_prev = search_end;
-        search_end = search_start + slot;
+        search_end = search_start + frame.slot_cycles;
 
-        // ---- energy ----
-        let mut energy = EnergyLedger::new();
-        energy.charge_dram_streaming(em, stats.dram_bytes + cost.build_dram_bytes);
-        energy.charge_tree_build(em, cost.build_cycles);
-        // only honored fetches read data out of the tree buffer; stalled
-        // re-issues retry, elided ones never return their own node
-        let reads = (stats.top_fetches + stats.subtree_visits) as u64;
-        energy.charge_sram_search(em, reads * NODE_BYTES as u64);
-        // granted gathers move one point record each; every issue also
-        // reads one 4-byte word of the neighbor-index matrix; elided
-        // gathers reuse the winner's data for free
-        energy.charge_sram_aggregation(em, agg.grants * POINT_BYTES as u64 + agg.requests * 4);
-        energy.charge_leakage(em, build_slot + slot);
-
-        report.frames.push(FrameReport {
-            frame: frame_idx,
-            points: searched.points,
-            queries: searched.queries,
-            neighbors: searched.neighbors,
-            compute_cycles: compute,
-            agg_cycles: agg.rounds,
-            dma_cycles: dma,
-            slot_cycles: slot,
-            conflict_stall_cycles: stats.stall_rounds as u64,
-            elided_conflicts: stats.conflicts_elided as u64,
-            agg_conflicts: agg.conflicts,
-            agg_elided: agg.elided,
-            build_cycles: cost.build_cycles,
-            build_dma_cycles: build_dma,
-            build_slot_cycles: build_slot,
-            build_dram_bytes: cost.build_dram_bytes,
-            subtrees_rebuilt: cost.subtrees_rebuilt,
-            full_rebuild: cost.full_rebuild,
-            dram_streaming_bytes: stats.dram_bytes,
-            tree_buffer_reads: reads,
-            search: stats.clone(),
-            energy,
-        });
-        report.ledger.push_frame(energy);
+        report.ledger.push_frame(frame.energy);
+        report.frames.push(frame);
     }
 
     // A stream that never did any work pays no fill; otherwise the fill
@@ -720,6 +719,73 @@ pub fn compose_stream(
         report.overlapped_build_cycles = total_build - exposed_build;
     }
     report
+}
+
+/// The recycled working memory of one frame's search and aggregation:
+/// the descent buffers and cross-frame locality history
+/// ([`BatchState`]), the sub-tree root pool of [`SplitTree::resplit`],
+/// and the per-query neighbor-index lists the aggregation unit gathers.
+/// The stream stages and a service instance drive the same two steps
+/// through it, so a stream frame and a service wavefront are one model.
+#[derive(Debug, Default)]
+pub(crate) struct FrameEngine {
+    state: BatchState,
+    roots_pool: Vec<usize>,
+    neighbor_lists: Vec<Vec<usize>>,
+}
+
+impl FrameEngine {
+    /// Re-splits `tree` below `top_height` (clamped to the tree: a
+    /// degenerate tree grants `h_t = 0`) and runs the banked wavefront
+    /// search of `queries` on it with `config`'s PEs and tree-buffer
+    /// banks.
+    pub(crate) fn search(
+        &mut self,
+        tree: &KdTree,
+        queries: &[Point3],
+        top_height: usize,
+        search: &StreamSearchConfig,
+        config: &AcceleratorConfig,
+    ) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
+        let batch_cfg = BatchSearchConfig::banked(
+            search.radius,
+            search.max_neighbors,
+            config.num_pes,
+            config.tree_buffer.num_banks,
+            search.elision_depth,
+        )
+        .with_descendant_reuse(search.descendant_reuse);
+        let ht = if tree.is_empty() { 0 } else { top_height.min(tree.height() - 1) };
+        let split = SplitTree::resplit(tree, ht, std::mem::take(&mut self.roots_pool))
+            .expect("clamped top height is valid");
+        let out = split.search_batch(queries, &batch_cfg, &mut self.state);
+        self.roots_pool = split.into_subtree_roots();
+        out
+    }
+
+    /// The aggregation unit's gather of one frame's neighbor lists from
+    /// the banked Point Buffer. The index lists live across calls, so
+    /// the steady-state loop allocates nothing per frame.
+    pub(crate) fn aggregate(
+        &mut self,
+        hits: &[Vec<Neighbor>],
+        point_buffer: SramConfig,
+        elide: bool,
+    ) -> AggregationReport {
+        if self.neighbor_lists.len() < hits.len() {
+            self.neighbor_lists.resize_with(hits.len(), Vec::new);
+        }
+        for (list, frame_hits) in self.neighbor_lists.iter_mut().zip(hits) {
+            list.clear();
+            list.extend(frame_hits.iter().map(|n| n.index));
+        }
+        simulate_aggregation(
+            &self.neighbor_lists[..hits.len()],
+            point_buffer,
+            point_buffer.num_banks,
+            elide,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -50,13 +50,9 @@ fn bench_batched_vs_per_query(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("batched", |b| {
-        let batch_cfg = BatchSearchConfig::algorithmic(cfg.radius, cfg.max_neighbors);
-        let mut state = BatchState::new();
-        b.iter(|| black_box(split.search_batch(&frame.queries, &batch_cfg, &mut state)))
-    });
-    // the unified banked-arbitration model: same results at h_e = 0,
-    // plus the lock-step conflict simulation the stream timing uses
+    // the banked-arbitration wavefront: same results as per-query at
+    // h_e = 0, plus the lock-step conflict simulation the stream timing
+    // uses
     for (name, depth) in [("banked_he0", 0usize), ("banked_he4", 4)] {
         g.bench_function(name, |b| {
             let batch_cfg = BatchSearchConfig::banked(cfg.radius, cfg.max_neighbors, 4, 4, depth);

@@ -16,7 +16,7 @@
 //! travel on a separate channel: every run prints its total/context/
 //! point wall time to **stderr**, and `--timings <path>` additionally
 //! writes the per-point breakdown as a sidecar JSON
-//! ([`ServeTimings::to_json`]) that is never digested and never
+//! ([`RunTimings::to_json`]) that is never digested and never
 //! compared by `--check`. To acknowledge intended drift, refresh the
 //! baseline with `repro serve --quick --json bench/serve-baseline.json`
 //! and commit the diff.
@@ -25,7 +25,10 @@ use std::path::{Path, PathBuf};
 
 use crescent::format_table;
 use crescent_explorer::diff_reports;
-use crescent_serve::{default_workers, run_serve_timed, ServeReport, ServeSpec, ServeTimings};
+use crescent_serve::{
+    default_workers, run_serve_timed, serve_fingerprint, RunTimings, ServeReport, ServeSpec,
+    TIMINGS_SCHEMA,
+};
 
 /// Default location of the checked-in quick-serve baseline, relative to
 /// the workspace root (where CI and `cargo run` invoke the binary).
@@ -145,7 +148,8 @@ pub fn run_serve_command(args: &ServeArgs) -> i32 {
         println!("report written to {}", path.display());
     }
     if let Some(path) = &args.timings {
-        if let Err(err) = write_report(path, &timings.to_json(&spec)) {
+        let sidecar = timings.to_json(TIMINGS_SCHEMA, &spec.label, serve_fingerprint(&spec));
+        if let Err(err) = write_report(path, &sidecar) {
             eprintln!("cannot write {}: {err}", path.display());
             return 1;
         }
@@ -238,12 +242,12 @@ pub fn render_summary(report: &ServeReport) -> String {
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
 /// the run total, the serial context build, and the per-point time
 /// summed across the worker pool.
-fn eprint_timings(timings: &ServeTimings, workers: usize) {
+fn eprint_timings(timings: &RunTimings, workers: usize) {
     eprintln!(
         "# wall-clock: total {:.3}s (context build {:.3}s serial, points {:.3}s summed over \
          {workers} workers)",
         secs(timings.total_nanos),
-        secs(timings.context_nanos),
+        secs(timings.setup_nanos()),
         secs(timings.point_nanos()),
     );
 }
@@ -315,6 +319,16 @@ mod tests {
         // positive, so it parses, but 1e-7 ms is 0.1 cycle at 1 GHz: the
         // spec's validation rejects the zero-cycle deadline before any run
         let args = ServeArgs::parse(&strings(&["--quick", "--slo-ms", "0.0000001"])).unwrap();
+        assert_eq!(run_serve_command(&args), 1);
+    }
+
+    #[test]
+    fn an_slo_whose_deadline_tiers_overflow_fails_the_command() {
+        // 2^63 cycles parses and fits a u64, but the 4x deadline tier
+        // would wrap (and read as an early deadline): validation names
+        // the overflow before any run
+        let args =
+            ServeArgs::parse(&strings(&["--quick", "--slo-ms", "9223372036854.775808"])).unwrap();
         assert_eq!(run_serve_command(&args), 1);
     }
 

@@ -15,7 +15,7 @@
 //! travel on a separate channel: every run prints its total, setup and
 //! per-stage wall time to **stderr**, and `--timings <path>` additionally writes
 //! the per-scenario and per-point breakdown as a sidecar JSON
-//! ([`SweepTimings::to_json`]) that is never digested and never
+//! ([`RunTimings::to_json`]) that is never digested and never
 //! compared by `--check`. To acknowledge intended drift, refresh the
 //! baseline with `repro sweep --quick --json bench/baseline.json` and
 //! commit the diff.
@@ -24,8 +24,8 @@ use std::path::{Path, PathBuf};
 
 use crescent::format_table;
 use crescent_explorer::{
-    default_workers, diff_reports, run_sweep_timed, SweepReport, SweepRunStats, SweepSpec,
-    SweepTimings,
+    default_workers, diff_reports, run_sweep_timed, spec_fingerprint, RunTimings, SweepReport,
+    SweepRunStats, SweepSpec, TIMINGS_SCHEMA,
 };
 
 /// Default location of the checked-in quick-sweep baseline, relative to
@@ -127,7 +127,8 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
         println!("report written to {}", path.display());
     }
     if let Some(path) = &args.timings {
-        if let Err(err) = write_report(path, &timings.to_json(&spec)) {
+        let sidecar = timings.to_json(TIMINGS_SCHEMA, &spec.label, spec_fingerprint(&spec));
+        if let Err(err) = write_report(path, &sidecar) {
             eprintln!("cannot write {}: {err}", path.display());
             return 1;
         }
@@ -213,7 +214,7 @@ pub fn render_summary(report: &SweepReport) -> String {
 /// the run total, the serial scenario-setup prologue — overall and per
 /// scenario — and each stage of the cascade summed across the worker
 /// pool (compose is the per-point clock of the sidecar).
-fn eprint_timings(timings: &SweepTimings, stats: &SweepRunStats) {
+fn eprint_timings(timings: &RunTimings, stats: &SweepRunStats) {
     eprintln!(
         "# wall-clock: total {:.3}s (scenario setup {:.3}s serial; summed over {} workers: \
          maintain {:.3}s, search {:.3}s, compose {:.3}s)",

@@ -25,11 +25,11 @@
 //!   `sweep-gate`: every metric is modeled (never wall-clock), so the
 //!   report is bit-reproducible and any drift against the checked-in
 //!   `bench/baseline.json` is a real behavioural change;
-//! * [`SweepTimings`] — the wall-clock sidecar (`repro sweep --timings`):
-//!   measured scenario-setup and per-point compose times, kept in a separate
-//!   file that the exact comparator never sees (see the [`timings`]
-//!   module docs for the three guarantees keeping measured time out of
-//!   the gated bytes).
+//! * [`RunTimings`] — the wall-clock sidecar (`repro sweep --timings`,
+//!   and serve's `--timings` too): measured set-up and per-point times,
+//!   kept in a separate file that the exact comparator never sees (see
+//!   the [`timings`] module docs for the three guarantees keeping
+//!   measured time out of the gated bytes).
 //!
 //! # Example
 //!
@@ -62,4 +62,4 @@ pub use runner::{
     default_workers, run_sweep, run_sweep_timed, run_sweep_with_stats, SweepRunStats,
 };
 pub use spec::{maintenance_label, SweepPoint, SweepSpec};
-pub use timings::{SweepTimings, TIMINGS_SCHEMA};
+pub use timings::{RunTimings, TIMINGS_SCHEMA};

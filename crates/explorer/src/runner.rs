@@ -58,7 +58,7 @@ use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
 use crate::report::{SweepReport, SweepRow};
 use crate::spec::{maintenance_label, SweepPoint, SweepSpec};
-use crate::timings::SweepTimings;
+use crate::timings::RunTimings;
 
 /// Exact neighbor-index sets (sorted) per frame per query — the recall
 /// oracle, computed once per scenario by brute force.
@@ -185,13 +185,13 @@ pub fn run_sweep_with_stats(
 }
 
 /// [`run_sweep_with_stats`], also returning the run's wall-clock
-/// measurements ([`SweepTimings`]) — the `repro sweep --timings`
+/// measurements ([`RunTimings`]) — the `repro sweep --timings`
 /// sidecar's data source. The report bytes are identical to the
 /// untimed variants': timing is observed, never fed back.
 pub fn run_sweep_timed(
     spec: &SweepSpec,
     workers: usize,
-) -> Result<(SweepReport, SweepRunStats, SweepTimings), String> {
+) -> Result<(SweepReport, SweepRunStats, RunTimings), String> {
     spec.validate()?;
     let (rows, stats, timings) = run_points(spec, workers);
     Ok((SweepReport { spec: spec.clone(), rows }, stats, timings))
@@ -202,7 +202,7 @@ pub fn run_sweep_timed(
 /// measurements. The clocks only *observe* the run (each measurement
 /// brackets work that happens regardless), so the rows — and therefore
 /// the report bytes — cannot depend on them.
-fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats, SweepTimings) {
+fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats, RunTimings) {
     let run_start = Instant::now();
     let points = spec.expand();
     let workers = workers.clamp(1, points.len().max(1));
@@ -215,7 +215,7 @@ fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats
         search_nanos: 0,
         point_nanos: 0,
     };
-    let mut timings = SweepTimings::default();
+    let mut timings = RunTimings::default();
     let mut rows = Vec::with_capacity(points.len());
     // the scenario is the outermost grid axis, so the grid holds each
     // scenario's points as one contiguous run
@@ -238,7 +238,7 @@ fn run_scenario(
     workers: usize,
     rows: &mut Vec<SweepRow>,
     stats: &mut SweepRunStats,
-    timings: &mut SweepTimings,
+    timings: &mut RunTimings,
 ) {
     // ---- setup: everything no architecture knob can change ----
     let setup_start = Instant::now();

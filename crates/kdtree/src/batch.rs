@@ -12,8 +12,8 @@
 //! serialization-free schedule.
 //!
 //! Stage 2 is where the banked tree buffer bites, and it is modeled, not
-//! assumed away: with [`BatchSearchConfig::banking`] set, each sub-tree's
-//! query queue is drained in lock-step by `num_pes` PEs through the same
+//! assumed away: each sub-tree's query queue is drained in lock-step by
+//! `num_pes` PEs through the same
 //! [`crescent_memsim::BankedSram`]-backed arbiter the per-query engine
 //! model ([`SplitTree::batch_search`]) uses — one shared implementation,
 //! so the two paths cannot drift apart. A fetch that loses bank
@@ -28,10 +28,7 @@
 //! bit-identical to per-query [`SplitTree::search_one`] — and since the
 //! stall-only queues are identical to the engine path's, the stage-2
 //! conflict/round counts match [`SplitTree::batch_search`] exactly
-//! (property-tested in `tests/elision_unified.rs`). With
-//! `banking = None` the module degrades to the pure *algorithmic*
-//! batched search (no timing model, results always identical to
-//! `search_one`).
+//! (property-tested in `tests/elision_unified.rs`).
 //!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
 //! descent state forward: the wavefront and per-sub-tree queue allocations
@@ -42,9 +39,7 @@
 
 use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
-use crate::split::{
-    drain_subtree_queue, finalize, subtree_radius_search, DrainScratch, SplitTree, TreeArbiter,
-};
+use crate::split::{drain_subtree_queue, finalize, DrainScratch, SplitTree, TreeArbiter};
 use crate::tree::NODE_BYTES;
 
 /// Reusable state for [`SplitTree::search_batch`], designed to live across
@@ -101,61 +96,16 @@ impl BatchState {
     }
 }
 
-/// Configuration of [`SplitTree::search_batch`].
+/// Configuration of [`SplitTree::search_batch`]: the search itself plus
+/// the banked tree-buffer model its stage 2 runs through.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchSearchConfig {
     /// Search radius.
     pub radius: f32,
     /// Cap on returned neighbors per query (`None` = unbounded).
     pub max_neighbors: Option<usize>,
-    /// PEs draining each sub-tree queue in lock-step (stage 2). Ignored
-    /// when `banking` is `None` (the algorithmic mode has no timing).
+    /// PEs draining each sub-tree queue in lock-step (stage 2).
     pub num_pes: usize,
-    /// The banked tree-buffer model; `None` = pure algorithmic batching
-    /// (no arbitration rounds, results always equal `search_one`).
-    pub banking: Option<BatchBankModel>,
-}
-
-impl BatchSearchConfig {
-    /// Pure algorithmic batching: amortized fetch schedule, no timing
-    /// model — the pre-unification behavior.
-    pub fn algorithmic(radius: f32, max_neighbors: Option<usize>) -> Self {
-        BatchSearchConfig { radius, max_neighbors, num_pes: 1, banking: None }
-    }
-
-    /// The unified banked model: `num_pes` lock-step PEs over `num_banks`
-    /// tree-buffer banks, eliding conflicted fetches in the
-    /// `elision_depth` deepest tree levels (`0` = stall-only, exact).
-    pub fn banked(
-        radius: f32,
-        max_neighbors: Option<usize>,
-        num_pes: usize,
-        num_banks: usize,
-        elision_depth: usize,
-    ) -> Self {
-        BatchSearchConfig {
-            radius,
-            max_neighbors,
-            num_pes,
-            banking: Some(BatchBankModel { num_banks, elision_depth, descendant_reuse: false }),
-        }
-    }
-
-    /// Sets [`BatchBankModel::descendant_reuse`] on the banked model
-    /// (no-op in algorithmic mode). With `elision_depth == 0` the flag
-    /// is inert — no fetch is elision-eligible, so reuse never fires and
-    /// results stay bit-identical to the stall-only model.
-    pub fn with_descendant_reuse(mut self, reuse: bool) -> Self {
-        if let Some(banking) = &mut self.banking {
-            banking.descendant_reuse = reuse;
-        }
-        self
-    }
-}
-
-/// The banked-SRAM side of a [`BatchSearchConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchBankModel {
     /// Tree-buffer banks (low-order interleaved on node index).
     pub num_banks: usize,
     /// The streaming form of the paper's `h_e` knob, measured as a depth
@@ -170,6 +120,36 @@ pub struct BatchBankModel {
     pub elision_depth: usize,
     /// Sec 4.2 descendant-reuse salvage on elided fetches.
     pub descendant_reuse: bool,
+}
+
+impl BatchSearchConfig {
+    /// The unified banked model: `num_pes` lock-step PEs over `num_banks`
+    /// tree-buffer banks, eliding conflicted fetches in the
+    /// `elision_depth` deepest tree levels (`0` = stall-only, exact).
+    pub fn banked(
+        radius: f32,
+        max_neighbors: Option<usize>,
+        num_pes: usize,
+        num_banks: usize,
+        elision_depth: usize,
+    ) -> Self {
+        BatchSearchConfig {
+            radius,
+            max_neighbors,
+            num_pes,
+            num_banks,
+            elision_depth,
+            descendant_reuse: false,
+        }
+    }
+
+    /// Sets [`Self::descendant_reuse`]. With `elision_depth == 0` the
+    /// flag is inert — no fetch is elision-eligible, so reuse never
+    /// fires and results stay bit-identical to the stall-only model.
+    pub fn with_descendant_reuse(mut self, reuse: bool) -> Self {
+        self.descendant_reuse = reuse;
+        self
+    }
 }
 
 /// Statistics of one [`SplitTree::search_batch`] call.
@@ -197,9 +177,8 @@ pub struct BatchSearchStats {
     /// 0-based index of this batch within the life of its [`BatchState`].
     pub frame_index: usize,
     /// Stage-2 lock-step arbitration rounds — the banked model's compute
-    /// cycle count for the sub-tree stage (0 in algorithmic mode, where
-    /// no rounds are simulated). Conflict stalls lengthen it, elision
-    /// shortens it; at `h_e = 0` it equals the per-query engine model's
+    /// cycle count for the sub-tree stage. Conflict stalls lengthen it,
+    /// elision shortens it; at `h_e = 0` it equals the per-query engine model's
     /// [`SplitSearchStats::subtree_rounds`](crate::SplitSearchStats) on
     /// the same queues.
     pub subtree_rounds: usize,
@@ -208,7 +187,7 @@ pub struct BatchSearchStats {
     /// would win back.
     pub stall_rounds: usize,
     /// Stage-2 fetch attempts issued to the banked tree buffer,
-    /// including re-issues after stalls (0 in algorithmic mode).
+    /// including re-issues after stalls.
     pub fetch_attempts: usize,
     /// Attempts that lost bank arbitration (stalled + elided + reused).
     pub bank_conflicts: usize,
@@ -219,7 +198,7 @@ pub struct BatchSearchStats {
     /// [`BatchSearchStats::nodes_skipped`]).
     pub conflicts_elided: usize,
     /// Lost attempts salvaged by descendant reuse
-    /// ([`BatchBankModel::descendant_reuse`]).
+    /// ([`BatchSearchConfig::descendant_reuse`]).
     pub conflict_reuses: usize,
     /// Tree nodes made unreachable by elision (dropped fetch + its whole
     /// subtree) — the streaming counterpart of the Fig 9 metric.
@@ -248,7 +227,7 @@ impl BatchSearchStats {
     }
 
     /// Fraction of stage-2 fetch attempts that bank-conflicted (the
-    /// Fig 4 metric on the streaming path; 0.0 in algorithmic mode).
+    /// Fig 4 metric on the streaming path).
     pub fn conflict_rate(&self) -> f64 {
         if self.fetch_attempts == 0 {
             0.0
@@ -261,14 +240,13 @@ impl BatchSearchStats {
 impl SplitTree<'_> {
     /// Batched two-stage search: one amortized (conflict-free by
     /// construction) top-tree wavefront for the whole batch, then search
-    /// confined to each assigned sub-tree — through the unified banked
-    /// arbitration model when [`BatchSearchConfig::banking`] is set.
+    /// confined to each assigned sub-tree through the unified banked
+    /// arbitration model.
     ///
-    /// * With `banking = None`, or with `elision_depth = 0`, the
-    ///   per-query neighbor lists are **bit-identical** to calling
-    ///   [`SplitTree::search_one`] on every query — batching (and
-    ///   stall-only arbitration) changes fetch schedules and cycle
-    ///   counts, never results.
+    /// * With `elision_depth = 0`, the per-query neighbor lists are
+    ///   **bit-identical** to calling [`SplitTree::search_one`] on every
+    ///   query — batching and stall-only arbitration change fetch
+    ///   schedules and cycle counts, never results.
     /// * With `elision_depth > 0`, conflicted fetches in the deepest
     ///   `elision_depth` tree levels are dropped: results become a
     ///   subset of the exact ones (approximation is always subtractive)
@@ -376,60 +354,38 @@ impl SplitTree<'_> {
         }
 
         // ---- stage 2: search confined to each assigned sub-tree ----
-        // The banked mode drains each queue through the SAME lock-step
-        // arbitration implementation the per-query engine model uses
-        // (`drain_subtree_queue`); the algorithmic mode walks each query
-        // sequentially with no timing model.
-        let mut arbiter = config.banking.map(|b| {
-            // depth-from-leaves h_e -> the engine's level threshold
-            let threshold = tree.height().saturating_sub(b.elision_depth);
-            TreeArbiter::banked(b.num_banks, threshold, b.descendant_reuse)
-        });
+        // Each queue drains through the SAME lock-step arbitration
+        // implementation the per-query engine model uses
+        // (`drain_subtree_queue`).
+        // depth-from-leaves h_e -> the engine's level threshold
+        let threshold = tree.height().saturating_sub(config.elision_depth);
+        let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, config.descendant_reuse);
         for (s, queue) in state.queues.iter().enumerate() {
             if queue.is_empty() {
                 continue;
             }
             stats.subtrees_touched += 1;
             stats.dram_bytes += (self.subtree_len(s) * NODE_BYTES) as u64;
-            let root = self.subtree_roots()[s];
-            match arbiter.as_mut() {
-                Some(arbiter) => {
-                    let q = drain_subtree_queue(
-                        tree,
-                        root,
-                        queue,
-                        queries,
-                        radius,
-                        config.num_pes,
-                        arbiter,
-                        &mut state.drain,
-                        &mut results,
-                    );
-                    stats.subtree_visits += q.visits;
-                    stats.subtree_rounds += q.rounds;
-                    stats.stall_rounds += q.stall_rounds;
-                    stats.fetch_attempts += q.attempts;
-                    stats.bank_conflicts += q.conflicts;
-                    stats.conflict_stalls += q.stalls;
-                    stats.conflicts_elided += q.elided;
-                    stats.conflict_reuses += q.reuses;
-                    stats.nodes_skipped += q.skipped;
-                }
-                None => {
-                    for &qi in queue {
-                        subtree_radius_search(
-                            tree,
-                            root,
-                            queries[qi],
-                            radius,
-                            &mut results[qi],
-                            &mut |_| {
-                                stats.subtree_visits += 1;
-                            },
-                        );
-                    }
-                }
-            }
+            let q = drain_subtree_queue(
+                tree,
+                self.subtree_roots()[s],
+                queue,
+                queries,
+                radius,
+                config.num_pes,
+                &mut arbiter,
+                &mut state.drain,
+                &mut results,
+            );
+            stats.subtree_visits += q.visits;
+            stats.subtree_rounds += q.rounds;
+            stats.stall_rounds += q.stall_rounds;
+            stats.fetch_attempts += q.attempts;
+            stats.bank_conflicts += q.conflicts;
+            stats.conflict_stalls += q.stalls;
+            stats.conflicts_elided += q.elided;
+            stats.conflict_reuses += q.reuses;
+            stats.nodes_skipped += q.skipped;
         }
         for hits in &mut results {
             finalize(hits, max_neighbors);
@@ -530,25 +486,10 @@ impl TaggedBatch {
     }
 }
 
-/// Per-segment results of a tagged batch search: one `(tag, per-query
+/// Per-segment results of a tagged wavefront, as
+/// [`TaggedBatch::split_results`] returns them: one `(tag, per-query
 /// neighbor lists)` entry per segment, in push order.
 pub type TaggedResults = Vec<(u64, Vec<Vec<Neighbor>>)>;
-
-impl SplitTree<'_> {
-    /// [`SplitTree::search_batch`] over a tenant-tagged wavefront: runs
-    /// the flat concatenated batch (so the stats describe the shared
-    /// wavefront, tags included in no way), then demultiplexes the
-    /// results per segment via [`TaggedBatch::split_results`].
-    pub fn search_batch_tagged(
-        &self,
-        batch: &TaggedBatch,
-        config: &BatchSearchConfig,
-        state: &mut BatchState,
-    ) -> (TaggedResults, BatchSearchStats) {
-        let (flat, stats) = self.search_batch(batch.queries(), config, state);
-        (batch.split_results(flat), stats)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -575,6 +516,11 @@ mod tests {
         random_cloud(n, seed).into_points()
     }
 
+    /// 8 PEs over 4 tree-buffer banks, stall-only (`h_e = 0`): exact.
+    fn stall_only(radius: f32, max_neighbors: Option<usize>) -> BatchSearchConfig {
+        BatchSearchConfig::banked(radius, max_neighbors, 8, 4, 0)
+    }
+
     #[test]
     fn batch_identical_to_per_query() {
         for (ht, seed) in [(0usize, 60u64), (2, 61), (4, 62), (6, 63)] {
@@ -583,11 +529,7 @@ mod tests {
             let split = SplitTree::new(&tree, ht).unwrap();
             let queries = random_queries(128, seed + 100);
             let mut state = BatchState::new();
-            let (batch, _) = split.search_batch(
-                &queries,
-                &BatchSearchConfig::algorithmic(0.3, Some(16)),
-                &mut state,
-            );
+            let (batch, _) = split.search_batch(&queries, &stall_only(0.3, Some(16)), &mut state);
             for (qi, &q) in queries.iter().enumerate() {
                 let single = split.search_one(q, 0.3, Some(16));
                 assert_eq!(batch[qi], single, "ht {ht} query {qi}");
@@ -602,8 +544,7 @@ mod tests {
         let split = SplitTree::new(&tree, 5).unwrap();
         let queries = random_queries(512, 65);
         let mut state = BatchState::new();
-        let (_, stats) =
-            split.search_batch(&queries, &BatchSearchConfig::algorithmic(0.2, None), &mut state);
+        let (_, stats) = split.search_batch(&queries, &stall_only(0.2, None), &mut state);
         // the wavefront touches each top-tree node at most once
         assert!(stats.top_fetches <= split.top_len());
         // per-query routing would fetch one node per level per query
@@ -618,18 +559,10 @@ mod tests {
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries = random_queries(96, 67);
         let mut state = BatchState::new();
-        let (_, first) = split.search_batch(
-            &queries,
-            &BatchSearchConfig::algorithmic(0.25, Some(8)),
-            &mut state,
-        );
+        let (_, first) = split.search_batch(&queries, &stall_only(0.25, Some(8)), &mut state);
         assert_eq!(first.assignment_reuses, 0, "no previous frame yet");
         assert_eq!(first.frame_index, 0);
-        let (_, second) = split.search_batch(
-            &queries,
-            &BatchSearchConfig::algorithmic(0.25, Some(8)),
-            &mut state,
-        );
+        let (_, second) = split.search_batch(&queries, &stall_only(0.25, Some(8)), &mut state);
         assert_eq!(second.assignment_reuses, queries.len(), "identical frame reuses everything");
         assert_eq!(second.frame_index, 1);
         assert!((second.reuse_fraction() - 1.0).abs() < 1e-12);
@@ -645,9 +578,8 @@ mod tests {
         let shifted: Vec<Point3> =
             queries.iter().map(|q| *q + Point3::new(0.01, -0.01, 0.005)).collect();
         let mut state = BatchState::new();
-        split.search_batch(&queries, &BatchSearchConfig::algorithmic(0.25, None), &mut state);
-        let (_, stats) =
-            split.search_batch(&shifted, &BatchSearchConfig::algorithmic(0.25, None), &mut state);
+        split.search_batch(&queries, &stall_only(0.25, None), &mut state);
+        let (_, stats) = split.search_batch(&shifted, &stall_only(0.25, None), &mut state);
         // a small drift keeps most queries in their sub-tree
         assert!(
             stats.assignment_reuses > queries.len() / 2,
@@ -665,8 +597,7 @@ mod tests {
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries = random_queries(64, 71);
         let mut state = BatchState::new();
-        let (_, stats) =
-            split.search_batch(&queries, &BatchSearchConfig::algorithmic(0.3, None), &mut state);
+        let (_, stats) = split.search_batch(&queries, &stall_only(0.3, None), &mut state);
         let reference = crate::baselines::crescent_dram_bytes(&split, &queries, 0.3);
         assert_eq!(stats.dram_bytes, reference);
     }
@@ -676,18 +607,13 @@ mod tests {
         let tree = KdTree::build(&PointCloud::new());
         let split = SplitTree::new(&tree, 0).unwrap();
         let mut state = BatchState::new();
-        let (res, stats) = split.search_batch(
-            &[Point3::ZERO],
-            &BatchSearchConfig::algorithmic(1.0, None),
-            &mut state,
-        );
+        let (res, stats) = split.search_batch(&[Point3::ZERO], &stall_only(1.0, None), &mut state);
         assert!(res[0].is_empty());
         assert_eq!(stats.top_fetches, 0);
         let cloud = random_cloud(100, 72);
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, 2).unwrap();
-        let (res, stats) =
-            split.search_batch(&[], &BatchSearchConfig::algorithmic(1.0, None), &mut state);
+        let (res, stats) = split.search_batch(&[], &stall_only(1.0, None), &mut state);
         assert!(res.is_empty());
         assert_eq!(stats.queries, 0);
         assert_eq!(stats.dram_bytes, 0);
@@ -785,21 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn algorithmic_mode_reports_no_arbitration() {
-        let cloud = random_cloud(1024, 83);
-        let tree = KdTree::build(&cloud);
-        let split = SplitTree::new(&tree, 3).unwrap();
-        let queries = random_queries(64, 84);
-        let cfg = BatchSearchConfig::algorithmic(0.3, Some(8));
-        let (_, stats) = split.search_batch(&queries, &cfg, &mut BatchState::new());
-        assert_eq!(stats.subtree_rounds, 0);
-        assert_eq!(stats.fetch_attempts, 0);
-        assert_eq!(stats.bank_conflicts, 0);
-        assert_eq!(stats.conflict_rate(), 0.0);
-        assert!(stats.subtree_visits > 0, "visits are still counted");
-    }
-
-    #[test]
     fn tagged_batch_demuxes_the_flat_results() {
         let cloud = random_cloud(3000, 90);
         let tree = KdTree::build(&cloud);
@@ -814,9 +725,8 @@ mod tests {
         assert_eq!(batch.len(), 82);
         assert_eq!(batch.segments(), &[(7, 40), (3, 17), (7, 25)]);
         let cfg = BatchSearchConfig::banked(0.3, Some(16), 8, 4, 0);
-        let (tagged, tstats) = split.search_batch_tagged(&batch, &cfg, &mut BatchState::new());
-        let (flat, fstats) = split.search_batch(batch.queries(), &cfg, &mut BatchState::new());
-        assert_eq!(tstats, fstats, "tags are invisible to the engine");
+        let (flat, _) = split.search_batch(batch.queries(), &cfg, &mut BatchState::new());
+        let tagged = batch.split_results(flat.clone());
         assert_eq!(tagged.len(), 3);
         let mut cursor = 0;
         for ((tag, seg), &(want_tag, want_len)) in tagged.iter().zip(batch.segments()) {
@@ -842,7 +752,8 @@ mod tests {
         let mut shared = TaggedBatch::new();
         shared.push_segment(0, &a);
         shared.push_segment(1, &b);
-        let (together, _) = split.search_batch_tagged(&shared, &cfg, &mut BatchState::new());
+        let (flat, _) = split.search_batch(shared.queries(), &cfg, &mut BatchState::new());
+        let together = shared.split_results(flat);
         for (tag, queries) in [(0u64, &a), (1, &b)] {
             let (solo, _) = split.search_batch(queries, &cfg, &mut BatchState::new());
             let seg = &together.iter().find(|(t, _)| *t == tag).unwrap().1;
@@ -865,10 +776,10 @@ mod tests {
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries = random_queries(64, 74);
         let mut state = BatchState::new();
-        split.search_batch(&queries, &BatchSearchConfig::algorithmic(0.3, None), &mut state);
+        split.search_batch(&queries, &stall_only(0.3, None), &mut state);
         let spare_after_first = state.spare.len();
         assert!(spare_after_first > 0, "wavefront lists must return to the spare pool");
-        split.search_batch(&queries, &BatchSearchConfig::algorithmic(0.3, None), &mut state);
+        split.search_batch(&queries, &stall_only(0.3, None), &mut state);
         assert_eq!(state.spare.len(), spare_after_first, "steady state allocates nothing new");
     }
 }

@@ -17,7 +17,7 @@
 //!   instead of stalling the PE. Smaller ⇒ more drops ⇒ faster but less
 //!   accurate. The streaming wavefront exposes the same threshold in its
 //!   depth-from-leaves form (`height − h_e`, see
-//!   [`BatchBankModel`](crate::BatchBankModel)); both forms drive the one
+//!   [`BatchSearchConfig::elision_depth`](crate::BatchSearchConfig)); both forms drive the one
 //!   shared arbitration implementation (`TreeArbiter`, in this module).
 
 use serde::{Deserialize, Serialize};

@@ -28,9 +28,9 @@
 //! what the monotone-pressure property test in
 //! `tests/serve_controller.rs` pins.
 //!
-//! The **act** half lives in the scheduler: the chosen `h_e` rides the
-//! per-dispatch override
-//! [`ServiceInstance::run_wavefront_at`](crescent_accel::ServiceInstance::run_wavefront_at),
+//! The **act** half lives in the scheduler: the chosen `h_e` becomes
+//! the wavefront's `StreamSearchConfig::elision_depth` for
+//! [`ServiceInstance::run_wavefront`](crescent_accel::ServiceInstance::run_wavefront),
 //! and the tree-maintenance policy of a tick is re-chosen (spec policy
 //! vs its alternate, whichever slot is cheaper) whenever the controller
 //! was holding `h_e > 0` as the tick began — see

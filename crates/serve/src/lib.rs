@@ -39,8 +39,9 @@
 //!   deadline and energy accounting, knob trajectories.
 //! - [`report`]: schema-versioned JSON in the explorer's exact-diff
 //!   house style.
-//! - [`runner`]: the worker-pool executor.
-//! - [`timings`]: the wall-clock sidecar (never in the report bytes).
+//! - [`runner`]: the worker-pool executor, returning the wall-clock
+//!   sidecar ([`RunTimings`], never in the report bytes) beside the
+//!   report.
 
 #![warn(missing_docs)]
 
@@ -50,14 +51,14 @@ pub mod report;
 pub mod runner;
 pub mod scheduler;
 pub mod spec;
-pub mod timings;
 
 pub use controller::{h_e_in_effect, ControlMode, Controller, ControllerConfig};
+pub use crescent_explorer::RunTimings;
 pub use ledger::{
     deadline_missed, digest_results, percentile, FrameOutcome, InstanceReport, KnobPoint,
     ServiceLedger, TenantLedger,
 };
-pub use report::{serve_fingerprint, ServeReport, ServeRow, TenantRow, SCHEMA};
+pub use report::{serve_fingerprint, ServeReport, ServeRow, TenantRow, SCHEMA, TIMINGS_SCHEMA};
 pub use runner::{
     default_workers, run_serve, run_serve_timed, run_serve_with_stats, ServeRunStats,
 };
@@ -65,4 +66,3 @@ pub use scheduler::{
     run_service, run_service_controlled, MaintenanceCost, ServiceContext, ServiceOutcome,
 };
 pub use spec::{ServePoint, ServeSpec};
-pub use timings::{ServeTimings, TIMINGS_SCHEMA};

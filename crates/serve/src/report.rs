@@ -25,6 +25,14 @@ use crate::spec::{ServePoint, ServeSpec};
 /// and per-tenant `h_e_max`.
 pub const SCHEMA: &str = "crescent-serve/v2";
 
+/// Schema identifier of the serve timings sidecar
+/// ([`RunTimings`](crescent_explorer::RunTimings), written by `repro
+/// serve --timings`). Versioned separately from [`SCHEMA`]: sidecar
+/// layout changes never imply report drift, and vice versa. `v2` moved
+/// to the sweep sidecar's layout: the context build became the one
+/// `setup` entry (`context`), with a `setup_nanos` total.
+pub const TIMINGS_SCHEMA: &str = "crescent-serve-timings/v2";
+
 /// One tenant's summary inside a serve row. A compressed view of its
 /// [`TenantLedger`](crate::ledger::TenantLedger): counts, tail
 /// percentiles, and attributed energy — per-frame outcomes stay in the

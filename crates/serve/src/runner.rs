@@ -18,12 +18,12 @@ use std::time::Instant;
 
 pub use crescent_explorer::default_workers;
 use crescent_explorer::runner::par_map;
+use crescent_explorer::RunTimings;
 
 use crate::controller::ControlMode;
 use crate::report::{ServeReport, ServeRow};
 use crate::scheduler::{run_service, run_service_controlled, ServiceContext};
 use crate::spec::ServeSpec;
-use crate::timings::ServeTimings;
 
 /// Execution statistics of one serve run — operational facts about the
 /// run itself, deliberately kept OUT of the report bytes (the report is
@@ -38,10 +38,6 @@ pub struct ServeRunStats {
     /// Tenants in the canonical mix the context was built with (the
     /// largest tenant-count axis value).
     pub tenants_built: usize,
-    /// Total **wall-clock** nanoseconds spent building the shared
-    /// context. Measured — it lives here and in the `--timings` sidecar
-    /// precisely because it can never live in the report bytes.
-    pub context_nanos: u64,
     /// Total **wall-clock** nanoseconds spent simulating grid points,
     /// summed across workers. Measured, never part of the report.
     pub point_nanos: u64,
@@ -65,13 +61,14 @@ pub fn run_serve_with_stats(
 }
 
 /// [`run_serve_with_stats`], also returning the run's wall-clock
-/// measurements ([`ServeTimings`]) — the `repro serve --timings`
-/// sidecar's data source. The report bytes are identical to the untimed
+/// measurements ([`RunTimings`]: the context build as the one `context`
+/// setup entry, then one entry per grid point) — the `repro serve
+/// --timings` sidecar's data source. The report bytes are identical to the untimed
 /// variants': timing is observed, never fed back.
 pub fn run_serve_timed(
     spec: &ServeSpec,
     workers: usize,
-) -> Result<(ServeReport, ServeRunStats, ServeTimings), String> {
+) -> Result<(ServeReport, ServeRunStats, RunTimings), String> {
     spec.validate()?;
     let run_start = Instant::now();
     // The context — map stream, tree maintenance, tenant mix, query
@@ -99,9 +96,9 @@ pub fn run_serve_timed(
         };
         ServeRow::from_ledger(*point, &outcome.ledger)
     });
-    let timings = ServeTimings {
+    let timings = RunTimings {
         total_nanos: run_start.elapsed().as_nanos() as u64,
-        context_nanos,
+        setup: vec![("context".to_string(), context_nanos)],
         points: served.iter().map(|(row, nanos)| (row.index, *nanos)).collect(),
     };
     let rows: Vec<ServeRow> = served.into_iter().map(|(row, _)| row).collect();
@@ -109,7 +106,6 @@ pub fn run_serve_timed(
         points: points.len(),
         workers,
         tenants_built: ctx.tenants.len(),
-        context_nanos,
         point_nanos: timings.point_nanos(),
     };
     Ok((ServeReport { spec: spec.clone(), rows }, stats, timings))
@@ -118,6 +114,7 @@ pub fn run_serve_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{serve_fingerprint, SCHEMA, TIMINGS_SCHEMA};
 
     /// An 8-point spec small enough for debug-profile unit tests (the
     /// full quick grid is exercised by `tests/serve_baseline.rs` at the
@@ -179,9 +176,16 @@ mod tests {
         for ((index, _), row) in timings.points.iter().zip(&report.rows) {
             assert_eq!(*index, row.index);
         }
-        assert_eq!(stats.context_nanos, timings.context_nanos);
+        let labels: Vec<&str> = timings.setup.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(labels, ["context"], "the context build is the one setup entry");
         assert_eq!(stats.point_nanos, timings.point_nanos());
-        assert!(timings.total_nanos >= timings.context_nanos);
+        assert!(timings.total_nanos >= timings.setup_nanos());
+        // the sidecar names its own schema and identifies its run
+        assert_ne!(TIMINGS_SCHEMA, SCHEMA);
+        let sidecar = timings.to_json(TIMINGS_SCHEMA, &spec.label, serve_fingerprint(&spec));
+        assert!(sidecar.contains("\"schema\": \"crescent-serve-timings/v2\""), "{sidecar}");
+        assert!(sidecar.contains("\"label\": \"tiny\""), "{sidecar}");
+        assert!(sidecar.contains(r#"{"scenario":"context","nanos":"#), "{sidecar}");
         assert_eq!(stats.tenants_built, 4);
         let untimed = run_serve(&spec, 2).expect("serve runs");
         assert_eq!(report.to_json(), untimed.to_json(), "clocks must not perturb the bytes");

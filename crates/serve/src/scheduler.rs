@@ -33,8 +33,8 @@
 //!    arrived** into one tenant-tagged wavefront
 //!    ([`TaggedBatch`]) on the earliest-free instance — this is where
 //!    cross-tenant top-tree amortization happens — **acting** the
-//!    decision through the per-dispatch override
-//!    [`ServiceInstance::run_wavefront_at`](crescent_accel::ServiceInstance::run_wavefront_at);
+//!    decision through the wavefront's search config
+//!    ([`ServiceInstance::run_wavefront`](crescent_accel::ServiceInstance::run_wavefront));
 //! 5. grades each served frame against its tenant's deadline
 //!    ([`deadline_missed`]).
 //!
@@ -50,14 +50,13 @@
 //! is identical** (a clean refit provably reproduces the fresh build),
 //! so the policy choice moves cycles and energy, never answers.
 //!
-//! Because the engine is tag-blind ([`SplitTree::search_batch_tagged`]
-//! runs the flat concatenated batch), results at `h_e = 0` are
+//! Because the engine is tag-blind (it searches the flat concatenated
+//! batch, and [`TaggedBatch::split_results`] demultiplexes the hits
+//! afterwards), results at `h_e = 0` are
 //! bit-identical to running each tenant alone — co-tenants move
 //! *cycles*, never *answers*. The whole simulation is a pure function
 //! of `(context, tenants, fleet, h_e, controller)`: no wall-clock, no
 //! map ordering, no randomness.
-//!
-//! [`SplitTree::search_batch_tagged`]: crescent_kdtree::SplitTree::search_batch_tagged
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -268,8 +267,9 @@ fn run_service_impl(
 
     // ---- engine configuration ----
     // The wavefront path reads banking, PE count, DRAM bandwidth, and
-    // the aggregation-elision flag; search elision comes from the
-    // per-dispatch h_e override, so `search_elision` stays unset.
+    // the aggregation-elision flag; search elision comes from each
+    // wavefront's h_e in its search config, so `search_elision` stays
+    // unset.
     // Aggregation elision on = the ANS+BCE service operating point.
     let config = AcceleratorConfig::builder()
         .aggregation_elision(true)
@@ -373,22 +373,23 @@ fn run_service_impl(
                 for job in &wave {
                     batch.push_segment(job.tenant as u64, &ctx.queries[job.tenant][job.frame]);
                 }
-                // act: the decided h_e rides the per-dispatch override;
-                // descendant reuse switches on iff a reuse-scenario
-                // tenant is aboard (inert at h_e = 0)
+                // act: the decided h_e rides the wavefront's search
+                // config; descendant reuse switches on iff a
+                // reuse-scenario tenant is aboard (inert at h_e = 0)
                 let reuse =
                     wave.iter().any(|j| ctx.tenants[j.tenant].workload.scenario.descendant_reuse());
-                let wf_search = StreamSearchConfig { descendant_reuse: reuse, ..search };
+                let wf_search =
+                    StreamSearchConfig { elision_depth: h_e, descendant_reuse: reuse, ..search };
                 let instance = fleet.instance_mut(inst_idx);
-                let (tagged, wf) = instance.run_wavefront_at(
+                let (tagged, wf) = instance.run_wavefront(
                     &ctx.trees[tick].tree,
                     &batch,
                     &wf_search,
-                    h_e,
                     knobs,
                     &config,
                 );
-                let done = start + wf.latency_cycles;
+                let wf_latency = wf.standalone_cycles();
+                let done = start + wf_latency;
                 instance.free_at = done;
                 makespan = makespan.max(done);
 
@@ -406,7 +407,7 @@ fn run_service_impl(
                     wavefront: wave_id,
                     start,
                     h_e,
-                    latency: wf.latency_cycles,
+                    latency: wf_latency,
                 });
                 search_energy.merge(&wf.energy);
                 let total_queries = wf.queries.max(1);

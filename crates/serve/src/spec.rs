@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crescent::tenant::DEADLINE_TIERS;
 use crescent::workload::{FrameStreamConfig, StreamScenario};
 use crescent_accel::TreeMaintenance;
 use crescent_pointcloud::datasets::LidarSceneConfig;
@@ -193,6 +194,20 @@ impl ServeSpec {
         if self.base_deadline == 0 {
             return Err("base deadline must be >= 1 cycle".into());
         }
+        // every absolute deadline is an arrival before the last tick's
+        // end plus a tiered budget; all of it must fit the modeled clock
+        let largest_tier = DEADLINE_TIERS.iter().max().copied().unwrap_or(1);
+        let last_deadline = (self.map.num_frames as u64)
+            .checked_mul(self.frame_period)
+            .zip(self.base_deadline.checked_mul(largest_tier))
+            .and_then(|(last_arrival, budget)| last_arrival.checked_add(budget));
+        if last_deadline.is_none() {
+            return Err(format!(
+                "deadline overflow: base deadline {} cycles × tier {largest_tier} after the last \
+                 arrival ({} ticks × {} cycles) exceeds the u64 cycle clock",
+                self.base_deadline, self.map.num_frames, self.frame_period
+            ));
+        }
         if self.max_backlog == 0 {
             return Err("max backlog must admit at least one frame".into());
         }
@@ -286,6 +301,28 @@ mod tests {
         let mut s = ServeSpec::quick();
         s.controller.window = 0;
         assert!(s.validate().is_err(), "controller tuning is validated with the spec");
+    }
+
+    #[test]
+    fn validation_rejects_a_deadline_past_the_cycle_clock() {
+        // 2^63 cycles is a valid u64, but its 4x tier is not
+        let mut s = ServeSpec::quick();
+        s.base_deadline = 1 << 63;
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("deadline overflow"), "{err}");
+        // the last arrival counts too: a budget that only just fits
+        // the clock on its own overflows once added to it
+        let mut s = ServeSpec::quick();
+        s.base_deadline = u64::MAX / 4;
+        assert!(s.validate().unwrap_err().starts_with("deadline overflow"));
+        let mut s = ServeSpec::quick();
+        s.frame_period = u64::MAX;
+        assert!(s.validate().unwrap_err().starts_with("deadline overflow"));
+        // the largest deadline that fits is accepted
+        let mut s = ServeSpec::quick();
+        let last_arrival = s.map.num_frames as u64 * s.frame_period;
+        s.base_deadline = (u64::MAX - last_arrival) / 4;
+        s.validate().expect("a deadline that fits the clock is valid");
     }
 
     #[test]

@@ -14,17 +14,26 @@
 //!   (monotonicity) and never invents a neighbor;
 //! * the default operating point actually elides, and `h_e = 0`
 //!   provably does not — the assertions `examples/streaming_lidar.rs`
-//!   doubles as an executable doc for.
+//!   doubles as an executable doc for;
+//! * training's aggregation-elision rule
+//!   ([`apply_aggregation_elision`]) replicates exactly the neighbors the
+//!   banked Point Buffer ([`BankedSram`]) elides, so the accuracy and the
+//!   timing of aggregation elision describe one hardware rule.
 
 use crescent::accel::{
-    run_crescent_search, run_frame_stream, AcceleratorConfig, StreamSearchConfig,
+    run_crescent_search, run_frame_stream, simulate_aggregation, AcceleratorConfig,
+    StreamSearchConfig,
 };
 use crescent::kdtree::{
     BatchSearchConfig, BatchState, ElisionConfig, KdTree, SplitSearchConfig, SplitTree,
 };
+use crescent::memsim::{BankedSram, PortOutcome, SramConfig};
+use crescent::models::apply_aggregation_elision;
 use crescent::workload::{FrameStream, FrameStreamConfig, StreamScenario};
 use crescent::CrescentKnobs;
 use crescent_pointcloud::{Point3, PointCloud};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn stream_cfg(scenario: StreamScenario) -> FrameStreamConfig {
     let mut cfg = FrameStreamConfig::default();
@@ -212,4 +221,52 @@ fn default_depth_elides_and_zero_depth_does_not() {
     assert!(rep_on.total_agg_cycles() <= rep_off.total_agg_cycles());
     assert!(rep_on.total_agg_elided() > 0);
     assert_eq!(rep_off.total_agg_elided(), 0);
+}
+
+#[test]
+fn aggregation_elision_replicates_exactly_what_the_point_buffer_elides() {
+    // training rewrites neighbor lists with `apply_aggregation_elision`;
+    // the accelerator times the same gathers on `BankedSram`. Both must
+    // pick the same losers and hand each the same winner's neighbor.
+    let mut rng = StdRng::seed_from_u64(0xA66);
+    for banks in [1usize, 2, 4, 8, 16] {
+        let sram = SramConfig { num_banks: banks, word_bytes: 4, capacity_bytes: 64 << 10 };
+        let lists: Vec<Vec<usize>> = (0..40)
+            .map(|_| {
+                let len = rng.random_range(0..3 * banks + 2);
+                let span = rng.random_range(1..4 * banks + 1);
+                (0..len).map(|_| rng.random_range(0..span)).collect()
+            })
+            .collect();
+
+        let mut replicated = lists.clone();
+        apply_aggregation_elision(&mut replicated, banks);
+
+        // the reference: one eliding arbitration round per issue group
+        let mut sram_model = BankedSram::new(sram);
+        let mut elided_slots = 0u64;
+        for (list, got) in lists.iter().zip(&replicated) {
+            let mut want = list.clone();
+            for (chunk, want_chunk) in list.chunks(banks).zip(want.chunks_mut(banks)) {
+                sram_model.arbitrate_fold(
+                    chunk.len(),
+                    |port| Some(chunk[port] as u64 * 4),
+                    |_| true,
+                    |port, outcome, winner| {
+                        if outcome == PortOutcome::Elided {
+                            elided_slots += 1;
+                            want_chunk[port] = chunk[winner.expect("an elided port has a winner")];
+                        }
+                    },
+                );
+            }
+            assert_eq!(got, &want, "banks {banks}: list {list:?}");
+        }
+        let timed = simulate_aggregation(&lists, sram, banks, true);
+        assert_eq!(timed.elided, elided_slots, "banks {banks}: replaced-slot count");
+        assert_eq!(sram_model.counters().elided, elided_slots);
+        if banks > 1 {
+            assert!(elided_slots > 0, "banks {banks}: the random lists must conflict");
+        }
+    }
 }
