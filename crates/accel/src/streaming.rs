@@ -662,7 +662,7 @@ pub fn aggregate_stream(
 
 /// The compose step: a pure function of the per-frame search counters,
 /// aggregation reports and maintenance costs. It prices each frame
-/// ([`FrameReport::compose`]), then derives the inter-frame
+/// (`FrameReport::compose`), then derives the inter-frame
 /// build/search schedule, the once-per-stream pipeline fill and the
 /// energy ledger, reading only the DRAM and energy models of `config`.
 ///

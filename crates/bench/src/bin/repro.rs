@@ -14,7 +14,7 @@
 //! `--quick` shrinks the workloads (seconds instead of minutes); the
 //! trends are unchanged. Run with `--release` — the accuracy figures
 //! train networks. See `crescent_bench::sweep` for the sweep flags. An
-//! unknown id or subcommand prints the usage and exits non-zero.
+//! unknown id, flag or subcommand prints the usage and exits non-zero.
 
 use std::time::Instant;
 
@@ -53,14 +53,21 @@ fn main() {
         std::process::exit(crescent_bench::run_serve_command(&parsed));
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = Scale::from_flag(quick);
-    let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-
     let usage = || {
         eprintln!("usage: repro [--quick] <all|list|fig ids...|sweep ...|serve ...>");
         eprintln!("figures: {}", ALL_FIGURES.join(" "));
     };
+    // `--quick` is the only figure-mode flag; anything else fails before
+    // a figure runs, never silently at full scale
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && *a != "--quick") {
+        eprintln!("unknown flag: {flag}");
+        usage();
+        std::process::exit(2);
+    }
+    let quick = args.iter().any(|a| a == "--quick");
+    let scale = Scale::from_flag(quick);
+    let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
+
     if ids.is_empty() || ids.contains(&"help") {
         usage();
         return;

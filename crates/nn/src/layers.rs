@@ -163,6 +163,9 @@ impl Layer for BatchNorm1d {
         // the heterogeneous clouds of the small synthetic datasets
         // (instance-normalization style). Running stats remain as the
         // single-row fallback.
+        //
+        // Each column's sums run over the rows in order; walking whole
+        // row slices keeps that order and lets the columns vectorize.
         let (mean, var) = if n > 1 {
             let mut mean = vec![0.0f32; d];
             let mut var = vec![0.0f32; d];
@@ -175,9 +178,9 @@ impl Layer for BatchNorm1d {
                 *m /= n as f32;
             }
             for r in 0..n {
-                for c in 0..d {
-                    let dlt = x[(r, c)] - mean[c];
-                    var[c] += dlt * dlt;
+                for ((v, xv), m) in var.iter_mut().zip(x.row(r)).zip(&mean) {
+                    let dlt = xv - m;
+                    *v += dlt * dlt;
                 }
             }
             for v in &mut var {
@@ -195,16 +198,21 @@ impl Layer for BatchNorm1d {
         } else {
             (self.running_mean.clone(), self.running_var.clone())
         };
-        let mut x_hat = Tensor::zeros(n, d);
         for (std, v) in self.batch_std.iter_mut().zip(&var).take(d) {
             *std = (v + self.eps).sqrt();
         }
+        let gamma = self.gamma.value.row(0);
+        let beta = self.beta.value.row(0);
+        let mut x_hat = Tensor::zeros(n, d);
         let mut out = Tensor::zeros(n, d);
         for r in 0..n {
-            for c in 0..d {
-                let h = (x[(r, c)] - mean[c]) / self.batch_std[c];
-                x_hat[(r, c)] = h;
-                out[(r, c)] = self.gamma.value[(0, c)] * h + self.beta.value[(0, c)];
+            let cols = x.row(r).iter().zip(&mean).zip(&self.batch_std).zip(gamma).zip(beta);
+            for ((h_out, y), ((((xv, m), std), g), b)) in
+                x_hat.row_mut(r).iter_mut().zip(out.row_mut(r)).zip(cols)
+            {
+                let h = (xv - m) / std;
+                *h_out = h;
+                *y = g * h + b;
             }
         }
         self.x_hat = Some(x_hat);
@@ -213,25 +221,33 @@ impl Layer for BatchNorm1d {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let x_hat = self.x_hat.as_ref().expect("backward before forward");
+        assert_eq!(grad.shape(), x_hat.shape(), "backward shape mismatch");
         let (n, d) = grad.shape();
         let nf = n as f32;
         let mut dgamma = Tensor::zeros(1, d);
         let mut dbeta = Tensor::zeros(1, d);
         for r in 0..n {
-            for c in 0..d {
-                dgamma[(0, c)] += grad[(r, c)] * x_hat[(r, c)];
-                dbeta[(0, c)] += grad[(r, c)];
+            let sums = dgamma.row_mut(0).iter_mut().zip(dbeta.row_mut(0));
+            for ((dg, db), (gv, h)) in sums.zip(grad.row(r).iter().zip(x_hat.row(r))) {
+                *dg += gv * h;
+                *db += gv;
             }
         }
-        // standard BN input gradient
+        // standard BN input gradient,
+        //   dx = g / std * (dy - sum_dy / nf - x_hat * sum_dy_xhat / nf),
+        // with the per-column factors hoisted; `x_hat * sum_dy_xhat / nf`
+        // stays per element, since `(x_hat * s) / nf` is not
+        // `x_hat * (s / nf)`.
+        let scale: Vec<f32> =
+            self.gamma.value.row(0).iter().zip(&self.batch_std).map(|(g, std)| g / std).collect();
+        let mean_dy: Vec<f32> = dbeta.row(0).iter().map(|s| s / nf).collect();
+        let sum_dy_xhat = dgamma.row(0);
         let mut dx = Tensor::zeros(n, d);
-        for c in 0..d {
-            let g = self.gamma.value[(0, c)];
-            let sum_dy = dbeta[(0, c)];
-            let sum_dy_xhat = dgamma[(0, c)];
-            for r in 0..n {
-                dx[(r, c)] = g / self.batch_std[c]
-                    * (grad[(r, c)] - sum_dy / nf - x_hat[(r, c)] * sum_dy_xhat / nf);
+        for r in 0..n {
+            let cols = scale.iter().zip(&mean_dy).zip(sum_dy_xhat);
+            let rows = dx.row_mut(r).iter_mut().zip(grad.row(r)).zip(x_hat.row(r));
+            for (((dxv, gv), h), ((sc, mdy), s)) in rows.zip(cols) {
+                *dxv = sc * (gv - mdy - h * s / nf);
             }
         }
         self.gamma.grad.add_assign(&dgamma);
@@ -406,8 +422,138 @@ impl Layer for Mlp {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::loss::softmax_cross_entropy;
+    use crate::tensor::tests::{arb_entries, bits, from_pool};
+
+    /// The original column-walking BatchNorm forward — the reference the
+    /// row-major kernel must reproduce bit for bit.
+    fn reference_bn_forward(bn: &mut BatchNorm1d, x: &Tensor, train: bool) -> Tensor {
+        let (n, d) = x.shape();
+        let (mean, var) = if n > 1 {
+            let mut mean = vec![0.0f32; d];
+            let mut var = vec![0.0f32; d];
+            for r in 0..n {
+                for (m, v) in mean.iter_mut().zip(x.row(r)) {
+                    *m += v;
+                }
+            }
+            for m in &mut mean {
+                *m /= n as f32;
+            }
+            for r in 0..n {
+                for c in 0..d {
+                    let dlt = x[(r, c)] - mean[c];
+                    var[c] += dlt * dlt;
+                }
+            }
+            for v in &mut var {
+                *v /= n as f32;
+            }
+            if train {
+                for c in 0..d {
+                    bn.running_mean[c] =
+                        (1.0 - bn.momentum) * bn.running_mean[c] + bn.momentum * mean[c];
+                    bn.running_var[c] =
+                        (1.0 - bn.momentum) * bn.running_var[c] + bn.momentum * var[c];
+                }
+            }
+            (mean, var)
+        } else {
+            (bn.running_mean.clone(), bn.running_var.clone())
+        };
+        let mut x_hat = Tensor::zeros(n, d);
+        for (std, v) in bn.batch_std.iter_mut().zip(&var).take(d) {
+            *std = (v + bn.eps).sqrt();
+        }
+        let mut out = Tensor::zeros(n, d);
+        for r in 0..n {
+            for c in 0..d {
+                let h = (x[(r, c)] - mean[c]) / bn.batch_std[c];
+                x_hat[(r, c)] = h;
+                out[(r, c)] = bn.gamma.value[(0, c)] * h + bn.beta.value[(0, c)];
+            }
+        }
+        bn.x_hat = Some(x_hat);
+        out
+    }
+
+    /// The original column-walking BatchNorm backward.
+    fn reference_bn_backward(bn: &mut BatchNorm1d, grad: &Tensor) -> Tensor {
+        let x_hat = bn.x_hat.as_ref().expect("backward before forward");
+        let (n, d) = grad.shape();
+        let nf = n as f32;
+        let mut dgamma = Tensor::zeros(1, d);
+        let mut dbeta = Tensor::zeros(1, d);
+        for r in 0..n {
+            for c in 0..d {
+                dgamma[(0, c)] += grad[(r, c)] * x_hat[(r, c)];
+                dbeta[(0, c)] += grad[(r, c)];
+            }
+        }
+        let mut dx = Tensor::zeros(n, d);
+        for c in 0..d {
+            let g = bn.gamma.value[(0, c)];
+            let sum_dy = dbeta[(0, c)];
+            let sum_dy_xhat = dgamma[(0, c)];
+            for r in 0..n {
+                dx[(r, c)] = g / bn.batch_std[c]
+                    * (grad[(r, c)] - sum_dy / nf - x_hat[(r, c)] * sum_dy_xhat / nf);
+            }
+        }
+        bn.gamma.grad.add_assign(&dgamma);
+        bn.beta.grad.add_assign(&dbeta);
+        dx
+    }
+
+    /// Every float a BatchNorm layer holds, as bits.
+    fn bn_state_bits(bn: &BatchNorm1d) -> Vec<Vec<u32>> {
+        vec![
+            bits(&bn.running_mean),
+            bits(&bn.running_var),
+            bits(&bn.batch_std),
+            bits(bn.x_hat.as_ref().map_or(&[][..], |t| t.data())),
+            bits(bn.gamma.grad.data()),
+            bits(bn.beta.grad.data()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// BatchNorm forward and backward are bit-identical to the
+        /// column-walking reference: a training step on a warm-up batch
+        /// (which moves the running statistics), then a step on a batch
+        /// of `n` rows — `n = 1` takes the running-stats path.
+        #[test]
+        fn batchnorm_matches_reference_bits(
+            (n, d) in (1usize..9, 1usize..7),
+            pool in arb_entries(),
+            offset in 0usize..64,
+            train in 0u8..2,
+        ) {
+            let mut bn = BatchNorm1d::new(d);
+            bn.gamma.value = from_pool(1, d, &pool, offset + 5);
+            bn.beta.value = from_pool(1, d, &pool, offset + 11);
+            let mut reference = bn.clone();
+            let warm = from_pool(3, d, &pool, offset + 23);
+            let x = from_pool(n, d, &pool, offset);
+            let grad = from_pool(n, d, &pool, offset + 31);
+
+            let warm_out = bn.forward(&warm, true);
+            let want = reference_bn_forward(&mut reference, &warm, true);
+            prop_assert_eq!(bits(warm_out.data()), bits(want.data()));
+            let out = bn.forward(&x, train == 1);
+            let want = reference_bn_forward(&mut reference, &x, train == 1);
+            prop_assert_eq!(bits(out.data()), bits(want.data()));
+            let dx = bn.backward(&grad);
+            let want = reference_bn_backward(&mut reference, &grad);
+            prop_assert_eq!(bits(dx.data()), bits(want.data()));
+            prop_assert_eq!(bn_state_bits(&bn), bn_state_bits(&reference));
+        }
+    }
 
     #[test]
     fn linear_forward_shape_and_bias() {

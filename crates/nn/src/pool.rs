@@ -61,12 +61,14 @@ impl GroupMaxPool {
         self.argmax = vec![0; groups * c];
         let mut out = Tensor::full(groups, c, f32::NEG_INFINITY);
         for g in 0..groups {
+            let arg_row = &mut self.argmax[g * c..(g + 1) * c];
+            let out_row = out.row_mut(g);
             for r in g * self.group_size..(g + 1) * self.group_size {
-                let row = x.row(r);
-                for ch in 0..c {
-                    if row[ch] > out[(g, ch)] {
-                        out[(g, ch)] = row[ch];
-                        self.argmax[g * c + ch] = r;
+                // strict `>`: the first row holding the maximum wins ties
+                for ((o, a), &v) in out_row.iter_mut().zip(arg_row.iter_mut()).zip(x.row(r)) {
+                    if v > *o {
+                        *o = v;
+                        *a = r;
                     }
                 }
             }
@@ -149,7 +151,52 @@ pub fn group_mean_pool(x: &Tensor, group_size: usize) -> Tensor {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::tensor::tests::{arb_entries, bits, from_pool};
+
+    /// The original indexed `GroupMaxPool::forward`: pooled rows and the
+    /// argmax table, the first strict maximum winning ties.
+    fn reference_group_max(x: &Tensor, group_size: usize) -> (Tensor, Vec<usize>) {
+        let (n, c) = x.shape();
+        let groups = n / group_size;
+        let mut argmax = vec![0; groups * c];
+        let mut out = Tensor::full(groups, c, f32::NEG_INFINITY);
+        for g in 0..groups {
+            for r in g * group_size..(g + 1) * group_size {
+                let row = x.row(r);
+                for ch in 0..c {
+                    if row[ch] > out[(g, ch)] {
+                        out[(g, ch)] = row[ch];
+                        argmax[g * c + ch] = r;
+                    }
+                }
+            }
+        }
+        (out, argmax)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The row-slice forward pools the same bits and picks the same
+        /// argmax rows as the reference; the signed zeros in the inputs
+        /// make ties common.
+        #[test]
+        fn group_max_matches_reference(
+            (groups, k, c) in (0usize..5, 1usize..6, 0usize..7),
+            pool in arb_entries(),
+            offset in 0usize..64,
+        ) {
+            let x = from_pool(groups * k, c, &pool, offset);
+            let mut gmp = GroupMaxPool::new(k);
+            let out = gmp.forward(&x);
+            let (want, argmax) = reference_group_max(&x, k);
+            prop_assert_eq!(bits(out.data()), bits(want.data()));
+            prop_assert_eq!(&gmp.argmax, &argmax);
+        }
+    }
 
     #[test]
     fn group_max_forward_backward() {

@@ -6,6 +6,12 @@
 //! `[n_groups * k, channels]`. The type is deliberately small and explicit
 //! — no broadcasting rules beyond row-vector bias addition — so the
 //! backward passes are easy to audit.
+//!
+//! Kernel contract: each output element is accumulated in index order
+//! from the same start value; kernels may vectorize across outputs,
+//! never reassociate a sum. Every float result is therefore a fixed
+//! function of the inputs, independent of how the loops are written
+//! or how far the compiler optimizes them.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -206,12 +212,19 @@ impl Tensor {
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
-        let mut out = Tensor::zeros(self.rows, rhs.rows);
+        // axpy form over `rhsᵀ`: each out[i][j] is summed from k = 0
+        // upward, starting at -0.0 where `Iterator::<f32>::sum` starts, so
+        // it equals the dot product `a_row · b_row` bit for bit. No zero
+        // `a` is skipped: that would change signed zeros.
+        let rhs_t = rhs.transpose();
+        let n = rhs.rows;
+        let mut out = Tensor::full(self.rows, n, -0.0);
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                out[(i, j)] = a_row.iter().zip(b_row).map(|(a, b)| a * b).sum();
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for (k, &a) in self.row(i).iter().enumerate() {
+                for (o, &b) in out_row.iter_mut().zip(rhs_t.row(k)) {
+                    *o += a * b;
+                }
             }
         }
         out
@@ -413,8 +426,85 @@ impl fmt::Display for Tensor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// A pool of kernel inputs in which a quarter of the entries are
+    /// `+0.0` and a quarter `-0.0`, so signed-zero handling is exercised.
+    pub(crate) fn arb_entries() -> impl Strategy<Value = Vec<f32>> {
+        prop::collection::vec((0u8..4, -4.0f32..4.0), 64..65).prop_map(|v| {
+            v.into_iter()
+                .map(|(z, x)| match z {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => x,
+                })
+                .collect()
+        })
+    }
+
+    /// A `[rows, cols]` tensor filled from `pool`, cycling from `offset`.
+    pub(crate) fn from_pool(rows: usize, cols: usize, pool: &[f32], offset: usize) -> Tensor {
+        let data = (0..rows * cols).map(|i| pool[(offset + i) % pool.len()]).collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// The bit patterns of `t`, so `-0.0` and `+0.0` compare unequal.
+    pub(crate) fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The original `matmul_t`: one iterator `.sum()` dot product per
+    /// output element — the reference the axpy kernel must reproduce.
+    fn reference_matmul_t(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                out[(i, j)] = a.row(i).iter().zip(b.row(j)).map(|(x, y)| x * y).sum();
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `matmul_t` is bit-identical to the `.sum()` reference,
+        /// including `K = 0`, single rows, an all `-0.0` operand and
+        /// signed zeros mixed into the inputs.
+        #[test]
+        fn matmul_t_matches_reference_bits(
+            (m, k, n) in (0usize..6, 0usize..10, 0usize..7),
+            pool in arb_entries(),
+            offset in 0usize..64,
+            all_neg_zero in 0u8..8,
+        ) {
+            let a = if all_neg_zero == 0 {
+                Tensor::full(m, k, -0.0)
+            } else {
+                from_pool(m, k, &pool, offset)
+            };
+            let b = from_pool(n, k, &pool, offset + 17);
+            let got = a.matmul_t(&b);
+            let want = reference_matmul_t(&a, &b);
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert_eq!(bits(got.data()), bits(want.data()));
+        }
+    }
+
+    #[test]
+    fn matmul_t_signed_zero_corners() {
+        // K = 0: every output is the empty sum, -0.0
+        let empty = Tensor::zeros(2, 0).matmul_t(&Tensor::zeros(3, 0));
+        assert_eq!(bits(empty.data()), vec![(-0.0f32).to_bits(); 6]);
+        // an all -0.0 product stays -0.0; one +0.0 term makes it +0.0
+        let neg = Tensor::full(1, 3, -0.0);
+        assert_eq!(neg.matmul_t(&Tensor::full(1, 3, 1.0)).data()[0].to_bits(), (-0.0f32).to_bits());
+        let mixed = Tensor::from_rows(&[&[-0.0, 0.0]]);
+        assert_eq!(mixed.matmul_t(&Tensor::full(1, 2, 1.0)).data()[0].to_bits(), 0);
+    }
 
     #[test]
     fn construction_and_access() {

@@ -62,7 +62,5 @@ pub use report::{serve_fingerprint, ServeReport, ServeRow, TenantRow, SCHEMA, TI
 pub use runner::{
     default_workers, run_serve, run_serve_timed, run_serve_with_stats, ServeRunStats,
 };
-pub use scheduler::{
-    run_service, run_service_controlled, MaintenanceCost, ServiceContext, ServiceOutcome,
-};
+pub use scheduler::{run_service, run_service_controlled, ServiceContext, ServiceOutcome};
 pub use spec::{ServePoint, ServeSpec};

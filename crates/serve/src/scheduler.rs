@@ -65,7 +65,7 @@ use crescent::tenant::{mixed_tenants, TenantSpec};
 use crescent::workload::FrameStream;
 use crescent_accel::{
     maintain_tree_sequence, AcceleratorConfig, CrescentKnobs, Fleet, MaintainedTree,
-    StreamSearchConfig, TreeMaintenance,
+    MaintenanceCost, StreamSearchConfig, TreeMaintenance,
 };
 use crescent_kdtree::TaggedBatch;
 use crescent_memsim::EnergyLedger;
@@ -86,17 +86,6 @@ use crate::spec::ServeSpec;
 /// controller would have nothing to trade. At this operating point the
 /// wavefronts are compute-bound and elision buys real slot cycles.
 pub const SERVICE_STREAM_BYTES_PER_CYCLE: f64 = 163.84;
-
-/// Per-tick cost of one maintenance policy (the fields of
-/// [`MaintainedTree`] that price it; the tree content is policy-
-/// independent by the refit invariant).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaintenanceCost {
-    /// Modeled maintenance cycles (full build or refit work).
-    pub build_cycles: u64,
-    /// DRAM bytes the maintenance streamed.
-    pub build_dram_bytes: u64,
-}
 
 /// Everything about a serve spec that does **not** vary across grid
 /// points: the maintained map tree sequence, the canonical tenant mix
@@ -146,11 +135,8 @@ impl ServiceContext {
             TreeMaintenance::Refit { .. } => TreeMaintenance::RebuildEveryFrame,
         };
         let alt_maintenance = maintain_tree_sequence(&clouds, alt_policy, spec.top_height)
-            .into_iter()
-            .map(|t| MaintenanceCost {
-                build_cycles: t.build_cycles,
-                build_dram_bytes: t.build_dram_bytes,
-            })
+            .iter()
+            .map(MaintainedTree::cost)
             .collect();
         let mut base = spec.tenant_base;
         base.num_frames = spec.map.num_frames;
