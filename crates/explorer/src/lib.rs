@@ -50,12 +50,14 @@
 
 #![warn(missing_docs)]
 
+pub mod fnv;
 pub mod json;
 pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod timings;
 
+pub use fnv::Fnv1a;
 pub use json::Json;
 pub use report::{diff_reports, spec_fingerprint, SweepReport, SweepRow, SCHEMA};
 pub use runner::{

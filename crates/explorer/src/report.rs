@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crescent_memsim::EnergyLedger;
 
+use crate::fnv::Fnv1a;
 use crate::json::Json;
 use crate::spec::SweepSpec;
 
@@ -176,23 +177,17 @@ pub struct SweepReport {
 /// produced by byte-identical spec echoes — a cheap identity check that
 /// also lets a stray timings sidecar be matched to its report.
 pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv1a::new();
     for part in [
         SCHEMA,
         spec.label.as_str(),
         &workload_json(spec).to_compact(),
         &grid_json(spec).to_compact(),
     ] {
-        for byte in part.bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(PRIME);
+        h.bytes(part.as_bytes());
+        h.bytes(b"\n");
     }
-    h
+    h.finish()
 }
 
 impl SweepReport {

@@ -56,6 +56,7 @@ use crescent_accel::{
 use crescent_kdtree::KdTree;
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
+use crate::fnv::Fnv1a;
 use crate::report::{SweepReport, SweepRow};
 use crate::spec::{maintenance_label, SweepPoint, SweepSpec};
 use crate::timings::RunTimings;
@@ -521,27 +522,19 @@ fn recall(approx: &[Vec<Vec<Neighbor>>], exact: &[Vec<Vec<usize>>]) -> f64 {
 /// per-query result counts, and each neighbor's index and exact distance
 /// bits. Equal digests ⇔ bit-identical results (up to 64-bit collision).
 fn digest(neighbor_sets: &[Vec<Vec<Neighbor>>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(neighbor_sets.len() as u64);
+    let mut h = Fnv1a::new();
+    h.u64(neighbor_sets.len() as u64);
     for frame in neighbor_sets {
-        eat(frame.len() as u64);
+        h.u64(frame.len() as u64);
         for hits in frame {
-            eat(hits.len() as u64);
+            h.u64(hits.len() as u64);
             for n in hits {
-                eat(n.index as u64);
-                eat(n.dist2.to_bits() as u64);
+                h.u64(n.index as u64);
+                h.u64(n.dist2.to_bits() as u64);
             }
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

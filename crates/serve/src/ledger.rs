@@ -2,6 +2,7 @@
 //! percentiles, deadline accounting, and fleet-wide energy rollups —
 //! every number modeled, so the whole ledger is byte-stable.
 
+use crescent_explorer::Fnv1a;
 use crescent_memsim::EnergyLedger;
 use crescent_pointcloud::Neighbor;
 
@@ -284,34 +285,26 @@ impl ServiceLedger {
 /// they returned bit-identical neighbor sets with identical admission
 /// outcomes.
 pub fn digest_results(results: &[Vec<Option<Vec<Vec<Neighbor>>>>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn eat(h: &mut u64, v: u64) {
-        for byte in v.to_le_bytes() {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
-    let mut h = OFFSET;
+    let mut h = Fnv1a::new();
     for (tenant, frames) in results.iter().enumerate() {
-        eat(&mut h, tenant as u64);
+        h.u64(tenant as u64);
         for frame in frames {
             match frame {
-                None => eat(&mut h, u64::MAX),
+                None => h.u64(u64::MAX),
                 Some(queries) => {
-                    eat(&mut h, queries.len() as u64);
+                    h.u64(queries.len() as u64);
                     for hits in queries {
-                        eat(&mut h, hits.len() as u64);
+                        h.u64(hits.len() as u64);
                         for n in hits {
-                            eat(&mut h, n.index as u64);
-                            eat(&mut h, n.dist2.to_bits() as u64);
+                            h.u64(n.index as u64);
+                            h.u64(n.dist2.to_bits() as u64);
                         }
                     }
                 }
             }
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

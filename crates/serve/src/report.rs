@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crescent_explorer::Json;
+use crescent_explorer::{Fnv1a, Json};
 use crescent_memsim::EnergyLedger;
 
 use crate::ledger::ServiceLedger;
@@ -291,23 +291,17 @@ pub struct ServeReport {
 /// they were produced by byte-identical spec echoes — how the gate's
 /// comparator distinguishes "different spec" from metric drift.
 pub fn serve_fingerprint(spec: &ServeSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv1a::new();
     for part in [
         SCHEMA,
         spec.label.as_str(),
         &workload_json(spec).to_compact(),
         &grid_json(spec).to_compact(),
     ] {
-        for byte in part.bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(PRIME);
+        h.bytes(part.as_bytes());
+        h.bytes(b"\n");
     }
-    h
+    h.finish()
 }
 
 /// The workload echo of the report header: the shared map, the tenant

@@ -4,7 +4,9 @@ use proptest::prelude::*;
 
 use crescent::kdtree::{radius_search, ElisionConfig, KdTree, SplitSearchConfig, SplitTree};
 use crescent::memsim::{DramTraceAnalyzer, FullyAssociativeCache};
-use crescent::pointcloud::{radius_search_bruteforce, replicate_to_k, Point3, PointCloud};
+use crescent::pointcloud::{
+    radius_search_bruteforce, replicate_to_k, Neighbor, Point3, PointCloud,
+};
 
 fn arb_cloud(max_n: usize) -> impl Strategy<Value = PointCloud> {
     prop::collection::vec((-10.0f32..10.0, -10.0f32..10.0, -10.0f32..10.0), 1..max_n)
@@ -14,7 +16,10 @@ fn arb_cloud(max_n: usize) -> impl Strategy<Value = PointCloud> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Exact K-d search equals brute force on arbitrary clouds.
+    /// Exact K-d search equals brute force on arbitrary clouds: the same
+    /// index set uncapped, and the same ordered distance bits capped at
+    /// `k` (which of several tied neighbors survives the cap may differ,
+    /// their distances may not).
     #[test]
     fn kd_search_matches_bruteforce(
         cloud in arb_cloud(200),
@@ -22,6 +27,7 @@ proptest! {
         qy in -10.0f32..10.0,
         qz in -10.0f32..10.0,
         radius in 0.1f32..5.0,
+        k in 1usize..16,
     ) {
         let tree = KdTree::build(&cloud);
         let q = Point3::new(qx, qy, qz);
@@ -32,6 +38,14 @@ proptest! {
         got.sort_unstable();
         want.sort_unstable();
         prop_assert_eq!(got, want);
+
+        let dist_bits = |hits: Vec<Neighbor>| -> Vec<u32> {
+            hits.iter().map(|n| n.dist2.to_bits()).collect()
+        };
+        prop_assert_eq!(
+            dist_bits(radius_search(&tree, q, radius, Some(k))),
+            dist_bits(radius_search_bruteforce(&cloud, q, radius, Some(k)))
+        );
     }
 
     /// The K-d tree layout is always complete and permutation-valid.
