@@ -11,6 +11,7 @@
 //! an instance only ever *searches*.
 
 use crescent_kdtree::{KdTree, TaggedBatch, TaggedResults};
+use crescent_pointcloud::{Neighbor, Point3};
 
 use crate::config::AcceleratorConfig;
 use crate::pipeline::CrescentKnobs;
@@ -40,20 +41,13 @@ impl ServiceInstance {
 
     /// Executes one tenant-tagged wavefront against the shared map
     /// `tree`, returning per-segment neighbor lists and the wavefront's
-    /// modeled frame record. The search sees only the flat concatenated
-    /// batch ([`TaggedBatch::split_results`] demultiplexes afterwards),
-    /// so tags cannot perturb the engine.
+    /// modeled frame record: [`Self::simulate_wavefront`] over the flat
+    /// concatenated batch ([`TaggedBatch::split_results`] demultiplexes
+    /// afterwards, so tags cannot perturb the engine), then
+    /// [`Self::record_wavefront`] of its latency.
     ///
-    /// The dispatch-to-completion latency is
-    /// [`FrameReport::standalone_cycles`]: the slot plus one PE pipeline
-    /// fill (a service wavefront is latency-critical, so unlike the
-    /// back-to-back stream bound the fill is paid per wavefront), and
-    /// zero for a wavefront with no work.
-    ///
-    /// The caller owns the dispatch schedule: this method models the
-    /// wavefront in isolation and updates only the instance-local
-    /// counters (`busy_cycles`, `wavefronts`); set [`Self::free_at`]
-    /// from the returned latency at the chosen start cycle.
+    /// The caller owns the dispatch schedule: set [`Self::free_at`] from
+    /// the returned latency at the chosen start cycle.
     pub fn run_wavefront(
         &mut self,
         tree: &KdTree,
@@ -62,16 +56,48 @@ impl ServiceInstance {
         knobs: CrescentKnobs,
         config: &AcceleratorConfig,
     ) -> (TaggedResults, FrameReport) {
-        let (hits, stats) =
-            self.engine.search(tree, batch.queries(), knobs.top_height, search, config);
+        let (hits, report) = self.simulate_wavefront(tree, batch.queries(), search, knobs, config);
+        self.record_wavefront(report.standalone_cycles());
+        (batch.split_results(hits), report)
+    }
+
+    /// Models one wavefront of the flat query batch `queries` against
+    /// the shared map `tree` in isolation, returning every query's
+    /// neighbor list and the wavefront's modeled frame record. Books
+    /// nothing on the instance.
+    ///
+    /// The dispatch-to-completion latency is
+    /// [`FrameReport::standalone_cycles`]: the slot plus one PE pipeline
+    /// fill (a service wavefront is latency-critical, so unlike the
+    /// back-to-back stream bound the fill is paid per wavefront), and
+    /// zero for a wavefront with no work.
+    ///
+    /// Only the recycled search state carries over between calls, and
+    /// it reaches nothing but the cross-call locality fields
+    /// (`search.assignment_reuses`, `search.frame_index`): every other
+    /// field is a pure function of the arguments.
+    pub fn simulate_wavefront(
+        &mut self,
+        tree: &KdTree,
+        queries: &[Point3],
+        search: &StreamSearchConfig,
+        knobs: CrescentKnobs,
+        config: &AcceleratorConfig,
+    ) -> (Vec<Vec<Neighbor>>, FrameReport) {
+        let (hits, stats) = self.engine.search(tree, queries, knobs.top_height, search, config);
         // the gather unit is as tenant-blind as the search engine: it
         // reads the flat hits, across segment boundaries
         let agg = self.engine.aggregate(&hits, config.point_buffer, config.aggregation_elision);
         let searched = FrameSearch::new(tree.len(), &hits, stats);
         let report = FrameReport::compose(0, &searched, &agg, &MaintenanceCost::default(), config);
-        self.busy_cycles += report.standalone_cycles();
+        (hits, report)
+    }
+
+    /// Books one dispatched wavefront of `latency` cycles on the
+    /// instance-local counters (`busy_cycles`, `wavefronts`).
+    pub fn record_wavefront(&mut self, latency: u64) {
+        self.busy_cycles += latency;
         self.wavefronts += 1;
-        (batch.split_results(hits), report)
     }
 }
 
@@ -124,7 +150,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::engine::PE_PIPELINE_DEPTH;
-    use crescent_pointcloud::{Point3, PointCloud};
+    use crescent_pointcloud::PointCloud;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -186,6 +212,34 @@ mod tests {
         assert_eq!(wf.energy.sram_aggregation, frame.energy.sram_aggregation);
         assert_eq!(inst.busy_cycles, wf.standalone_cycles());
         assert_eq!(inst.wavefronts, 1);
+    }
+
+    #[test]
+    fn instance_history_reaches_only_the_locality_fields() {
+        // the serve memo relies on this: a wavefront simulated on a
+        // seasoned instance equals the same wavefront on a fresh one,
+        // except for the cross-call locality fields
+        let cloud = random_cloud(2000, 14);
+        let tree = KdTree::build(&cloud);
+        let cfg = AcceleratorConfig::default();
+        let knobs = CrescentKnobs::default();
+        let search = StreamSearchConfig { elision_depth: 2, ..search() };
+        let queries = random_queries(64, 15);
+        let (fresh_hits, fresh) =
+            ServiceInstance::new().simulate_wavefront(&tree, &queries, &search, knobs, &cfg);
+        let mut seasoned = ServiceInstance::new();
+        for seed in 16..19 {
+            seasoned.simulate_wavefront(&tree, &random_queries(80, seed), &search, knobs, &cfg);
+        }
+        seasoned.simulate_wavefront(&tree, &queries, &search, knobs, &cfg);
+        let (hits, mut report) = seasoned.simulate_wavefront(&tree, &queries, &search, knobs, &cfg);
+        assert_eq!(hits, fresh_hits);
+        assert_eq!(report.search.assignment_reuses, queries.len(), "the history is real");
+        assert_ne!(report.search.frame_index, fresh.search.frame_index);
+        report.search.assignment_reuses = fresh.search.assignment_reuses;
+        report.search.frame_index = fresh.search.frame_index;
+        assert_eq!(report, fresh);
+        assert_eq!((seasoned.wavefronts, seasoned.busy_cycles), (0, 0), "simulating books nothing");
     }
 
     #[test]

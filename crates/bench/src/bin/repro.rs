@@ -14,7 +14,8 @@
 //! `--quick` shrinks the workloads (seconds instead of minutes); the
 //! trends are unchanged. Run with `--release` — the accuracy figures
 //! train networks. See `crescent_bench::sweep` for the sweep flags. An
-//! unknown id, flag or subcommand prints the usage and exits non-zero.
+//! unknown id, flag or subcommand, or no figure id at all, prints the
+//! usage and exits 2; `repro help` prints it and exits 0.
 
 use std::time::Instant;
 
@@ -68,9 +69,16 @@ fn main() {
     let scale = Scale::from_flag(quick);
     let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
 
-    if ids.is_empty() || ids.contains(&"help") {
+    if ids.contains(&"help") {
         usage();
         return;
+    }
+    // no figure id is not a success: an empty id list in a script must
+    // not read as a green run
+    if ids.is_empty() {
+        eprintln!("no figure id given");
+        usage();
+        std::process::exit(2);
     }
     if ids.contains(&"list") {
         println!("{}", ALL_FIGURES.join("\n"));

@@ -1,4 +1,8 @@
-//! Shared workloads and scaling for the figure-reproduction experiments.
+//! Shared workloads and scaling for the figure-reproduction experiments,
+//! plus the report-file helpers of the `repro sweep` and `repro serve`
+//! subcommands.
+
+use std::path::Path;
 
 use crescent_pointcloud::datasets::{generate_scene, LidarScene, LidarSceneConfig};
 use crescent_pointcloud::PointCloud;
@@ -149,9 +153,36 @@ impl Figure {
     }
 }
 
+/// Seconds from wall-clock nanoseconds, for the subcommands' stderr
+/// timing lines.
+pub(crate) fn secs(nanos: u64) -> f64 {
+    nanos as f64 / 1e9
+}
+
+/// Writes a report (or sidecar) to `path`, creating its parent
+/// directories first.
+pub(crate) fn write_report(path: &Path, text: &str) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::write(path, text)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_report_creates_missing_parent_directories() {
+        let dir =
+            std::env::temp_dir().join(format!("crescent-write-report-{}", std::process::id()));
+        let path = dir.join("nested").join("report.json");
+        write_report(&path, "{}\n").expect("writes through missing parents");
+        assert_eq!(std::fs::read_to_string(&path).expect("written"), "{}\n");
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
 
     #[test]
     fn scales_are_ordered() {

@@ -21,14 +21,16 @@
 //! baseline with `repro serve --quick --json bench/serve-baseline.json`
 //! and commit the diff.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crescent::format_table;
 use crescent_explorer::diff_reports;
 use crescent_serve::{
-    default_workers, run_serve_timed, serve_fingerprint, RunTimings, ServeReport, ServeSpec,
-    TIMINGS_SCHEMA,
+    default_workers, run_serve_timed, serve_fingerprint, RunTimings, ServeReport, ServeRunStats,
+    ServeSpec, TIMINGS_SCHEMA,
 };
+
+use crate::common::{secs, write_report};
 
 /// Default location of the checked-in quick-serve baseline, relative to
 /// the workspace root (where CI and `cargo run` invoke the binary).
@@ -137,7 +139,7 @@ pub fn run_serve_command(args: &ServeArgs) -> i32 {
     print!("{}", render_summary(&report));
     // the wall-clock accounting goes to STDERR in every mode: measured
     // time is operator feedback, never report data
-    eprint_timings(&timings, stats.workers);
+    eprint_timings(&timings, &stats);
 
     let json = report.to_json();
     if let Some(path) = &args.json {
@@ -240,33 +242,26 @@ pub fn render_summary(report: &ServeReport) -> String {
 }
 
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
-/// the run total, the serial context build, and the per-point time
-/// summed across the worker pool.
-fn eprint_timings(timings: &RunTimings, workers: usize) {
+/// the run total, the serial context build, the per-point time summed
+/// across the worker pool, and how many of the dispatched wavefronts
+/// the context's memo actually simulated.
+fn eprint_timings(timings: &RunTimings, stats: &ServeRunStats) {
     eprintln!(
         "# wall-clock: total {:.3}s (context build {:.3}s serial, points {:.3}s summed over \
-         {workers} workers)",
+         {} workers; {} of {} wavefronts simulated)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),
         secs(timings.point_nanos()),
+        stats.workers,
+        stats.wavefronts_simulated,
+        stats.wavefronts_dispatched,
     );
-}
-
-fn secs(nanos: u64) -> f64 {
-    nanos as f64 / 1e9
-}
-
-fn write_report(path: &Path, json: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, json)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
 
     fn strings(args: &[&str]) -> Vec<String> {

@@ -20,13 +20,15 @@
 //! baseline with `repro sweep --quick --json bench/baseline.json` and
 //! commit the diff.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crescent::format_table;
 use crescent_explorer::{
     default_workers, diff_reports, run_sweep_timed, spec_fingerprint, RunTimings, SweepReport,
     SweepRunStats, SweepSpec, TIMINGS_SCHEMA,
 };
+
+use crate::common::{secs, write_report};
 
 /// Default location of the checked-in quick-sweep baseline, relative to
 /// the workspace root (where CI and `cargo run` invoke the binary).
@@ -230,21 +232,10 @@ fn eprint_timings(timings: &RunTimings, stats: &SweepRunStats) {
     }
 }
 
-fn secs(nanos: u64) -> f64 {
-    nanos as f64 / 1e9
-}
-
-fn write_report(path: &Path, json: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, json)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
 
     fn strings(args: &[&str]) -> Vec<String> {

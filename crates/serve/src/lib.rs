@@ -34,7 +34,9 @@
 //!   `h_e` per wavefront from observed misses and backlog.
 //! - [`scheduler`]: the event-driven admission/EDF/batching loop over
 //!   [`Fleet`](crescent_accel::Fleet), with the controller's
-//!   observe → decide → act hook before each dispatch.
+//!   observe → decide → act hook before each dispatch. Each distinct
+//!   wavefront is simulated once per [`ServiceContext`] (its
+//!   compute-once memo) and re-read by every later dispatch.
 //! - [`ledger`]: per-tenant frame outcomes, nearest-rank percentiles,
 //!   deadline and energy accounting, knob trajectories.
 //! - [`report`]: schema-versioned JSON in the explorer's exact-diff
@@ -47,6 +49,7 @@
 
 pub mod controller;
 pub mod ledger;
+mod memo;
 pub mod report;
 pub mod runner;
 pub mod scheduler;

@@ -7,12 +7,23 @@
 //!
 //! The report is a pure function of the spec, whatever the worker
 //! count: each grid point runs its own complete, single-threaded
-//! scheduler simulation over the shared read-only context, and
-//! [`par_map`] returns the rows in grid order whatever the worker
-//! count. Two
-//! runs — or a 1-worker and an N-worker run — therefore serialize to
+//! scheduler simulation over the shared context, and [`par_map`]
+//! returns the rows in grid order whatever the worker count. Two runs —
+//! or a 1-worker and an N-worker run — therefore serialize to
 //! byte-identical JSON, which is what lets the CI serve gate compare
 //! reports with an exact comparator.
+//!
+//! The context's trees, tenants and queries are read-only. Its one
+//! mutable part is the compute-once wavefront memo: the first dispatch
+//! of a `(tick, h_e, riders in EDF order)` key simulates the wavefront
+//! and stores its latency, energy, counters and neighbor lists; every
+//! later dispatch of the key, in any point and on any worker, reads
+//! them. A hit cannot change bytes: everything stored is a pure
+//! function of the key (the tick fixes the tree and each rider's
+//! queries, the riders fix descendant reuse, the context fixes the
+//! rest), so it equals what a fresh simulation would return, and which
+//! worker filled an entry is invisible. Each key is simulated exactly
+//! once whatever the worker count ([`ServeRunStats::wavefronts_simulated`]).
 
 use std::time::Instant;
 
@@ -22,8 +33,8 @@ use crescent_explorer::RunTimings;
 
 use crate::controller::ControlMode;
 use crate::report::{ServeReport, ServeRow};
-use crate::scheduler::{run_service, run_service_controlled, ServiceContext};
-use crate::spec::ServeSpec;
+use crate::scheduler::{run_service, run_service_controlled, ServiceContext, ServiceOutcome};
+use crate::spec::{ServePoint, ServeSpec};
 
 /// Execution statistics of one serve run — operational facts about the
 /// run itself, deliberately kept OUT of the report bytes (the report is
@@ -41,6 +52,12 @@ pub struct ServeRunStats {
     /// Total **wall-clock** nanoseconds spent simulating grid points,
     /// summed across workers. Measured, never part of the report.
     pub point_nanos: u64,
+    /// Wavefronts the grid's schedulers dispatched (the rows'
+    /// `wavefronts` summed).
+    pub wavefronts_dispatched: usize,
+    /// Distinct wavefronts actually simulated: the context's memo
+    /// entries. Every other dispatch was a memo hit.
+    pub wavefronts_simulated: usize,
 }
 
 /// Runs the full serve grid on `workers` OS threads and returns the
@@ -82,19 +99,7 @@ pub fn run_serve_timed(
     let points = spec.expand();
     let workers = workers.clamp(1, points.len().max(1));
     let served = par_map(&points, workers, |_, point| {
-        let outcome = match point.controller {
-            ControlMode::Static => {
-                run_service(&ctx, point.tenants, point.fleet, point.elision_depth)
-            }
-            ControlMode::Slo => run_service_controlled(
-                &ctx,
-                point.tenants,
-                point.fleet,
-                point.elision_depth,
-                &spec.controller,
-            ),
-        };
-        ServeRow::from_ledger(*point, &outcome.ledger)
+        ServeRow::from_ledger(*point, &serve_point(&ctx, spec, point).ledger)
     });
     let timings = RunTimings {
         total_nanos: run_start.elapsed().as_nanos() as u64,
@@ -107,12 +112,30 @@ pub fn run_serve_timed(
         workers,
         tenants_built: ctx.tenants.len(),
         point_nanos: timings.point_nanos(),
+        wavefronts_dispatched: rows.iter().map(|r| r.wavefronts).sum(),
+        wavefronts_simulated: ctx.wavefronts_simulated(),
     };
     Ok((ServeReport { spec: spec.clone(), rows }, stats, timings))
 }
 
+/// Runs one grid point on `ctx` under the point's knob policy.
+fn serve_point(ctx: &ServiceContext, spec: &ServeSpec, point: &ServePoint) -> ServiceOutcome {
+    match point.controller {
+        ControlMode::Static => run_service(ctx, point.tenants, point.fleet, point.elision_depth),
+        ControlMode::Slo => run_service_controlled(
+            ctx,
+            point.tenants,
+            point.fleet,
+            point.elision_depth,
+            &spec.controller,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::report::{serve_fingerprint, SCHEMA, TIMINGS_SCHEMA};
 
@@ -199,6 +222,59 @@ mod tests {
         assert_eq!(stats.workers, report.rows.len(), "pool clamps to the point count");
         let (_, one) = run_serve_with_stats(&spec, 1).expect("serve runs");
         assert_eq!(one.workers, 1);
+    }
+
+    /// The distinct `(tick, h_e, riders in EDF order)` wavefront keys
+    /// the grid dispatches, rebuilt from the ledgers alone, and the
+    /// number of dispatches.
+    fn dispatched_wavefront_keys(spec: &ServeSpec) -> (HashSet<(usize, usize, Vec<usize>)>, usize) {
+        let ctx = ServiceContext::build(spec);
+        let mut keys = HashSet::new();
+        let mut dispatched = 0;
+        for point in spec.expand() {
+            let ledger = serve_point(&ctx, spec, &point).ledger;
+            dispatched += ledger.wavefronts;
+            // every served frame as (wavefront, EDF sort key, tenant,
+            // tick, h_e): sorted, each wave's riders are a run in EDF order
+            let mut served = Vec::new();
+            for (ti, tenant) in ledger.tenants.iter().enumerate() {
+                for f in tenant.frames.iter().filter(|f| f.admitted) {
+                    let deadline_at = f.arrival + tenant.deadline_cycles;
+                    served.push((f.wavefront.unwrap(), deadline_at, f.arrival, ti, f.frame, f.h_e));
+                }
+            }
+            served.sort_unstable();
+            let waves: Vec<_> = served.chunk_by(|a, b| a.0 == b.0).collect();
+            assert_eq!(waves.len(), ledger.wavefronts);
+            for wave in waves {
+                let (tick, h_e) = (wave[0].4, wave[0].5);
+                assert!(
+                    wave.iter().all(|r| (r.4, r.5) == (tick, h_e)),
+                    "one tick and h_e per wave"
+                );
+                keys.insert((tick, h_e, wave.iter().map(|r| r.3).collect()));
+            }
+        }
+        (keys, dispatched)
+    }
+
+    /// The memo simulates every distinct wavefront key of the quick grid
+    /// exactly once, however many workers race for it: the count is the
+    /// same at 1 and 2 workers, equals the distinct keys the ledgers
+    /// dispatched, and is well below the dispatch count (196 of 526).
+    #[test]
+    fn every_wavefront_key_is_simulated_exactly_once_at_any_worker_count() {
+        let spec = ServeSpec::quick();
+        let (keys, dispatched) = dispatched_wavefront_keys(&spec);
+        assert_eq!((keys.len(), dispatched), (196, 526));
+        let (one, one_stats) = run_serve_with_stats(&spec, 1).expect("serve runs");
+        let (two, two_stats) = run_serve_with_stats(&spec, 2).expect("serve runs");
+        assert_eq!(one.to_json(), two.to_json());
+        for stats in [one_stats, two_stats] {
+            assert_eq!(stats.wavefronts_dispatched, dispatched);
+            assert_eq!(stats.wavefronts_simulated, keys.len(), "one simulation per key");
+            assert!(stats.wavefronts_simulated < stats.wavefronts_dispatched);
+        }
     }
 
     #[test]

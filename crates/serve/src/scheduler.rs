@@ -30,11 +30,13 @@
 //!    **decides** the wavefront's `h_e` from miss/backlog/storm
 //!    pressure ([`Controller::decide`]);
 //! 4. batches **every queued frame of the same tick that has already
-//!    arrived** into one tenant-tagged wavefront
-//!    ([`TaggedBatch`]) on the earliest-free instance — this is where
-//!    cross-tenant top-tree amortization happens — **acting** the
+//!    arrived** into one wavefront (its riders' query segments
+//!    concatenated in EDF order) on the earliest-free instance — this
+//!    is where cross-tenant top-tree amortization happens — **acting** the
 //!    decision through the wavefront's search config
-//!    ([`ServiceInstance::run_wavefront`](crescent_accel::ServiceInstance::run_wavefront));
+//!    ([`ServiceInstance::simulate_wavefront`](crescent_accel::ServiceInstance::simulate_wavefront),
+//!    run once per distinct wavefront of the context: see
+//!    [`ServiceContext`]);
 //! 5. grades each served frame against its tenant's deadline
 //!    ([`deadline_missed`]).
 //!
@@ -51,7 +53,7 @@
 //! so the policy choice moves cycles and energy, never answers.
 //!
 //! Because the engine is tag-blind (it searches the flat concatenated
-//! batch, and [`TaggedBatch::split_results`] demultiplexes the hits
+//! batch, and the scheduler splits the hits per rider segment
 //! afterwards), results at `h_e = 0` are
 //! bit-identical to running each tenant alone — co-tenants move
 //! *cycles*, never *answers*. The whole simulation is a pure function
@@ -67,7 +69,6 @@ use crescent_accel::{
     maintain_tree_sequence, AcceleratorConfig, CrescentKnobs, Fleet, MaintainedTree,
     MaintenanceCost, StreamSearchConfig, TreeMaintenance,
 };
-use crescent_kdtree::TaggedBatch;
 use crescent_memsim::EnergyLedger;
 use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 
@@ -76,6 +77,7 @@ use crate::ledger::{
     deadline_missed, digest_results, FrameOutcome, InstanceReport, KnobPoint, ServiceLedger,
     TenantLedger,
 };
+use crate::memo::{WaveKey, Wavefront, WavefrontMemo};
 use crate::spec::ServeSpec;
 
 /// Sustained DRAM streaming bandwidth of the service operating point,
@@ -93,6 +95,17 @@ pub const SERVICE_STREAM_BYTES_PER_CYCLE: f64 = 163.84;
 /// once ([`ServiceContext::build`]) and shared by reference across the
 /// whole grid — a grid point only picks how many tenants, how many
 /// instances, which `h_e`, and which knob policy.
+///
+/// The context also carries a compute-once **wavefront memo**, empty
+/// at build time. Within one context a dispatched wavefront is a pure
+/// function of `(tick, h_e, riders in EDF order)`: the tick names the
+/// tree and each rider's queries, descendant reuse follows from the
+/// riders, and everything else the engine reads is fixed here. So the
+/// scheduler simulates each such key once and every later dispatch of
+/// it — in any grid point, on any worker — reads the stored latency,
+/// energy, counters and neighbor lists. A hit is bit-identical to a
+/// fresh simulation; [`ServiceContext::wavefronts_simulated`] counts
+/// the misses.
 #[derive(Debug)]
 pub struct ServiceContext {
     /// One maintained map tree per service tick (built under the spec's
@@ -117,6 +130,8 @@ pub struct ServiceContext {
     pub radius: f32,
     /// Per-query neighbor cap (from the tenant base workload).
     pub max_neighbors: Option<usize>,
+    /// The compute-once wavefront memo.
+    wavefronts: WavefrontMemo,
 }
 
 impl ServiceContext {
@@ -155,12 +170,20 @@ impl ServiceContext {
             top_height: spec.top_height,
             radius: spec.tenant_base.radius,
             max_neighbors: spec.tenant_base.max_neighbors,
+            wavefronts: WavefrontMemo::default(),
         }
     }
 
     /// Number of service ticks.
     pub fn ticks(&self) -> usize {
         self.trees.len()
+    }
+
+    /// Distinct wavefronts simulated on this context so far: one per
+    /// `(tick, h_e, riders in EDF order)` key any run has dispatched,
+    /// however many runs and workers dispatched it.
+    pub fn wavefronts_simulated(&self) -> usize {
+        self.wavefronts.simulated()
     }
 }
 
@@ -296,7 +319,8 @@ fn run_service_impl(
     let mut makespan = 0u64;
 
     let mut pending: Vec<Job> = Vec::new();
-    let mut batch = TaggedBatch::new();
+    // the flat query batch of a wavefront being simulated
+    let mut batch: Vec<Point3> = Vec::new();
     let mut arrivals = events.into_iter().peekable();
     // frames graded but not yet observed by the controller, ordered by
     // completion (ties: tenant, then frame — fully deterministic)
@@ -355,27 +379,35 @@ fn run_service_impl(
                     }
                 }
                 wave.sort_by_key(|j| (j.deadline_at, j.arrival, j.tenant, j.frame));
-                batch.clear();
-                for job in &wave {
-                    batch.push_segment(job.tenant as u64, &ctx.queries[job.tenant][job.frame]);
-                }
-                // act: the decided h_e rides the wavefront's search
-                // config; descendant reuse switches on iff a
-                // reuse-scenario tenant is aboard (inert at h_e = 0)
-                let reuse =
-                    wave.iter().any(|j| ctx.tenants[j.tenant].workload.scenario.descendant_reuse());
-                let wf_search =
-                    StreamSearchConfig { elision_depth: h_e, descendant_reuse: reuse, ..search };
+                let key = WaveKey { tick, h_e, tenants: wave.iter().map(|j| j.tenant).collect() };
                 let instance = fleet.instance_mut(inst_idx);
-                let (tagged, wf) = instance.run_wavefront(
-                    &ctx.trees[tick].tree,
-                    &batch,
-                    &wf_search,
-                    knobs,
-                    &config,
-                );
-                let wf_latency = wf.standalone_cycles();
-                let done = start + wf_latency;
+                let wf = ctx.wavefronts.get_or_simulate(key, || {
+                    // act: the decided h_e rides the wavefront's search
+                    // config; descendant reuse switches on iff a
+                    // reuse-scenario tenant is aboard (inert at h_e = 0)
+                    let reuse = wave
+                        .iter()
+                        .any(|j| ctx.tenants[j.tenant].workload.scenario.descendant_reuse());
+                    let wf_search = StreamSearchConfig {
+                        elision_depth: h_e,
+                        descendant_reuse: reuse,
+                        ..search
+                    };
+                    batch.clear();
+                    for job in &wave {
+                        batch.extend_from_slice(&ctx.queries[job.tenant][job.frame]);
+                    }
+                    let (hits, report) = instance.simulate_wavefront(
+                        &ctx.trees[tick].tree,
+                        &batch,
+                        &wf_search,
+                        knobs,
+                        &config,
+                    );
+                    Wavefront::new(&hits, &report)
+                });
+                instance.record_wavefront(wf.latency);
+                let done = start + wf.latency;
                 instance.free_at = done;
                 makespan = makespan.max(done);
 
@@ -384,21 +416,25 @@ fn run_service_impl(
                 if wave.len() > 1 {
                     shared_wavefronts += 1;
                 }
-                top_fetches += wf.search.top_fetches as u64;
-                top_fetches_unamortized += wf.search.top_fetches_unamortized as u64;
-                conflicts_elided += wf.search.conflicts_elided as u64;
-                nodes_skipped += wf.search.nodes_skipped as u64;
-                conflict_reuses += wf.search.conflict_reuses as u64;
+                top_fetches += wf.top_fetches;
+                top_fetches_unamortized += wf.top_fetches_unamortized;
+                conflicts_elided += wf.conflicts_elided;
+                nodes_skipped += wf.nodes_skipped;
+                conflict_reuses += wf.conflict_reuses;
                 knob_trajectory.push(KnobPoint {
                     wavefront: wave_id,
                     start,
                     h_e,
-                    latency: wf_latency,
+                    latency: wf.latency,
                 });
                 search_energy.merge(&wf.energy);
                 let total_queries = wf.queries.max(1);
-                for (job, (tag, seg)) in wave.iter().zip(tagged) {
-                    debug_assert_eq!(tag, job.tenant as u64);
+                // the wave's riders own consecutive segments of the batch
+                let mut first = 0;
+                for job in &wave {
+                    let end = first + ctx.queries[job.tenant][job.frame].len();
+                    let seg = wf.neighbors(first..end);
+                    first = end;
                     let share = seg.len() as f64 / total_queries as f64;
                     tenant_energy[job.tenant].merge(&wf.energy.scaled(share));
                     let latency = done - job.arrival;
@@ -421,6 +457,7 @@ fn run_service_impl(
                     });
                     results[job.tenant][job.frame] = Some(seg);
                 }
+                debug_assert_eq!(first, wf.queries, "the riders cover the whole batch");
                 dispatched = true;
             }
         }
@@ -535,6 +572,7 @@ fn run_service_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crescent_kdtree::TaggedBatch;
 
     fn quick_ctx() -> ServiceContext {
         let mut spec = ServeSpec::quick();

@@ -16,15 +16,22 @@
 //! * **determinism** — the same context yields byte-identical ledgers;
 //! * **`h_e = 0` bit-identity** — each tenant's neighbor sets in the
 //!   multi-tenant run equal a solo re-run of the same frame through the
-//!   same wavefront machinery: co-tenants move cycles, never answers.
+//!   same wavefront machinery: co-tenants move cycles, never answers;
+//! * **a memo hit is a fresh simulation** — a point run on a context
+//!   whose wavefront memo earlier runs have warmed equals the same point
+//!   on a fresh context, at every `h_e` and under both knob policies.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::Relaxed;
 
 use crescent::testgen::ScenarioGen;
 use crescent_accel::{AcceleratorConfig, CrescentKnobs, ServiceInstance, StreamSearchConfig};
 use crescent_kdtree::TaggedBatch;
+use crescent_memsim::EnergyLedger;
 use crescent_serve::{
-    run_serve, run_service, ControlMode, ServeSpec, ServiceContext, ServiceOutcome,
+    run_serve, run_service, run_service_controlled, ControlMode, ServeSpec, ServiceContext,
+    ServiceOutcome,
 };
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -237,6 +244,93 @@ fn fuzz_he_zero_batching_never_changes_answers() {
             }
         },
     );
+}
+
+/// The bits of every energy category of `ledger`.
+fn energy_bits(ledger: &EnergyLedger) -> Vec<u64> {
+    ledger.category_rows().iter().map(|(_, e)| e.to_bits()).collect()
+}
+
+/// Asserts two runs of one point produced the same outcome: answers,
+/// digest, knob trajectory, instance reports, and energy to the bit.
+fn assert_same_outcome(a: &ServiceOutcome, b: &ServiceOutcome, what: &str) {
+    assert_eq!(a.results, b.results, "{what}: results");
+    assert_eq!(a.ledger.digest, b.ledger.digest, "{what}: digest");
+    assert_eq!(a.ledger.knob_trajectory, b.ledger.knob_trajectory, "{what}: knob trajectory");
+    let instances = |o: &ServiceOutcome| -> Vec<(usize, u64, u64)> {
+        o.ledger.instances.iter().map(|i| (i.wavefronts, i.busy_cycles, i.free_at)).collect()
+    };
+    assert_eq!(instances(a), instances(b), "{what}: instance reports");
+    assert_eq!(
+        energy_bits(&a.ledger.search_energy),
+        energy_bits(&b.ledger.search_energy),
+        "{what}: search energy"
+    );
+    assert_eq!(
+        energy_bits(&a.ledger.map_energy),
+        energy_bits(&b.ledger.map_energy),
+        "{what}: map energy"
+    );
+    for (ta, tb) in a.ledger.tenants.iter().zip(&b.ledger.tenants) {
+        assert_eq!(energy_bits(&ta.energy), energy_bits(&tb.energy), "{what}: {}", ta.name);
+    }
+    // and everything else the ledger holds
+    assert_eq!(format!("{:?}", a.ledger), format!("{:?}", b.ledger), "{what}: ledger");
+}
+
+/// A warm wavefront memo is a fresh simulation. Every point of a small
+/// random grid (one tenant and the whole mix, one instance and the
+/// drawn fleet, `h_e` 0, 2 and 4, static and SLO control) runs on one
+/// shared context — cold for the first point, warmed by the points
+/// before it after that — then again on that now-warm context, and on a
+/// fresh context of its own. All three outcomes must be identical. The
+/// tenant and fleet axes matter: they change which riders share a wave,
+/// so a memo key that missed a rider would hand one point another
+/// point's wavefront. A tempo of under two slots per tenant keeps
+/// frames queueing, so waves really are shared.
+#[test]
+fn fuzz_warm_memo_equals_fresh_simulation() {
+    let shared_waves = AtomicUsize::new(0);
+    proptest::run_cases(
+        "fuzz_warm_memo_equals_fresh_simulation",
+        ProptestConfig::with_cases(cases()),
+        |rng, case| {
+            let mut spec = random_spec(rng);
+            spec.frame_period = 200 + rng.below(300);
+            let shared = ServiceContext::build(&spec);
+            for tenants in [1, spec.tenant_counts[0]] {
+                for fleet in [1, spec.fleet_sizes[0]] {
+                    for h_e in [0, 2, 4] {
+                        for slo in [false, true] {
+                            let run = |ctx: &ServiceContext| {
+                                if slo {
+                                    run_service_controlled(
+                                        ctx,
+                                        tenants,
+                                        fleet,
+                                        h_e,
+                                        &spec.controller,
+                                    )
+                                } else {
+                                    run_service(ctx, tenants, fleet, h_e)
+                                }
+                            };
+                            let what = format!(
+                                "case {case}: {tenants} tenants, fleet {fleet}, h_e {h_e}, slo {slo}"
+                            );
+                            let first = run(&shared);
+                            let again = run(&shared);
+                            let fresh = run(&ServiceContext::build(&spec));
+                            assert_same_outcome(&first, &fresh, &what);
+                            assert_same_outcome(&again, &fresh, &what);
+                            shared_waves.fetch_add(fresh.ledger.shared_wavefronts, Relaxed);
+                        }
+                    }
+                }
+            }
+        },
+    );
+    assert!(shared_waves.into_inner() > 0, "the grid must batch tenants into shared waves");
 }
 
 /// A pinned degenerate mix: a 1-deep backlog under an 8-tenant burst on
