@@ -13,45 +13,19 @@
 //!
 //! `--quick` shrinks the workloads (seconds instead of minutes); the
 //! trends are unchanged. Run with `--release` — the accuracy figures
-//! train networks. See `crescent_bench::sweep` for the sweep flags. An
-//! unknown id, flag or subcommand, or no figure id at all, prints the
-//! usage and exits 2; `repro help` prints it and exits 0.
+//! train networks. See `crescent_bench::grid` for the flags sweep and
+//! serve share. An unknown id, flag or subcommand, or no figure id at
+//! all, prints the usage and exits 2; `repro help` prints it and exits 0.
 
 use std::time::Instant;
 
-use crescent_bench::{run_figure, Scale, ServeArgs, SweepArgs, ALL_FIGURES};
+use crescent_bench::{run_figure, Scale, ALL_FIGURES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    if args.first().map(String::as_str) == Some("sweep") {
-        let parsed = match SweepArgs::parse(&args[1..]) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                eprintln!("{err}");
-                eprintln!(
-                    "usage: repro sweep [--quick] [--json <path>] [--check] \
-                     [--baseline <path>] [--workers <n>] [--timings <path>]"
-                );
-                std::process::exit(2);
-            }
-        };
-        std::process::exit(crescent_bench::run_sweep_command(&parsed));
-    }
-
-    if args.first().map(String::as_str) == Some("serve") {
-        let parsed = match ServeArgs::parse(&args[1..]) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                eprintln!("{err}");
-                eprintln!(
-                    "usage: repro serve [--quick] [--json <path>] [--check] \
-                     [--baseline <path>] [--workers <n>] [--timings <path>] [--slo-ms <ms>]"
-                );
-                std::process::exit(2);
-            }
-        };
-        std::process::exit(crescent_bench::run_serve_command(&parsed));
+    if let Some(code) = crescent_bench::run_grid_command(&args) {
+        std::process::exit(code);
     }
 
     let usage = || {

@@ -9,14 +9,16 @@
 
 pub mod accuracy;
 pub mod common;
+pub mod grid;
 pub mod motivation;
 pub mod performance;
 pub mod serve;
 pub mod sweep;
 
 pub use common::{FigRow, Figure, Scale};
+pub use grid::{run_grid_command, GridArgs};
 pub use serve::{run_serve_command, ServeArgs};
-pub use sweep::{run_sweep_command, SweepArgs};
+pub use sweep::run_sweep_command;
 
 /// Runs one figure by id; `None` if the id is unknown.
 ///

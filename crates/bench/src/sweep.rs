@@ -10,96 +10,33 @@
 //! repro sweep --quick --timings target/timings.json  # wall-clock sidecar
 //! ```
 //!
-//! Every metric in the report is modeled, so `--check` is exact: any
-//! byte of drift is a real behavioural change. Wall-clock measurements
-//! travel on a separate channel: every run prints its total, setup and
-//! per-stage wall time to **stderr**, and `--timings <path>` additionally writes
-//! the per-scenario and per-point breakdown as a sidecar JSON
-//! ([`RunTimings::to_json`]) that is never digested and never
-//! compared by `--check`. To acknowledge intended drift, refresh the
-//! baseline with `repro sweep --quick --json bench/baseline.json` and
-//! commit the diff.
-
-use std::path::PathBuf;
+//! The flags, the report and sidecar writes and the exact `--check`
+//! are the front end both grid subcommands share ([`crate::grid`]). To
+//! acknowledge intended drift, refresh the baseline with `repro sweep
+//! --quick --json bench/baseline.json` and commit the diff.
 
 use crescent::format_table;
 use crescent_explorer::{
-    default_workers, diff_reports, run_sweep_timed, spec_fingerprint, RunTimings, SweepReport,
-    SweepRunStats, SweepSpec, TIMINGS_SCHEMA,
+    run_sweep_timed, spec_fingerprint, RunTimings, SweepReport, SweepRunStats, SweepSpec,
+    TIMINGS_SCHEMA,
 };
 
-use crate::common::{secs, write_report};
+use crate::common::secs;
+use crate::grid::GridArgs;
 
 /// Default location of the checked-in quick-sweep baseline, relative to
 /// the workspace root (where CI and `cargo run` invoke the binary).
 pub const DEFAULT_BASELINE: &str = "bench/baseline.json";
 
-/// Parsed `repro sweep ...` arguments.
-#[derive(Clone, Debug)]
-pub struct SweepArgs {
-    /// Run the quick (CI-scale) spec instead of the full grid.
-    pub quick: bool,
-    /// Write the JSON report here.
-    pub json: Option<PathBuf>,
-    /// Compare the report against `baseline` and fail on any drift.
-    pub check: bool,
-    /// Baseline path for `--check`.
-    pub baseline: PathBuf,
-    /// Worker-thread count (never affects the report bytes).
-    pub workers: usize,
-    /// Write the wall-clock timings sidecar here (`--timings <path>`).
-    /// A *separate* file from the report: measured time is never part
-    /// of the gated report bytes and never diffed by `--check`.
-    pub timings: Option<PathBuf>,
-}
-
-impl SweepArgs {
-    /// Parses the arguments that follow the `sweep` keyword. Unknown
-    /// flags are errors so typos cannot silently weaken the CI gate.
-    pub fn parse(args: &[String]) -> Result<SweepArgs, String> {
-        let mut parsed = SweepArgs {
-            quick: false,
-            json: None,
-            check: false,
-            baseline: PathBuf::from(DEFAULT_BASELINE),
-            workers: default_workers(),
-            timings: None,
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => parsed.quick = true,
-                "--check" => parsed.check = true,
-                "--json" => {
-                    let path = it.next().ok_or("--json needs a path")?;
-                    parsed.json = Some(PathBuf::from(path));
-                }
-                "--timings" => {
-                    let path = it.next().ok_or("--timings needs a path")?;
-                    parsed.timings = Some(PathBuf::from(path));
-                }
-                "--baseline" => {
-                    let path = it.next().ok_or("--baseline needs a path")?;
-                    parsed.baseline = PathBuf::from(path);
-                }
-                "--workers" => {
-                    let n = it.next().ok_or("--workers needs a count")?;
-                    parsed.workers =
-                        n.parse::<usize>().map_err(|_| format!("bad --workers value: {n}"))?;
-                    if parsed.workers == 0 {
-                        return Err("--workers must be >= 1".to_string());
-                    }
-                }
-                other => return Err(format!("unknown sweep flag: {other}")),
-            }
-        }
-        Ok(parsed)
-    }
+/// Parses the arguments that follow the `sweep` keyword: the shared
+/// grid flags, nothing more.
+pub fn parse_args(args: &[String]) -> Result<GridArgs, String> {
+    GridArgs::parse("sweep", DEFAULT_BASELINE, args, |_, _| Ok(false))
 }
 
 /// Runs the sweep subcommand end to end; returns the process exit code
 /// (0 = success / no drift, 1 = drift or error).
-pub fn run_sweep_command(args: &SweepArgs) -> i32 {
+pub fn run_sweep_command(args: &GridArgs) -> i32 {
     let spec = if args.quick { SweepSpec::quick() } else { SweepSpec::full() };
     // announce the EFFECTIVE worker pool (requested count clamped to the
     // point count, exactly as run_sweep will clamp it) — the honest
@@ -119,53 +56,9 @@ pub fn run_sweep_command(args: &SweepArgs) -> i32 {
     // the wall-clock accounting goes to STDERR in every mode: measured
     // time is operator feedback, never report data
     eprint_timings(&timings, &stats);
-
-    let json = report.to_json();
-    if let Some(path) = &args.json {
-        if let Err(err) = write_report(path, &json) {
-            eprintln!("cannot write {}: {err}", path.display());
-            return 1;
-        }
-        println!("report written to {}", path.display());
-    }
-    if let Some(path) = &args.timings {
-        let sidecar = timings.to_json(TIMINGS_SCHEMA, &spec.label, spec_fingerprint(&spec));
-        if let Err(err) = write_report(path, &sidecar) {
-            eprintln!("cannot write {}: {err}", path.display());
-            return 1;
-        }
-        println!("timings sidecar written to {}", path.display());
-    }
-
-    if args.check {
-        let baseline = match std::fs::read_to_string(&args.baseline) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!(
-                    "cannot read baseline {}: {err}\n\
-                     (generate one with `repro sweep{} --json {}` and commit it)",
-                    args.baseline.display(),
-                    if args.quick { " --quick" } else { "" },
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        };
-        match diff_reports(&baseline, &json) {
-            None => println!("sweep check OK: report matches {}", args.baseline.display()),
-            Some(drift) => {
-                eprintln!("{drift}");
-                eprintln!(
-                    "if this drift is intended, refresh the baseline:\n\
-                     cargo run --release -p crescent-bench --bin repro -- sweep{} --json {}",
-                    if args.quick { " --quick" } else { "" },
-                    args.baseline.display()
-                );
-                return 1;
-            }
-        }
-    }
-    0
+    args.finish(&report.to_json(), || {
+        timings.to_json(TIMINGS_SCHEMA, &spec.label, spec_fingerprint(&spec))
+    })
 }
 
 /// A short human-readable digest of the report: the per-scenario Pareto
@@ -238,24 +131,23 @@ mod tests {
 
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn parse(args: &[&str]) -> Result<GridArgs, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn parses_the_ci_invocations() {
-        let a = SweepArgs::parse(&strings(&["--quick", "--json", "target/sweep.json"])).unwrap();
+        let a = parse(&["--quick", "--json", "target/sweep.json"]).unwrap();
         assert!(a.quick);
         assert!(!a.check);
         assert_eq!(a.json.as_deref(), Some(Path::new("target/sweep.json")));
         assert_eq!(a.baseline, Path::new(DEFAULT_BASELINE));
 
-        let b = SweepArgs::parse(&strings(&["--quick", "--check"])).unwrap();
+        let b = parse(&["--quick", "--check"]).unwrap();
         assert!(b.check);
         assert!(b.json.is_none());
 
-        let c = SweepArgs::parse(&strings(&["--check", "--baseline", "x.json", "--workers", "3"]))
-            .unwrap();
+        let c = parse(&["--check", "--baseline", "x.json", "--workers", "3"]).unwrap();
         assert_eq!(c.baseline, Path::new("x.json"));
         assert_eq!(c.workers, 3);
         assert!(!c.quick);
@@ -264,32 +156,31 @@ mod tests {
 
     #[test]
     fn parses_the_timings_sidecar_path() {
-        let a = SweepArgs::parse(&strings(&["--quick", "--timings", "target/t.json"])).unwrap();
+        let a = parse(&["--quick", "--timings", "target/t.json"]).unwrap();
         assert_eq!(a.timings.as_deref(), Some(Path::new("target/t.json")));
         // the sidecar composes with every mode, including --check (the
         // sidecar is not an input to the comparator)
-        let b = SweepArgs::parse(&strings(&["--quick", "--json", "s.json", "--timings", "t.json"]))
-            .unwrap();
+        let b = parse(&["--quick", "--json", "s.json", "--timings", "t.json"]).unwrap();
         assert_eq!(b.timings.as_deref(), Some(Path::new("t.json")));
-        let c = SweepArgs::parse(&strings(&["--quick", "--check", "--timings", "t.json"])).unwrap();
+        let c = parse(&["--quick", "--check", "--timings", "t.json"]).unwrap();
         assert!(c.check);
-        assert!(SweepArgs::parse(&strings(&["--timings"])).is_err(), "path is mandatory");
+        assert!(parse(&["--timings"]).is_err(), "path is mandatory");
     }
 
     #[test]
     fn rejects_bad_flags() {
-        assert!(SweepArgs::parse(&strings(&["--jsn", "x"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--json"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--workers", "0"])).is_err());
-        assert!(SweepArgs::parse(&strings(&["--workers", "many"])).is_err());
+        assert!(parse(&["--jsn", "x"]).is_err());
+        assert!(parse(&["--json"]).is_err());
+        assert!(parse(&["--workers", "0"]).is_err());
+        assert!(parse(&["--workers", "many"]).is_err());
+        assert!(parse(&["--slo-ms", "1"]).is_err(), "--slo-ms is serve's alone");
     }
 
     #[test]
     fn rejects_the_retired_shard_flag() {
         // an unknown flag is an error, never silently ignored
         for args in [&["--shard", "1/2"][..], &["--quick", "--shard", "1/2", "--check"]] {
-            let err = SweepArgs::parse(&strings(args)).unwrap_err();
-            assert_eq!(err, "unknown sweep flag: --shard");
+            assert_eq!(parse(args).unwrap_err(), "unknown sweep flag: --shard");
         }
     }
 }

@@ -64,3 +64,39 @@ fn help_prints_usage_and_succeeds() {
         assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
     }
 }
+
+/// A grid run under `--check` must never write the file it checks
+/// against: with `--json` naming the baseline, the run would overwrite a
+/// drifted baseline with its own report and then pass against it. The
+/// flags are rejected with a named error, exit 2, before anything runs
+/// or any file is touched.
+#[test]
+fn check_refuses_a_written_path_that_is_its_baseline() {
+    let dir = std::env::temp_dir().join(format!("crescent-repro-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let baseline = dir.join("drifted-baseline.json");
+    std::fs::write(&baseline, "drifted\n").expect("write");
+    let b = baseline.to_str().expect("utf-8 temp path");
+    let same_dir = dir.join(".").join("drifted-baseline.json");
+    let b_again = same_dir.to_str().expect("utf-8 temp path");
+    for args in [
+        &["serve", "--quick", "--check", "--baseline", b, "--json", b][..],
+        &["serve", "--quick", "--check", "--baseline", b, "--json", b_again],
+        &["sweep", "--quick", "--check", "--baseline", b, "--json", b],
+        &["sweep", "--quick", "--check", "--baseline", b, "--timings", b],
+    ] {
+        let (code, stderr, stdout) = run_repro(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("is the --baseline file"), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("usage: repro {}", args[0])), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: nothing may run");
+        assert_eq!(std::fs::read_to_string(&baseline).expect("read"), "drifted\n", "{args:?}");
+    }
+    let out = dir.join("out.json");
+    let o = out.to_str().expect("utf-8 temp path");
+    let (code, stderr, _) = run_repro(&["serve", "--quick", "--json", o, "--timings", o]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--json and --timings name the same file"), "{stderr}");
+    assert!(!out.exists(), "nothing may be written");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}

@@ -59,9 +59,9 @@ pub mod timings;
 
 pub use fnv::Fnv1a;
 pub use json::Json;
-pub use report::{diff_reports, spec_fingerprint, SweepReport, SweepRow, SCHEMA};
-pub use runner::{
-    default_workers, run_sweep, run_sweep_timed, run_sweep_with_stats, SweepRunStats,
+pub use report::{
+    check_baseline, diff_reports, spec_fingerprint, ReportHead, SweepReport, SweepRow, SCHEMA,
 };
+pub use runner::{default_workers, run_sweep, run_sweep_timed, SweepRunStats};
 pub use spec::{maintenance_label, SweepPoint, SweepSpec};
 pub use timings::{RunTimings, TIMINGS_SCHEMA};

@@ -2,6 +2,8 @@
 //! per-scenario Pareto summary, and the exact drift comparator the CI
 //! gate runs against the checked-in baseline.
 
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 
 use crescent_memsim::EnergyLedger;
@@ -177,17 +179,70 @@ pub struct SweepReport {
 /// produced by byte-identical spec echoes — a cheap identity check that
 /// also lets a stray timings sidecar be matched to its report.
 pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
-    let mut h = Fnv1a::new();
-    for part in [
-        SCHEMA,
-        spec.label.as_str(),
-        &workload_json(spec).to_compact(),
-        &grid_json(spec).to_compact(),
-    ] {
-        h.bytes(part.as_bytes());
-        h.bytes(b"\n");
+    head(spec).fingerprint()
+}
+
+/// The head every grid report opens with — schema, label, and the
+/// spec's workload and grid echoes — and the one place both the head
+/// bytes and the spec fingerprint are made. The sweep and the serve
+/// report differ only in these four parts and in their line-per-item
+/// sections.
+pub struct ReportHead<'a> {
+    /// Schema identifier of the report layout.
+    pub schema: &'a str,
+    /// The spec's label.
+    pub label: &'a str,
+    /// The workload echo: everything about the spec that is not a grid
+    /// axis.
+    pub workload: Json,
+    /// The grid (axis) echo.
+    pub grid: Json,
+}
+
+impl ReportHead<'_> {
+    /// FNV-1a fingerprint of the four head parts: equal iff the two
+    /// specs echo byte-identical heads.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        for part in [self.schema, self.label, &self.workload.to_compact(), &self.grid.to_compact()]
+        {
+            h.bytes(part.as_bytes());
+            h.bytes(b"\n");
+        }
+        h.finish()
     }
-    h.finish()
+
+    /// Renders a whole report: pretty top-level structure (the head
+    /// lines, then each `(key, items)` section in order) with every
+    /// item on its own compact line, so [`diff_reports`] can point at
+    /// an individual grid point when a metric drifts. A pure function
+    /// of its inputs.
+    pub fn render(
+        &self,
+        sections: &mut [(&str, &mut dyn ExactSizeIterator<Item = Json>)],
+    ) -> String {
+        let items: usize = sections.iter().map(|(_, items)| items.len()).sum();
+        let mut out = String::with_capacity(1024 + 512 * items);
+        out.push_str("{\n");
+        out.push_str(&format!("  \"schema\": {},\n", Json::from(self.schema).to_compact()));
+        out.push_str(&format!("  \"label\": {},\n", Json::from(self.label).to_compact()));
+        out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", self.fingerprint()));
+        out.push_str(&format!("  \"workload\": {},\n", self.workload.to_compact()));
+        out.push_str(&format!("  \"grid\": {},\n", self.grid.to_compact()));
+        let last_section = sections.len().saturating_sub(1);
+        for (s, (key, items)) in sections.iter_mut().enumerate() {
+            out.push_str(&format!("  {}: [\n", Json::from(*key).to_compact()));
+            let last_item = items.len().saturating_sub(1);
+            for (i, item) in items.enumerate() {
+                out.push_str("    ");
+                item.write(&mut out);
+                out.push_str(if i < last_item { ",\n" } else { "\n" });
+            }
+            out.push_str(if s < last_section { "  ],\n" } else { "  ]\n" });
+        }
+        out.push_str("}\n");
+        out
+    }
 }
 
 impl SweepReport {
@@ -224,40 +279,18 @@ impl SweepReport {
             .collect()
     }
 
-    /// Serializes the report: pretty top-level structure with each row
-    /// (and each Pareto front) on its own line, so the exact comparator
-    /// can point at individual sweep points when a metric drifts. The
-    /// output is a pure function of the report — byte-identical across
-    /// runs and worker counts.
+    /// Serializes the report ([`ReportHead::render`]): the head, one
+    /// row per line, then one Pareto front per line. Byte-identical
+    /// across runs and worker counts.
     pub fn to_json(&self) -> String {
-        let spec = &self.spec;
-        let mut out = String::with_capacity(256 * (self.rows.len() + 8));
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", Json::from(SCHEMA).to_compact()));
-        out.push_str(&format!("  \"label\": {},\n", Json::from(spec.label.as_str()).to_compact()));
-        out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", spec_fingerprint(spec)));
-        out.push_str(&format!("  \"workload\": {},\n", workload_json(spec).to_compact()));
-        out.push_str(&format!("  \"grid\": {},\n", grid_json(spec).to_compact()));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&row.to_json().to_compact());
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"pareto\": [\n");
-        let fronts = self.pareto();
-        for (i, (scenario, rows)) in fronts.iter().enumerate() {
-            let front = Json::Object(vec![
-                ("scenario", Json::from(scenario.as_str())),
-                ("rows", Json::Array(rows.iter().map(|&r| Json::U64(r as u64)).collect())),
-            ]);
-            out.push_str("    ");
-            out.push_str(&front.to_compact());
-            out.push_str(if i + 1 < fronts.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let mut rows = self.rows.iter().map(SweepRow::to_json);
+        let mut fronts = self.pareto().into_iter().map(|(scenario, rows)| {
+            Json::Object(vec![
+                ("scenario", Json::Str(scenario)),
+                ("rows", Json::Array(rows.into_iter().map(|r| Json::U64(r as u64)).collect())),
+            ])
+        });
+        head(&self.spec).render(&mut [("rows", &mut rows), ("pareto", &mut fronts)])
     }
 }
 
@@ -270,8 +303,17 @@ fn dominates(&(bi, bc, be, br): &Objectives, &(ai, ac, ae, ar): &Objectives) -> 
     bi != ai && bc <= ac && be <= ae && br >= ar && (bc < ac || be < ae || br > ar)
 }
 
-/// The workload echo of the report header (an axis-independent pure
-/// function of the spec — part of the fingerprint).
+/// The report head of `spec`: its workload echo (an axis-independent
+/// pure function of the spec) and its grid (axis) echo.
+fn head(spec: &SweepSpec) -> ReportHead<'_> {
+    ReportHead {
+        schema: SCHEMA,
+        label: &spec.label,
+        workload: workload_json(spec),
+        grid: grid_json(spec),
+    }
+}
+
 fn workload_json(spec: &SweepSpec) -> Json {
     let w = &spec.workload;
     Json::Object(vec![
@@ -288,7 +330,6 @@ fn workload_json(spec: &SweepSpec) -> Json {
     ])
 }
 
-/// The grid (axis) echo of the report header — part of the fingerprint.
 fn grid_json(spec: &SweepSpec) -> Json {
     Json::Object(vec![
         ("scenarios", Json::Array(spec.scenarios.iter().map(|s| Json::from(s.label())).collect())),
@@ -403,6 +444,18 @@ pub fn diff_reports(baseline: &str, fresh: &str) -> Option<String> {
         msg.push_str(&format!("  drifted fields across all rows: {}\n", summary.join(", ")));
     }
     Some(msg)
+}
+
+/// The one baseline gate of both grids: reads the checked-in report at
+/// `path` and compares `fresh` against it with [`diff_reports`], so it
+/// passes exactly when the two are byte-identical. The error names an
+/// unreadable baseline or carries the drift summary. `repro sweep
+/// --check`, `repro serve --check` and the in-repo gate tests all call
+/// it.
+pub fn check_baseline(path: &Path, fresh: &str) -> Result<(), String> {
+    let baseline = std::fs::read_to_string(path)
+        .map_err(|err| format!("cannot read baseline {}: {err}", path.display()))?;
+    diff_reports(&baseline, fresh).map_or(Ok(()), Err)
 }
 
 /// Splits one compact JSON object line (a report row) into its top-level

@@ -174,21 +174,13 @@ pub struct SweepRunStats {
 /// Fails (with a message naming the offending axis or grid point) if the
 /// spec does not validate; never panics on a validated spec.
 pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepReport, String> {
-    run_sweep_with_stats(spec, workers).map(|(report, _)| report)
+    run_sweep_timed(spec, workers).map(|(report, ..)| report)
 }
 
-/// [`run_sweep`], also returning the run's execution statistics.
-pub fn run_sweep_with_stats(
-    spec: &SweepSpec,
-    workers: usize,
-) -> Result<(SweepReport, SweepRunStats), String> {
-    run_sweep_timed(spec, workers).map(|(report, stats, _)| (report, stats))
-}
-
-/// [`run_sweep_with_stats`], also returning the run's wall-clock
-/// measurements ([`RunTimings`]) — the `repro sweep --timings`
-/// sidecar's data source. The report bytes are identical to the
-/// untimed variants': timing is observed, never fed back.
+/// [`run_sweep`], also returning the run's execution statistics and its
+/// wall-clock measurements ([`RunTimings`]) — the `repro sweep
+/// --timings` sidecar's data source. The report bytes are identical to
+/// [`run_sweep`]'s: timing is observed, never fed back.
 pub fn run_sweep_timed(
     spec: &SweepSpec,
     workers: usize,
@@ -669,7 +661,7 @@ mod tests {
         // granted height and must share one search pass.
         let mut spec = tiny_spec();
         spec.top_heights = vec![20, 30];
-        let (report, stats) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
+        let (report, stats, _) = run_sweep_timed(&spec, 1).expect("sweep runs");
         assert_eq!(report.rows.len(), 8, "2 policies x 2 PE counts x 2 requested heights");
         let grants: Vec<usize> = report.rows.iter().map(|r| r.top_height_used).collect();
         assert!(
@@ -701,8 +693,8 @@ mod tests {
         spec.aggregation_elision = vec![false, true];
         spec.elision_depths = vec![0, 2];
         assert_eq!(spec.num_points(), 32);
-        let (one, one_stats) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
-        let (four, four_stats) = run_sweep_with_stats(&spec, 4).expect("sweep runs");
+        let (one, one_stats, _) = run_sweep_timed(&spec, 1).expect("sweep runs");
+        let (four, four_stats, _) = run_sweep_timed(&spec, 4).expect("sweep runs");
         assert_eq!(one.to_json(), four.to_json());
         for stats in [one_stats, four_stats] {
             // one grant x 2 PE counts x 1 bank count x 2 h_e
@@ -720,10 +712,6 @@ mod tests {
     /// 12k-point scenes a few refit frames keep a tied median in another
     /// heap slot, so each scenario searches two tree sequences: 2 × 8
     /// search keys per scenario instead of 8.
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "the quick grid and the slice are slow unoptimized; run with --release"
-    )]
     #[test]
     fn quick_grid_and_dse_slice_run_each_key_once() {
         let mut slice = SweepSpec::full();
@@ -739,7 +727,7 @@ mod tests {
         assert_eq!(slice.num_points(), 384);
         for (spec, search_passes) in [(SweepSpec::quick(), 80), (slice, 48)] {
             for workers in [1, 4] {
-                let (_, stats) = run_sweep_with_stats(&spec, workers).expect("sweep runs");
+                let (_, stats, _) = run_sweep_timed(&spec, workers).expect("sweep runs");
                 assert_eq!(stats.search_passes, search_passes, "{} at {workers}", spec.label);
             }
         }
@@ -769,10 +757,10 @@ mod tests {
     #[test]
     fn stats_report_the_effective_worker_count() {
         let spec = tiny_spec();
-        let (report, stats) = run_sweep_with_stats(&spec, 64).expect("sweep runs");
+        let (report, stats, _) = run_sweep_timed(&spec, 64).expect("sweep runs");
         assert_eq!(stats.points, report.rows.len());
         assert_eq!(stats.workers, report.rows.len(), "pool clamps to the point count");
-        let (_, one) = run_sweep_with_stats(&spec, 1).expect("sweep runs");
+        let (_, one, _) = run_sweep_timed(&spec, 1).expect("sweep runs");
         assert_eq!(one.workers, 1);
     }
 }

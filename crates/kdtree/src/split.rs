@@ -172,11 +172,6 @@ impl<'a> SplitTree<'a> {
         ((1usize << self.top_height) - 1).min(self.tree.len())
     }
 
-    /// Height of the tallest sub-tree.
-    pub fn subtree_height(&self) -> usize {
-        self.tree.height().saturating_sub(self.top_height)
-    }
-
     /// Stage 1 for a single query: descends the top tree (no backtracking)
     /// and returns the sub-tree index the query is assigned to, reporting
     /// candidate neighbors found among the top-tree nodes to `hits` and

@@ -149,87 +149,31 @@ impl BankedSram {
     /// [`PortOutcome::Elided`] — the Fig 10 AND gate lowering the conflict
     /// signal.
     pub fn arbitrate(&mut self, requests: &[Option<u64>], elide: bool) -> Vec<PortOutcome> {
-        let mut out = Vec::new();
-        self.arbitrate_into(requests, elide, &mut out);
+        let mut out = Vec::with_capacity(requests.len());
+        self.arbitrate_fold(
+            requests.len(),
+            |port| requests[port],
+            |_| elide,
+            |_, o, _| out.push(o),
+        );
         out
     }
 
-    /// [`BankedSram::arbitrate`] into a caller-recycled outcome buffer
-    /// (cleared and refilled) — the allocation-free form for per-round
-    /// inner loops.
-    pub fn arbitrate_into(
-        &mut self,
-        requests: &[Option<u64>],
-        elide: bool,
-        out: &mut Vec<PortOutcome>,
-    ) {
-        self.round(requests, |_| elide, out);
-    }
-
-    /// Arbitrates one cycle with a *per-port* elision eligibility — the
-    /// form the selective-elision hardware of Sec 4.4 actually needs: a
-    /// losing request is elided only if its `eligible` flag is set (the
-    /// `h_e` comparator output for that port's address), and stalls
-    /// ([`PortOutcome::Conflict`]) otherwise.
+    /// One arbitration round with *computed* requests and a *per-port*
+    /// elision eligibility — the form the selective-elision hardware of
+    /// Sec 4.4 needs, and the one core every other form calls:
+    /// `request(port)` yields port `port`'s address (`None` = idle), and
+    /// a losing request is elided only if `eligible(port)` holds (the
+    /// `h_e` comparator output for that port's address) and stalls
+    /// ([`PortOutcome::Conflict`]) otherwise. The innermost simulation
+    /// loops call it directly, because materializing per-round address
+    /// or eligibility buffers is measurable across the millions of
+    /// rounds a sweep simulates.
     ///
-    /// The winning port of every bank is retained until the next round
-    /// and can be read back through [`BankedSram::winner_of_bank`], so a
-    /// caller implementing a data-forwarding refinement (e.g. the
-    /// descendant-reuse salvage in `crescent-kdtree`) can look up whose
-    /// data an elided port was handed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eligible` is shorter than `requests`.
-    pub fn arbitrate_selective(
-        &mut self,
-        requests: &[Option<u64>],
-        eligible: &[bool],
-    ) -> Vec<PortOutcome> {
-        let mut out = Vec::new();
-        self.arbitrate_selective_into(requests, eligible, &mut out);
-        out
-    }
-
-    /// [`BankedSram::arbitrate_selective`] into a caller-recycled outcome
-    /// buffer (cleared and refilled) — what the tree-buffer arbiter's
-    /// lock-step loop calls so no round allocates.
-    pub fn arbitrate_selective_into(
-        &mut self,
-        requests: &[Option<u64>],
-        eligible: &[bool],
-        out: &mut Vec<PortOutcome>,
-    ) {
-        assert!(eligible.len() >= requests.len(), "one eligibility flag per port");
-        self.round(requests, |port| eligible[port], out);
-    }
-
-    /// One arbitration round with *computed* requests: `request(port)`
-    /// yields port `port`'s address (`None` = idle) and `eligible(port)`
-    /// its elision eligibility (consulted only for losers). This is the
-    /// shared core behind every `arbitrate*` form — and the form the
-    /// innermost simulation loops call directly, because materializing
-    /// per-round address/eligibility buffers just to pass slices here is
-    /// measurable across the millions of rounds a sweep simulates.
-    ///
-    /// Outcomes land in `out` (cleared first; idle ports read
-    /// [`PortOutcome::Granted`], which callers never consult).
-    pub fn arbitrate_with(
-        &mut self,
-        ports: usize,
-        request: impl Fn(usize) -> Option<u64>,
-        eligible: impl Fn(usize) -> bool,
-        out: &mut Vec<PortOutcome>,
-    ) {
-        out.clear();
-        out.reserve(ports);
-        self.arbitrate_fold(ports, request, eligible, |_, outcome, _| out.push(outcome));
-    }
-
-    /// [`BankedSram::arbitrate_with`] delivering outcomes through a sink
-    /// instead of a buffer: `sink(port, outcome, winner)` fires once per
-    /// port in port order, where `winner` is the port whose request won
-    /// the loser's bank (`None` for idle and granted ports). Because
+    /// Outcomes go to a sink: `sink(port, outcome, winner)` fires once
+    /// per port in port order (idle ports read [`PortOutcome::Granted`]),
+    /// where `winner` is the port whose request won the loser's bank
+    /// (`None` for idle and granted ports). Because
     /// arbitration is first-come-per-bank, a loser's winner is already
     /// final when the loser is processed — so a caller layering policy on
     /// top of lost fetches (stall/elide/forward-from-winner) can resolve
@@ -275,27 +219,6 @@ impl BankedSram {
         }
     }
 
-    /// [`BankedSram::arbitrate_with`] over a materialized request slice —
-    /// the form the slice-based `arbitrate*` wrappers share.
-    fn round(
-        &mut self,
-        requests: &[Option<u64>],
-        eligible: impl Fn(usize) -> bool,
-        out: &mut Vec<PortOutcome>,
-    ) {
-        self.arbitrate_with(requests.len(), |port| requests[port], eligible, out);
-    }
-
-    /// The port that won `bank` in the most recent arbitration round
-    /// (`None` if no request hit that bank, or no round has run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank >= config().num_banks`.
-    pub fn winner_of_bank(&self, bank: usize) -> Option<usize> {
-        self.bank_winner[bank]
-    }
-
     /// Runs a gather of `addrs` to completion under baseline (serializing)
     /// arbitration: conflicted requests re-issue on subsequent rounds.
     /// Returns the number of rounds the gather took.
@@ -309,7 +232,13 @@ impl BankedSram {
         let mut rounds = 0;
         while pending.iter().any(Option::is_some) {
             rounds += 1;
-            self.round(&pending, |_| false, &mut outcomes);
+            outcomes.clear();
+            self.arbitrate_fold(
+                pending.len(),
+                |slot| pending[slot],
+                |_| false,
+                |_, o, _| outcomes.push(o),
+            );
             for (slot, outcome) in outcomes.iter().enumerate() {
                 if pending[slot].is_some() && *outcome == PortOutcome::Granted {
                     pending[slot] = None;
@@ -321,33 +250,9 @@ impl BankedSram {
         rounds
     }
 
-    /// Runs a gather of `addrs` in a single round with elision: conflicted
-    /// requests return the winner's data immediately (Sec 4.2 aggregation
-    /// behaviour). Returns, per address, whether the access was elided.
-    pub fn gather_eliding(&mut self, addrs: &[u64]) -> Vec<bool> {
-        let reqs: Vec<Option<u64>> = addrs.iter().copied().map(Some).collect();
-        self.arbitrate(&reqs, true).into_iter().map(|o| o == PortOutcome::Elided).collect()
-    }
-
-    /// [`BankedSram::gather_eliding`], returning only the elided-access
-    /// count — the allocation-free form for gather inner loops that never
-    /// look at per-address outcomes.
-    pub fn gather_eliding_count(&mut self, addrs: &[u64]) -> u64 {
-        let mut outcomes = std::mem::take(&mut self.round_out);
-        self.arbitrate_with(addrs.len(), |i| Some(addrs[i]), |_| true, &mut outcomes);
-        let elided = outcomes.iter().filter(|&&o| o == PortOutcome::Elided).count() as u64;
-        self.round_out = outcomes;
-        elided
-    }
-
     /// Accumulated counters.
     pub fn counters(&self) -> &SramCounters {
         &self.counters
-    }
-
-    /// Resets the counters (configuration is kept).
-    pub fn reset_counters(&mut self) {
-        self.counters = SramCounters::default();
     }
 }
 
@@ -412,13 +317,29 @@ mod tests {
     fn selective_elision_decides_per_port() {
         let mut s = sram(2);
         // ports 0..3 all hit bank 0: port 0 wins, port 1 is eligible and
-        // elides, port 2 is not eligible and stalls
-        let out = s.arbitrate_selective(&[Some(0), Some(8), Some(16)], &[false, true, false]);
-        assert_eq!(out, vec![PortOutcome::Granted, PortOutcome::Elided, PortOutcome::Conflict]);
+        // elides, port 2 is not eligible and stalls; port 3 idles
+        let reqs = [Some(0), Some(8), Some(16), None];
+        let eligible = [false, true, false, true];
+        let mut seen = Vec::new();
+        s.arbitrate_fold(
+            reqs.len(),
+            |p| reqs[p],
+            |p| eligible[p],
+            |port, outcome, winner| seen.push((port, outcome, winner)),
+        );
+        assert_eq!(
+            seen,
+            vec![
+                (0, PortOutcome::Granted, None),
+                (1, PortOutcome::Elided, Some(0)),
+                (2, PortOutcome::Conflict, Some(0)),
+                (3, PortOutcome::Granted, None),
+            ],
+            "one call per port in port order; a loser names the port holding its bank"
+        );
         assert_eq!(s.counters().conflicts, 2);
         assert_eq!(s.counters().elided, 1);
-        assert_eq!(s.winner_of_bank(0), Some(0), "port 0 holds bank 0");
-        assert_eq!(s.winner_of_bank(1), None, "nobody requested bank 1");
+        assert_eq!(s.counters().requests, 3);
     }
 
     #[test]
@@ -427,17 +348,11 @@ mod tests {
         for elide in [false, true] {
             let mut a = sram(2);
             let mut b = sram(2);
-            let flags = vec![elide; reqs.len()];
-            assert_eq!(a.arbitrate(&reqs, elide), b.arbitrate_selective(&reqs, &flags));
+            let mut folded = Vec::new();
+            b.arbitrate_fold(reqs.len(), |p| reqs[p], |_| elide, |_, o, _| folded.push(o));
+            assert_eq!(a.arbitrate(&reqs, elide), folded);
             assert_eq!(a.counters(), b.counters());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one eligibility flag per port")]
-    fn selective_needs_enough_flags() {
-        let mut s = sram(2);
-        let _ = s.arbitrate_selective(&[Some(0), Some(8)], &[true]);
     }
 
     #[test]
@@ -457,15 +372,6 @@ mod tests {
         assert_eq!(s.gather_serializing(&[0, 8, 16, 24]), 4);
         // no requests -> 0 rounds
         assert_eq!(s.gather_serializing(&[]), 0);
-    }
-
-    #[test]
-    fn eliding_gather_single_round() {
-        let mut s = sram(2);
-        let before = s.counters().rounds;
-        let elided = s.gather_eliding(&[0, 8, 4, 12]);
-        assert_eq!(s.counters().rounds, before + 1);
-        assert_eq!(elided, vec![false, true, false, true]);
     }
 
     #[test]

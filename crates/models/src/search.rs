@@ -66,11 +66,6 @@ impl ApproxSetting {
             ..ApproxSetting::exact()
         }
     }
-
-    /// Whether any approximation is active.
-    pub fn is_exact(&self) -> bool {
-        self.top_height == 0 && self.elision_height.is_none() && !self.elide_aggregation
-    }
 }
 
 /// A sampler over approximate settings for mixed training (Sec 5's

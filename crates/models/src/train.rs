@@ -75,13 +75,6 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
 }
 
-impl TrainReport {
-    /// Final-epoch loss (`f32::NAN` when no epochs ran).
-    pub fn final_loss(&self) -> f32 {
-        self.epoch_losses.last().copied().unwrap_or(f32::NAN)
-    }
-}
-
 fn shuffled_indices(n: usize, rng: &mut StdRng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {

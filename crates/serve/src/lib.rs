@@ -62,8 +62,6 @@ pub use ledger::{
     ServiceLedger, TenantLedger,
 };
 pub use report::{serve_fingerprint, ServeReport, ServeRow, TenantRow, SCHEMA, TIMINGS_SCHEMA};
-pub use runner::{
-    default_workers, run_serve, run_serve_timed, run_serve_with_stats, ServeRunStats,
-};
+pub use runner::{default_workers, run_serve, run_serve_timed, ServeRunStats};
 pub use scheduler::{run_service, run_service_controlled, ServiceContext, ServiceOutcome};
 pub use spec::{ServePoint, ServeSpec};

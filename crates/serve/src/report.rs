@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crescent_explorer::{Fnv1a, Json};
+use crescent_explorer::{Json, ReportHead};
 use crescent_memsim::EnergyLedger;
 
 use crate::ledger::ServiceLedger;
@@ -291,17 +291,17 @@ pub struct ServeReport {
 /// they were produced by byte-identical spec echoes — how the gate's
 /// comparator distinguishes "different spec" from metric drift.
 pub fn serve_fingerprint(spec: &ServeSpec) -> u64 {
-    let mut h = Fnv1a::new();
-    for part in [
-        SCHEMA,
-        spec.label.as_str(),
-        &workload_json(spec).to_compact(),
-        &grid_json(spec).to_compact(),
-    ] {
-        h.bytes(part.as_bytes());
-        h.bytes(b"\n");
+    head(spec).fingerprint()
+}
+
+/// The report head of `spec`, in the explorer's shared layout.
+fn head(spec: &ServeSpec) -> ReportHead<'_> {
+    ReportHead {
+        schema: SCHEMA,
+        label: &spec.label,
+        workload: workload_json(spec),
+        grid: grid_json(spec),
     }
-    h.finish()
 }
 
 /// The workload echo of the report header: the shared map, the tenant
@@ -352,31 +352,11 @@ fn grid_json(spec: &ServeSpec) -> Json {
 }
 
 impl ServeReport {
-    /// Serializes the report: pretty top-level structure with each row
-    /// on its own line, in the explorer's house style, so
-    /// [`crescent_explorer::diff_reports`] can point at individual
-    /// service configurations when a metric drifts. A pure function of
-    /// the report — byte-identical across runs, worker counts, and
-    /// machines.
+    /// Serializes the report ([`ReportHead::render`]): the head, then
+    /// one service configuration per line. A pure function of the
+    /// report — byte-identical across runs, worker counts, and machines.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + 512 * self.rows.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", Json::from(SCHEMA).to_compact()));
-        out.push_str(&format!(
-            "  \"label\": {},\n",
-            Json::from(self.spec.label.as_str()).to_compact()
-        ));
-        out.push_str(&format!("  \"fingerprint\": \"{:016x}\",\n", serve_fingerprint(&self.spec)));
-        out.push_str(&format!("  \"workload\": {},\n", workload_json(&self.spec).to_compact()));
-        out.push_str(&format!("  \"grid\": {},\n", grid_json(&self.spec).to_compact()));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&row.to_json().to_compact());
-            out.push_str(if i + 1 < self.rows.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        head(&self.spec).render(&mut [("rows", &mut self.rows.iter().map(ServeRow::to_json))])
     }
 }
 

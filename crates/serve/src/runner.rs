@@ -66,22 +66,14 @@ pub struct ServeRunStats {
 /// Fails (with a message naming the offending knob) if the spec does
 /// not validate; never panics on a validated spec.
 pub fn run_serve(spec: &ServeSpec, workers: usize) -> Result<ServeReport, String> {
-    run_serve_with_stats(spec, workers).map(|(report, _)| report)
+    run_serve_timed(spec, workers).map(|(report, ..)| report)
 }
 
-/// [`run_serve`], also returning the run's execution statistics.
-pub fn run_serve_with_stats(
-    spec: &ServeSpec,
-    workers: usize,
-) -> Result<(ServeReport, ServeRunStats), String> {
-    run_serve_timed(spec, workers).map(|(report, stats, _)| (report, stats))
-}
-
-/// [`run_serve_with_stats`], also returning the run's wall-clock
-/// measurements ([`RunTimings`]: the context build as the one `context`
-/// setup entry, then one entry per grid point) — the `repro serve
-/// --timings` sidecar's data source. The report bytes are identical to the untimed
-/// variants': timing is observed, never fed back.
+/// [`run_serve`], also returning the run's execution statistics and its
+/// wall-clock measurements ([`RunTimings`]: the context build as the one
+/// `context` setup entry, then one entry per grid point) — the `repro
+/// serve --timings` sidecar's data source. The report bytes are
+/// identical to [`run_serve`]'s: timing is observed, never fed back.
 pub fn run_serve_timed(
     spec: &ServeSpec,
     workers: usize,
@@ -217,10 +209,10 @@ mod tests {
     #[test]
     fn stats_report_the_effective_worker_count() {
         let spec = tiny_spec();
-        let (report, stats) = run_serve_with_stats(&spec, 64).expect("serve runs");
+        let (report, stats, _) = run_serve_timed(&spec, 64).expect("serve runs");
         assert_eq!(stats.points, report.rows.len());
         assert_eq!(stats.workers, report.rows.len(), "pool clamps to the point count");
-        let (_, one) = run_serve_with_stats(&spec, 1).expect("serve runs");
+        let (_, one, _) = run_serve_timed(&spec, 1).expect("serve runs");
         assert_eq!(one.workers, 1);
     }
 
@@ -267,8 +259,8 @@ mod tests {
         let spec = ServeSpec::quick();
         let (keys, dispatched) = dispatched_wavefront_keys(&spec);
         assert_eq!((keys.len(), dispatched), (196, 526));
-        let (one, one_stats) = run_serve_with_stats(&spec, 1).expect("serve runs");
-        let (two, two_stats) = run_serve_with_stats(&spec, 2).expect("serve runs");
+        let (one, one_stats, _) = run_serve_timed(&spec, 1).expect("serve runs");
+        let (two, two_stats, _) = run_serve_timed(&spec, 2).expect("serve runs");
         assert_eq!(one.to_json(), two.to_json());
         for stats in [one_stats, two_stats] {
             assert_eq!(stats.wavefronts_dispatched, dispatched);

@@ -4,10 +4,13 @@
 //!
 //! * at `h_e = 0` (stall-only) the wavefront's neighbor sets are
 //!   bit-identical to per-query `search_one` and to the standalone
-//!   engine ([`run_crescent_search`]) on every frame of every scenario,
-//!   and its stage-2 conflict-round counts are identical to the engine
-//!   model's on the same queues — the agreement the design-space sweep
-//!   relies on to rank the stream alone;
+//!   engine ([`run_crescent_search`]) on every frame of every scenario —
+//!   the agreement the design-space sweep relies on to rank the stream
+//!   alone;
+//! * at every elision level `≥ h_t` (depth `height − level`), with and
+//!   without descendant reuse, the wavefront and the per-query search
+//!   (`batch_search`) return the same neighbor sets and count the same
+//!   stage-2 rounds, visits and skipped nodes;
 //! * the engine elides at the level form of the sweep's `h_e = 4`
 //!   point (`height − 4`);
 //! * raising `h_e` (eliding deeper) never costs stream cycles
@@ -87,27 +90,52 @@ fn h_e_zero_matches_search_one_and_engine_rounds_on_every_scenario() {
             assert_eq!(wstats.conflicts_elided, 0, "{}", scenario.label());
             assert_eq!(wstats.nodes_skipped, 0, "{}", scenario.label());
 
-            // (b) identical stage-2 conflict-round counts to the
-            // per-query engine model: stall-only stage 1 routes exactly
-            // like the wavefront, so the two paths drain IDENTICAL
-            // queues through the shared lock-step simulation
-            let engine_cfg = SplitSearchConfig {
-                radius: cfg.radius,
-                max_neighbors: cfg.max_neighbors,
-                num_pes: pes,
-                elision: Some(ElisionConfig::new(usize::MAX, banks)),
-            };
-            let (engine, estats) = split.batch_search(&frame.queries, &engine_cfg);
-            assert_eq!(engine, wave, "{}: frame {}", scenario.label(), frame.index);
-            assert_eq!(
-                wstats.subtree_rounds,
-                estats.subtree_rounds,
-                "{}: frame {} — the two models must count the same stage-2 rounds",
-                scenario.label(),
-                frame.index
-            );
-            assert_eq!(wstats.subtree_visits, estats.subtree_visits, "{}", scenario.label());
-            assert_eq!(estats.nodes_elided, 0);
+            // (b) the two searches agree at every elision level at
+            // or below the split (level >= h_t, depth = height - level;
+            // usize::MAX is the stall-only level): stage 1 then only
+            // stalls, so it routes exactly like the wavefront, and both
+            // searches drain IDENTICAL queues through the shared lock-step
+            // simulation — same neighbor sets, same stage-2 rounds, same
+            // skipped nodes, with and without descendant reuse. Above
+            // h_t the per-query search elides or reroutes top-tree
+            // fetches and the two diverge (ROADMAP item 3).
+            let levels = (ht..=tree.height()).chain([usize::MAX]);
+            for (level, reuse) in levels.flat_map(|l| [(l, false), (l, true)]) {
+                let depth = tree.height().saturating_sub(level);
+                let wave_cfg =
+                    BatchSearchConfig::banked(cfg.radius, cfg.max_neighbors, pes, banks, depth)
+                        .with_descendant_reuse(reuse);
+                let (wave_at, wstats_at) =
+                    split.search_batch(&frame.queries, &wave_cfg, &mut BatchState::new());
+                let elision = if reuse {
+                    ElisionConfig::with_descendant_reuse(level, banks)
+                } else {
+                    ElisionConfig::new(level, banks)
+                };
+                let engine_cfg = SplitSearchConfig {
+                    radius: cfg.radius,
+                    max_neighbors: cfg.max_neighbors,
+                    num_pes: pes,
+                    elision: Some(elision),
+                };
+                let (engine, estats) = split.batch_search(&frame.queries, &engine_cfg);
+                let at = format!(
+                    "{}: frame {} level {level} (depth {depth}) reuse {reuse}",
+                    scenario.label(),
+                    frame.index
+                );
+                assert_eq!(engine, wave_at, "{at}");
+                assert_eq!(
+                    wstats_at.subtree_rounds, estats.subtree_rounds,
+                    "{at} — the two models must count the same stage-2 rounds"
+                );
+                assert_eq!(wstats_at.nodes_skipped, estats.nodes_skipped, "{at}");
+                assert_eq!(wstats_at.subtree_visits, estats.subtree_visits, "{at}");
+                if depth == 0 {
+                    assert_eq!(wave_at, wave, "{at}");
+                    assert_eq!(estats.nodes_elided, 0, "{at}");
+                }
+            }
 
             // (c) the standalone engine the figures run agrees with the
             // wavefront at h_e = 0

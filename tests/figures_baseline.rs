@@ -20,10 +20,9 @@
 //!   | grep -v -e '^# Crescent' -e '^\[[a-z0-9_]* took ' > bench/figures-baseline.txt
 //! ```
 //!
-//! and commit the diff with the change that caused it. The figures take
-//! seconds optimized and minutes unoptimized, so the test is
-//! release-gated the way CI runs it
-//! (`cargo test --release -q --test figures_baseline`).
+//! and commit the diff with the change that caused it. The test runs in
+//! every profile: the simulator crates build optimized even in the dev
+//! profile (root `Cargo.toml`), with debug assertions on.
 
 use crescent_bench::{run_figure, Scale};
 
@@ -31,10 +30,6 @@ use crescent_bench::{run_figure, Scale};
 const GATED: [&str; 10] =
     ["fig2", "fig3", "fig4", "fig5", "fig8", "fig9", "fig14", "fig22", "fig24", "ablation_reuse"];
 
-#[cfg_attr(
-    debug_assertions,
-    ignore = "the modeled figures are minutes-slow unoptimized; run with --release (CI does)"
-)]
 #[test]
 fn quick_figures_reproduce_the_checked_in_baseline_bytes() {
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench/figures-baseline.txt");

@@ -1,39 +1,49 @@
-//! In-repo edition of the CI serve gate: run the quick service grid and
-//! assert the rendered report is **byte-identical** to the checked-in
-//! `bench/serve-baseline.json` — the same exactness the CI `sweep-gate`
-//! job enforces through `repro serve --quick --check`, available
-//! to plain `cargo test --release` with no subprocess and no network.
+//! In-repo edition of the CI serve gates: run the quick and the full
+//! service grid and assert each rendered report is **byte-identical**
+//! to its checked-in baseline (`bench/serve-baseline.json`,
+//! `bench/serve-full-baseline.json`) through [`check_baseline`] — the
+//! same check `repro serve --check` runs, available to plain `cargo
+//! test` with no subprocess and no network.
 //!
 //! Everything in the serve ledger is modeled — admission decisions,
 //! EDF dispatch order, wavefront latencies, deadline grades, energy
 //! attribution — so any byte of drift is a real behavioural change in
 //! the scheduler or the engine underneath it. On intended drift,
 //! refresh the baseline (`repro serve --quick --json
-//! bench/serve-baseline.json`), commit it, and the schema-versioned
+//! bench/serve-baseline.json`, or `repro serve --json
+//! bench/serve-full-baseline.json`), commit it, and the schema-versioned
 //! header documents the change.
 
+use std::path::Path;
+
+use crescent_explorer::check_baseline;
 use crescent_serve::{default_workers, run_serve, ServeSpec};
 
-#[cfg_attr(
-    debug_assertions,
-    ignore = "quick service grid is slow unoptimized; run with --release (CI does)"
-)]
-#[test]
-fn quick_serve_reproduces_the_checked_in_baseline_bytes() {
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench/serve-baseline.json");
-    let baseline = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read {baseline_path}: {e}"));
-    let report = run_serve(&ServeSpec::quick(), default_workers()).expect("quick spec is valid");
-    let fresh = report.to_json();
-    if let Some(drift) = crescent_explorer::diff_reports(&baseline, &fresh) {
+/// Runs `spec` and fails with the drift and the refresh command unless
+/// its report is byte-identical to the checked-in `baseline` (relative
+/// to the workspace root); `quick` is the refresh command's flag.
+fn assert_matches_baseline(spec: &ServeSpec, baseline: &str, quick: &str) {
+    let report = run_serve(spec, default_workers()).expect("spec is valid");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(baseline);
+    if let Err(err) = check_baseline(&path, &report.to_json()) {
         panic!(
-            "quick serve drifted from bench/serve-baseline.json:\n{drift}\n\
+            "serve drifted from {baseline}:\n{err}\n\
              if intended, refresh with `cargo run --release -p crescent-bench --bin repro -- \
-             serve --quick --json bench/serve-baseline.json` and commit the diff"
+             serve{quick} --json {baseline}` and commit the diff"
         );
     }
-    // diff_reports is field-aware; the gate is stricter — bytes
-    assert_eq!(baseline, fresh, "comparator passed but bytes differ (renderer drift?)");
+}
+
+#[test]
+fn quick_serve_reproduces_the_checked_in_baseline_bytes() {
+    assert_matches_baseline(&ServeSpec::quick(), "bench/serve-baseline.json", " --quick");
+}
+
+/// The full grid is the one `repro serve --check --baseline
+/// bench/serve-full-baseline.json` gates in CI.
+#[test]
+fn full_serve_reproduces_the_checked_in_baseline_bytes() {
+    assert_matches_baseline(&ServeSpec::full(), "bench/serve-full-baseline.json", "");
 }
 
 /// The timings sidecar must never be able to reach the gated bytes:
@@ -61,10 +71,6 @@ fn serve_report_bytes_carry_no_wall_clock() {
 /// misses, at least one rejection, and full admission somewhere — so
 /// the gated baseline actually locks down admission control and
 /// deadline grading, not just the happy path.
-#[cfg_attr(
-    debug_assertions,
-    ignore = "quick service grid is slow unoptimized; run with --release (CI does)"
-)]
 #[test]
 fn quick_grid_covers_misses_rejections_and_sharing() {
     let report = run_serve(&ServeSpec::quick(), default_workers()).expect("quick spec is valid");

@@ -14,7 +14,7 @@
 //!   its knob below the idle twin's steady state: pressure can only
 //!   push `h_e` up, slack can only let it decay.
 //!
-//! Pinned (release profile, where the quick grid is affordable): the
+//! Pinned: the
 //! calibrated overload corner of `bench/serve-baseline.json` — the
 //! 8-tenant / fleet-1 / `h_e`-start-0 SLO row — as exact constants.
 
@@ -199,7 +199,6 @@ fn fuzz_overload_never_settles_below_the_idle_steady_state() {
 /// `h_e`-start-0 pair. Any retune of the controller, the service
 /// operating point, or the scheduler shows up here as a diff — exactly
 /// like the byte gate, but readable.
-#[cfg(not(debug_assertions))]
 #[test]
 fn overload_corner_constants_are_pinned() {
     use crescent_serve::run_serve;

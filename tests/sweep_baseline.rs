@@ -1,8 +1,8 @@
 //! In-repo edition of the CI sweep gate: run the quick grid and assert
 //! the rendered report is **byte-identical** to the checked-in
-//! `bench/baseline.json` — the same exactness the `sweep-gate` workflow
-//! enforces through `repro sweep --quick --check`, available to plain
-//! `cargo test --release` with no subprocess and no network.
+//! `bench/baseline.json` through [`check_baseline`] — the same check
+//! `repro sweep --quick --check` runs, available to plain `cargo test`
+//! with no subprocess and no network.
 //!
 //! This is the regression net under the wall-clock fast paths (SoA node
 //! columns, recycled scratch arenas, the incremental recall oracle):
@@ -10,38 +10,25 @@
 //! test is where that claim is pinned. On intended drift, refresh the
 //! baseline (`repro sweep --quick --json bench/baseline.json`), commit
 //! it, and the schema-versioned header documents the change.
-//!
-//! The full 160-point grid takes minutes under the debug profile, so
-//! the test is release-gated the same way CI runs it
-//! (`cargo test --release -q --test sweep_baseline`); under debug it is
-//! ignored rather than silently pruned to a weaker grid.
 
+use std::path::Path;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use crescent_explorer::{default_workers, diff_reports, run_sweep, SweepSpec};
+use crescent_explorer::{check_baseline, default_workers, diff_reports, run_sweep, SweepSpec};
 
-#[cfg_attr(
-    debug_assertions,
-    ignore = "quick grid is minutes-slow unoptimized; run with --release (CI does)"
-)]
 #[test]
 fn quick_sweep_reproduces_the_checked_in_baseline_bytes() {
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench/baseline.json");
-    let baseline = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read {baseline_path}: {e}"));
+    let baseline = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/bench/baseline.json"));
     let report = run_sweep(&SweepSpec::quick(), default_workers()).expect("quick spec is valid");
-    let fresh = report.to_json();
-    if let Some(drift) = diff_reports(&baseline, &fresh) {
+    if let Err(err) = check_baseline(baseline, &report.to_json()) {
         panic!(
-            "quick sweep drifted from bench/baseline.json:\n{drift}\n\
+            "quick sweep drifted from bench/baseline.json:\n{err}\n\
              if intended, refresh with `cargo run --release -p crescent-bench --bin repro -- \
              sweep --quick --json bench/baseline.json` and commit the diff"
         );
     }
-    // diff_reports is field-aware; the gate is stricter — bytes
-    assert_eq!(baseline, fresh, "comparator passed but bytes differ (renderer drift?)");
 }
 
 /// A real one-point report (every axis truncated to its first value),
