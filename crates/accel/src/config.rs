@@ -145,15 +145,6 @@ impl AcceleratorConfig {
         let lo = total_height.saturating_sub(cap_height(s));
         (lo <= hi).then_some((lo, hi))
     }
-
-    /// Total on-chip SRAM in bytes.
-    pub fn total_sram_bytes(&self) -> usize {
-        self.tree_buffer.capacity_bytes
-            + self.query_buffer_bytes
-            + self.point_buffer.capacity_bytes
-            + self.neighbor_index_buffer_bytes
-            + self.global_buffer_bytes
-    }
 }
 
 /// Why a configuration was rejected by [`AcceleratorConfig::validate`].
@@ -307,7 +298,7 @@ mod tests {
         assert_eq!(c.point_buffer.capacity_bytes, 64 << 10);
         assert_eq!(c.point_buffer.num_banks, 16);
         assert_eq!(c.systolic_rows * c.systolic_cols, 256);
-        assert!(c.total_sram_bytes() > 1536 << 10);
+        assert_eq!(c.global_buffer_bytes, 1536 << 10);
     }
 
     #[test]

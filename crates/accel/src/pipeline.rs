@@ -496,7 +496,7 @@ fn merge_search(total: &mut SearchEngineReport, rep: &SearchEngineReport) {
     total.dram_streaming_bytes += rep.dram_streaming_bytes;
     total.dram_random_bytes += rep.dram_random_bytes;
     total.tree_buffer_reads += rep.tree_buffer_reads;
-    total.stats.merge(&rep.stats);
+    total.stats += rep.stats;
 }
 
 #[cfg(test)]

@@ -63,8 +63,9 @@
 //! `serial − pipelined == (frames_with_work − 1) · fill +
 //! overlapped_build_cycles` — fully idle frames pay no fill in either
 //! bound, so they drop out of the coefficient.
-//! Energy lands in a per-frame [`StreamLedger`], with tree maintenance in
-//! its own `tree_build` category.
+//! Energy lands in each frame's ledger, with tree maintenance in its own
+//! `tree_build` category; [`StreamReport::energy`] merges them in frame
+//! order.
 
 use serde::{Deserialize, Serialize};
 
@@ -72,7 +73,7 @@ use crescent_kdtree::{
     BatchSearchConfig, BatchSearchStats, BatchState, KdTree, RefitConfig, RefitScratch, SplitTree,
     NODE_BYTES,
 };
-use crescent_memsim::{EnergyLedger, SramConfig, StreamLedger};
+use crescent_memsim::{EnergyLedger, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
 
 use crate::aggregation::{simulate_aggregation, AggregationReport};
@@ -160,8 +161,6 @@ pub struct FrameReport {
     pub frame: usize,
     /// Points in the frame cloud.
     pub points: usize,
-    /// Queries issued against the frame.
-    pub queries: usize,
     /// Total neighbors returned across all queries.
     pub neighbors: usize,
     /// Search datapath cycles: amortized top-tree fetches plus the
@@ -179,41 +178,23 @@ pub struct FrameReport {
     /// The search stage's pipeline-slot occupancy:
     /// `max(compute + aggregation, dma)`.
     pub slot_cycles: u64,
-    /// Search rounds in which at least one tree-buffer fetch stalled on
-    /// a bank conflict — the serialization cycles a conflict-free SRAM
-    /// (or deeper elision) would win back.
-    pub conflict_stall_cycles: u64,
-    /// Conflicted tree-buffer fetches dropped by `h_e` elision this
-    /// frame (0 whenever `elision_depth == 0`).
-    pub elided_conflicts: u64,
     /// Point-Buffer gather conflicts during aggregation.
     pub agg_conflicts: u64,
     /// Aggregation conflicts resolved by neighbor replication instead of
     /// serialization (0 with `aggregation_elision` off).
     pub agg_elided: u64,
-    /// Tree-maintenance datapath cycles (build partitioning, or refit
-    /// patch + validation + sub-tree repairs).
-    pub build_cycles: u64,
+    /// The frame's tree-maintenance bill (zero for a service wavefront).
+    pub maintenance: MaintenanceCost,
     /// Streaming-DMA cycles for the maintenance traffic.
     pub build_dma_cycles: u64,
     /// The build stage's slot occupancy: `max(build compute, build DMA)`.
     pub build_slot_cycles: u64,
-    /// DRAM bytes moved by tree maintenance (cloud in, tree image out;
-    /// for refit also the old image in).
-    pub build_dram_bytes: u64,
-    /// Sub-trees rebuilt in place by an incremental refit (0 under
-    /// [`TreeMaintenance::RebuildEveryFrame`]).
-    pub subtrees_rebuilt: usize,
-    /// Whether this frame's tree was (re)built from scratch — always
-    /// true under [`TreeMaintenance::RebuildEveryFrame`] and on frame 0;
-    /// true under `Refit` only when the incoherence fallback fired.
-    pub full_rebuild: bool,
-    /// DRAM bytes moved by the search (all streaming — the Crescent
-    /// schedule has no random accesses).
-    pub dram_streaming_bytes: u64,
     /// Tree-buffer reads (top-tree fetches + sub-tree node visits).
     pub tree_buffer_reads: u64,
-    /// Algorithmic statistics of the batched search.
+    /// Statistics of the batched search: its queries, its search DRAM
+    /// bytes (all streaming — the Crescent schedule has no random
+    /// accesses), and in `subtree` its stall rounds and elided
+    /// conflicts.
     pub search: BatchSearchStats,
     /// Energy charged to this frame (maintenance in `tree_build`).
     pub energy: EnergyLedger,
@@ -243,7 +224,7 @@ impl FrameReport {
         // parallelism and conflict serialization. No fill in here — it
         // is charged once per stream (or once per standalone frame), and
         // a frame with no work costs nothing.
-        let compute = stats.top_fetches as u64 + stats.subtree_rounds as u64;
+        let compute = stats.top_fetches as u64 + stats.subtree.rounds as u64;
         let dma = config.dram.stream_cycles(stats.dram_bytes);
         let slot = (compute + agg.rounds).max(dma);
         // Build stage: internally double-buffered the same way.
@@ -256,7 +237,7 @@ impl FrameReport {
         energy.charge_tree_build(em, cost.build_cycles);
         // only honored fetches read data out of the tree buffer; stalled
         // re-issues retry, elided ones never return their own node
-        let reads = (stats.top_fetches + stats.subtree_visits) as u64;
+        let reads = (stats.top_fetches + stats.subtree.visits) as u64;
         energy.charge_sram_search(em, reads * NODE_BYTES as u64);
         // granted gathers move one point record each; every issue also
         // reads one 4-byte word of the neighbor-index matrix; elided
@@ -267,23 +248,16 @@ impl FrameReport {
         FrameReport {
             frame,
             points: searched.points,
-            queries: searched.queries,
             neighbors: searched.neighbors,
             compute_cycles: compute,
             agg_cycles: agg.rounds,
             dma_cycles: dma,
             slot_cycles: slot,
-            conflict_stall_cycles: stats.stall_rounds as u64,
-            elided_conflicts: stats.conflicts_elided as u64,
             agg_conflicts: agg.conflicts,
             agg_elided: agg.elided,
-            build_cycles: cost.build_cycles,
+            maintenance: *cost,
             build_dma_cycles: build_dma,
             build_slot_cycles: build_slot,
-            build_dram_bytes: cost.build_dram_bytes,
-            subtrees_rebuilt: cost.subtrees_rebuilt,
-            full_rebuild: cost.full_rebuild,
-            dram_streaming_bytes: stats.dram_bytes,
             tree_buffer_reads: reads,
             search: stats.clone(),
             energy,
@@ -313,8 +287,6 @@ impl FrameReport {
 pub struct StreamReport {
     /// Per-frame reports, in frame order.
     pub frames: Vec<FrameReport>,
-    /// Per-frame energy ledger (same order; totals included).
-    pub ledger: StreamLedger,
     /// Sequence latency with inter-frame double buffering: frame `i+1`'s
     /// build overlaps frame `i`'s search, and a single pipeline fill is
     /// charged for the whole stream.
@@ -337,13 +309,18 @@ impl StreamReport {
 
     /// Total queries across the stream.
     pub fn total_queries(&self) -> usize {
-        self.frames.iter().map(|f| f.queries).sum()
+        self.frames.iter().map(|f| f.search.queries).sum()
+    }
+
+    /// The stream's energy: every frame's ledger merged in frame order.
+    pub fn energy(&self) -> EnergyLedger {
+        EnergyLedger::merged(self.frames.iter().map(|f| &f.energy))
     }
 
     /// Total DRAM traffic across the stream, search + tree maintenance
     /// (bytes, all streaming).
     pub fn total_dram_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| f.dram_streaming_bytes + f.build_dram_bytes).sum()
+        self.frames.iter().map(|f| f.search.dram_bytes + f.maintenance.build_dram_bytes).sum()
     }
 
     /// Total tree-maintenance slot cycles across the stream.
@@ -354,22 +331,22 @@ impl StreamReport {
     /// Total stage-2 lock-step arbitration rounds across the stream —
     /// the banked tree buffer's share of the search compute.
     pub fn total_arb_rounds(&self) -> u64 {
-        self.frames.iter().map(|f| f.search.subtree_rounds as u64).sum()
+        self.frames.iter().map(|f| f.search.subtree.rounds as u64).sum()
     }
 
     /// Total tree-buffer fetch attempts that lost bank arbitration.
     pub fn total_bank_conflicts(&self) -> u64 {
-        self.frames.iter().map(|f| f.search.bank_conflicts as u64).sum()
+        self.frames.iter().map(|f| f.search.subtree.conflicts as u64).sum()
     }
 
     /// Total rounds in which at least one fetch stalled on a conflict.
     pub fn total_conflict_stall_cycles(&self) -> u64 {
-        self.frames.iter().map(|f| f.conflict_stall_cycles).sum()
+        self.frames.iter().map(|f| f.search.subtree.stall_rounds as u64).sum()
     }
 
     /// Total conflicted fetches dropped by `h_e` elision.
     pub fn total_elided_conflicts(&self) -> u64 {
-        self.frames.iter().map(|f| f.elided_conflicts).sum()
+        self.frames.iter().map(|f| f.search.subtree.elided as u64).sum()
     }
 
     /// Total elision-eligible conflicts salvaged by descendant reuse —
@@ -377,7 +354,7 @@ impl StreamReport {
     /// dropping their subtree (0 unless
     /// [`StreamSearchConfig::descendant_reuse`] is on).
     pub fn total_conflict_reuses(&self) -> u64 {
-        self.frames.iter().map(|f| f.search.conflict_reuses as u64).sum()
+        self.frames.iter().map(|f| f.search.subtree.reuses as u64).sum()
     }
 
     /// Total aggregation-unit gather rounds across the stream.
@@ -452,46 +429,32 @@ pub fn run_frame_stream(
 ///
 /// Everything downstream of maintenance reads only this snapshot: the
 /// search stage ([`search_stream`]) reads the tree, the compose step
-/// ([`compose_stream`]) reads the cost ([`MaintainedTree::cost`]). That
-/// split is what lets the sweep explorer keep the trees once per
-/// distinct tree sequence and only the cost vectors of the others.
+/// ([`compose_stream`]) reads the cost. That split is what lets the
+/// sweep explorer keep the trees once per distinct tree sequence and
+/// only the cost vectors of the others.
 #[derive(Clone, Debug)]
 pub struct MaintainedTree {
     /// The tree as it stands after this frame's maintenance.
     pub tree: KdTree,
-    /// Modeled maintenance cycles (full build or refit work).
-    pub build_cycles: u64,
-    /// DRAM bytes the maintenance streamed.
-    pub build_dram_bytes: u64,
-    /// Dirty sub-trees a refit rebuilt (`0` for full builds).
-    pub subtrees_rebuilt: usize,
-    /// Whether this frame (re)built the whole tree from scratch.
-    pub full_rebuild: bool,
-}
-
-impl MaintainedTree {
-    /// The frame's maintenance bill, detached from the tree.
-    pub fn cost(&self) -> MaintenanceCost {
-        MaintenanceCost {
-            build_cycles: self.build_cycles,
-            build_dram_bytes: self.build_dram_bytes,
-            subtrees_rebuilt: self.subtrees_rebuilt,
-            full_rebuild: self.full_rebuild,
-        }
-    }
+    /// What the maintenance cost.
+    pub cost: MaintenanceCost,
 }
 
 /// What one frame's tree maintenance cost, without the tree itself —
 /// the maintenance input of [`compose_stream`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceCost {
-    /// Modeled maintenance cycles (full build or refit work).
+    /// Modeled maintenance cycles (build partitioning, or refit patch +
+    /// validation + sub-tree repairs).
     pub build_cycles: u64,
-    /// DRAM bytes the maintenance streamed.
+    /// DRAM bytes the maintenance streamed (cloud in, tree image out;
+    /// for refit also the old image in).
     pub build_dram_bytes: u64,
-    /// Dirty sub-trees a refit rebuilt (`0` for full builds).
+    /// Dirty sub-trees a refit rebuilt in place (`0` for full builds).
     pub subtrees_rebuilt: usize,
-    /// Whether this frame (re)built the whole tree from scratch.
+    /// Whether this frame (re)built the whole tree from scratch — always
+    /// under [`TreeMaintenance::RebuildEveryFrame`] and on frame 0, and
+    /// under `Refit` only when the incoherence fallback fired.
     pub full_rebuild: bool,
 }
 
@@ -501,8 +464,6 @@ pub struct MaintenanceCost {
 pub struct FrameSearch {
     /// Points in the frame cloud.
     pub points: usize,
-    /// Queries issued against the frame.
-    pub queries: usize,
     /// Total neighbors returned across all queries.
     pub neighbors: usize,
     /// Statistics of the frame's batched banked search.
@@ -513,12 +474,7 @@ impl FrameSearch {
     /// The counters of one frame: `points` in its cloud, and the
     /// neighbor sets and statistics its search returned.
     pub(crate) fn new(points: usize, hits: &[Vec<Neighbor>], stats: BatchSearchStats) -> Self {
-        FrameSearch {
-            points,
-            queries: hits.len(),
-            neighbors: hits.iter().map(Vec::len).sum(),
-            stats,
-        }
+        FrameSearch { points, neighbors: hits.iter().map(Vec::len).sum(), stats }
     }
 }
 
@@ -552,25 +508,25 @@ pub fn maintain_tree_sequence(
             (None, _) | (Some(_), TreeMaintenance::RebuildEveryFrame) => {
                 let tree = KdTree::build(cloud);
                 let b = *tree.build_stats();
-                MaintainedTree {
-                    tree,
+                let cost = MaintenanceCost {
                     build_cycles: b.cycles,
                     build_dram_bytes: b.dram_bytes,
                     subtrees_rebuilt: 0,
                     full_rebuild: true,
-                }
+                };
+                MaintainedTree { tree, cost }
             }
             (Some(prev), TreeMaintenance::Refit { rebuild_threshold }) => {
                 let cfg = RefitConfig { check_height, rebuild_threshold, ..RefitConfig::default() };
                 let mut tree = prev.tree.clone();
                 let r = tree.refit_with_scratch(cloud, &cfg, &mut refit_scratch);
-                MaintainedTree {
-                    tree,
+                let cost = MaintenanceCost {
                     build_cycles: r.cycles,
                     build_dram_bytes: r.dram_bytes,
                     subtrees_rebuilt: r.subtrees_rebuilt,
                     full_rebuild: r.is_full_rebuild(),
-                }
+                };
+                MaintainedTree { tree, cost }
             }
         };
         out.push(entry);
@@ -589,7 +545,7 @@ pub fn maintain_tree_sequence(
 /// 1. [`search_stream`] — the banked wavefront search of every frame;
 /// 2. [`aggregate_stream`] — the Point-Buffer gathers of its results;
 /// 3. [`compose_stream`] — DMA, slots, the build/search schedule, the
-///    fill and the energy ledger, from the counters of 1–2 and the
+///    fill and the per-frame energy, from the counters of 1–2 and the
 ///    maintenance costs.
 ///
 /// # Panics
@@ -604,7 +560,7 @@ pub fn run_frame_stream_on_trees(
 ) -> (Vec<Vec<Vec<Neighbor>>>, StreamReport) {
     let (results, searched) = search_stream(frames, trees, search, knobs.top_height, config);
     let aggregated = aggregate_stream(&results, config.point_buffer, config.aggregation_elision);
-    let costs: Vec<MaintenanceCost> = trees.iter().map(MaintainedTree::cost).collect();
+    let costs: Vec<MaintenanceCost> = trees.iter().map(|t| t.cost).collect();
     let report = compose_stream(&searched, &aggregated, &costs, config);
     (results, report)
 }
@@ -662,9 +618,9 @@ pub fn aggregate_stream(
 
 /// The compose step: a pure function of the per-frame search counters,
 /// aggregation reports and maintenance costs. It prices each frame
-/// (`FrameReport::compose`), then derives the inter-frame
-/// build/search schedule, the once-per-stream pipeline fill and the
-/// energy ledger, reading only the DRAM and energy models of `config`.
+/// (`FrameReport::compose`, which also charges its energy), then
+/// derives the inter-frame build/search schedule and the once-per-stream
+/// pipeline fill, reading only the DRAM and energy models of `config`.
 ///
 /// # Panics
 ///
@@ -700,7 +656,6 @@ pub fn compose_stream(
         search_end_prev = search_end;
         search_end = search_start + frame.slot_cycles;
 
-        report.ledger.push_frame(frame.energy);
         report.frames.push(frame);
     }
 
@@ -835,7 +790,7 @@ mod tests {
         assert_eq!(r1, r2, "neighbor sets must be bit-identical");
         assert_eq!(a.pipelined_cycles, b.pipelined_cycles);
         assert_eq!(a.serial_cycles, b.serial_cycles);
-        assert_eq!(a.ledger.total().total(), b.ledger.total().total());
+        assert_eq!(a.energy(), b.energy());
     }
 
     #[test]
@@ -873,12 +828,12 @@ mod tests {
                 &AcceleratorConfig::default(),
             );
             for f in &rep.frames {
-                assert!(f.build_cycles > 0, "{maintenance:?} frame {}", f.frame);
-                assert!(f.build_dram_bytes > 0, "{maintenance:?} frame {}", f.frame);
+                assert!(f.maintenance.build_cycles > 0, "{maintenance:?} frame {}", f.frame);
+                assert!(f.maintenance.build_dram_bytes > 0, "{maintenance:?} frame {}", f.frame);
                 assert!(f.energy.tree_build > 0.0, "{maintenance:?} frame {}", f.frame);
             }
-            assert!(rep.ledger.build_energy() > 0.0);
-            assert!(rep.frames[0].full_rebuild, "frame 0 always builds");
+            assert!(rep.energy().tree_build > 0.0);
+            assert!(rep.frames[0].maintenance.full_rebuild, "frame 0 always builds");
         }
     }
 
@@ -910,7 +865,7 @@ mod tests {
         );
         // no fallback fired after frame 0
         for f in &rep_refit.frames[1..] {
-            assert!(!f.full_rebuild, "coherent frame {} must refit in place", f.frame);
+            assert!(!f.maintenance.full_rebuild, "coherent frame {} must refit in place", f.frame);
         }
     }
 
@@ -937,7 +892,10 @@ mod tests {
             &AcceleratorConfig::default(),
         );
         assert_eq!(r_rebuild, r_refit, "fallback must preserve results");
-        assert!(rep.frames[2].full_rebuild, "the incoherent frame must trigger the fallback");
+        assert!(
+            rep.frames[2].maintenance.full_rebuild,
+            "the incoherent frame must trigger the fallback"
+        );
     }
 
     #[test]
@@ -956,9 +914,9 @@ mod tests {
         let f = &rep.frames[0];
         assert_eq!(f.compute_cycles, 0, "no queries, no datapath work");
         assert_eq!(f.slot_cycles, 0);
-        assert_eq!(f.dram_streaming_bytes, 0);
+        assert_eq!(f.search.dram_bytes, 0);
         // the tree still had to be built — that work is real
-        assert!(f.build_cycles > 0);
+        assert!(f.maintenance.build_cycles > 0);
         // leakage covers the build slot only, not a phantom fill
         let em = AcceleratorConfig::default().energy;
         assert!(
@@ -992,15 +950,14 @@ mod tests {
             CrescentKnobs::default(),
             &AcceleratorConfig::default(),
         );
-        assert_eq!(rep.ledger.len(), 4);
-        for (f, l) in rep.frames.iter().zip(rep.ledger.frames()) {
-            assert_eq!(&f.energy, l);
+        assert_eq!(rep.num_frames(), 4);
+        for f in &rep.frames {
             assert!(f.energy.dram_streaming > 0.0);
             assert!(f.energy.tree_build > 0.0);
             assert_eq!(f.energy.dram_random, 0.0, "streaming schedule has no random DRAM");
         }
         let sum: f64 = rep.frames.iter().map(|f| f.energy.total()).sum();
-        assert!((rep.ledger.total().total() - sum).abs() < 1e-9);
+        assert!((rep.energy().total() - sum).abs() < 1e-9);
     }
 
     #[test]
@@ -1029,6 +986,6 @@ mod tests {
         assert_eq!(rep.total_dram_bytes(), 0);
         assert_eq!(rep.pipelined_cycles, 0, "an all-idle stream pays no fill");
         assert_eq!(rep.serial_cycles, 0);
-        assert_eq!(rep.ledger.total().total(), 0.0);
+        assert_eq!(rep.energy().total(), 0.0);
     }
 }

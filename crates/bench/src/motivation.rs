@@ -133,7 +133,10 @@ pub fn fig4(scale: Scale) -> Figure {
             }),
         };
         let (_, stats) = split.batch_search(&queries, &cfg);
-        rows.push(FigRow { label: banks.to_string(), values: vec![stats.conflict_rate() * 100.0] });
+        rows.push(FigRow {
+            label: banks.to_string(),
+            values: vec![stats.total().conflict_rate() * 100.0],
+        });
     }
     Figure {
         id: "fig4",
@@ -221,7 +224,7 @@ pub fn fig9(scale: Scale) -> Figure {
             }),
         };
         let (_, stats) = split.batch_search(&queries, &cfg);
-        let skipped = stats.nodes_skipped as f64;
+        let skipped = stats.total().skipped as f64;
         let b = *base.get_or_insert(skipped.max(1.0));
         rows.push(FigRow { label: he.to_string(), values: vec![skipped / b, skipped] });
         he += 2;

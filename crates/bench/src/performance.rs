@@ -193,14 +193,9 @@ impl PerformanceSuite {
             let bce = self.get(net, Variant::AnsBce);
             // ANS stalls on every conflict; BCE elides: compare observed
             // conflict-stall counts and honored node fetches
-            let conf_red = (1.0
-                - bce.search.stats.conflict_stalls as f64
-                    / ans.search.stats.bank_conflicts.max(1) as f64)
-                * 100.0;
-            let node_red = (1.0
-                - bce.search.stats.nodes_visited as f64
-                    / ans.search.stats.nodes_visited.max(1) as f64)
-                * 100.0;
+            let (ans, bce) = (ans.search.stats.total(), bce.search.stats.total());
+            let conf_red = (1.0 - bce.stalls as f64 / ans.conflicts.max(1) as f64) * 100.0;
+            let node_red = (1.0 - bce.visits as f64 / ans.visits.max(1) as f64) * 100.0;
             rows.push(FigRow { label: net.clone(), values: vec![conf_red, node_red] });
         }
         Figure {
@@ -290,9 +285,8 @@ pub fn fig24(scale: Scale) -> Figure {
         let split = SplitTree::new(&tree, ht).expect("valid split");
         let quicknn = split_exhaustive_report(&split, &queries, layer.radius, 32);
         let ours_dram = crescent_dram_bytes(&split, &queries, layer.radius);
-        let visit_red = (1.0
-            - ours.stats.nodes_visited as f64 / tigris.stats.nodes_visited.max(1) as f64)
-            * 100.0;
+        let visit_red =
+            (1.0 - ours.tree_buffer_reads as f64 / tigris.tree_buffer_reads.max(1) as f64) * 100.0;
         let dram_red = (1.0 - ours_dram as f64 / quicknn.dram_bytes.max(1) as f64) * 100.0;
         v_sum += visit_red;
         d_sum += dram_red;
@@ -332,7 +326,8 @@ pub fn ablation_reuse(scale: Scale) -> Figure {
                     crescent::kdtree::ElisionConfig::new(he, 4)
                 }),
             };
-            split.batch_search(&queries, &cfg)
+            let (results, stats) = split.batch_search(&queries, &cfg);
+            (results, stats.total())
         };
         let (r_plain, s_plain) = run(false);
         let (r_reuse, s_reuse) = run(true);
@@ -342,9 +337,9 @@ pub fn ablation_reuse(scale: Scale) -> Figure {
         rows.push(FigRow {
             label: he.to_string(),
             values: vec![
-                s_reuse.descendant_reuses as f64,
-                s_plain.nodes_skipped as f64,
-                s_reuse.nodes_skipped as f64,
+                s_reuse.reuses as f64,
+                s_plain.skipped as f64,
+                s_reuse.skipped as f64,
                 (found(&r_reuse) / found(&r_plain).max(1.0) - 1.0) * 100.0,
             ],
         });

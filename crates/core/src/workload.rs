@@ -678,7 +678,7 @@ impl Crescent {
     /// cfg.queries_per_frame = 32;
     /// let outcome = Crescent::new().run_stream(&cfg);
     /// assert_eq!(outcome.frames.len(), 4);
-    /// assert_eq!(outcome.report.ledger.len(), 4);
+    /// assert_eq!(outcome.report.num_frames(), 4);
     /// assert!(outcome.report.pipelined_cycles < outcome.report.serial_cycles);
     /// ```
     pub fn run_stream(&self, cfg: &FrameStreamConfig) -> StreamOutcome {
@@ -816,7 +816,7 @@ mod tests {
         let outcome = Crescent::new().run_stream(&cfg);
         assert_eq!(outcome.frames.len(), 5);
         assert_eq!(outcome.neighbor_sets.len(), 5);
-        assert_eq!(outcome.report.ledger.len(), 5);
+        assert_eq!(outcome.report.num_frames(), 5);
         assert!(outcome.total_neighbors() > 0);
         assert!(outcome.report.mean_reuse_fraction() > 0.3, "stream should show locality");
     }
@@ -900,7 +900,11 @@ mod tests {
         // every size-changing frame is an honest full rebuild
         for (w, f) in sizes.windows(2).zip(&outcome.report.frames[1..]) {
             if w[0] != w[1] {
-                assert!(f.full_rebuild, "frame {} changed size but did not rebuild", f.frame);
+                assert!(
+                    f.maintenance.full_rebuild,
+                    "frame {} changed size but did not rebuild",
+                    f.frame
+                );
             }
         }
     }
@@ -922,10 +926,11 @@ mod tests {
             "the burst must not cost correctness"
         );
         assert!(
-            refit.report.frames[3].full_rebuild,
+            refit.report.frames[3].maintenance.full_rebuild,
             "a 0.9 rad heading jump must be detected as incoherent"
         );
-        let fallbacks = refit.report.frames[1..].iter().filter(|f| f.full_rebuild).count();
+        let fallbacks =
+            refit.report.frames[1..].iter().filter(|f| f.maintenance.full_rebuild).count();
         assert!(fallbacks <= 2, "only the burst (±1 settling frame) may rebuild: {fallbacks}");
     }
 
@@ -979,7 +984,7 @@ mod tests {
         cfg.maintenance = TreeMaintenance::RebuildEveryFrame;
         let rebuild = Crescent::new().run_stream(&cfg);
         assert_eq!(refit.neighbor_sets, rebuild.neighbor_sets);
-        assert!(refit.report.frames[1..].iter().all(|f| !f.full_rebuild));
+        assert!(refit.report.frames[1..].iter().all(|f| !f.maintenance.full_rebuild));
         assert!(refit.report.pipelined_cycles < rebuild.report.pipelined_cycles);
     }
 
@@ -1002,7 +1007,7 @@ mod tests {
         cfg.maintenance = TreeMaintenance::RebuildEveryFrame;
         let rebuild = Crescent::new().run_stream(&cfg);
         assert_eq!(refit.neighbor_sets, rebuild.neighbor_sets);
-        assert!(refit.report.frames[1..].iter().all(|f| !f.full_rebuild));
+        assert!(refit.report.frames[1..].iter().all(|f| !f.maintenance.full_rebuild));
     }
 
     #[test]
@@ -1021,7 +1026,11 @@ mod tests {
         cfg.maintenance = TreeMaintenance::refit();
         let refit = Crescent::new().run_stream(&cfg);
         for f in &refit.report.frames[1..] {
-            assert!(f.full_rebuild, "frame {} changed size but did not rebuild", f.frame);
+            assert!(
+                f.maintenance.full_rebuild,
+                "frame {} changed size but did not rebuild",
+                f.frame
+            );
         }
         cfg.maintenance = TreeMaintenance::RebuildEveryFrame;
         let rebuild = Crescent::new().run_stream(&cfg);

@@ -276,7 +276,7 @@ fn run_scenario(
     let mut tree_set_of: Vec<usize> = Vec::with_capacity(maintained.len());
     for (seq, nanos) in maintained {
         stats.maintain_nanos += nanos;
-        costs.push(seq.iter().map(MaintainedTree::cost).collect());
+        costs.push(seq.iter().map(|m| m.cost).collect());
         let known = tree_sets.iter().position(|set| same_trees(set, &seq));
         tree_set_of.push(known.unwrap_or_else(|| {
             tree_sets.push(seq);
@@ -442,9 +442,9 @@ fn compose_row(
         conflict_reuses: report.total_conflict_reuses(),
         agg_cycles: report.total_agg_cycles(),
         agg_elided: report.total_agg_elided(),
-        full_rebuilds: report.frames.iter().filter(|f| f.full_rebuild).count(),
-        subtrees_rebuilt: report.frames.iter().map(|f| f.subtrees_rebuilt).sum(),
-        energy: *report.ledger.total(),
+        full_rebuilds: report.frames.iter().filter(|f| f.maintenance.full_rebuild).count(),
+        subtrees_rebuilt: report.frames.iter().map(|f| f.maintenance.subtrees_rebuilt).sum(),
+        energy: report.energy(),
         recall: search.recall,
         digest: search.digest,
     }

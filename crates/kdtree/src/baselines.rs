@@ -233,11 +233,10 @@ mod tests {
         let base = split_exhaustive_report(&split, &queries, 0.15, 16);
         let cfg =
             SplitSearchConfig { radius: 0.15, max_neighbors: None, num_pes: 4, elision: None };
-        let (_, stats) = split.batch_search(&queries, &cfg);
+        let visits = split.batch_search(&queries, &cfg).1.total().visits;
         assert!(
-            (stats.nodes_visited as f64) < 0.8 * base.nodes_visited as f64,
-            "crescent {} vs exhaustive {}",
-            stats.nodes_visited,
+            (visits as f64) < 0.8 * base.nodes_visited as f64,
+            "crescent {visits} vs exhaustive {}",
             base.nodes_visited
         );
     }

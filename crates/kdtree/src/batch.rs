@@ -25,10 +25,10 @@
 //! level threshold is `height − h_e`).
 //!
 //! At `h_e = 0` nothing is ever dropped, so the neighbor sets are
-//! bit-identical to per-query [`SplitTree::search_one`] — and since the
-//! stall-only queues are identical to the engine path's, the stage-2
-//! conflict/round counts match [`SplitTree::batch_search`] exactly
-//! (property-tested in `tests/elision_unified.rs`).
+//! bit-identical to per-query [`SplitTree::search_one`]. At every elision
+//! level `>= h_t` the stage-2 queues are identical to the engine path's,
+//! so the whole stage-2 [`DrainCounters`] record equals
+//! [`SplitTree::batch_search`]'s (tested in `tests/elision_unified.rs`).
 //!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
 //! descent state forward: the wavefront and per-sub-tree queue allocations
@@ -39,7 +39,9 @@
 
 use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
-use crate::split::{drain_subtree_queue, finalize, DrainScratch, SplitTree, TreeArbiter};
+use crate::split::{
+    drain_subtree_queue, finalize, DrainCounters, DrainScratch, SplitTree, TreeArbiter,
+};
 use crate::tree::NODE_BYTES;
 
 /// Reusable state for [`SplitTree::search_batch`], designed to live across
@@ -162,8 +164,6 @@ pub struct BatchSearchStats {
     /// Top-tree fetches per-query routing would have issued (the sum of all
     /// routing path lengths) — the traffic the wavefront amortizes away.
     pub top_fetches_unamortized: usize,
-    /// Stage-2 node fetches (confined sub-tree traversals).
-    pub subtree_visits: usize,
     /// Non-empty sub-trees touched by this batch (each is streamed from
     /// DRAM exactly once).
     pub subtrees_touched: usize,
@@ -176,33 +176,13 @@ pub struct BatchSearchStats {
     pub dram_bytes: u64,
     /// 0-based index of this batch within the life of its [`BatchState`].
     pub frame_index: usize,
-    /// Stage-2 lock-step arbitration rounds — the banked model's compute
-    /// cycle count for the sub-tree stage. Conflict stalls lengthen it,
-    /// elision shortens it; at `h_e = 0` it equals the per-query engine model's
-    /// [`SplitSearchStats::subtree_rounds`](crate::SplitSearchStats) on
-    /// the same queues.
-    pub subtree_rounds: usize,
-    /// Rounds in which at least one fetch stalled on a bank conflict —
-    /// the serialization a conflict-free (or fully eliding) tree buffer
-    /// would win back.
-    pub stall_rounds: usize,
-    /// Stage-2 fetch attempts issued to the banked tree buffer,
-    /// including re-issues after stalls.
-    pub fetch_attempts: usize,
-    /// Attempts that lost bank arbitration (stalled + elided + reused).
-    pub bank_conflicts: usize,
-    /// Lost attempts that stalled and re-issued next round.
-    pub conflict_stalls: usize,
-    /// Lost attempts dropped by `h_e` elision (each also drops the
-    /// subtree beneath the node — see
-    /// [`BatchSearchStats::nodes_skipped`]).
-    pub conflicts_elided: usize,
-    /// Lost attempts salvaged by descendant reuse
-    /// ([`BatchSearchConfig::descendant_reuse`]).
-    pub conflict_reuses: usize,
-    /// Tree nodes made unreachable by elision (dropped fetch + its whole
-    /// subtree) — the streaming counterpart of the Fig 9 metric.
-    pub nodes_skipped: usize,
+    /// Stage-2 arbitration counters of the banked sub-tree drains. Its
+    /// `rounds` are the sub-tree stage's compute cycles: conflict stalls
+    /// lengthen them, elision shortens them. At every elision level
+    /// `>= h_t` the whole record equals the per-query engine's
+    /// [`SplitSearchStats::subtree`](crate::SplitSearchStats) on the same
+    /// queues.
+    pub subtree: DrainCounters,
 }
 
 impl BatchSearchStats {
@@ -225,16 +205,6 @@ impl BatchSearchStats {
             self.assignment_reuses as f64 / self.queries as f64
         }
     }
-
-    /// Fraction of stage-2 fetch attempts that bank-conflicted (the
-    /// Fig 4 metric on the streaming path).
-    pub fn conflict_rate(&self) -> f64 {
-        if self.fetch_attempts == 0 {
-            0.0
-        } else {
-            self.bank_conflicts as f64 / self.fetch_attempts as f64
-        }
-    }
 }
 
 impl SplitTree<'_> {
@@ -250,7 +220,7 @@ impl SplitTree<'_> {
     /// * With `elision_depth > 0`, conflicted fetches in the deepest
     ///   `elision_depth` tree levels are dropped: results become a
     ///   subset of the exact ones (approximation is always subtractive)
-    ///   and [`BatchSearchStats::subtree_rounds`] shrinks.
+    ///   and the stage-2 rounds ([`BatchSearchStats::subtree`]) shrink.
     ///
     /// Pass the same `state` across the frames of a stream to recycle its
     /// buffers and obtain the cross-frame
@@ -366,7 +336,7 @@ impl SplitTree<'_> {
             }
             stats.subtrees_touched += 1;
             stats.dram_bytes += (self.subtree_len(s) * NODE_BYTES) as u64;
-            let q = drain_subtree_queue(
+            stats.subtree += drain_subtree_queue(
                 tree,
                 self.subtree_roots()[s],
                 queue,
@@ -377,15 +347,6 @@ impl SplitTree<'_> {
                 &mut state.drain,
                 &mut results,
             );
-            stats.subtree_visits += q.visits;
-            stats.subtree_rounds += q.rounds;
-            stats.stall_rounds += q.stall_rounds;
-            stats.fetch_attempts += q.attempts;
-            stats.bank_conflicts += q.conflicts;
-            stats.conflict_stalls += q.stalls;
-            stats.conflicts_elided += q.elided;
-            stats.conflict_reuses += q.reuses;
-            stats.nodes_skipped += q.skipped;
         }
         for hits in &mut results {
             finalize(hits, max_neighbors);
@@ -633,21 +594,22 @@ mod tests {
         for (qi, &q) in queries.iter().enumerate() {
             assert_eq!(batch[qi], split.search_one(q, 0.3, Some(16)), "query {qi}");
         }
-        assert_eq!(stats.conflicts_elided, 0, "h_e = 0 never drops a fetch");
-        assert_eq!(stats.nodes_skipped, 0);
-        assert!(stats.subtree_rounds > 0, "the banked model counts rounds");
-        assert!(stats.bank_conflicts > 0, "8 PEs on 4 banks must conflict");
-        assert_eq!(stats.bank_conflicts, stats.conflict_stalls, "every conflict stalls");
+        let c = stats.subtree;
+        assert_eq!(c.elided, 0, "h_e = 0 never drops a fetch");
+        assert_eq!(c.skipped, 0);
+        assert!(c.rounds > 0, "the banked model counts rounds");
+        assert!(c.conflicts > 0, "8 PEs on 4 banks must conflict");
+        assert_eq!(c.conflicts, c.stalls, "every conflict stalls");
         assert_eq!(
-            stats.fetch_attempts,
-            stats.subtree_visits + stats.bank_conflicts,
+            c.attempts,
+            c.visits + c.conflicts,
             "every stage-2 attempt either visits or loses arbitration"
         );
-        assert!(stats.stall_rounds > 0 && stats.stall_rounds <= stats.subtree_rounds);
+        assert!(c.stall_rounds > 0 && c.stall_rounds <= c.rounds);
         // more rounds than the conflict-free lower bound, fewer than the
         // fully serialized upper bound
-        assert!(stats.subtree_rounds >= stats.subtree_visits.div_ceil(8));
-        assert!(stats.subtree_rounds <= stats.fetch_attempts);
+        assert!(c.rounds >= c.visits.div_ceil(8));
+        assert!(c.rounds <= c.attempts);
     }
 
     #[test]
@@ -660,9 +622,9 @@ mod tests {
         let elide = BatchSearchConfig::banked(0.3, None, 8, 4, 6);
         let (full, s0) = split.search_batch(&queries, &exact, &mut BatchState::new());
         let (approx, s6) = split.search_batch(&queries, &elide, &mut BatchState::new());
-        assert!(s6.conflicts_elided > 0, "deep elision must fire");
-        assert!(s6.nodes_skipped >= s6.conflicts_elided);
-        assert!(s6.subtree_rounds < s0.subtree_rounds, "elision must save rounds");
+        assert!(s6.subtree.elided > 0, "deep elision must fire");
+        assert!(s6.subtree.skipped >= s6.subtree.elided);
+        assert!(s6.subtree.rounds < s0.subtree.rounds, "elision must save rounds");
         for (a, f) in approx.iter().zip(&full) {
             let fset: Vec<usize> = f.iter().map(|n| n.index).collect();
             for n in a {
@@ -686,7 +648,7 @@ mod tests {
         for depth in [0usize, 2, 4, 6, 8] {
             let cfg = BatchSearchConfig::banked(0.25, None, 8, 4, depth);
             let (_, stats) = split.search_batch(&queries, &cfg, &mut BatchState::new());
-            let cycles = stats.top_fetches + stats.subtree_rounds;
+            let cycles = stats.top_fetches + stats.subtree.rounds;
             assert!(cycles <= prev, "h_e {depth}: {cycles} rounds > previous {prev}");
             prev = cycles;
         }
@@ -703,10 +665,10 @@ mod tests {
         for banks in [2usize, 4, 16] {
             let cfg = BatchSearchConfig::banked(0.3, None, 8, banks, 0);
             let (_, stats) = split.search_batch(&queries, &cfg, &mut BatchState::new());
-            assert!(stats.conflict_rate() <= prev_rate + 1e-9, "banks {banks}");
-            assert!(stats.subtree_rounds <= prev_rounds, "banks {banks}");
-            prev_rate = stats.conflict_rate();
-            prev_rounds = stats.subtree_rounds;
+            assert!(stats.subtree.conflict_rate() <= prev_rate + 1e-9, "banks {banks}");
+            assert!(stats.subtree.rounds <= prev_rounds, "banks {banks}");
+            prev_rate = stats.subtree.conflict_rate();
+            prev_rounds = stats.subtree.rounds;
         }
     }
 

@@ -5,11 +5,12 @@
 //!
 //! * [`KdTree`] — flat, left-balanced K-d tree whose heap layout is a dense
 //!   array (the accelerator's streaming DRAM image);
-//! * [`radius_search`] / [`knn_search`] — exact traversal with optional
-//!   per-fetch instrumentation for the memory-trace experiments;
+//! * [`radius_search`] — exact traversal with optional per-fetch
+//!   instrumentation for the memory-trace experiments;
 //! * [`SplitTree`] — the paper's two-level top-tree/sub-tree structure with
 //!   the fully-streaming two-stage search (Sec 3) and the lock-step
-//!   bank-conflict elision model (Sec 4);
+//!   bank-conflict elision model (Sec 4), whose counts both search
+//!   drivers keep in one [`DrainCounters`] record per stage;
 //! * [`batch`] — the batched two-stage search ([`SplitTree::search_batch`])
 //!   that amortizes top-tree fetches across a query batch, reuses its
 //!   descent state across the frames of a stream ([`BatchState`]), and
@@ -41,7 +42,7 @@
 //!     ..SplitSearchConfig::default()
 //! });
 //! assert!(!results[0].is_empty());
-//! assert!(stats.nodes_visited < cloud.len());
+//! assert!(stats.total().visits < cloud.len());
 //! # Ok::<(), crescent_kdtree::SplitTreeError>(())
 //! ```
 
@@ -50,6 +51,8 @@
 
 pub mod baselines;
 pub mod batch;
+#[cfg(test)]
+mod oracle;
 pub mod refit;
 pub mod search;
 pub mod split;
@@ -60,9 +63,9 @@ pub use baselines::{
 };
 pub use batch::{BatchSearchConfig, BatchSearchStats, BatchState, TaggedBatch, TaggedResults};
 pub use refit::{RebuildReason, RefitConfig, RefitOutcome, RefitScratch, RefitStats};
-pub use search::{knn_search, radius_search, radius_search_traced, TraversalStats};
+pub use search::{radius_search, radius_search_traced, TraversalStats};
 pub use split::{
-    subtree_radius_search, ElisionConfig, SplitSearchConfig, SplitSearchStats, SplitTree,
-    SplitTreeError,
+    subtree_radius_search, DrainCounters, ElisionConfig, SplitSearchConfig, SplitSearchStats,
+    SplitTree, SplitTreeError,
 };
 pub use tree::{height_for, left_subtree_size, BuildStats, KdNode, KdTree, NODE_BYTES};

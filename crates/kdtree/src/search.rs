@@ -115,47 +115,10 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
     (hits, stats)
 }
 
-/// Exact k-nearest-neighbor search (shrinking-radius traversal).
-pub fn knn_search(tree: &KdTree, query: Point3, k: usize) -> Vec<Neighbor> {
-    if tree.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    // max-heap of the best k candidates by distance
-    let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-    let mut worst = f32::INFINITY;
-    let mut stack: Vec<usize> = vec![0];
-    while let Some(idx) = stack.pop() {
-        let point = tree.point_of(idx);
-        let d2 = point.dist2(query);
-        if best.len() < k || d2 < worst {
-            best.push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
-            best.sort_by(|a, b| a.dist2.partial_cmp(&b.dist2).unwrap_or(std::cmp::Ordering::Equal));
-            best.truncate(k);
-            worst = if best.len() == k { best[k - 1].dist2 } else { f32::INFINITY };
-        }
-        let axis = tree.axis_of(idx);
-        let delta = query.coord(axis) - point.coord(axis);
-        let (near, far) = if delta <= 0.0 {
-            (tree.left(idx), tree.right(idx))
-        } else {
-            (tree.right(idx), tree.left(idx))
-        };
-        if delta * delta <= worst {
-            if let Some(f) = far {
-                stack.push(f);
-            }
-        }
-        if let Some(n) = near {
-            stack.push(n);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crescent_pointcloud::{knn_bruteforce, radius_search_bruteforce, PointCloud};
+    use crescent_pointcloud::{radius_search_bruteforce, PointCloud};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -235,30 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_bruteforce() {
-        let cloud = random_cloud(300, 31);
-        let tree = KdTree::build(&cloud);
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            let q = Point3::new(
-                rng.random::<f32>() * 4.0,
-                rng.random::<f32>() * 4.0,
-                rng.random::<f32>() * 4.0,
-            );
-            let got: Vec<usize> = knn_search(&tree, q, 8).iter().map(|n| n.index).collect();
-            let want: Vec<usize> = knn_bruteforce(&cloud, q, 8).iter().map(|n| n.index).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn empty_and_degenerate() {
         let tree = KdTree::build(&PointCloud::new());
         assert!(radius_search(&tree, Point3::ZERO, 1.0, None).is_empty());
-        assert!(knn_search(&tree, Point3::ZERO, 3).is_empty());
         let one: PointCloud = [Point3::ZERO].into_iter().collect();
         let tree = KdTree::build(&one);
         assert_eq!(radius_search(&tree, Point3::ZERO, 1.0, None).len(), 1);
-        assert!(knn_search(&tree, Point3::ZERO, 0).is_empty());
     }
 }

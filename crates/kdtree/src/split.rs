@@ -289,7 +289,7 @@ impl<'a> SplitTree<'a> {
         config: &SplitSearchConfig,
     ) -> (Vec<Vec<Neighbor>>, SplitSearchStats) {
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-        let mut stats = SplitSearchStats::new(self.num_subtrees());
+        let mut stats = SplitSearchStats::default();
         if self.tree.is_empty() || queries.is_empty() {
             return (results, stats);
         }
@@ -297,26 +297,22 @@ impl<'a> SplitTree<'a> {
 
         // ---- stage 1: top-tree descent (lock-step, conflicts modeled) ----
         let assignments =
-            self.run_top_stage(queries, config, &mut arbiter, &mut results, &mut stats);
+            self.run_top_stage(queries, config, &mut arbiter, &mut results, &mut stats.top);
 
         // ---- group queries per sub-tree, preserving arrival order ----
+        // (a query whose routing fetch was elided has no sub-tree)
         let mut queues: Vec<Vec<usize>> = vec![Vec::new(); self.num_subtrees()];
         for (qi, a) in assignments.iter().enumerate() {
             if let Some(s) = a {
                 queues[*s].push(qi);
-            } else {
-                stats.queries_dropped += 1;
             }
-        }
-        for (s, q) in queues.iter().enumerate() {
-            stats.queries_per_subtree[s] = q.len();
         }
 
         // ---- stage 2: per-sub-tree confined search ----
         let mut scratch = DrainScratch::default();
         for (s, queue) in queues.iter().enumerate() {
             let root = self.subtree_roots[s];
-            let outcome = drain_subtree_queue(
+            stats.subtree += drain_subtree_queue(
                 self.tree,
                 root,
                 queue,
@@ -327,7 +323,6 @@ impl<'a> SplitTree<'a> {
                 &mut scratch,
                 &mut results,
             );
-            stats.absorb_queue(&outcome);
         }
 
         for hits in &mut results {
@@ -345,7 +340,7 @@ impl<'a> SplitTree<'a> {
         config: &SplitSearchConfig,
         arbiter: &mut TreeArbiter,
         results: &mut [Vec<Neighbor>],
-        stats: &mut SplitSearchStats,
+        stats: &mut DrainCounters,
     ) -> Vec<Option<usize>> {
         let r2 = config.radius * config.radius;
         let mut assignments: Vec<Option<usize>> = vec![None; queries.len()];
@@ -373,73 +368,81 @@ impl<'a> SplitTree<'a> {
                 break;
             }
             stats.rounds += 1;
+            let mut round_stalled = false;
             requests.clear();
             requests.extend(pe_state.iter().map(|s| s.map(|(_, idx)| idx)));
             let honored = arbiter.arbitrate(self.tree, &requests);
             for (pe, slot) in pe_state.iter_mut().enumerate() {
                 let Some((qi, idx)) = *slot else { continue };
-                stats.fetch_attempts += 1;
+                stats.attempts += 1;
                 if honored[pe] != Arbitration::Honored {
-                    stats.bank_conflicts += 1;
+                    stats.conflicts += 1;
                 }
-                match honored[pe] {
-                    Arbitration::Honored => {
-                        stats.top_tree_visits += 1;
-                        stats.nodes_visited += 1;
-                        let point = self.tree.point_of(idx);
-                        let q = queries[qi];
-                        let d2 = point.dist2(q);
-                        if d2 <= r2 {
-                            results[qi]
-                                .push(Neighbor { index: self.tree.point_index_of(idx), dist2: d2 });
-                        }
-                        let axis = self.tree.axis_of(idx);
-                        let next = if q.coord(axis) - point.coord(axis) <= 0.0 {
-                            self.tree.left(idx)
+                let visit = match honored[pe] {
+                    Arbitration::Honored => true,
+                    Arbitration::Reused(w) => {
+                        stats.reuses += 1;
+                        if w == idx {
+                            // same node: the multicast data is exactly
+                            // what this PE asked for
+                            true
                         } else {
-                            self.tree.right(idx)
-                        };
-                        match next {
-                            Some(n) if self.tree.level_of(n) >= self.top_height => {
-                                assignments[qi] = Some(n - self.subtree_roots[0]);
+                            // continue routing from the winner's (top-tree)
+                            // node — routing stays on a valid downward path
+                            stats.skipped += self.tree.subtree_len(idx) - self.tree.subtree_len(w);
+                            if self.tree.level_of(w) >= self.top_height {
+                                assignments[qi] = Some(w - self.subtree_roots[0]);
                                 *slot = None;
+                            } else {
+                                *slot = Some((qi, w));
                             }
-                            Some(n) => *slot = Some((qi, n)),
-                            None => {
-                                assignments[qi] = Some(self.nearest_subtree_for(idx));
-                                *slot = None;
-                            }
+                            false
                         }
-                    }
-                    Arbitration::Reused(w) if w != idx => {
-                        // continue routing from the winner's (top-tree)
-                        // node — routing stays on a valid downward path
-                        stats.descendant_reuses += 1;
-                        stats.nodes_skipped +=
-                            self.tree.subtree_len(idx) - self.tree.subtree_len(w);
-                        if self.tree.level_of(w) >= self.top_height {
-                            assignments[qi] = Some(w - self.subtree_roots[0]);
-                            *slot = None;
-                        } else {
-                            *slot = Some((qi, w));
-                        }
-                    }
-                    Arbitration::Reused(_) => {
-                        // same node: multicast data, proceed as honored
-                        // next round without re-requesting
-                        stats.descendant_reuses += 1;
                     }
                     Arbitration::Stalled => {
-                        stats.conflict_stalls += 1; // retry next round
+                        stats.stalls += 1; // retry next round
+                        round_stalled = true;
+                        false
                     }
                     Arbitration::Elided => {
                         // routing fetch lost and dropped: the query never
                         // reaches a sub-tree
-                        stats.nodes_elided += 1;
-                        stats.nodes_skipped += self.tree.subtree_len(idx);
+                        stats.elided += 1;
+                        stats.skipped += self.tree.subtree_len(idx);
                         *slot = None;
+                        false
+                    }
+                };
+                if visit {
+                    stats.visits += 1;
+                    let point = self.tree.point_of(idx);
+                    let q = queries[qi];
+                    let d2 = point.dist2(q);
+                    if d2 <= r2 {
+                        results[qi]
+                            .push(Neighbor { index: self.tree.point_index_of(idx), dist2: d2 });
+                    }
+                    let axis = self.tree.axis_of(idx);
+                    let next = if q.coord(axis) - point.coord(axis) <= 0.0 {
+                        self.tree.left(idx)
+                    } else {
+                        self.tree.right(idx)
+                    };
+                    match next {
+                        Some(n) if self.tree.level_of(n) >= self.top_height => {
+                            assignments[qi] = Some(n - self.subtree_roots[0]);
+                            *slot = None;
+                        }
+                        Some(n) => *slot = Some((qi, n)),
+                        None => {
+                            assignments[qi] = Some(self.nearest_subtree_for(idx));
+                            *slot = None;
+                        }
                     }
                 }
+            }
+            if round_stalled {
+                stats.stall_rounds += 1;
             }
         }
         assignments
@@ -596,13 +599,17 @@ impl TreeArbiter {
     }
 }
 
-/// Accounting of one sub-tree queue drained by [`drain_subtree_queue`] —
-/// the per-queue slice of the unified stage-2 timing model, absorbed
-/// into [`SplitSearchStats`] by the engine path and into
-/// [`BatchSearchStats`](crate::BatchSearchStats) by the wavefront.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct QueueOutcome {
-    /// Lock-step arbitration rounds (the stage-2 cycle proxy).
+/// The lock-step arbitration counters of one search stage — the one
+/// record both drivers keep them in. The shared stage-2 drain returns one
+/// per sub-tree queue; [`SplitTree::batch_search`] keeps a stage-1 and a
+/// stage-2 block ([`SplitSearchStats`]), and the wavefront
+/// [`SplitTree::search_batch`](crate::batch) keeps a stage-2 block
+/// ([`BatchSearchStats::subtree`](crate::BatchSearchStats)). Fed the same
+/// queues, the two drivers' stage-2 blocks are equal as whole records
+/// (tested in `tests/elision_unified.rs`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DrainCounters {
+    /// Lock-step arbitration rounds (the search cycle proxy).
     pub rounds: usize,
     /// Rounds in which at least one fetch lost arbitration and stalled —
     /// the cycles a conflict-free SRAM could win back.
@@ -615,12 +622,42 @@ pub(crate) struct QueueOutcome {
     pub stalls: usize,
     /// Lost attempts dropped by elision.
     pub elided: usize,
-    /// Lost attempts salvaged by descendant reuse.
+    /// Lost attempts salvaged by descendant reuse (the Sec 4.2
+    /// future-work refinement; 0 unless reuse is on).
     pub reuses: usize,
-    /// Nodes made unreachable by elision (dropped node + its subtree).
+    /// Nodes made unreachable by elision: each dropped fetch skips the
+    /// node plus its whole subtree (the Fig 9 "# of nodes skipped"
+    /// metric).
     pub skipped: usize,
-    /// Honored node visits.
+    /// Node visits: honored fetches plus same-node reuses, each reading
+    /// one node's data.
     pub visits: usize,
+}
+
+impl DrainCounters {
+    /// Fraction of fetch attempts that bank-conflicted (the Fig 4
+    /// metric).
+    pub fn conflict_rate(&self) -> f64 {
+        if self.attempts == 0 {
+            0.0
+        } else {
+            self.conflicts as f64 / self.attempts as f64
+        }
+    }
+}
+
+impl std::ops::AddAssign for DrainCounters {
+    fn add_assign(&mut self, o: DrainCounters) {
+        self.rounds += o.rounds;
+        self.stall_rounds += o.stall_rounds;
+        self.attempts += o.attempts;
+        self.conflicts += o.conflicts;
+        self.stalls += o.stalls;
+        self.elided += o.elided;
+        self.reuses += o.reuses;
+        self.skipped += o.skipped;
+        self.visits += o.visits;
+    }
 }
 
 /// Reusable scratch of [`drain_subtree_queue`]: the per-PE traversal
@@ -670,8 +707,8 @@ pub(crate) fn drain_subtree_queue(
     arbiter: &mut TreeArbiter,
     scratch: &mut DrainScratch,
     results: &mut [Vec<Neighbor>],
-) -> QueueOutcome {
-    let mut out = QueueOutcome::default();
+) -> DrainCounters {
+    let mut out = DrainCounters::default();
     if queue.is_empty() {
         return out;
     }
@@ -839,96 +876,30 @@ fn is_ancestor(ancestor: usize, node: usize) -> bool {
     ln >= la && ((node + 1) >> (ln - la)) == ancestor + 1
 }
 
-/// Aggregate statistics of a [`SplitTree::batch_search`] run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// Statistics of a [`SplitTree::batch_search`] run: the arbitration
+/// counters of each stage.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SplitSearchStats {
-    /// Honored node fetches (tree-buffer reads that returned data).
-    pub nodes_visited: usize,
-    /// Fetches dropped by bank-conflict elision.
-    pub nodes_elided: usize,
-    /// Tree nodes made unreachable by elision: each dropped fetch skips the
-    /// node plus its whole subtree (the Fig 9 "# of nodes skipped" metric).
-    pub nodes_skipped: usize,
-    /// Fetches that lost arbitration and stalled (level < `h_e`).
-    pub conflict_stalls: usize,
-    /// Conflicted fetches salvaged by descendant reuse (the Sec 4.2
-    /// future-work refinement; 0 unless
-    /// [`ElisionConfig::descendant_reuse`] is enabled).
-    pub descendant_reuses: usize,
-    /// Total bank conflicts observed (stalled + elided).
-    pub bank_conflicts: usize,
-    /// Total fetch attempts issued to the tree buffer.
-    pub fetch_attempts: usize,
-    /// Lock-step rounds executed (a cycle-count proxy; the accel crate
-    /// refines it with pipeline latencies).
-    pub rounds: usize,
-    /// The stage-2 slice of [`SplitSearchStats::rounds`]: lock-step
-    /// arbitration rounds spent draining sub-tree queues. The streaming
-    /// wavefront shares the stage-2 implementation, so at `h_e = 0` this
-    /// equals the wavefront's `subtree_rounds` on identical queues — the
-    /// unified-timing-model invariant `tests/elision_unified.rs` checks.
-    pub subtree_rounds: usize,
-    /// Node fetches during stage 1 (top-tree descent).
-    pub top_tree_visits: usize,
-    /// Node fetches during stage 2 (sub-tree search).
-    pub subtree_visits: usize,
-    /// Queries dropped entirely (routing fetch elided).
-    pub queries_dropped: usize,
-    /// Stage-2 queue length per sub-tree.
-    pub queries_per_subtree: Vec<usize>,
+    /// Stage 1: the lock-step top-tree descent.
+    pub top: DrainCounters,
+    /// Stage 2: the sub-tree queue drains.
+    pub subtree: DrainCounters,
 }
 
 impl SplitSearchStats {
-    fn new(num_subtrees: usize) -> Self {
-        SplitSearchStats {
-            queries_per_subtree: vec![0; num_subtrees],
-            ..SplitSearchStats::default()
-        }
+    /// Both stages together (the engine's rounds, visits and conflicts).
+    pub fn total(&self) -> DrainCounters {
+        let mut t = self.top;
+        t += self.subtree;
+        t
     }
+}
 
-    /// Adds another run's counters (used when a pipeline aggregates the
-    /// per-layer search statistics). Lives next to the struct so a new
-    /// counter field cannot be silently dropped from merged reports —
-    /// the hand-rolled copy this replaces forgot `descendant_reuses`,
-    /// `top_tree_visits`, and `subtree_visits` at various points.
-    /// `queries_per_subtree` is per-tree and not meaningful across runs,
-    /// so it is left untouched.
-    pub fn merge(&mut self, other: &SplitSearchStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.nodes_elided += other.nodes_elided;
-        self.nodes_skipped += other.nodes_skipped;
-        self.conflict_stalls += other.conflict_stalls;
-        self.descendant_reuses += other.descendant_reuses;
-        self.bank_conflicts += other.bank_conflicts;
-        self.fetch_attempts += other.fetch_attempts;
-        self.rounds += other.rounds;
-        self.subtree_rounds += other.subtree_rounds;
-        self.top_tree_visits += other.top_tree_visits;
-        self.subtree_visits += other.subtree_visits;
-        self.queries_dropped += other.queries_dropped;
-    }
-
-    /// Folds one drained sub-tree queue into the aggregate counters.
-    fn absorb_queue(&mut self, q: &QueueOutcome) {
-        self.rounds += q.rounds;
-        self.subtree_rounds += q.rounds;
-        self.fetch_attempts += q.attempts;
-        self.bank_conflicts += q.conflicts;
-        self.conflict_stalls += q.stalls;
-        self.nodes_elided += q.elided;
-        self.nodes_skipped += q.skipped;
-        self.descendant_reuses += q.reuses;
-        self.nodes_visited += q.visits;
-        self.subtree_visits += q.visits;
-    }
-
-    /// Fraction of fetch attempts that bank-conflicted.
-    pub fn conflict_rate(&self) -> f64 {
-        if self.fetch_attempts == 0 {
-            0.0
-        } else {
-            self.bank_conflicts as f64 / self.fetch_attempts as f64
-        }
+impl std::ops::AddAssign for SplitSearchStats {
+    /// Adds another run's counters (a pipeline sums its layers' searches).
+    fn add_assign(&mut self, o: SplitSearchStats) {
+        self.top += o.top;
+        self.subtree += o.subtree;
     }
 }
 
@@ -1093,10 +1064,9 @@ mod tests {
             let b: Vec<usize> = single.iter().map(|n| n.index).collect();
             assert_eq!(a, b, "query {qi}");
         }
-        assert_eq!(stats.nodes_elided, 0);
-        assert_eq!(stats.bank_conflicts, 0);
-        assert!(stats.nodes_visited > 0);
-        assert_eq!(stats.queries_per_subtree.iter().sum::<usize>(), queries.len());
+        assert_eq!(stats.total().elided, 0);
+        assert_eq!(stats.total().conflicts, 0);
+        assert!(stats.total().visits > 0);
     }
 
     #[test]
@@ -1117,8 +1087,9 @@ mod tests {
         };
         let (full, _) = split.batch_search(&queries, &exact_cfg);
         let (approx, stats) = split.batch_search(&queries, &elide_cfg);
-        assert!(stats.nodes_elided > 0, "aggressive elision must drop nodes");
-        assert!(stats.bank_conflicts >= stats.nodes_elided);
+        let total = stats.total();
+        assert!(total.elided > 0, "aggressive elision must drop nodes");
+        assert!(total.conflicts >= total.elided);
         let full_count: usize = full.iter().map(Vec::len).sum();
         let approx_count: usize = approx.iter().map(Vec::len).sum();
         assert!(approx_count <= full_count);
@@ -1149,16 +1120,16 @@ mod tests {
                     descendant_reuse: false,
                 }),
             };
-            let (_, stats) = split.batch_search(&queries, &cfg);
+            let stats = split.batch_search(&queries, &cfg).1.total();
             // eliding only deeper in the tree makes each drop cheaper;
             // allow small slack for arbitration dynamics
             assert!(
-                stats.nodes_skipped <= prev_skipped.saturating_add(prev_skipped / 10),
+                stats.skipped <= prev_skipped.saturating_add(prev_skipped / 10),
                 "he {he}: skipped {} > prev {prev_skipped}",
-                stats.nodes_skipped
+                stats.skipped
             );
-            assert!(stats.nodes_skipped >= stats.nodes_elided);
-            prev_skipped = stats.nodes_skipped;
+            assert!(stats.skipped >= stats.elided);
+            prev_skipped = stats.skipped;
         }
     }
 
@@ -1184,7 +1155,7 @@ mod tests {
                 }),
             };
             let (_, stats) = split.batch_search(&queries, &cfg);
-            let rate = stats.conflict_rate();
+            let rate = stats.total().conflict_rate();
             assert!(rate <= prev_rate + 1e-9, "banks {banks}: {rate} > {prev_rate}");
             prev_rate = rate;
         }
@@ -1224,9 +1195,10 @@ mod tests {
             let (full, _) = split.batch_search(&queries, &exact);
             let (r_plain, s_plain) = split.batch_search(&queries, &plain);
             let (r_reuse, s_reuse) = split.batch_search(&queries, &reuse);
-            assert!(s_plain.nodes_elided > 0, "workload must trigger elision");
-            assert!(s_reuse.descendant_reuses > 0, "reuse opportunities must arise");
-            assert_eq!(s_plain.descendant_reuses, 0);
+            let (s_plain, s_reuse) = (s_plain.total(), s_reuse.total());
+            assert!(s_plain.elided > 0, "workload must trigger elision");
+            assert!(s_reuse.reuses > 0, "reuse opportunities must arise");
+            assert_eq!(s_plain.reuses, 0);
             // (a) subset of exact — structural, holds per workload
             for (a, f) in r_reuse.iter().zip(&full) {
                 let fidx: Vec<usize> = f.iter().map(|n| n.index).collect();
@@ -1236,8 +1208,8 @@ mod tests {
             }
             total_plain += count(&r_plain);
             total_reuse += count(&r_reuse);
-            skipped_plain += s_plain.nodes_skipped;
-            skipped_reuse += s_reuse.nodes_skipped;
+            skipped_plain += s_plain.skipped;
+            skipped_reuse += s_reuse.skipped;
         }
         // (b) fewer nodes lost in aggregate
         assert!(
@@ -1320,8 +1292,8 @@ mod tests {
         };
         let (a, _) = split.batch_search(&queries, &base);
         let (b, stats) = split.batch_search(&queries, &stall_all);
-        assert_eq!(stats.nodes_elided, 0);
-        assert!(stats.conflict_stalls > 0);
+        assert_eq!(stats.total().elided, 0);
+        assert!(stats.total().stalls > 0);
         for (x, y) in a.iter().zip(&b) {
             let xi: Vec<usize> = x.iter().map(|n| n.index).collect();
             let yi: Vec<usize> = y.iter().map(|n| n.index).collect();
@@ -1346,13 +1318,42 @@ mod tests {
             }),
         };
         let (_, s) = split.batch_search(&queries, &cfg);
-        assert_eq!(s.nodes_visited, s.top_tree_visits + s.subtree_visits);
-        assert_eq!(s.bank_conflicts, s.conflict_stalls + s.nodes_elided);
-        assert_eq!(
-            s.fetch_attempts,
-            s.nodes_visited + s.bank_conflicts,
-            "every attempt either visits, stalls, or elides"
-        );
+        assert!(s.top.visits > 0 && s.subtree.visits > 0);
+        for c in [s.top, s.subtree, s.total()] {
+            assert_eq!(c.conflicts, c.stalls + c.elided);
+            assert_eq!(
+                c.attempts,
+                c.visits + c.conflicts,
+                "every attempt visits, stalls, or elides"
+            );
+            assert!(c.stall_rounds <= c.rounds);
+        }
+    }
+
+    #[test]
+    fn stage1_same_node_reuse_visits_and_advances() {
+        // two PEs on one bank with every level elidable and reuse on: two
+        // identical queries request the same top-tree node every round,
+        // the loser reuses the winner's fetch of it, and both descend in
+        // lock step — each visits every top-tree node on its path once
+        let cloud = random_cloud(255, 27);
+        let tree = KdTree::build(&cloud);
+        let split = SplitTree::new(&tree, 3).unwrap();
+        let q = cloud.point(17);
+        let cfg = SplitSearchConfig {
+            radius: 2.0,
+            max_neighbors: None,
+            num_pes: 2,
+            elision: Some(ElisionConfig::with_descendant_reuse(0, 1)),
+        };
+        let (res, stats) = split.batch_search(&[q, q], &cfg);
+        let top = stats.top;
+        assert_eq!(top.rounds, 3, "one round per top-tree level");
+        assert_eq!(top.attempts, 6);
+        assert_eq!((top.conflicts, top.reuses), (3, 3), "the loser reuses every round");
+        assert_eq!(top.visits, 6, "a same-node reuse visits the node");
+        assert_eq!((top.stalls, top.elided, top.skipped), (0, 0, 0));
+        assert_eq!(res[0], res[1], "both queries see the same nodes");
     }
 
     #[test]
@@ -1361,7 +1362,7 @@ mod tests {
         let split = SplitTree::new(&tree, 0).unwrap();
         let (res, stats) = split.batch_search(&[], &SplitSearchConfig::default());
         assert!(res.is_empty());
-        assert_eq!(stats.nodes_visited, 0);
+        assert_eq!(stats, SplitSearchStats::default());
         assert!(split.search_one(Point3::ZERO, 1.0, None).is_empty());
     }
 

@@ -80,12 +80,12 @@ impl Wavefront {
         Wavefront {
             latency: report.standalone_cycles(),
             energy: report.energy,
-            queries: report.queries,
+            queries: search.queries,
             top_fetches: search.top_fetches as u64,
             top_fetches_unamortized: search.top_fetches_unamortized as u64,
-            conflicts_elided: search.conflicts_elided as u64,
-            nodes_skipped: search.nodes_skipped as u64,
-            conflict_reuses: search.conflict_reuses as u64,
+            conflicts_elided: search.subtree.elided as u64,
+            nodes_skipped: search.subtree.skipped as u64,
+            conflict_reuses: search.subtree.reuses as u64,
             hits: flat,
             ends,
         }

@@ -137,11 +137,6 @@ pub struct ServiceContext {
 impl ServiceContext {
     /// Builds the context for `spec` at its largest tenant count.
     pub fn build(spec: &ServeSpec) -> ServiceContext {
-        ServiceContext::build_for(spec, spec.max_tenants())
-    }
-
-    /// Builds the context with exactly `tenant_count` tenants.
-    pub fn build_for(spec: &ServeSpec, tenant_count: usize) -> ServiceContext {
         let map_frames: Vec<_> = FrameStream::new(&spec.map).collect();
         let clouds: Vec<&PointCloud> = map_frames.iter().map(|f| &f.cloud).collect();
         let trees = maintain_tree_sequence(&clouds, spec.map.maintenance, spec.top_height);
@@ -151,11 +146,12 @@ impl ServiceContext {
         };
         let alt_maintenance = maintain_tree_sequence(&clouds, alt_policy, spec.top_height)
             .iter()
-            .map(MaintainedTree::cost)
+            .map(|t| t.cost)
             .collect();
         let mut base = spec.tenant_base;
         base.num_frames = spec.map.num_frames;
-        let tenants = mixed_tenants(tenant_count, &base, spec.frame_period, spec.base_deadline);
+        let tenants =
+            mixed_tenants(spec.max_tenants(), &base, spec.frame_period, spec.base_deadline);
         let queries = tenants
             .iter()
             .map(|t| FrameStream::new(&t.workload).map(|f| f.queries).collect())
@@ -300,7 +296,7 @@ fn run_service_impl(
     let spec_slots: Vec<u64> = ctx
         .trees
         .iter()
-        .map(|t| t.build_cycles.max(config.dram.stream_cycles(t.build_dram_bytes)))
+        .map(|t| t.cost.build_cycles.max(config.dram.stream_cycles(t.cost.build_dram_bytes)))
         .collect();
 
     // ---- the scheduler loop ----
@@ -511,7 +507,7 @@ fn run_service_impl(
             alt_maintenance_ticks += 1;
             (alt.build_cycles, alt.build_dram_bytes, alt_slot)
         } else {
-            (tree.build_cycles, tree.build_dram_bytes, spec_slots[t])
+            (tree.cost.build_cycles, tree.cost.build_dram_bytes, spec_slots[t])
         };
         map_energy.charge_dram_streaming(&config.energy, bytes);
         map_energy.charge_tree_build(&config.energy, cycles);

@@ -38,8 +38,8 @@ fn main() {
             format!("<{ht},{he}>"),
             format!("{:.2}", meso.total_cycles() as f64 / r.total_cycles() as f64),
             format!("{:.3}", r.energy.total() / meso.energy.total()),
-            format!("{}", r.search.stats.nodes_visited),
-            format!("{}", r.search.stats.nodes_elided),
+            format!("{}", r.search.tree_buffer_reads),
+            format!("{}", r.search.stats.total().elided),
         ]);
     }
     println!("knob sweep on {} (vs Mesorasi):", spec.name);

@@ -22,7 +22,7 @@ fn main() {
                 "  {:<11} total {:>9}  search {:>9} (cmp {:>9} dma {:>9})  agg {:>8}  mlp {:>8}  E {:>12.0}  visits {:>9} stalls {:>8} elided {:>7}",
                 v.name(), r.total_cycles(), r.cycles.search, r.search.compute_cycles, r.search.dma_cycles,
                 r.cycles.aggregation, r.cycles.mlp, r.energy.total(),
-                r.search.stats.nodes_visited, r.search.stats.conflict_stalls, r.search.stats.nodes_elided,
+                r.search.tree_buffer_reads, r.search.stats.total().stalls, r.search.stats.total().elided,
             );
         }
     }

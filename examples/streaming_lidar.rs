@@ -51,8 +51,8 @@ fn main() {
                 format!("{}", rep.neighbors),
                 format!("{}", rep.build_slot_cycles),
                 format!("{}", rep.slot_cycles),
-                format!("{}", rep.conflict_stall_cycles),
-                format!("{}", rep.elided_conflicts),
+                format!("{}", rep.search.subtree.stall_rounds),
+                format!("{}", rep.search.subtree.elided),
                 format!("{:.1}x", rep.search.amortization_factor()),
                 format!("{:.0}%", rep.search.reuse_fraction() * 100.0),
                 format!("{:.0}", rep.energy.total()),
@@ -94,11 +94,13 @@ fn main() {
         rep.total_build_cycles(),
         rep.overlapped_build_cycles
     );
+    let energy = rep.energy().total();
+    // the earliest of the most expensive frames
+    let peak = rep.frames.iter().rev().max_by(|a, b| a.energy.total().total_cmp(&b.energy.total()));
     println!(
-        "  energy             {:.0} total, {:.0} mean/frame (peak at frame {})",
-        rep.ledger.total().total(),
-        rep.ledger.mean_frame_energy(),
-        rep.ledger.peak_frame().unwrap_or(0)
+        "  energy             {energy:.0} total, {:.0} mean/frame (peak at frame {})",
+        energy / rep.num_frames() as f64,
+        peak.map_or(0, |f| f.frame)
     );
     println!(
         "  cross-frame reuse  {:.0}% of queries kept their sub-tree frame-to-frame",
@@ -122,7 +124,7 @@ fn main() {
     assert!(cfg.elision_depth > 0, "the default operating point elides");
     for f in &rep.frames {
         assert!(
-            f.elided_conflicts > 0,
+            f.search.subtree.elided > 0,
             "frame {}: default h_e must elide conflicts on a dense stream",
             f.frame
         );
@@ -133,7 +135,7 @@ fn main() {
     exact_cfg.elision_depth = 0;
     let exact = system.run_stream(&exact_cfg);
     for f in &exact.report.frames {
-        assert_eq!(f.elided_conflicts, 0, "frame {}: h_e = 0 must never elide", f.frame);
+        assert_eq!(f.search.subtree.elided, 0, "frame {}: h_e = 0 must never elide", f.frame);
     }
     assert!(exact.report.total_bank_conflicts() > 0, "conflicts don't vanish, they stall");
     assert!(rep.pipelined_cycles <= exact.report.pipelined_cycles, "elision must not cost cycles");
@@ -152,7 +154,7 @@ fn main() {
     let rerun = system.run_stream(&cfg);
     let identical = outcome.neighbor_sets == rerun.neighbor_sets
         && rep.pipelined_cycles == rerun.report.pipelined_cycles
-        && rep.ledger.total().total() == rerun.report.ledger.total().total();
+        && rep.energy() == rerun.report.energy();
     println!("\ndeterministic rerun: {}", if identical { "bit-identical" } else { "MISMATCH" });
     assert!(identical, "streaming run must be deterministic");
 }

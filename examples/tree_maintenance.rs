@@ -57,8 +57,8 @@ fn main() {
                 format!("{}", rb.points),
                 format!("{}", rb.build_slot_cycles),
                 format!("{}", rf.build_slot_cycles),
-                format!("{}", rf.subtrees_rebuilt),
-                if rf.full_rebuild { "yes".into() } else { "-".into() },
+                format!("{}", rf.maintenance.subtrees_rebuilt),
+                if rf.maintenance.full_rebuild { "yes".into() } else { "-".into() },
                 format!("{}", rb.slot_cycles),
             ]
         })
@@ -76,8 +76,8 @@ fn main() {
     println!("pipelined cycles   {rc} rebuild vs {fc} refit  ({saving:.1}% saved)");
     println!(
         "build energy       {:.0} rebuild vs {:.0} refit",
-        rebuild.report.ledger.build_energy(),
-        refit.report.ledger.build_energy()
+        rebuild.report.energy().tree_build,
+        refit.report.energy().tree_build
     );
     println!(
         "overlap hid        {} of {} rebuild build-cycles behind search",
@@ -105,12 +105,12 @@ fn main() {
             "  frame {:>2}  build {:>8} cyc  {}",
             f.frame,
             f.build_slot_cycles,
-            if f.full_rebuild { "FULL REBUILD" } else { "refit in place" }
+            if f.maintenance.full_rebuild { "FULL REBUILD" } else { "refit in place" }
         );
     }
-    assert!(burst.report.frames[5].full_rebuild, "the burst frame must fall back");
+    assert!(burst.report.frames[5].maintenance.full_rebuild, "the burst frame must fall back");
     assert!(
-        burst.report.frames[1..].iter().filter(|f| f.full_rebuild).count() <= 2,
+        burst.report.frames[1..].iter().filter(|f| f.maintenance.full_rebuild).count() <= 2,
         "only the burst may fall back"
     );
     let burst_identical = burst.neighbor_sets == burst_rebuild.neighbor_sets;

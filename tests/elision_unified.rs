@@ -9,8 +9,8 @@
 //!   alone;
 //! * at every elision level `≥ h_t` (depth `height − level`), with and
 //!   without descendant reuse, the wavefront and the per-query search
-//!   (`batch_search`) return the same neighbor sets and count the same
-//!   stage-2 rounds, visits and skipped nodes;
+//!   (`batch_search`) return the same neighbor sets and the same whole
+//!   stage-2 `DrainCounters` record;
 //! * the engine elides at the level form of the sweep's `h_e = 4`
 //!   point (`height − 4`);
 //! * raising `h_e` (eliding deeper) never costs stream cycles
@@ -87,16 +87,16 @@ fn h_e_zero_matches_search_one_and_engine_rounds_on_every_scenario() {
                     frame.index
                 );
             }
-            assert_eq!(wstats.conflicts_elided, 0, "{}", scenario.label());
-            assert_eq!(wstats.nodes_skipped, 0, "{}", scenario.label());
+            assert_eq!(wstats.subtree.elided, 0, "{}", scenario.label());
+            assert_eq!(wstats.subtree.skipped, 0, "{}", scenario.label());
 
             // (b) the two searches agree at every elision level at
             // or below the split (level >= h_t, depth = height - level;
             // usize::MAX is the stall-only level): stage 1 then only
             // stalls, so it routes exactly like the wavefront, and both
             // searches drain IDENTICAL queues through the shared lock-step
-            // simulation — same neighbor sets, same stage-2 rounds, same
-            // skipped nodes, with and without descendant reuse. Above
+            // simulation — same neighbor sets and the same stage-2
+            // counter record, with and without descendant reuse. Above
             // h_t the per-query search elides or reroutes top-tree
             // fetches and the two diverge (ROADMAP item 3).
             let levels = (ht..=tree.height()).chain([usize::MAX]);
@@ -126,14 +126,12 @@ fn h_e_zero_matches_search_one_and_engine_rounds_on_every_scenario() {
                 );
                 assert_eq!(engine, wave_at, "{at}");
                 assert_eq!(
-                    wstats_at.subtree_rounds, estats.subtree_rounds,
-                    "{at} — the two models must count the same stage-2 rounds"
+                    wstats_at.subtree, estats.subtree,
+                    "{at} — the two models must count the same stage-2 arbitration"
                 );
-                assert_eq!(wstats_at.nodes_skipped, estats.nodes_skipped, "{at}");
-                assert_eq!(wstats_at.subtree_visits, estats.subtree_visits, "{at}");
                 if depth == 0 {
                     assert_eq!(wave_at, wave, "{at}");
-                    assert_eq!(estats.nodes_elided, 0, "{at}");
+                    assert_eq!(estats.total().elided, 0, "{at}");
                 }
             }
 
@@ -148,7 +146,7 @@ fn h_e_zero_matches_search_one_and_engine_rounds_on_every_scenario() {
                     cfg.max_neighbors,
                     &engine_at(level),
                 );
-                (sets, report.stats.nodes_elided)
+                (sets, report.stats.total().elided)
             };
             let (stall_only, elided) = search(usize::MAX);
             assert_eq!(stall_only, wave, "{}: frame {}", scenario.label(), frame.index);

@@ -112,9 +112,11 @@ proptest! {
                 prop_assert!(fidx.contains(&n.index));
             }
         }
-        prop_assert_eq!(stats.bank_conflicts, stats.conflict_stalls + stats.nodes_elided);
-        prop_assert_eq!(stats.fetch_attempts, stats.nodes_visited + stats.bank_conflicts);
-        prop_assert!(stats.nodes_skipped >= stats.nodes_elided);
+        for c in [stats.top, stats.subtree] {
+            prop_assert_eq!(c.conflicts, c.stalls + c.elided);
+            prop_assert_eq!(c.attempts, c.visits + c.conflicts);
+            prop_assert!(c.skipped >= c.elided);
+        }
     }
 
     /// A DMA-style streamed range is classified as one random head plus

@@ -33,15 +33,15 @@ fn same_seed_is_bit_identical() {
         assert_eq!(x.compute_cycles, y.compute_cycles, "frame {}", x.frame);
         assert_eq!(x.dma_cycles, y.dma_cycles, "frame {}", x.frame);
         assert_eq!(x.slot_cycles, y.slot_cycles, "frame {}", x.frame);
-        assert_eq!(x.dram_streaming_bytes, y.dram_streaming_bytes, "frame {}", x.frame);
+        assert_eq!(x.search.dram_bytes, y.search.dram_bytes, "frame {}", x.frame);
     }
     assert_eq!(a.report.pipelined_cycles, b.report.pipelined_cycles);
     assert_eq!(a.report.serial_cycles, b.report.serial_cycles);
     // energy totals, bitwise (all charges are deterministic f64 sums)
-    for (x, y) in a.report.ledger.frames().iter().zip(b.report.ledger.frames()) {
-        assert_eq!(x, y);
+    for (x, y) in a.report.frames.iter().zip(&b.report.frames) {
+        assert_eq!(x.energy, y.energy);
     }
-    assert_eq!(a.report.ledger.total(), b.report.ledger.total());
+    assert_eq!(a.report.energy(), b.report.energy());
 }
 
 #[test]
@@ -76,7 +76,7 @@ fn batched_search_matches_per_query_on_stream_frames() {
         let ht = knobs.top_height.min(tree.height().saturating_sub(1));
         let split = SplitTree::new(&tree, ht).unwrap();
         let (batch, stats) = split.search_batch(&frame.queries, &batch_cfg, &mut state);
-        assert_eq!(stats.conflicts_elided, 0, "h_e = 0 must never drop a fetch");
+        assert_eq!(stats.subtree.elided, 0, "h_e = 0 must never drop a fetch");
         for (qi, &q) in frame.queries.iter().enumerate() {
             let single = split.search_one(q, cfg.radius, cfg.max_neighbors);
             assert_eq!(batch[qi], single, "frame {} query {qi}", frame.index);
@@ -116,7 +116,6 @@ fn stream_accounting_invariants() {
     let outcome = Crescent::new().run_stream(&cfg);
     let rep = &outcome.report;
     assert_eq!(rep.num_frames(), cfg.num_frames);
-    assert_eq!(rep.ledger.len(), cfg.num_frames);
     // serial runs every frame standalone: build slot + search slot + one
     // fill per frame; the pipelined schedule charges the fill once per
     // stream and hides builds behind search — the exact identity:
@@ -139,20 +138,21 @@ fn stream_accounting_invariants() {
     assert!(rep.pipelined_cycles < rep.serial_cycles);
     for f in &rep.frames {
         assert_eq!(f.slot_cycles, (f.compute_cycles + f.agg_cycles).max(f.dma_cycles));
-        assert_eq!(f.build_slot_cycles, f.build_cycles.max(f.build_dma_cycles));
-        assert!(f.build_cycles > 0, "tree maintenance is never free (frame {})", f.frame);
-        assert!(f.build_dram_bytes > 0);
+        let m = f.maintenance;
+        assert_eq!(f.build_slot_cycles, m.build_cycles.max(f.build_dma_cycles));
+        assert!(m.build_cycles > 0, "tree maintenance is never free (frame {})", f.frame);
+        assert!(m.build_dram_bytes > 0);
         assert!(f.energy.tree_build > 0.0);
-        assert!(f.dram_streaming_bytes > 0);
+        assert!(f.search.dram_bytes > 0);
         assert_eq!(f.energy.dram_random, 0.0, "the streaming schedule is fully streaming");
         assert!(f.search.top_fetches <= f.search.top_fetches_unamortized);
-        assert!(f.queries == cfg.queries_per_frame);
+        assert!(f.search.queries == cfg.queries_per_frame);
     }
-    // energy ledger total equals the sum of the per-frame entries, and the
+    // the stream's energy equals the sum of the per-frame entries, and the
     // build category is populated
-    let sum: f64 = rep.ledger.frames().iter().map(|l| l.total()).sum();
-    assert!((rep.ledger.total().total() - sum).abs() < 1e-9);
-    assert!(rep.ledger.build_energy() > 0.0);
+    let sum: f64 = rep.frames.iter().map(|f| f.energy.total()).sum();
+    assert!((rep.energy().total() - sum).abs() < 1e-9);
+    assert!(rep.energy().tree_build > 0.0);
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn zero_query_frames_cost_zero_search_compute() {
     for f in &outcome.report.frames {
         assert_eq!(f.compute_cycles, 0, "frame {}", f.frame);
         assert_eq!(f.slot_cycles, 0, "frame {}", f.frame);
-        assert!(f.build_cycles > 0, "the tree still gets built (frame {})", f.frame);
+        assert!(f.maintenance.build_cycles > 0, "the tree still gets built (frame {})", f.frame);
     }
     // the stream still pays exactly one fill — for the build pipeline,
     // not per empty frame
@@ -196,10 +196,15 @@ fn refit_meets_the_acceptance_bar_on_a_coherent_16_frame_stream() {
     let (r, p) = (rebuild.report.pipelined_cycles, refit.report.pipelined_cycles);
     assert!(p * 4 <= r * 3, "refit must save >= 25%: {p} vs {r}");
     for f in &refit.report.frames {
-        assert!(f.build_cycles > 0 && f.build_dram_bytes > 0 && f.energy.tree_build > 0.0);
+        let m = f.maintenance;
+        assert!(m.build_cycles > 0 && m.build_dram_bytes > 0 && f.energy.tree_build > 0.0);
     }
     for f in &refit.report.frames[1..] {
-        assert!(!f.full_rebuild, "coherent frames must refit in place (frame {})", f.frame);
+        assert!(
+            !f.maintenance.full_rebuild,
+            "coherent frames must refit in place (frame {})",
+            f.frame
+        );
     }
 }
 
@@ -219,7 +224,7 @@ fn every_canonical_scenario_is_deterministic_end_to_end() {
         let b = system.run_stream(&cfg);
         assert_eq!(a.neighbor_sets, b.neighbor_sets, "{}", scenario.label());
         assert_eq!(a.report.pipelined_cycles, b.report.pipelined_cycles, "{}", scenario.label());
-        assert_eq!(a.report.ledger.total(), b.report.ledger.total(), "{}", scenario.label());
+        assert_eq!(a.report.energy(), b.report.energy(), "{}", scenario.label());
         assert_eq!(
             a.report.total_conflict_reuses(),
             b.report.total_conflict_reuses(),
@@ -257,7 +262,7 @@ fn refit_is_honest_on_every_canonical_scenario() {
         // every frame past the first either refits or rebuilds in full
         for f in &refit.report.frames {
             assert!(
-                f.build_cycles > 0,
+                f.maintenance.build_cycles > 0,
                 "{}: tree maintenance is never free (frame {})",
                 scenario.label(),
                 f.frame
@@ -274,7 +279,7 @@ fn stationary_ego_reuses_every_assignment() {
     let outcome = Crescent::new().run_stream(&cfg);
     for f in &outcome.report.frames[1..] {
         assert_eq!(
-            f.search.assignment_reuses, f.queries,
+            f.search.assignment_reuses, f.search.queries,
             "identical frames must reuse every sub-tree assignment (frame {})",
             f.frame
         );
