@@ -64,9 +64,9 @@ pub use pipeline::{
 };
 pub use service::{Fleet, ServiceInstance};
 pub use streaming::{
-    aggregate_stream, compose_stream, maintain_tree_sequence, run_frame_stream,
-    run_frame_stream_on_trees, search_stream, FrameReport, FrameSearch, MaintainedTree,
-    MaintenanceCost, StreamReport, StreamSearchConfig, TreeMaintenance,
+    aggregate_stream, compose_stream, maintain_tree_sequence, replay_stream, run_frame_stream,
+    run_frame_stream_on_trees, search_stream, trace_stream, FrameReport, FrameSearch,
+    MaintainedTree, MaintenanceCost, StreamReport, StreamSearchConfig, TreeMaintenance,
     DEFAULT_STREAM_ELISION_DEPTH,
 };
 pub use systolic::{gemm_report, mlp_report, SystolicReport};

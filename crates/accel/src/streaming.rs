@@ -20,7 +20,9 @@
 //! [`search_stream`], [`aggregate_stream`] and the pure
 //! [`compose_stream`] — and [`run_frame_stream_on_trees`] is their
 //! composition. The sweep explorer calls the same functions one by one,
-//! each once per distinct value of the knobs it reads, and a service
+//! each once per distinct value of the knobs it reads — with the search
+//! split into [`trace_stream`] (once per tree sequence and `h_t`) and
+//! [`replay_stream`] (once per PEs, banks and `h_e`) — and a service
 //! wavefront ([`crate::ServiceInstance::run_wavefront`]) is one frame of
 //! the same per-frame steps, so there is one implementation of the
 //! stream model.
@@ -70,8 +72,8 @@
 use serde::{Deserialize, Serialize};
 
 use crescent_kdtree::{
-    BatchSearchConfig, BatchSearchStats, BatchState, KdTree, RefitConfig, RefitScratch, SplitTree,
-    NODE_BYTES,
+    replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, KdTree, RefitConfig,
+    RefitScratch, SplitTree, NODE_BYTES,
 };
 use crescent_memsim::{EnergyLedger, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
@@ -602,6 +604,63 @@ pub fn search_stream(
         .unzip()
 }
 
+/// The trace stage: re-splits each frame's tree below `top_height` like
+/// [`search_stream`] and records the frame's config-free search geometry
+/// ([`SplitTree::trace_batch`]). One [`BatchState`] is threaded through
+/// the sequence, so the cross-frame locality metric is part of the
+/// traces.
+///
+/// Reads the trees, the queries, `top_height` and the radius — none of
+/// the knobs [`replay_stream`] arbitrates the traces under.
+///
+/// # Panics
+///
+/// Panics if `trees.len() != frames.len()`.
+pub fn trace_stream(
+    frames: &[(&PointCloud, &[Point3])],
+    trees: &[MaintainedTree],
+    radius: f32,
+    top_height: usize,
+) -> Vec<BatchTrace> {
+    assert_eq!(trees.len(), frames.len(), "one maintained tree per frame");
+    let mut engine = FrameEngine::default();
+    frames
+        .iter()
+        .zip(trees)
+        .map(|(&(_, queries), maintained)| {
+            engine.with_split(&maintained.tree, top_height, |split, state| {
+                split.trace_batch(queries, radius, state)
+            })
+        })
+        .collect()
+}
+
+/// The search stage over traces: arbitrates each frame's
+/// [`BatchTrace`] under `config`'s PEs and tree-buffer banks and
+/// `search`'s elision depth ([`replay_batch`]). Returns exactly what
+/// [`search_stream`] returns on the traced trees, reading no tree.
+///
+/// # Panics
+///
+/// Panics if `search.descendant_reuse` is set: that model needs the live
+/// drain of [`search_stream`].
+pub fn replay_stream(
+    traces: &[BatchTrace],
+    search: &StreamSearchConfig,
+    config: &AcceleratorConfig,
+) -> (Vec<Vec<Vec<Neighbor>>>, Vec<FrameSearch>) {
+    let batch_cfg = batch_config(search, config);
+    let mut state = BatchState::default();
+    traces
+        .iter()
+        .map(|trace| {
+            let (hits, stats) = replay_batch(trace, &batch_cfg, &mut state);
+            let frame = FrameSearch::new(trace.points(), &hits, stats);
+            (hits, frame)
+        })
+        .unzip()
+}
+
 /// The aggregation stage: per frame, the aggregation unit gathers every
 /// query's neighbor list from the banked Point Buffer
 /// ([`simulate_aggregation`]); conflicted gathers serialize unless
@@ -702,18 +761,25 @@ impl FrameEngine {
         search: &StreamSearchConfig,
         config: &AcceleratorConfig,
     ) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
-        let batch_cfg = BatchSearchConfig::banked(
-            search.radius,
-            search.max_neighbors,
-            config.num_pes,
-            config.tree_buffer.num_banks,
-            search.elision_depth,
-        )
-        .with_descendant_reuse(search.descendant_reuse);
+        let batch_cfg = batch_config(search, config);
+        self.with_split(tree, top_height, |split, state| {
+            split.search_batch(queries, &batch_cfg, state)
+        })
+    }
+
+    /// Runs `f` on `tree` re-split below `top_height` (clamped to the
+    /// tree: a degenerate tree grants `h_t = 0`) with the recycled
+    /// [`BatchState`].
+    fn with_split<R>(
+        &mut self,
+        tree: &KdTree,
+        top_height: usize,
+        f: impl FnOnce(&SplitTree, &mut BatchState) -> R,
+    ) -> R {
         let ht = if tree.is_empty() { 0 } else { top_height.min(tree.height() - 1) };
         let split = SplitTree::resplit(tree, ht, std::mem::take(&mut self.roots_pool))
             .expect("clamped top height is valid");
-        let out = split.search_batch(queries, &batch_cfg, &mut self.state);
+        let out = f(&split, &mut self.state);
         self.roots_pool = split.into_subtree_roots();
         out
     }
@@ -741,6 +807,20 @@ impl FrameEngine {
             elide,
         )
     }
+}
+
+/// The batch search configuration of one stream stage: `search`'s
+/// radius, cap, elision depth and reuse flag on `config`'s PEs and
+/// tree-buffer banks.
+fn batch_config(search: &StreamSearchConfig, config: &AcceleratorConfig) -> BatchSearchConfig {
+    BatchSearchConfig::banked(
+        search.radius,
+        search.max_neighbors,
+        config.num_pes,
+        config.tree_buffer.num_banks,
+        search.elision_depth,
+    )
+    .with_descendant_reuse(search.descendant_reuse)
 }
 
 #[cfg(test)]

@@ -108,16 +108,21 @@ pub fn render_summary(report: &SweepReport) -> String {
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
 /// the run total, the serial scenario-setup prologue — overall and per
 /// scenario — and each stage of the cascade summed across the worker
-/// pool (compose is the per-point clock of the sidecar).
+/// pool, the trace and search stages with their pass counts (compose is
+/// the per-point clock of the sidecar).
 fn eprint_timings(timings: &RunTimings, stats: &SweepRunStats) {
     eprintln!(
         "# wall-clock: total {:.3}s (scenario setup {:.3}s serial; summed over {} workers: \
-         maintain {:.3}s, search {:.3}s, compose {:.3}s)",
+         maintain {:.3}s, trace {:.3}s over {} passes, search {:.3}s over {} passes, \
+         compose {:.3}s)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),
         stats.workers,
         secs(stats.maintain_nanos),
+        secs(stats.trace_nanos),
+        stats.trace_passes,
         secs(stats.search_nanos),
+        stats.search_passes,
         secs(stats.point_nanos),
     );
     for (scenario, nanos) in &timings.setup {

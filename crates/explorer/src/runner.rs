@@ -12,7 +12,8 @@
 //! | stage | runs once per (within a scenario) | reads |
 //! |---|---|---|
 //! | maintenance ([`maintain_tree_sequence`]) | policy × granted `h_t` (rebuild: policy only) | the clouds; the granted `h_t` as the refit `check_height` |
-//! | search ([`search_stream`]) | distinct tree sequence × granted `h_t` × PEs × tree banks × `h_e` | the trees, the queries, radius and `k`, descendant reuse |
+//! | trace ([`trace_stream`]) | distinct tree sequence × granted `h_t` (not with descendant reuse) | the trees, the queries, the radius |
+//! | search ([`replay_stream`], or [`search_stream`] with descendant reuse) | distinct tree sequence × granted `h_t` × PEs × tree banks × `h_e` (at 1 PE, banks and `h_e` collapse) | the traces (the trees with reuse), `k`, descendant reuse |
 //! | aggregation ([`aggregate_stream`]) | search key × aggregation elision | the search key's neighbor sets, the Point Buffer |
 //! | compose ([`compose_stream`]) | grid point | the counters above, the maintenance costs, DRAM bandwidth, the energy model |
 //!
@@ -25,10 +26,20 @@
 //! points can tie a median, though, and a refit then keeps a valid tree
 //! laid out differently from a fresh build — so the runner compares the
 //! sequences node for node ([`KdTree::same_nodes`]) and searches each
-//! distinct one, instead of assuming they match. Each search job also
-//! runs the aggregation for every aggregation-elision value of the spec
-//! and derives recall, digest and neighbor count, then drops its
-//! neighbor sets.
+//! distinct one, instead of assuming they match.
+//!
+//! Stage 2 of the search prunes on the radius alone, so a query's visit
+//! order is fixed by geometry and the (PEs, banks, `h_e`) keys of one
+//! tree sequence and grant only arbitrate it differently. The trace
+//! stage records that geometry once per sequence and grant
+//! ([`BatchTrace`]); the search jobs replay it, and the trees are
+//! dropped as soon as they are traced. Descendant reuse can continue
+//! beneath a node the trace pruned, so the scenario that turns it on
+//! skips the trace stage and searches its trees live. With one PE,
+//! every fetch wins its bank, so banks and `h_e` drop out of the search
+//! key. Each search job also runs the aggregation for every
+//! aggregation-elision value of the spec and derives recall, digest and
+//! neighbor count, then drops its neighbor sets.
 //!
 //! # Determinism
 //!
@@ -49,11 +60,11 @@ use std::time::Instant;
 
 use crescent::workload::{Frame, FrameStream};
 use crescent_accel::{
-    aggregate_stream, compose_stream, maintain_tree_sequence, search_stream, AcceleratorConfig,
-    AggregationReport, FrameSearch, MaintainedTree, MaintenanceCost, StreamSearchConfig,
-    TreeMaintenance,
+    aggregate_stream, compose_stream, maintain_tree_sequence, replay_stream, search_stream,
+    trace_stream, AcceleratorConfig, AggregationReport, FrameSearch, MaintainedTree,
+    MaintenanceCost, StreamSearchConfig, TreeMaintenance,
 };
-use crescent_kdtree::KdTree;
+use crescent_kdtree::{BatchTrace, KdTree};
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
 use crate::fnv::Fnv1a;
@@ -82,7 +93,7 @@ fn maintain_key(maintenance: TreeMaintenance, granted_h_t: usize) -> MaintainKey
 
 /// Search-stage key: the distinct tree sequence, granted `h_t`, PE
 /// count, tree banks, `h_e` (radius, neighbor cap and descendant reuse
-/// are fixed within a scenario).
+/// are fixed within a scenario). A 1-PE key holds banks and `h_e` as 0.
 type SearchKey = (usize, usize, usize, usize, usize);
 
 /// The distinct keys of one stage in first-seen order, each remembered
@@ -149,6 +160,10 @@ pub struct SweepRunStats {
     /// the point count — what the CLI reports, so "8 workers" is never
     /// printed for a 4-point run.
     pub workers: usize,
+    /// Trace passes executed: exactly one per distinct (tree sequence,
+    /// granted `h_t`) of each scenario without descendant reuse, whatever
+    /// the worker count.
+    pub trace_passes: usize,
     /// Search passes executed: exactly one per distinct search key of
     /// each scenario, whatever the worker count.
     pub search_passes: usize,
@@ -160,8 +175,12 @@ pub struct SweepRunStats {
     /// Total **wall-clock** nanoseconds of the maintenance stage, summed
     /// across workers. Measured, never part of the report.
     pub maintain_nanos: u64,
-    /// Total **wall-clock** nanoseconds of the search stage (search,
-    /// aggregation, recall and digest), summed across workers.
+    /// Total **wall-clock** nanoseconds of the trace stage, summed across
+    /// workers.
+    pub trace_nanos: u64,
+    /// Total **wall-clock** nanoseconds of the search stage (the replay
+    /// or live search, aggregation, recall and digest), summed across
+    /// workers.
     pub search_nanos: u64,
     /// Total **wall-clock** nanoseconds of the compose step — the
     /// per-point clocks of the `--timings` sidecar — summed across
@@ -202,9 +221,11 @@ fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats
     let mut stats = SweepRunStats {
         points: points.len(),
         workers,
+        trace_passes: 0,
         search_passes: 0,
         setup_nanos: 0,
         maintain_nanos: 0,
+        trace_nanos: 0,
         search_nanos: 0,
         point_nanos: 0,
     };
@@ -284,6 +305,39 @@ fn run_scenario(
         }));
     }
 
+    // ---- trace: one geometry record per (tree sequence, granted h_t) ----
+    // descendant reuse is scenario-derived, and a reused fetch can
+    // continue beneath a node a trace pruned: such a scenario searches
+    // its trees live and traces nothing
+    let reuse = scenario.descendant_reuse();
+    let mut trace_keys: Keys<(usize, usize)> = Keys::new();
+    let trace_slots: Vec<usize> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| trace_keys.slot((tree_set_of[plan.maintain], plan.top_height_used), i))
+        .collect();
+    let inputs: Vec<(&PointCloud, &[Point3])> =
+        frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
+    let traces: Vec<Vec<BatchTrace>> = if reuse {
+        Vec::new()
+    } else {
+        stats.trace_passes += trace_keys.first.len();
+        let traced = par_map(&trace_keys.first, workers, |_, &p| {
+            let plan = &plans[p];
+            let trees = &tree_sets[tree_set_of[plan.maintain]];
+            trace_stream(&inputs, trees, spec.workload.radius, plan.top_height_used)
+        });
+        // the replays read no tree
+        tree_sets.clear();
+        traced
+            .into_iter()
+            .map(|(trace, nanos)| {
+                stats.trace_nanos += nanos;
+                trace
+            })
+            .collect()
+    };
+
     // ---- search + aggregation: one pass per search key ----
     let mut search_keys: Keys<SearchKey> = Keys::new();
     let search_slots: Vec<usize> = plans
@@ -291,22 +345,17 @@ fn run_scenario(
         .enumerate()
         .map(|(i, plan)| {
             let point = plan.point;
-            let key = (
-                tree_set_of[plan.maintain],
-                plan.top_height_used,
-                point.num_pes,
-                point.tree_banks,
-                point.elision_depth,
-            );
+            // one PE issues one request a round, which always wins its
+            // bank: neither banks nor h_e can reach the output
+            let (banks, h_e) =
+                if point.num_pes == 1 { (0, 0) } else { (point.tree_banks, point.elision_depth) };
+            let key = (tree_set_of[plan.maintain], plan.top_height_used, point.num_pes, banks, h_e);
             search_keys.slot(key, i)
         })
         .collect();
     stats.search_passes += search_keys.first.len();
-    let inputs: Vec<(&PointCloud, &[Point3])> =
-        frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
     let searched = par_map(&search_keys.first, workers, |_, &p| {
         let plan = &plans[p];
-        let trees = &tree_sets[tree_set_of[plan.maintain]];
         let search = StreamSearchConfig {
             radius: spec.workload.radius,
             max_neighbors: spec.workload.max_neighbors,
@@ -316,10 +365,14 @@ fn run_scenario(
             // descendant-reuse workload turns the salvage knob on, so
             // every other scenario's rows stay on the stall/elide-only
             // model
-            descendant_reuse: scenario.descendant_reuse(),
+            descendant_reuse: reuse,
         };
-        let (sets, frames) =
-            search_stream(&inputs, trees, &search, plan.top_height_used, &plan.config);
+        let (sets, frames) = if reuse {
+            let trees = &tree_sets[tree_set_of[plan.maintain]];
+            search_stream(&inputs, trees, &search, plan.top_height_used, &plan.config)
+        } else {
+            replay_stream(&traces[trace_slots[p]], &search, &plan.config)
+        };
         let aggregate = |elide: bool| {
             spec.aggregation_elision
                 .contains(&elide)
@@ -333,7 +386,7 @@ fn run_scenario(
             frames,
         }
     });
-    drop(tree_sets);
+    drop((tree_sets, traces));
     let searched: Vec<SearchOut> = searched
         .into_iter()
         .map(|(out, nanos)| {
@@ -708,10 +761,11 @@ mod tests {
     /// requests that clamp to one grant, 2 `h_e`, and maintenance, DRAM
     /// bandwidth and aggregation elision twice each). On the quick grid
     /// every refit sequence holds the rebuild trees, so each scenario
-    /// searches 2 × 2 × 2 keys once. On the slice's noise-free
+    /// searches 2 × 2 × 2 keys once, and the nine scenarios without
+    /// descendant reuse trace once each. On the slice's noise-free
     /// 12k-point scenes a few refit frames keep a tied median in another
-    /// heap slot, so each scenario searches two tree sequences: 2 × 8
-    /// search keys per scenario instead of 8.
+    /// heap slot, so each scenario traces two tree sequences and searches
+    /// 2 × 8 keys instead of 8.
     #[test]
     fn quick_grid_and_dse_slice_run_each_key_once() {
         let mut slice = SweepSpec::full();
@@ -725,11 +779,35 @@ mod tests {
         slice.top_heights = vec![2, 4];
         slice.elision_depths = vec![0, 4];
         assert_eq!(slice.num_points(), 384);
-        for (spec, search_passes) in [(SweepSpec::quick(), 80), (slice, 48)] {
+        for (spec, trace_passes, search_passes) in [(SweepSpec::quick(), 9, 80), (slice, 6, 48)] {
             for workers in [1, 4] {
                 let (_, stats, _) = run_sweep_timed(&spec, workers).expect("sweep runs");
+                assert_eq!(stats.trace_passes, trace_passes, "{} at {workers}", spec.label);
                 assert_eq!(stats.search_passes, search_passes, "{} at {workers}", spec.label);
             }
+        }
+    }
+
+    /// One PE never loses arbitration, so its points share one search
+    /// key whatever their banks and `h_e`, and their rows carry the
+    /// same results and search counters.
+    #[test]
+    fn one_pe_points_share_one_search_pass() {
+        let mut spec = tiny_spec();
+        spec.num_pes = vec![1, 2];
+        spec.tree_banks = vec![2, 4];
+        spec.elision_depths = vec![0, 2];
+        let (report, stats, _) = run_sweep_timed(&spec, 2).expect("sweep runs");
+        // one grant x (one 1-PE key + 2 banks x 2 h_e at 2 PEs)
+        assert_eq!(stats.search_passes, 5);
+        assert_eq!(stats.trace_passes, 1);
+        let one_pe: Vec<&SweepRow> = report.rows.iter().filter(|r| r.num_pes == 1).collect();
+        assert_eq!(one_pe.len(), 8);
+        for row in &one_pe {
+            assert_eq!(
+                (row.digest, row.arb_rounds, row.bank_conflicts, row.elided_conflicts),
+                (one_pe[0].digest, one_pe[0].arb_rounds, 0, 0)
+            );
         }
     }
 

@@ -30,6 +30,27 @@
 //! so the whole stage-2 [`DrainCounters`] record equals
 //! [`SplitTree::batch_search`]'s (tested in `tests/elision_unified.rs`).
 //!
+//! # Trace once, arbitrate many
+//!
+//! Stage 2 prunes on the radius alone, never on the neighbors found so
+//! far, and arbitration only decides whether a losing fetch stalls or is
+//! dropped together with its subtree. A query's stage-2 visit order is
+//! therefore fixed by geometry: every (PEs, banks, `h_e`) config visits
+//! a subsequence of one preorder walk, and an elision skips one
+//! contiguous span of it. The search is split on that line:
+//! [`SplitTree::trace_batch`] records the config-free part once (the
+//! stage-1 wavefront outcome and each queued query's walk, 16 bytes per
+//! visited node), and [`replay_batch`] runs the same `TreeArbiter` rounds
+//! over the [`BatchTrace`] per config without reading the tree. An
+//! honored fetch moves the PE to the next step, a stalled one stays, and
+//! an elided one jumps to the end of the node's traced span.
+//!
+//! [`SplitTree::search_batch`] with descendant reuse off traces and
+//! replays one sub-tree queue at a time. Descendant reuse can continue
+//! beneath a node the trace pruned, so with it on the search runs the
+//! live `drain_subtree_queue`; so does the per-query engine
+//! ([`SplitTree::batch_search`]).
+//!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
 //! descent state forward: the wavefront and per-sub-tree queue allocations
 //! are recycled, and the previous frame's sub-tree assignments are kept so
@@ -40,12 +61,13 @@
 use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
 use crate::split::{
-    drain_subtree_queue, finalize, DrainCounters, DrainScratch, SplitTree, TreeArbiter,
+    drain_subtree_queue, finalize, Arbitration, DrainCounters, DrainScratch, SplitTree, TreeArbiter,
 };
-use crate::tree::NODE_BYTES;
+use crate::tree::{heap_subtree_len, KdTree, NODE_BYTES};
 
-/// Reusable state for [`SplitTree::search_batch`], designed to live across
-/// the frames of a stream.
+/// Reusable state for [`SplitTree::search_batch`] (and for
+/// [`SplitTree::trace_batch`] and [`replay_batch`]), designed to live
+/// across the frames of a stream.
 ///
 /// Holds the wavefront and per-sub-tree queue buffers (recycled every call
 /// so steady-state frames allocate almost nothing) plus the previous
@@ -68,7 +90,9 @@ pub struct BatchState {
     /// Stage-2 drain scratch (per-PE traversal stacks), recycled across
     /// sub-tree queues and frames.
     drain: DrainScratch,
-    /// Number of batches processed through this state.
+    /// Stage-2 replay scratch (per-PE walk cursors), likewise recycled.
+    replay: ReplayScratch,
+    /// Number of batches searched or replayed through this state.
     frames: usize,
 }
 
@@ -83,7 +107,8 @@ impl BatchState {
         &self.assignments
     }
 
-    /// Number of batches (frames) processed through this state.
+    /// Number of batches (frames) searched or replayed through this
+    /// state; a trace alone does not count.
     pub fn frames(&self) -> usize {
         self.frames
     }
@@ -222,6 +247,12 @@ impl SplitTree<'_> {
     ///   subset of the exact ones (approximation is always subtractive)
     ///   and the stage-2 rounds ([`BatchSearchStats::subtree`]) shrink.
     ///
+    /// Stage 2 differs by model. With descendant reuse off, each sub-tree
+    /// queue's walks are traced ([`SplitTree::trace_batch`] per queue)
+    /// and replayed ([`replay_batch`] per queue), so the walk buffer only
+    /// ever holds one queue. With it on, stage 2 runs the live drain,
+    /// because a reused fetch can continue beneath a node a trace pruned.
+    ///
     /// Pass the same `state` across the frames of a stream to recycle its
     /// buffers and obtain the cross-frame
     /// [`BatchSearchStats::assignment_reuses`] metric.
@@ -231,24 +262,121 @@ impl SplitTree<'_> {
         config: &BatchSearchConfig,
         state: &mut BatchState,
     ) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
-        let radius = config.radius;
-        let max_neighbors = config.max_neighbors;
         let tree = self.tree();
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-        let mut stats = BatchSearchStats {
-            queries: queries.len(),
-            frame_index: state.frames,
-            ..BatchSearchStats::default()
+        let mut stats =
+            self.route_wavefront(queries, config.radius, state, |qi, n| results[qi].push(n));
+        stats.frame_index = state.frames;
+        state.frames += 1;
+
+        // ---- stage 2: search confined to each assigned sub-tree ----
+        // depth-from-leaves h_e -> the engine's level threshold
+        let threshold = tree.height().saturating_sub(config.elision_depth);
+        let reuse = config.descendant_reuse;
+        let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, reuse);
+        let r2 = config.radius * config.radius;
+        // one queue's walks at a time, in a buffer this call drops: a
+        // state kept per fleet instance does not hold one each
+        let mut walks = Walks::default();
+        let BatchState { queues, drain, replay, .. } = state;
+        for (&root, queue) in self.subtree_roots().iter().zip(queues.iter()) {
+            if queue.is_empty() {
+                continue;
+            }
+            stats.subtree += if reuse {
+                drain_subtree_queue(
+                    tree,
+                    root,
+                    queue,
+                    queries,
+                    config.radius,
+                    config.num_pes,
+                    &mut arbiter,
+                    drain,
+                    &mut results,
+                )
+            } else {
+                walks.clear();
+                walks.record(tree, root, queue, queries, r2);
+                replay_queue(
+                    &walks,
+                    0..queue.len(),
+                    r2,
+                    tree.len(),
+                    config.num_pes,
+                    &mut arbiter,
+                    replay,
+                    &mut results,
+                )
+            };
+        }
+        for hits in &mut results {
+            finalize(hits, config.max_neighbors);
+        }
+        (results, stats)
+    }
+
+    /// Records the config-free part of [`SplitTree::search_batch`]: the
+    /// stage-1 wavefront outcome and every queued query's stage-2
+    /// preorder walk. [`replay_batch`] then arbitrates it under any PE
+    /// count, bank count and `h_e` with descendant reuse off, reading no
+    /// tree.
+    ///
+    /// The wavefront runs in `state`'s recycled buffers and rotates its
+    /// assignment history (the cross-frame
+    /// [`BatchSearchStats::assignment_reuses`] metric is part of the
+    /// trace); `state`'s frame count is left to the replay.
+    pub fn trace_batch(
+        &self,
+        queries: &[Point3],
+        radius: f32,
+        state: &mut BatchState,
+    ) -> BatchTrace {
+        let tree = self.tree();
+        let mut trace = BatchTrace {
+            radius,
+            nodes: tree.len(),
+            height: tree.height(),
+            ..BatchTrace::default()
         };
+        let top_hits = &mut trace.top_hits;
+        trace.stats =
+            self.route_wavefront(queries, radius, state, |qi, n| top_hits.push((qi as u32, n)));
+        let r2 = radius * radius;
+        for (&root, queue) in self.subtree_roots().iter().zip(&state.queues) {
+            if !queue.is_empty() {
+                trace.walks.record(tree, root, queue, queries, r2);
+                trace.queue_ends.push(trace.walks.queued.len() as u32);
+            }
+        }
+        trace
+    }
+
+    /// Stage 1 of a batch and the counters it settles: rotates `state`'s
+    /// assignment history, descends the top tree as one wavefront
+    /// (reporting each top-tree hit to `hit` in push order), groups the
+    /// queries into `state`'s per-sub-tree queues, and returns every
+    /// [`BatchSearchStats`] field but `frame_index` and `subtree`.
+    fn route_wavefront(
+        &self,
+        queries: &[Point3],
+        radius: f32,
+        state: &mut BatchState,
+        mut hit: impl FnMut(usize, Neighbor),
+    ) -> BatchSearchStats {
+        let tree = self.tree();
+        let mut stats = BatchSearchStats { queries: queries.len(), ..BatchSearchStats::default() };
 
         // rotate assignment history: last batch becomes "previous frame"
         std::mem::swap(&mut state.prev_assignments, &mut state.assignments);
         state.assignments.clear();
         state.assignments.resize(queries.len(), None);
+        for q in state.queues.iter_mut() {
+            q.clear();
+        }
 
         if tree.is_empty() || queries.is_empty() {
-            state.frames += 1;
-            return (results, stats);
+            return stats;
         }
 
         // ---- stage 1: wavefront descent of the top tree ----
@@ -281,8 +409,7 @@ impl SplitTree<'_> {
                         let q = queries[qi];
                         let d2 = point.dist2(q);
                         if d2 <= r2 {
-                            results[qi]
-                                .push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
+                            hit(qi, Neighbor { index: tree.point_index_of(idx), dist2: d2 });
                         }
                         let (next_slot, side) = if q.coord(axis) - split_coord <= 0.0 {
                             (left, &mut left_list)
@@ -313,9 +440,6 @@ impl SplitTree<'_> {
         }
 
         // ---- group queries per sub-tree, preserving arrival order ----
-        for q in state.queues.iter_mut() {
-            q.clear();
-        }
         state.queues.resize_with(self.num_subtrees(), Vec::new);
         for (qi, a) in state.assignments.iter().enumerate() {
             if let Some(s) = *a {
@@ -323,37 +447,15 @@ impl SplitTree<'_> {
             }
         }
 
-        // ---- stage 2: search confined to each assigned sub-tree ----
-        // Each queue drains through the SAME lock-step arbitration
-        // implementation the per-query engine model uses
-        // (`drain_subtree_queue`).
-        // depth-from-leaves h_e -> the engine's level threshold
-        let threshold = tree.height().saturating_sub(config.elision_depth);
-        let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, config.descendant_reuse);
-        for (s, queue) in state.queues.iter().enumerate() {
-            if queue.is_empty() {
-                continue;
-            }
-            stats.subtrees_touched += 1;
-            stats.dram_bytes += (self.subtree_len(s) * NODE_BYTES) as u64;
-            stats.subtree += drain_subtree_queue(
-                tree,
-                self.subtree_roots()[s],
-                queue,
-                queries,
-                radius,
-                config.num_pes,
-                &mut arbiter,
-                &mut state.drain,
-                &mut results,
-            );
-        }
-        for hits in &mut results {
-            finalize(hits, max_neighbors);
-        }
-
         // Crescent's phased DRAM schedule (Sec 3.4): queries moved three
-        // times, the top tree streamed once, touched sub-trees counted above.
+        // times, the top tree streamed once, and each touched sub-tree
+        // streamed once.
+        for (s, queue) in state.queues.iter().enumerate() {
+            if !queue.is_empty() {
+                stats.subtrees_touched += 1;
+                stats.dram_bytes += (self.subtree_len(s) * NODE_BYTES) as u64;
+            }
+        }
         stats.dram_bytes += (3 * queries.len() * POINT_BYTES) as u64;
         stats.dram_bytes += (self.top_len() * NODE_BYTES) as u64;
 
@@ -363,8 +465,284 @@ impl SplitTree<'_> {
                 stats.assignment_reuses += 1;
             }
         }
-        state.frames += 1;
-        (results, stats)
+        stats
+    }
+}
+
+/// Appends `q`'s stage-2 walk beneath heap slot `idx` to `steps` in the
+/// order the drain visits it when no fetch is elided: the node, its near
+/// subtree, then its far subtree if the split plane lies within the
+/// radius. The drain prunes on the radius alone, so this order is fixed
+/// by geometry and each node's traced subtree is the contiguous span up
+/// to its `end`.
+fn walk(tree: &KdTree, idx: usize, q: Point3, r2: f32, steps: &mut Vec<TraceStep>) {
+    let at = steps.len();
+    let point = tree.point_of(idx);
+    let dist2 = point.dist2(q);
+    steps.push(TraceStep {
+        node: idx as u32,
+        end: 0,
+        dist2,
+        index: tree.point_index_of(idx) as u32,
+    });
+    let axis = tree.axis_of(idx);
+    let delta = q.coord(axis) - point.coord(axis);
+    let (near, far) = if delta <= 0.0 {
+        (tree.left(idx), tree.right(idx))
+    } else {
+        (tree.right(idx), tree.left(idx))
+    };
+    if let Some(n) = near {
+        walk(tree, n, q, r2, steps);
+    }
+    if delta * delta <= r2 {
+        if let Some(f) = far {
+            walk(tree, f, q, r2, steps);
+        }
+    }
+    steps[at].end = steps.len() as u32;
+}
+
+/// One node of a traced stage-2 walk (16 bytes).
+#[derive(Clone, Copy, Debug)]
+struct TraceStep {
+    /// Heap slot of the node: the tree-buffer address the PE requests.
+    node: u32,
+    /// Offset in [`Walks::steps`] just past this node's traced subtree:
+    /// where the walk resumes when the fetch is elided.
+    end: u32,
+    /// Squared distance from the query to the node's point.
+    dist2: f32,
+    /// The node's original point index.
+    index: u32,
+}
+
+/// The traced stage-2 walks of queued queries, queue after queue.
+#[derive(Clone, Debug, Default)]
+struct Walks {
+    /// The queries, each sub-tree queue in arrival order.
+    queued: Vec<u32>,
+    /// End offset in `steps` of each queued query's walk (parallel to
+    /// `queued`).
+    ends: Vec<u32>,
+    /// The walks, in `queued` order.
+    steps: Vec<TraceStep>,
+}
+
+impl Walks {
+    fn clear(&mut self) {
+        self.queued.clear();
+        self.ends.clear();
+        self.steps.clear();
+    }
+
+    /// Appends the walks of `queue`'s queries beneath sub-tree root
+    /// `root`.
+    fn record(&mut self, tree: &KdTree, root: usize, queue: &[usize], queries: &[Point3], r2: f32) {
+        for &qi in queue {
+            self.queued.push(qi as u32);
+            walk(tree, root, queries[qi], r2, &mut self.steps);
+            self.ends.push(self.steps.len() as u32);
+        }
+    }
+}
+
+/// One batch's search geometry, recorded once by
+/// [`SplitTree::trace_batch`] and arbitrated by [`replay_batch`] under
+/// any (PEs, banks, `h_e`) with descendant reuse off.
+///
+/// It holds the stage-1 wavefront outcome (top-tree hits, sub-tree
+/// queues, the config-free [`BatchSearchStats`] fields) and every
+/// queued query's stage-2 preorder walk, and nothing of the tree but its
+/// node count and height.
+#[derive(Clone, Debug, Default)]
+pub struct BatchTrace {
+    /// Every [`BatchSearchStats`] field but `frame_index` and `subtree`.
+    stats: BatchSearchStats,
+    /// The search radius the walks were pruned with.
+    radius: f32,
+    /// Nodes of the traced tree (one per cloud point).
+    nodes: usize,
+    /// Height of the traced tree, from which `h_e` sets the elision
+    /// level.
+    height: usize,
+    /// Stage-1 hits `(query, neighbor)` in push order.
+    top_hits: Vec<(u32, Neighbor)>,
+    /// The touched sub-trees' queues and their queries' walks.
+    walks: Walks,
+    /// End offset in `walks.queued` of each touched sub-tree's queue.
+    queue_ends: Vec<u32>,
+}
+
+impl BatchTrace {
+    /// Points of the traced frame (the tree has one node per point).
+    pub fn points(&self) -> usize {
+        self.nodes
+    }
+}
+
+/// One PE's place in a replayed walk.
+#[derive(Clone, Copy, Debug)]
+struct Cursor {
+    query: usize,
+    /// The step the PE requests next.
+    at: usize,
+    /// One past the walk's last step.
+    end: usize,
+}
+
+/// Reusable scratch of [`replay_batch`]: each PE's cursor and the
+/// per-round request snapshot.
+#[derive(Debug, Default)]
+struct ReplayScratch {
+    pes: Vec<Option<Cursor>>,
+    tops: Vec<Option<usize>>,
+}
+
+/// Arbitrates a [`BatchTrace`] under `config`'s PEs, banks and `h_e`:
+/// the geometry-free half of [`SplitTree::search_batch`], with results
+/// and [`BatchSearchStats`] bit-identical to it.
+///
+/// Each sub-tree queue drains in lock step through the same
+/// `TreeArbiter` rounds as the live drain. An honored fetch moves its PE
+/// to the next traced step, a stalled one stays, and an elided one jumps
+/// to the end of the node's traced subtree; the skipped node count comes
+/// from heap arithmetic. The trace is only read, so one trace serves any
+/// number of configs.
+///
+/// # Panics
+///
+/// Panics if `config.descendant_reuse` is set: a reused fetch can
+/// continue beneath a node the trace pruned, so that model needs the
+/// live drain of [`SplitTree::search_batch`].
+pub fn replay_batch(
+    trace: &BatchTrace,
+    config: &BatchSearchConfig,
+    state: &mut BatchState,
+) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
+    assert!(!config.descendant_reuse, "descendant reuse needs the live drain");
+    debug_assert_eq!(config.radius.to_bits(), trace.radius.to_bits(), "one radius per trace");
+    let mut stats = trace.stats.clone();
+    stats.frame_index = state.frames;
+    state.frames += 1;
+    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); stats.queries];
+    for &(qi, n) in &trace.top_hits {
+        results[qi as usize].push(n);
+    }
+    let threshold = trace.height.saturating_sub(config.elision_depth);
+    let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, false);
+    let r2 = trace.radius * trace.radius;
+    let mut first = 0;
+    for &end in &trace.queue_ends {
+        stats.subtree += replay_queue(
+            &trace.walks,
+            first..end as usize,
+            r2,
+            trace.nodes,
+            config.num_pes,
+            &mut arbiter,
+            &mut state.replay,
+            &mut results,
+        );
+        first = end as usize;
+    }
+    for hits in &mut results {
+        finalize(hits, config.max_neighbors);
+    }
+    (results, stats)
+}
+
+/// The lock-step drain of one traced sub-tree queue (`queue` indexes
+/// [`Walks::queued`]) of an `nodes`-node tree: `drain_subtree_queue`
+/// with each PE's stack replaced by a cursor into its query's walk.
+#[allow(clippy::too_many_arguments)]
+fn replay_queue(
+    walks: &Walks,
+    queue: std::ops::Range<usize>,
+    r2: f32,
+    nodes: usize,
+    num_pes: usize,
+    arbiter: &mut TreeArbiter,
+    scratch: &mut ReplayScratch,
+    results: &mut [Vec<Neighbor>],
+) -> DrainCounters {
+    let mut out = DrainCounters::default();
+    let ReplayScratch { pes, tops } = scratch;
+    pes.clear();
+    pes.resize(num_pes.max(1), None);
+    let mut next = queue.start;
+    let mut active = 0;
+    loop {
+        for pe in pes.iter_mut().filter(|pe| pe.is_none()) {
+            if next == queue.end {
+                break;
+            }
+            let at = if next == 0 { 0 } else { walks.ends[next - 1] as usize };
+            let end = walks.ends[next] as usize;
+            *pe = Some(Cursor { query: walks.queued[next] as usize, at, end });
+            next += 1;
+            active += 1;
+        }
+        if active == 0 {
+            return out;
+        }
+        if active == 1 {
+            // a lone requester wins every round until its walk ends (no
+            // PE can be refilled before then: either there is one PE or
+            // the queue is empty), so its rounds need no arbitration
+            let pe = pes.iter_mut().find(|pe| pe.is_some()).expect("one PE is active");
+            let cursor = pe.take().expect("one PE is active");
+            let rest = &walks.steps[cursor.at..cursor.end];
+            out.rounds += rest.len();
+            out.attempts += rest.len();
+            out.visits += rest.len();
+            results[cursor.query].extend(
+                rest.iter()
+                    .filter(|step| step.dist2 <= r2)
+                    .map(|step| Neighbor { index: step.index as usize, dist2: step.dist2 }),
+            );
+            active = 0;
+            continue;
+        }
+        out.rounds += 1;
+        tops.clear();
+        tops.extend(pes.iter().map(|pe| pe.map(|c| walks.steps[c.at].node as usize)));
+        let mut round_stalled = false;
+        for (pe, outcome) in pes.iter_mut().zip(arbiter.arbitrate(tops)) {
+            let Some(cursor) = pe else { continue };
+            let step = walks.steps[cursor.at];
+            out.attempts += 1;
+            match outcome {
+                Arbitration::Honored => {
+                    out.visits += 1;
+                    if step.dist2 <= r2 {
+                        results[cursor.query]
+                            .push(Neighbor { index: step.index as usize, dist2: step.dist2 });
+                    }
+                    cursor.at += 1;
+                }
+                Arbitration::Stalled => {
+                    out.conflicts += 1;
+                    out.stalls += 1;
+                    round_stalled = true;
+                }
+                Arbitration::Elided => {
+                    // drop the node and its traced subtree
+                    out.conflicts += 1;
+                    out.elided += 1;
+                    out.skipped += heap_subtree_len(nodes, step.node as usize);
+                    cursor.at = step.end as usize;
+                }
+                Arbitration::Reused(_) => unreachable!("the replay arbiter never reuses"),
+            }
+            if cursor.at == cursor.end {
+                *pe = None;
+                active -= 1;
+            }
+        }
+        if round_stalled {
+            out.stall_rounds += 1;
+        }
     }
 }
 
@@ -729,6 +1107,23 @@ mod tests {
         let mut batch = TaggedBatch::new();
         batch.push_segment(1, &[Point3::ZERO, Point3::ZERO]);
         batch.split_results(vec![0u32]);
+    }
+
+    /// One trace replayed under config after config, each matching a
+    /// fresh `search_batch`: the replay only reads its trace.
+    #[test]
+    fn one_trace_replays_every_config() {
+        let cloud = random_cloud(4096, 83);
+        let tree = KdTree::build(&cloud);
+        let split = SplitTree::new(&tree, 3).unwrap();
+        let queries = random_queries(96, 84);
+        let trace = split.trace_batch(&queries, 0.3, &mut BatchState::new());
+        for (pes, banks, depth) in [(8, 4, 0), (2, 2, 6), (16, 1, 3), (1, 8, 9), (8, 4, 0)] {
+            let cfg = BatchSearchConfig::banked(0.3, Some(16), pes, banks, depth);
+            let replayed = replay_batch(&trace, &cfg, &mut BatchState::new());
+            let fresh = split.search_batch(&queries, &cfg, &mut BatchState::new());
+            assert_eq!(replayed, fresh, "{pes} PEs, {banks} banks, h_e {depth}");
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   descent state across the frames of a stream ([`BatchState`]), and
 //!   drains each sub-tree queue through the same banked-arbitration model
 //!   as `batch_search` (conflicts stall or are elided per the
-//!   depth-from-leaves `h_e` knob of [`BatchSearchConfig`]);
+//!   depth-from-leaves `h_e` knob of [`BatchSearchConfig`]); its
+//!   config-free geometry can be recorded once
+//!   ([`SplitTree::trace_batch`], a [`BatchTrace`]) and arbitrated per
+//!   config ([`replay_batch`]);
 //! * [`refit`] — incremental frame-coherent tree maintenance
 //!   ([`KdTree::refit`]): in-place coordinate update + validation +
 //!   per-sub-tree repair for temporally coherent frames, with an honest
@@ -61,7 +64,10 @@ pub mod tree;
 pub use baselines::{
     crescent_dram_bytes, split_exhaustive_report, split_exhaustive_search, BaselineReport,
 };
-pub use batch::{BatchSearchConfig, BatchSearchStats, BatchState, TaggedBatch, TaggedResults};
+pub use batch::{
+    replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, TaggedBatch,
+    TaggedResults,
+};
 pub use refit::{RebuildReason, RefitConfig, RefitOutcome, RefitScratch, RefitStats};
 pub use search::{radius_search, radius_search_traced, TraversalStats};
 pub use split::{

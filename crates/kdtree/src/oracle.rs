@@ -6,13 +6,17 @@
 //! level (walked up to the root) against the threshold, and descendant
 //! reuse walks the winner's node up to the loser's. There is no
 //! `BankedSram` fold, no recycled scratch and no `min_elide_idx` index
-//! shortcut, so the proptest below checks `drain_subtree_queue` against
-//! an independent statement of the arbitration rule.
+//! shortcut, so the proptests below check `drain_subtree_queue` and the
+//! trace replay ([`replay_batch`]) against an independent statement of
+//! the arbitration rule.
 
 use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 use proptest::prelude::*;
 
-use crate::split::{drain_subtree_queue, DrainCounters, DrainScratch, TreeArbiter};
+use crate::batch::{replay_batch, BatchSearchConfig, BatchState};
+use crate::split::{
+    drain_subtree_queue, finalize, DrainCounters, DrainScratch, SplitTree, TreeArbiter,
+};
 use crate::tree::KdTree;
 
 /// What happened to one PE's fetch in a round.
@@ -157,6 +161,11 @@ fn reference_drain(
     }
 }
 
+/// Neighbor lists as `(index, dist2 bits)`, so equality is bit for bit.
+fn bits(lists: &[Vec<Neighbor>]) -> Vec<Vec<(usize, u32)>> {
+    lists.iter().map(|l| l.iter().map(|n| (n.index, n.dist2.to_bits())).collect()).collect()
+}
+
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point3>> {
     // a coarse grid, so split coordinates and distances tie often
     prop::collection::vec((0u32..12, 0u32..12, 0u32..12), 1..max_n).prop_map(|v| {
@@ -210,9 +219,50 @@ proptest! {
             &mut DrainScratch::default(), &mut got,
         );
         prop_assert_eq!(counters, expected);
-        let bits = |lists: &[Vec<Neighbor>]| -> Vec<Vec<(usize, u32)>> {
-            lists.iter().map(|l| l.iter().map(|n| (n.index, n.dist2.to_bits())).collect()).collect()
-        };
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A batch's trace replayed with descendant reuse off equals the
+    /// reference model: per-query stage-1 routing, then the reference
+    /// drain of every sub-tree queue in arrival order. The whole stage-2
+    /// counter record and every neighbor list match bit for bit.
+    #[test]
+    fn replay_matches_the_reference_model(
+        points in arb_points(160),
+        queries in arb_points(40),
+        radius in 0.1f32..1.5,
+        top_pick in 0usize..8,
+        num_pes in 1usize..17,
+        num_banks in 1usize..17,
+        depth in 0usize..9,
+    ) {
+        let cloud: PointCloud = points.into_iter().collect();
+        let tree = KdTree::build(&cloud);
+        let split = SplitTree::new(&tree, top_pick.min(tree.height() - 1)).unwrap();
+        let mut state = BatchState::new();
+        let trace = split.trace_batch(&queries, radius, &mut state);
+        let config = BatchSearchConfig::banked(radius, None, num_pes, num_banks, depth);
+        let (got, stats) = replay_batch(&trace, &config, &mut state);
+
+        let mut want = vec![Vec::new(); queries.len()];
+        let mut queues = vec![Vec::new(); split.num_subtrees()];
+        for (qi, &q) in queries.iter().enumerate() {
+            if let Some(s) = split.route_query(q, radius, &mut want[qi], &mut |_| {}) {
+                queues[s].push(qi);
+            }
+        }
+        let threshold = tree.height().saturating_sub(depth);
+        let mut expected = DrainCounters::default();
+        for (&root, queue) in split.subtree_roots().iter().zip(&queues) {
+            expected += reference_drain(
+                &tree, root, queue, &queries, radius, num_pes, num_banks, threshold, false,
+                &mut want,
+            );
+        }
+        for hits in &mut want {
+            finalize(hits, None);
+        }
+        prop_assert_eq!(stats.subtree, expected);
         prop_assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3};
 
-use crate::tree::{KdTree, NODE_BYTES};
+use crate::tree::{heap_level, KdTree, NODE_BYTES};
 
 /// Error building a [`SplitTree`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -371,7 +371,7 @@ impl<'a> SplitTree<'a> {
             let mut round_stalled = false;
             requests.clear();
             requests.extend(pe_state.iter().map(|s| s.map(|(_, idx)| idx)));
-            let honored = arbiter.arbitrate(self.tree, &requests);
+            let honored = arbiter.arbitrate(&requests);
             for (pe, slot) in pe_state.iter_mut().enumerate() {
                 let Some((qi, idx)) = *slot else { continue };
                 stats.attempts += 1;
@@ -533,11 +533,7 @@ impl TreeArbiter {
     /// wants to fetch (`None` = idle port). The returned slice lives in a
     /// buffer the arbiter recycles round to round, so the per-cycle inner
     /// loop performs no allocation.
-    pub(crate) fn arbitrate(
-        &mut self,
-        tree: &KdTree,
-        requests: &[Option<usize>],
-    ) -> &[Arbitration] {
+    pub(crate) fn arbitrate(&mut self, requests: &[Option<usize>]) -> &[Arbitration] {
         self.outcomes.clear();
         let Some(sram) = &mut self.sram else {
             // ideal SRAM: every request is honored (idle slots carry a
@@ -554,7 +550,7 @@ impl TreeArbiter {
         debug_assert!(requests
             .iter()
             .flatten()
-            .all(|&idx| { (idx >= self.min_elide_idx) == (tree.level_of(idx) >= self.threshold) }));
+            .all(|&idx| { (idx >= self.min_elide_idx) == (heap_level(idx) >= self.threshold) }));
         // single pass: the memsim round delivers each port's outcome (and
         // its bank's winner, already final under first-come arbitration)
         // through a sink, and the tree-shaped policy resolves it in
@@ -691,11 +687,13 @@ impl DrainScratch {
 /// cycle each active PE issues its stack-top node to `arbiter`, and
 /// losing fetches stall, elide, or reuse per the arbiter's policy.
 ///
-/// This is THE stage-2 simulation — [`SplitTree::batch_search`] and the
-/// banked [`SplitTree::search_batch`](crate::batch) both call it, which
-/// is what makes their conflict/round accounting identical whenever they
-/// are handed identical queues (property-tested in
-/// `tests/elision_unified.rs`).
+/// This is the live stage-2 simulation: [`SplitTree::batch_search`]
+/// calls it, and so does [`SplitTree::search_batch`](crate::batch) with
+/// descendant reuse on. Without reuse the wavefront replays a traced walk
+/// through the same arbiter rounds instead
+/// ([`replay_batch`](crate::replay_batch)). Either way the two drivers'
+/// conflict/round accounting is identical whenever they are handed
+/// identical queues (property-tested in `tests/elision_unified.rs`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drain_subtree_queue(
     tree: &KdTree,
@@ -732,7 +730,7 @@ pub(crate) fn drain_subtree_queue(
         let mut round_stalled = false;
         tops.clear();
         tops.extend(stacks.iter().map(|s| s.last().copied()));
-        let honored = arbiter.arbitrate(tree, tops);
+        let honored = arbiter.arbitrate(tops);
         for pe in 0..num_pes {
             let Some(qi) = pe_query[pe] else { continue };
             let Some(idx) = tops[pe] else { continue };

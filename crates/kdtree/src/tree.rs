@@ -252,7 +252,7 @@ impl KdTree {
     /// The depth (level) of heap slot `idx`; the root is level 0.
     #[inline]
     pub fn level_of(&self, idx: usize) -> usize {
-        (usize::BITS as usize) - (idx + 1).leading_zeros() as usize - 1
+        heap_level(idx)
     }
 
     /// Byte address of node `idx` in the accelerator's flat DRAM image.
@@ -291,22 +291,7 @@ impl KdTree {
 
     /// Number of nodes in the sub-tree rooted at heap slot `root`.
     pub fn subtree_len(&self, root: usize) -> usize {
-        let n = self.points.len();
-        if root >= n {
-            return 0;
-        }
-        let mut count = 0;
-        let mut level_first = root;
-        let mut level_width = 1usize;
-        loop {
-            if level_first >= n {
-                break;
-            }
-            count += (level_first + level_width).min(n) - level_first;
-            level_first = 2 * level_first + 1;
-            level_width *= 2;
-        }
-        count
+        heap_subtree_len(self.points.len(), root)
     }
 
     /// Verifies the K-d ordering invariant (debug aid / test hook): every
@@ -345,6 +330,28 @@ impl KdTree {
         }
         self.is_empty() || check(self, 0)
     }
+}
+
+/// The level of heap slot `idx` (the root is level 0): heap arithmetic,
+/// the same in every tree.
+#[inline]
+pub(crate) fn heap_level(idx: usize) -> usize {
+    (usize::BITS as usize) - (idx + 1).leading_zeros() as usize - 1
+}
+
+/// Number of nodes beneath (and including) heap slot `root` of an
+/// `n`-node heap: heap arithmetic, so a search replay can count the
+/// nodes an elision skips without the tree.
+pub(crate) fn heap_subtree_len(n: usize, root: usize) -> usize {
+    let mut count = 0;
+    let mut level_first = root;
+    let mut level_width = 1usize;
+    while level_first < n {
+        count += (level_first + level_width).min(n) - level_first;
+        level_first = 2 * level_first + 1;
+        level_width *= 2;
+    }
+    count
 }
 
 /// Height of a complete tree with `n` nodes.

@@ -8,14 +8,17 @@
 //! [`ScenarioGen`] streams: a search-and-aggregation output shared the
 //! way the explorer shares it (per distinct tree sequence), composed
 //! under random maintenance / DRAM-bandwidth / aggregation-elision
-//! points, equals a direct `run_frame_stream` field for field.
+//! points, equals a direct `run_frame_stream` field for field. Another
+//! pins the explorer's search-key collapses: a traced stream replayed
+//! under any (PEs, banks, `h_e`) equals the live search, and a 1-PE
+//! stream does not depend on banks or `h_e`.
 
 use proptest::prelude::*;
 
 use crescent::accel::{
-    aggregate_stream, compose_stream, maintain_tree_sequence, run_frame_stream, search_stream,
-    AcceleratorConfig, MaintainedTree, MaintenanceCost, StreamSearchConfig, TreeMaintenance,
-    PE_PIPELINE_DEPTH,
+    aggregate_stream, compose_stream, maintain_tree_sequence, replay_stream, run_frame_stream,
+    search_stream, trace_stream, AcceleratorConfig, MaintainedTree, MaintenanceCost,
+    StreamSearchConfig, TreeMaintenance, PE_PIPELINE_DEPTH,
 };
 use crescent::kdtree::{KdTree, RefitConfig, RefitOutcome};
 use crescent::pointcloud::{Point3, PointCloud};
@@ -243,6 +246,52 @@ proptest! {
             prop_assert_eq!(composed.pipelined_cycles, direct.pipelined_cycles);
             prop_assert_eq!(composed.serial_cycles, direct.serial_cycles);
             prop_assert_eq!(composed.overlapped_build_cycles, direct.overlapped_build_cycles);
+        }
+    }
+
+    /// The explorer's search-key collapses on `ScenarioGen` streams:
+    /// without descendant reuse, one trace per tree sequence and `h_t`
+    /// replays to the live search's neighbor sets and `FrameSearch`
+    /// records under every (PEs, banks, `h_e`); and with one PE, neither
+    /// banks nor `h_e` reach those outputs (with or without reuse).
+    #[test]
+    fn replays_and_one_pe_streams_equal_the_live_search(
+        cfg in small_streams(),
+        top_height in 1usize..7,
+        knobs in prop::collection::vec((1usize..9, 0usize..4, 0usize..9), 1..4),
+    ) {
+        let frames: Vec<Frame> = FrameStream::new(&cfg).collect();
+        let clouds: Vec<&PointCloud> = frames.iter().map(|f| &f.cloud).collect();
+        let inputs: Vec<(&PointCloud, &[Point3])> =
+            frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
+        let trees = maintain_tree_sequence(&clouds, TreeMaintenance::RebuildEveryFrame, top_height);
+        let reuse = cfg.scenario.descendant_reuse();
+        let traces = trace_stream(&inputs, &trees, cfg.radius, top_height);
+        let setup = |pes: usize, log_banks: usize, elision_depth: usize| {
+            let config = AcceleratorConfig::builder()
+                .num_pes(pes)
+                .tree_banks(1 << log_banks)
+                .build()
+                .expect("valid accelerator config");
+            let search = StreamSearchConfig {
+                radius: cfg.radius,
+                max_neighbors: cfg.max_neighbors,
+                maintenance: TreeMaintenance::RebuildEveryFrame,
+                elision_depth,
+                descendant_reuse: reuse,
+            };
+            (search, config)
+        };
+        let (search, config) = setup(1, 0, 0);
+        let one_pe = search_stream(&inputs, &trees, &search, top_height, &config);
+        for (pes, log_banks, elision_depth) in knobs {
+            let (search, config) = setup(pes, log_banks, elision_depth);
+            let live = search_stream(&inputs, &trees, &search, top_height, &config);
+            if !reuse {
+                prop_assert_eq!(&replay_stream(&traces, &search, &config), &live);
+            }
+            let (search, config) = setup(1, log_banks, elision_depth);
+            prop_assert_eq!(search_stream(&inputs, &trees, &search, top_height, &config), one_pe.clone());
         }
     }
 }
