@@ -6,7 +6,7 @@
 //! MACs, gather fetches) divided by effective throughputs, with per-event
 //! energies calibrated so the end-to-end ratios land near the paper's
 //! (GPU ≈ 38× Mesorasi energy, Tigris+GPU ≈ 25×; both are far slower than
-//! the accelerators). The calibration is recorded in EXPERIMENTS.md.
+//! the accelerators).
 
 use serde::{Deserialize, Serialize};
 

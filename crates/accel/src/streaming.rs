@@ -642,8 +642,8 @@ pub fn trace_stream(
 ///
 /// # Panics
 ///
-/// Panics if `search.descendant_reuse` is set: that model needs the live
-/// drain of [`search_stream`].
+/// Panics if `search.descendant_reuse` is set: that model splices walks
+/// from the trees [`search_stream`] reads.
 pub fn replay_stream(
     traces: &[BatchTrace],
     search: &StreamSearchConfig,

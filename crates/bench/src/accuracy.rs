@@ -3,8 +3,7 @@
 //! Knob scaling: the paper's clouds build K-d trees of height ~11–14, so
 //! it quotes `h_t = 4`, `h_e = 12`. Our accuracy clouds are smaller
 //! (trees of height ~8–9), so the equivalent operating point is
-//! `h_t = 4`, `h_e = 6` — the same *relative* depth. EXPERIMENTS.md
-//! records the mapping per figure.
+//! `h_t = 4`, `h_e = 6` — the same *relative* depth.
 
 use crescent::accel::{run_network, AcceleratorConfig, CrescentKnobs, NetworkSpec, Variant};
 use crescent::models::{

@@ -8,13 +8,14 @@ use crescent_pointcloud::datasets::{generate_scene, LidarScene, LidarSceneConfig
 use crescent_pointcloud::PointCloud;
 
 /// Experiment scale. `Quick` shrinks the workloads so the full suite runs
-/// in minutes; `Full` uses the paper-scale workloads documented in
-/// EXPERIMENTS.md. Trends are scale-stable (see `tests/scale.rs`).
+/// in minutes; `Full` uses the paper-scale workloads. Trends are
+/// scale-stable (see `speedup_trend_is_scale_stable` in
+/// `tests/end_to_end.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Shrunk workloads for smoke runs and CI.
     Quick,
-    /// The defaults recorded in EXPERIMENTS.md.
+    /// The paper-scale defaults.
     Full,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Each paper figure has a function returning a [`Figure`] (id, caption,
 //! columns, rows); the `repro` binary prints them, and the integration
-//! tests assert their shapes. See EXPERIMENTS.md for the paper-vs-measured
-//! record and DESIGN.md for the experiment → module map.
+//! tests assert their shapes. The README's "Reproducing paper figures"
+//! section says how to run them and which figures are byte-gated.
 
 #![warn(missing_docs)]
 

@@ -37,19 +37,22 @@
 //! dropped together with its subtree. A query's stage-2 visit order is
 //! therefore fixed by geometry: every (PEs, banks, `h_e`) config visits
 //! a subsequence of one preorder walk, and an elision skips one
-//! contiguous span of it. The search is split on that line:
-//! [`SplitTree::trace_batch`] records the config-free part once (the
-//! stage-1 wavefront outcome and each queued query's walk, 16 bytes per
-//! visited node), and [`replay_batch`] runs the same `TreeArbiter` rounds
-//! over the [`BatchTrace`] per config without reading the tree. An
-//! honored fetch moves the PE to the next step, a stalled one stays, and
-//! an elided one jumps to the end of the node's traced span.
+//! contiguous span of it. The one stage-2 drain (in `split.rs`) moves a
+//! cursor per PE over such walks: an honored fetch moves to the next
+//! step, a stalled one stays, and an elided one jumps to the end of the
+//! node's span. It reads the walks from one of two sources:
 //!
-//! [`SplitTree::search_batch`] with descendant reuse off traces and
-//! replays one sub-tree queue at a time. Descendant reuse can continue
-//! beneath a node the trace pruned, so with it on the search runs the
-//! live `drain_subtree_queue`; so does the per-query engine
-//! ([`SplitTree::batch_search`]).
+//! * **The tree.** [`SplitTree::search_batch`] (like the per-query
+//!   [`SplitTree::batch_search`]) has each PE walk its query when it
+//!   picks the query up, so a drain holds `num_pes` walks. A descendant
+//!   reuse splices the loser's walk to continue beneath the winner's
+//!   node.
+//! * **A trace.** [`SplitTree::trace_batch`] records the config-free
+//!   part of a batch once (the stage-1 wavefront outcome and each queued
+//!   query's walk, 16 bytes per visited node), and [`replay_batch`]
+//!   drains the [`BatchTrace`] per config without reading the tree. A
+//!   trace has no tree to splice from, so the replay rejects descendant
+//!   reuse.
 //!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
 //! descent state forward: the wavefront and per-sub-tree queue allocations
@@ -61,9 +64,10 @@
 use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
 use crate::split::{
-    drain_subtree_queue, finalize, Arbitration, DrainCounters, DrainScratch, SplitTree, TreeArbiter,
+    drain_queue, drain_subtree_queue, finalize, walk, Cursor, DrainCounters, DrainScratch,
+    SplitTree, TraceStep, TreeArbiter, WalkSource,
 };
-use crate::tree::{heap_subtree_len, KdTree, NODE_BYTES};
+use crate::tree::NODE_BYTES;
 
 /// Reusable state for [`SplitTree::search_batch`] (and for
 /// [`SplitTree::trace_batch`] and [`replay_batch`]), designed to live
@@ -87,11 +91,9 @@ pub struct BatchState {
     assignments: Vec<Option<usize>>,
     /// Assignments of the batch before that (previous frame).
     prev_assignments: Vec<Option<usize>>,
-    /// Stage-2 drain scratch (per-PE traversal stacks), recycled across
-    /// sub-tree queues and frames.
-    drain: DrainScratch,
-    /// Stage-2 replay scratch (per-PE walk cursors), likewise recycled.
-    replay: ReplayScratch,
+    /// Stage-2 drain scratch (per-PE walk cursors and walk buffers),
+    /// recycled across sub-tree queues and frames.
+    replay: DrainScratch,
     /// Number of batches searched or replayed through this state.
     frames: usize,
 }
@@ -247,11 +249,10 @@ impl SplitTree<'_> {
     ///   subset of the exact ones (approximation is always subtractive)
     ///   and the stage-2 rounds ([`BatchSearchStats::subtree`]) shrink.
     ///
-    /// Stage 2 differs by model. With descendant reuse off, each sub-tree
-    /// queue's walks are traced ([`SplitTree::trace_batch`] per queue)
-    /// and replayed ([`replay_batch`] per queue), so the walk buffer only
-    /// ever holds one queue. With it on, stage 2 runs the live drain,
-    /// because a reused fetch can continue beneath a node a trace pruned.
+    /// Stage 2 drains each sub-tree queue from the tree: a PE records its
+    /// query's walk when it picks the query up, so the drain holds
+    /// `num_pes` walks at a time, and a descendant reuse splices the walk
+    /// beneath the winner's node into it.
     ///
     /// Pass the same `state` across the frames of a stream to recycle its
     /// buffers and obtain the cross-frame
@@ -272,43 +273,19 @@ impl SplitTree<'_> {
         // ---- stage 2: search confined to each assigned sub-tree ----
         // depth-from-leaves h_e -> the engine's level threshold
         let threshold = tree.height().saturating_sub(config.elision_depth);
-        let reuse = config.descendant_reuse;
-        let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, reuse);
-        let r2 = config.radius * config.radius;
-        // one queue's walks at a time, in a buffer this call drops: a
-        // state kept per fleet instance does not hold one each
-        let mut walks = Walks::default();
-        let BatchState { queues, drain, replay, .. } = state;
-        for (&root, queue) in self.subtree_roots().iter().zip(queues.iter()) {
-            if queue.is_empty() {
-                continue;
-            }
-            stats.subtree += if reuse {
-                drain_subtree_queue(
-                    tree,
-                    root,
-                    queue,
-                    queries,
-                    config.radius,
-                    config.num_pes,
-                    &mut arbiter,
-                    drain,
-                    &mut results,
-                )
-            } else {
-                walks.clear();
-                walks.record(tree, root, queue, queries, r2);
-                replay_queue(
-                    &walks,
-                    0..queue.len(),
-                    r2,
-                    tree.len(),
-                    config.num_pes,
-                    &mut arbiter,
-                    replay,
-                    &mut results,
-                )
-            };
+        let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, config.descendant_reuse);
+        for (&root, queue) in self.subtree_roots().iter().zip(&state.queues) {
+            stats.subtree += drain_subtree_queue(
+                tree,
+                root,
+                queue,
+                queries,
+                config.radius,
+                config.num_pes,
+                &mut arbiter,
+                &mut state.replay,
+                &mut results,
+            );
         }
         for hits in &mut results {
             finalize(hits, config.max_neighbors);
@@ -343,10 +320,15 @@ impl SplitTree<'_> {
         trace.stats =
             self.route_wavefront(queries, radius, state, |qi, n| top_hits.push((qi as u32, n)));
         let r2 = radius * radius;
+        let walks = &mut trace.walks;
         for (&root, queue) in self.subtree_roots().iter().zip(&state.queues) {
             if !queue.is_empty() {
-                trace.walks.record(tree, root, queue, queries, r2);
-                trace.queue_ends.push(trace.walks.queued.len() as u32);
+                for &qi in queue {
+                    walks.queued.push(qi as u32);
+                    walk(tree, root, queries[qi], r2, &mut walks.steps);
+                    walks.ends.push(walks.steps.len() as u32);
+                }
+                trace.queue_ends.push(walks.queued.len() as u32);
             }
         }
         trace
@@ -469,54 +451,6 @@ impl SplitTree<'_> {
     }
 }
 
-/// Appends `q`'s stage-2 walk beneath heap slot `idx` to `steps` in the
-/// order the drain visits it when no fetch is elided: the node, its near
-/// subtree, then its far subtree if the split plane lies within the
-/// radius. The drain prunes on the radius alone, so this order is fixed
-/// by geometry and each node's traced subtree is the contiguous span up
-/// to its `end`.
-fn walk(tree: &KdTree, idx: usize, q: Point3, r2: f32, steps: &mut Vec<TraceStep>) {
-    let at = steps.len();
-    let point = tree.point_of(idx);
-    let dist2 = point.dist2(q);
-    steps.push(TraceStep {
-        node: idx as u32,
-        end: 0,
-        dist2,
-        index: tree.point_index_of(idx) as u32,
-    });
-    let axis = tree.axis_of(idx);
-    let delta = q.coord(axis) - point.coord(axis);
-    let (near, far) = if delta <= 0.0 {
-        (tree.left(idx), tree.right(idx))
-    } else {
-        (tree.right(idx), tree.left(idx))
-    };
-    if let Some(n) = near {
-        walk(tree, n, q, r2, steps);
-    }
-    if delta * delta <= r2 {
-        if let Some(f) = far {
-            walk(tree, f, q, r2, steps);
-        }
-    }
-    steps[at].end = steps.len() as u32;
-}
-
-/// One node of a traced stage-2 walk (16 bytes).
-#[derive(Clone, Copy, Debug)]
-struct TraceStep {
-    /// Heap slot of the node: the tree-buffer address the PE requests.
-    node: u32,
-    /// Offset in [`Walks::steps`] just past this node's traced subtree:
-    /// where the walk resumes when the fetch is elided.
-    end: u32,
-    /// Squared distance from the query to the node's point.
-    dist2: f32,
-    /// The node's original point index.
-    index: u32,
-}
-
 /// The traced stage-2 walks of queued queries, queue after queue.
 #[derive(Clone, Debug, Default)]
 struct Walks {
@@ -527,24 +461,6 @@ struct Walks {
     ends: Vec<u32>,
     /// The walks, in `queued` order.
     steps: Vec<TraceStep>,
-}
-
-impl Walks {
-    fn clear(&mut self) {
-        self.queued.clear();
-        self.ends.clear();
-        self.steps.clear();
-    }
-
-    /// Appends the walks of `queue`'s queries beneath sub-tree root
-    /// `root`.
-    fn record(&mut self, tree: &KdTree, root: usize, queue: &[usize], queries: &[Point3], r2: f32) {
-        for &qi in queue {
-            self.queued.push(qi as u32);
-            walk(tree, root, queries[qi], r2, &mut self.steps);
-            self.ends.push(self.steps.len() as u32);
-        }
-    }
 }
 
 /// One batch's search geometry, recorded once by
@@ -581,46 +497,25 @@ impl BatchTrace {
     }
 }
 
-/// One PE's place in a replayed walk.
-#[derive(Clone, Copy, Debug)]
-struct Cursor {
-    query: usize,
-    /// The step the PE requests next.
-    at: usize,
-    /// One past the walk's last step.
-    end: usize,
-}
-
-/// Reusable scratch of [`replay_batch`]: each PE's cursor and the
-/// per-round request snapshot.
-#[derive(Debug, Default)]
-struct ReplayScratch {
-    pes: Vec<Option<Cursor>>,
-    tops: Vec<Option<usize>>,
-}
-
 /// Arbitrates a [`BatchTrace`] under `config`'s PEs, banks and `h_e`:
 /// the geometry-free half of [`SplitTree::search_batch`], with results
 /// and [`BatchSearchStats`] bit-identical to it.
 ///
-/// Each sub-tree queue drains in lock step through the same
-/// `TreeArbiter` rounds as the live drain. An honored fetch moves its PE
-/// to the next traced step, a stalled one stays, and an elided one jumps
-/// to the end of the node's traced subtree; the skipped node count comes
-/// from heap arithmetic. The trace is only read, so one trace serves any
-/// number of configs.
+/// Each sub-tree queue runs through the one stage-2 drain, with the
+/// trace's walks as its walk source instead of the tree. The trace is
+/// only read, so one trace serves any number of configs.
 ///
 /// # Panics
 ///
 /// Panics if `config.descendant_reuse` is set: a reused fetch can
 /// continue beneath a node the trace pruned, so that model needs the
-/// live drain of [`SplitTree::search_batch`].
+/// tree [`SplitTree::search_batch`] walks.
 pub fn replay_batch(
     trace: &BatchTrace,
     config: &BatchSearchConfig,
     state: &mut BatchState,
 ) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
-    assert!(!config.descendant_reuse, "descendant reuse needs the live drain");
+    assert!(!config.descendant_reuse, "descendant reuse needs the tree, not a trace");
     debug_assert_eq!(config.radius.to_bits(), trace.radius.to_bits(), "one radius per trace");
     let mut stats = trace.stats.clone();
     stats.frame_index = state.frames;
@@ -632,19 +527,21 @@ pub fn replay_batch(
     let threshold = trace.height.saturating_sub(config.elision_depth);
     let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, false);
     let r2 = trace.radius * trace.radius;
-    let mut first = 0;
+    let DrainScratch { pes, tops, .. } = &mut state.replay;
+    let mut next = 0;
     for &end in &trace.queue_ends {
-        stats.subtree += replay_queue(
-            &trace.walks,
-            first..end as usize,
+        let mut queue = TracedQueue { walks: &trace.walks, next, end: end as usize };
+        stats.subtree += drain_queue(
+            &mut queue,
             r2,
             trace.nodes,
             config.num_pes,
             &mut arbiter,
-            &mut state.replay,
+            pes,
+            tops,
             &mut results,
         );
-        first = end as usize;
+        next = end as usize;
     }
     for hits in &mut results {
         finalize(hits, config.max_neighbors);
@@ -652,97 +549,36 @@ pub fn replay_batch(
     (results, stats)
 }
 
-/// The lock-step drain of one traced sub-tree queue (`queue` indexes
-/// [`Walks::queued`]) of an `nodes`-node tree: `drain_subtree_queue`
-/// with each PE's stack replaced by a cursor into its query's walk.
-#[allow(clippy::too_many_arguments)]
-fn replay_queue(
-    walks: &Walks,
-    queue: std::ops::Range<usize>,
-    r2: f32,
-    nodes: usize,
-    num_pes: usize,
-    arbiter: &mut TreeArbiter,
-    scratch: &mut ReplayScratch,
-    results: &mut [Vec<Neighbor>],
-) -> DrainCounters {
-    let mut out = DrainCounters::default();
-    let ReplayScratch { pes, tops } = scratch;
-    pes.clear();
-    pes.resize(num_pes.max(1), None);
-    let mut next = queue.start;
-    let mut active = 0;
-    loop {
-        for pe in pes.iter_mut().filter(|pe| pe.is_none()) {
-            if next == queue.end {
-                break;
-            }
-            let at = if next == 0 { 0 } else { walks.ends[next - 1] as usize };
-            let end = walks.ends[next] as usize;
-            *pe = Some(Cursor { query: walks.queued[next] as usize, at, end });
-            next += 1;
-            active += 1;
+/// One traced sub-tree queue as a walk source: the queries
+/// `walks.queued[next..end]` in arrival order, every PE reading the
+/// shared steps.
+struct TracedQueue<'a> {
+    walks: &'a Walks,
+    next: usize,
+    end: usize,
+}
+
+impl WalkSource for TracedQueue<'_> {
+    fn pick_up(&mut self, _: usize) -> Option<Cursor> {
+        if self.next == self.end {
+            return None;
         }
-        if active == 0 {
-            return out;
-        }
-        if active == 1 {
-            // a lone requester wins every round until its walk ends (no
-            // PE can be refilled before then: either there is one PE or
-            // the queue is empty), so its rounds need no arbitration
-            let pe = pes.iter_mut().find(|pe| pe.is_some()).expect("one PE is active");
-            let cursor = pe.take().expect("one PE is active");
-            let rest = &walks.steps[cursor.at..cursor.end];
-            out.rounds += rest.len();
-            out.attempts += rest.len();
-            out.visits += rest.len();
-            results[cursor.query].extend(
-                rest.iter()
-                    .filter(|step| step.dist2 <= r2)
-                    .map(|step| Neighbor { index: step.index as usize, dist2: step.dist2 }),
-            );
-            active = 0;
-            continue;
-        }
-        out.rounds += 1;
-        tops.clear();
-        tops.extend(pes.iter().map(|pe| pe.map(|c| walks.steps[c.at].node as usize)));
-        let mut round_stalled = false;
-        for (pe, outcome) in pes.iter_mut().zip(arbiter.arbitrate(tops)) {
-            let Some(cursor) = pe else { continue };
-            let step = walks.steps[cursor.at];
-            out.attempts += 1;
-            match outcome {
-                Arbitration::Honored => {
-                    out.visits += 1;
-                    if step.dist2 <= r2 {
-                        results[cursor.query]
-                            .push(Neighbor { index: step.index as usize, dist2: step.dist2 });
-                    }
-                    cursor.at += 1;
-                }
-                Arbitration::Stalled => {
-                    out.conflicts += 1;
-                    out.stalls += 1;
-                    round_stalled = true;
-                }
-                Arbitration::Elided => {
-                    // drop the node and its traced subtree
-                    out.conflicts += 1;
-                    out.elided += 1;
-                    out.skipped += heap_subtree_len(nodes, step.node as usize);
-                    cursor.at = step.end as usize;
-                }
-                Arbitration::Reused(_) => unreachable!("the replay arbiter never reuses"),
-            }
-            if cursor.at == cursor.end {
-                *pe = None;
-                active -= 1;
-            }
-        }
-        if round_stalled {
-            out.stall_rounds += 1;
-        }
+        let at = if self.next == 0 { 0 } else { self.walks.ends[self.next - 1] as usize };
+        let cursor = Cursor {
+            query: self.walks.queued[self.next] as usize,
+            at,
+            end: self.walks.ends[self.next] as usize,
+        };
+        self.next += 1;
+        Some(cursor)
+    }
+
+    fn steps(&self, _: usize) -> &[TraceStep] {
+        &self.walks.steps
+    }
+
+    fn splice(&mut self, _: usize, _: &mut Cursor, _: usize) {
+        unreachable!("a trace carries no tree to splice a reused walk from")
     }
 }
 

@@ -10,12 +10,15 @@
 //! * [`SplitTree`] — the paper's two-level top-tree/sub-tree structure with
 //!   the fully-streaming two-stage search (Sec 3) and the lock-step
 //!   bank-conflict elision model (Sec 4), whose counts both search
-//!   drivers keep in one [`DrainCounters`] record per stage;
+//!   drivers keep in one [`DrainCounters`] record per stage. Stage 2 has
+//!   one simulator: a drain that moves each PE's cursor over its query's
+//!   radius-pruned walk, read from the tree or from a [`BatchTrace`],
+//!   with descendant reuse splicing a walk;
 //! * [`batch`] — the batched two-stage search ([`SplitTree::search_batch`])
 //!   that amortizes top-tree fetches across a query batch, reuses its
 //!   descent state across the frames of a stream ([`BatchState`]), and
-//!   drains each sub-tree queue through the same banked-arbitration model
-//!   as `batch_search` (conflicts stall or are elided per the
+//!   drains each sub-tree queue through the same drain as
+//!   `batch_search` (conflicts stall or are elided per the
 //!   depth-from-leaves `h_e` knob of [`BatchSearchConfig`]); its
 //!   config-free geometry can be recorded once
 //!   ([`SplitTree::trace_batch`], a [`BatchTrace`]) and arbitrated per

@@ -19,13 +19,20 @@
 //!   depth-from-leaves form (`height − h_e`, see
 //!   [`BatchSearchConfig::elision_depth`](crate::BatchSearchConfig)); both forms drive the one
 //!   shared arbitration implementation (`TreeArbiter`, in this module).
+//!
+//! Stage 2 has one simulator, `drain_queue`: a cursor per PE over its
+//! query's radius-pruned preorder walk, read from the tree as each PE
+//! picks a query up (`drain_subtree_queue`, both search drivers) or from
+//! a [`BatchTrace`](crate::BatchTrace). A descendant reuse splices the
+//! loser's walk to continue beneath the winner's node, so it needs the
+//! tree source.
 
 use serde::{Deserialize, Serialize};
 
 use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3};
 
-use crate::tree::{heap_level, KdTree, NODE_BYTES};
+use crate::tree::{heap_level, heap_subtree_len, KdTree, NODE_BYTES};
 
 /// Error building a [`SplitTree`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,10 +284,10 @@ impl<'a> SplitTree<'a> {
     ///
     /// Queries are routed in stage 1, grouped per sub-tree, and each
     /// sub-tree's queue is processed `config.num_pes` queries at a time.
-    /// Every simulated cycle, each active PE issues a fetch for its
-    /// stack-top node; fetches that lose bank arbitration either **stall**
-    /// (node level < `h_e`) or are **elided** (level ≥ `h_e`), skipping the
-    /// node and the whole subtree beneath it.
+    /// Every simulated cycle, each active PE issues a fetch for the next
+    /// node of its query's walk; fetches that lose bank arbitration
+    /// either **stall** (node level < `h_e`) or are **elided** (level ≥
+    /// `h_e`), skipping the node and the whole subtree beneath it.
     ///
     /// Returns one neighbor list per query plus the aggregate statistics.
     pub fn batch_search(
@@ -450,9 +457,9 @@ impl<'a> SplitTree<'a> {
 }
 
 /// The lock-step tree-buffer arbiter shared by *every* timing path that
-/// fetches tree nodes — the per-query engine model
-/// ([`SplitTree::batch_search`]) and the streaming wavefront
-/// ([`SplitTree::search_batch`](crate::batch)) route their node fetches
+/// fetches tree nodes: stage 1 of the per-query engine model
+/// ([`SplitTree::batch_search`]) and the one stage-2 drain, whether its
+/// walks come from the tree or from a trace, route their node fetches
 /// through this one implementation, so "one unified timing model" is a
 /// structural property, not a testing aspiration.
 ///
@@ -529,6 +536,15 @@ impl TreeArbiter {
         self.sram.as_ref().map(|s| *s.counters())
     }
 
+    /// Books `rounds` rounds of one lone request each, all granted: a lone
+    /// requester wins every round, so the drain skips arbitrating them but
+    /// the [`BankedSram`] counters still see them.
+    pub(crate) fn grant_uncontended(&mut self, rounds: usize) {
+        if let Some(sram) = &mut self.sram {
+            sram.grant_uncontended(rounds as u64);
+        }
+    }
+
     /// Arbitrates one lock-step round. `requests[pe]` is the node each PE
     /// wants to fetch (`None` = idle port). The returned slice lives in a
     /// buffer the arbiter recycles round to round, so the per-cycle inner
@@ -596,9 +612,10 @@ impl TreeArbiter {
 }
 
 /// The lock-step arbitration counters of one search stage — the one
-/// record both drivers keep them in. The shared stage-2 drain returns one
-/// per sub-tree queue; [`SplitTree::batch_search`] keeps a stage-1 and a
-/// stage-2 block ([`SplitSearchStats`]), and the wavefront
+/// record both drivers keep them in. The one stage-2 drain returns one
+/// per sub-tree queue, whichever source its walks come from;
+/// [`SplitTree::batch_search`] keeps a stage-1 and a stage-2 block
+/// ([`SplitSearchStats`]), and the wavefront
 /// [`SplitTree::search_batch`](crate::batch) keeps a stage-2 block
 /// ([`BatchSearchStats::subtree`](crate::BatchSearchStats)). Fed the same
 /// queues, the two drivers' stage-2 blocks are equal as whole records
@@ -656,44 +673,141 @@ impl std::ops::AddAssign for DrainCounters {
     }
 }
 
-/// Reusable scratch of [`drain_subtree_queue`]: the per-PE traversal
-/// stacks and per-round request snapshot. Owned by the caller and reused
-/// across sub-tree queues — and, via
-/// [`BatchState`](crate::BatchState), across the frames of a stream — so
-/// the stage-2 inner loop performs no steady-state allocation.
-#[derive(Debug, Default)]
-pub(crate) struct DrainScratch {
-    pe_query: Vec<Option<usize>>,
-    stacks: Vec<Vec<usize>>,
-    tops: Vec<Option<usize>>,
+/// Appends `q`'s stage-2 walk beneath heap slot `idx` to `steps` in the
+/// order the drain visits it when no fetch is elided: the node, its near
+/// subtree, then its far subtree if the split plane lies within the
+/// radius. The drain prunes on the radius alone, so this order is fixed
+/// by geometry and each node's walked subtree is the contiguous span up
+/// to its `end`.
+pub(crate) fn walk(tree: &KdTree, idx: usize, q: Point3, r2: f32, steps: &mut Vec<TraceStep>) {
+    let at = steps.len();
+    let point = tree.point_of(idx);
+    let dist2 = point.dist2(q);
+    steps.push(TraceStep {
+        node: idx as u32,
+        end: 0,
+        dist2,
+        index: tree.point_index_of(idx) as u32,
+    });
+    let axis = tree.axis_of(idx);
+    let delta = q.coord(axis) - point.coord(axis);
+    let (near, far) = if delta <= 0.0 {
+        (tree.left(idx), tree.right(idx))
+    } else {
+        (tree.right(idx), tree.left(idx))
+    };
+    if let Some(n) = near {
+        walk(tree, n, q, r2, steps);
+    }
+    if delta * delta <= r2 {
+        if let Some(f) = far {
+            walk(tree, f, q, r2, steps);
+        }
+    }
+    steps[at].end = steps.len() as u32;
 }
 
-impl DrainScratch {
-    /// Empties the scratch for a new queue while keeping the per-PE stack
-    /// allocations alive.
-    fn reset(&mut self, num_pes: usize) {
-        self.pe_query.clear();
-        self.pe_query.resize(num_pes, None);
-        for s in &mut self.stacks {
-            s.clear();
-        }
-        self.stacks.resize_with(num_pes, Vec::new);
-        self.tops.clear();
+/// One node of a stage-2 walk (16 bytes).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TraceStep {
+    /// Heap slot of the node: the tree-buffer address the PE requests.
+    node: u32,
+    /// Offset just past this node's walked subtree in the walk's buffer:
+    /// where the walk resumes when the fetch is elided.
+    end: u32,
+    /// Squared distance from the query to the node's point.
+    dist2: f32,
+    /// The node's original point index.
+    index: u32,
+}
+
+/// One PE's place in its query's walk.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cursor {
+    /// The query the PE serves.
+    pub(crate) query: usize,
+    /// The step the PE requests next.
+    pub(crate) at: usize,
+    /// One past the walk's last step.
+    pub(crate) end: usize,
+}
+
+/// Where the stage-2 drain reads each PE's walk: the tree, walked when a
+/// PE picks its query up (`drain_subtree_queue`), or the walks a
+/// [`BatchTrace`](crate::BatchTrace) recorded
+/// ([`replay_batch`](crate::replay_batch)). The drain is generic over
+/// it, so neither source pays a per-step dispatch.
+pub(crate) trait WalkSource {
+    /// Hands PE `pe` the next queued query: the query and the span of its
+    /// walk in [`Self::steps`]`(pe)`, or `None` once the queue is drained.
+    fn pick_up(&mut self, pe: usize) -> Option<Cursor>;
+    /// The steps PE `pe`'s cursor indexes.
+    fn steps(&self, pe: usize) -> &[TraceStep];
+    /// Descendant reuse: replaces the span of the step at `cursor.at`
+    /// with the query's walk beneath `w`, a node under it.
+    fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize);
+}
+
+/// The tree as a walk source: each PE records its query's walk beneath
+/// `root` into its own buffer when it picks the query up, so a drain
+/// holds `num_pes` walks, never a whole queue's.
+struct TreeWalks<'a> {
+    tree: &'a KdTree,
+    root: usize,
+    queue: std::slice::Iter<'a, usize>,
+    queries: &'a [Point3],
+    r2: f32,
+    walks: &'a mut [Vec<TraceStep>],
+    tail: &'a mut Vec<TraceStep>,
+}
+
+impl WalkSource for TreeWalks<'_> {
+    fn pick_up(&mut self, pe: usize) -> Option<Cursor> {
+        let &query = self.queue.next()?;
+        let steps = &mut self.walks[pe];
+        steps.clear();
+        walk(self.tree, self.root, self.queries[query], self.r2, steps);
+        Some(Cursor { query, at: 0, end: steps.len() })
+    }
+
+    fn steps(&self, pe: usize) -> &[TraceStep] {
+        &self.walks[pe]
+    }
+
+    fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
+        let steps = &mut self.walks[pe];
+        let span_end = steps[cursor.at].end as usize;
+        self.tail.clear();
+        self.tail.extend_from_slice(&steps[span_end..]);
+        steps.truncate(cursor.at);
+        walk(self.tree, w, self.queries[cursor.query], self.r2, steps);
+        // the rest of the walk moves by the span's change in length
+        let start = steps.len();
+        steps.extend(
+            self.tail
+                .iter()
+                .map(|s| TraceStep { end: (s.end as usize - span_end + start) as u32, ..*s }),
+        );
+        cursor.end = steps.len();
     }
 }
 
-/// Drains one sub-tree's query queue in lock-step: idle PEs pull the next
-/// queued query and traverse independently (own stack), every simulated
-/// cycle each active PE issues its stack-top node to `arbiter`, and
-/// losing fetches stall, elide, or reuse per the arbiter's policy.
-///
-/// This is the live stage-2 simulation: [`SplitTree::batch_search`]
-/// calls it, and so does [`SplitTree::search_batch`](crate::batch) with
-/// descendant reuse on. Without reuse the wavefront replays a traced walk
-/// through the same arbiter rounds instead
-/// ([`replay_batch`](crate::replay_batch)). Either way the two drivers'
-/// conflict/round accounting is identical whenever they are handed
-/// identical queues (property-tested in `tests/elision_unified.rs`).
+/// Reusable scratch of the stage-2 drain: each PE's cursor, the
+/// per-round request snapshot and, for the tree source, each PE's walk.
+/// Reused across sub-tree queues and, via
+/// [`BatchState`](crate::BatchState), across the frames of a stream.
+#[derive(Debug, Default)]
+pub(crate) struct DrainScratch {
+    pub(crate) pes: Vec<Option<Cursor>>,
+    pub(crate) tops: Vec<Option<usize>>,
+    walks: Vec<Vec<TraceStep>>,
+    /// The rest of a walk behind a spliced span.
+    tail: Vec<TraceStep>,
+}
+
+/// Drains one sub-tree's query queue from the tree: the short entry to
+/// [`drain_queue`] with the tree as the walk source, used by
+/// [`SplitTree::batch_search`] and [`SplitTree::search_batch`](crate::batch).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drain_subtree_queue(
     tree: &KdTree,
@@ -706,103 +820,122 @@ pub(crate) fn drain_subtree_queue(
     scratch: &mut DrainScratch,
     results: &mut [Vec<Neighbor>],
 ) -> DrainCounters {
-    let mut out = DrainCounters::default();
-    if queue.is_empty() {
-        return out;
-    }
     let r2 = radius * radius;
-    let num_pes = num_pes.max(1);
-    let mut next = 0usize;
-    scratch.reset(num_pes);
-    let DrainScratch { pe_query, stacks, tops } = scratch;
+    let DrainScratch { pes, tops, walks, tail } = scratch;
+    walks.resize_with(num_pes.max(1), Vec::new);
+    let mut source = TreeWalks { tree, root, queue: queue.iter(), queries, r2, walks, tail };
+    drain_queue(&mut source, r2, tree.len(), num_pes, arbiter, pes, tops, results)
+}
+
+/// The stage-2 simulator: drains one sub-tree queue of an `nodes`-node
+/// tree in lock step. Idle PEs pick up the next queued query, and every
+/// round each active PE requests the node at its cursor from `arbiter`.
+/// An honored fetch (or a same-node reuse) visits the node and moves to
+/// the next step, a stalled one stays, an elided one jumps past the
+/// node's walked subtree, and a reuse of a node beneath it splices the
+/// walk to continue there. Skipped node counts come from heap
+/// arithmetic.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drain_queue(
+    source: &mut impl WalkSource,
+    r2: f32,
+    nodes: usize,
+    num_pes: usize,
+    arbiter: &mut TreeArbiter,
+    pes: &mut Vec<Option<Cursor>>,
+    tops: &mut Vec<Option<usize>>,
+    results: &mut [Vec<Neighbor>],
+) -> DrainCounters {
+    let mut out = DrainCounters::default();
+    pes.clear();
+    pes.resize(num_pes.max(1), None);
+    let mut active = 0;
     loop {
-        for (slot, stack) in pe_query.iter_mut().zip(stacks.iter_mut()) {
-            if slot.is_none() && next < queue.len() {
-                *slot = Some(queue[next]);
-                next += 1;
-                stack.push(root);
-            }
+        for (i, pe) in pes.iter_mut().enumerate().filter(|(_, pe)| pe.is_none()) {
+            let Some(cursor) = source.pick_up(i) else { break };
+            *pe = Some(cursor);
+            active += 1;
         }
-        if pe_query.iter().all(Option::is_none) {
-            break;
+        if active == 0 {
+            return out;
+        }
+        if active == 1 {
+            // a lone requester wins every round until its walk ends (no
+            // PE can be refilled before then: either there is one PE or
+            // the queue is empty), so its rounds need no arbitration
+            let i = pes.iter().position(Option::is_some).expect("one PE is active");
+            let cursor = pes[i].take().expect("one PE is active");
+            let rest = &source.steps(i)[cursor.at..cursor.end];
+            out.rounds += rest.len();
+            out.attempts += rest.len();
+            out.visits += rest.len();
+            arbiter.grant_uncontended(rest.len());
+            results[cursor.query].extend(
+                rest.iter()
+                    .filter(|step| step.dist2 <= r2)
+                    .map(|step| Neighbor { index: step.index as usize, dist2: step.dist2 }),
+            );
+            active = 0;
+            continue;
         }
         out.rounds += 1;
-        let mut round_stalled = false;
         tops.clear();
-        tops.extend(stacks.iter().map(|s| s.last().copied()));
-        let honored = arbiter.arbitrate(tops);
-        for pe in 0..num_pes {
-            let Some(qi) = pe_query[pe] else { continue };
-            let Some(idx) = tops[pe] else { continue };
+        tops.extend(
+            pes.iter().enumerate().map(|(i, pe)| pe.map(|c| source.steps(i)[c.at].node as usize)),
+        );
+        let mut round_stalled = false;
+        for (i, (pe, outcome)) in pes.iter_mut().zip(arbiter.arbitrate(tops)).enumerate() {
+            let Some(cursor) = pe else { continue };
+            let step = source.steps(i)[cursor.at];
             out.attempts += 1;
-            if honored[pe] != Arbitration::Honored {
-                out.conflicts += 1;
-            }
-            let mut visit: Option<usize> = None;
-            match honored[pe] {
-                Arbitration::Honored => {
-                    stacks[pe].pop();
-                    visit = Some(idx);
-                }
-                Arbitration::Reused(w) => {
-                    stacks[pe].pop();
-                    out.reuses += 1;
-                    if w == idx {
-                        // same node: the multicast data is exactly
-                        // what this PE asked for
-                        visit = Some(idx);
-                    } else {
-                        // continue beneath the winner; the bypassed
-                        // part of this subtree is skipped
-                        out.skipped += tree.subtree_len(idx) - tree.subtree_len(w);
-                        stacks[pe].push(w);
-                    }
-                }
+            let visit = match *outcome {
+                Arbitration::Honored => true,
                 Arbitration::Stalled => {
-                    // keep stack top, retry next round
+                    out.conflicts += 1;
                     out.stalls += 1;
                     round_stalled = true;
+                    false
                 }
                 Arbitration::Elided => {
-                    // drop the node and everything beneath it
-                    stacks[pe].pop();
+                    // drop the node and its walked subtree
+                    out.conflicts += 1;
                     out.elided += 1;
-                    out.skipped += tree.subtree_len(idx);
+                    out.skipped += heap_subtree_len(nodes, step.node as usize);
+                    cursor.at = step.end as usize;
+                    false
                 }
-            }
-            if let Some(idx) = visit {
-                out.visits += 1;
-                let point = tree.point_of(idx);
-                let q = queries[qi];
-                let d2 = point.dist2(q);
-                if d2 <= r2 {
-                    results[qi].push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
-                }
-                let axis = tree.axis_of(idx);
-                let delta = q.coord(axis) - point.coord(axis);
-                let (near, far) = if delta <= 0.0 {
-                    (tree.left(idx), tree.right(idx))
-                } else {
-                    (tree.right(idx), tree.left(idx))
-                };
-                if delta * delta <= r2 {
-                    if let Some(f) = far {
-                        stacks[pe].push(f);
+                Arbitration::Reused(w) => {
+                    out.conflicts += 1;
+                    out.reuses += 1;
+                    // same node: the multicast data is exactly what this
+                    // PE asked for; otherwise continue beneath the winner
+                    // and skip the bypassed part of the lost subtree
+                    let same = w == step.node as usize;
+                    if !same {
+                        out.skipped += heap_subtree_len(nodes, step.node as usize)
+                            - heap_subtree_len(nodes, w);
+                        source.splice(i, cursor, w);
                     }
+                    same
                 }
-                if let Some(n) = near {
-                    stacks[pe].push(n);
+            };
+            if visit {
+                out.visits += 1;
+                if step.dist2 <= r2 {
+                    results[cursor.query]
+                        .push(Neighbor { index: step.index as usize, dist2: step.dist2 });
                 }
+                cursor.at += 1;
             }
-            if stacks[pe].is_empty() {
-                pe_query[pe] = None;
+            if cursor.at == cursor.end {
+                *pe = None;
+                active -= 1;
             }
         }
         if round_stalled {
             out.stall_rounds += 1;
         }
     }
-    out
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -219,6 +219,16 @@ impl BankedSram {
         }
     }
 
+    /// Books `rounds` rounds of a single request each: a lone requester
+    /// wins its bank every round, so a caller that knows no port competes
+    /// can skip [`Self::arbitrate_fold`] and still keep the counters whole
+    /// (`rounds`, `requests` and `grants` each grow by `rounds`).
+    pub fn grant_uncontended(&mut self, rounds: u64) {
+        self.counters.rounds += rounds;
+        self.counters.requests += rounds;
+        self.counters.grants += rounds;
+    }
+
     /// Runs a gather of `addrs` to completion under baseline (serializing)
     /// arbitration: conflicted requests re-issue on subsequent rounds.
     /// Returns the number of rounds the gather took.
@@ -372,6 +382,17 @@ mod tests {
         assert_eq!(s.gather_serializing(&[0, 8, 16, 24]), 4);
         // no requests -> 0 rounds
         assert_eq!(s.gather_serializing(&[]), 0);
+    }
+
+    #[test]
+    fn uncontended_grants_equal_lone_arbitration_rounds() {
+        let mut booked = sram(4);
+        booked.grant_uncontended(5);
+        let mut arbitrated = sram(4);
+        for addr in [0u64, 4, 8, 4, 12] {
+            arbitrated.arbitrate(&[None, Some(addr), None], true);
+        }
+        assert_eq!(booked.counters(), arbitrated.counters());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Synthetic dataset generators standing in for ModelNet40, ShapeNet, and
-//! KITTI (see Tbl 1 of the paper and the substitution table in DESIGN.md).
+//! KITTI (see Tbl 1 of the paper).
 //!
 //! All generators are deterministic given a seed, so every experiment in
 //! the workspace is reproducible bit-for-bit.

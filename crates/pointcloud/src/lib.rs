@@ -13,7 +13,7 @@
 //!   bit-identical to the brute force, patched (not rebuilt) across
 //!   rigid-translation frames — the sweep explorer's fast recall oracle;
 //! * [`datasets`] — deterministic synthetic stand-ins for ModelNet40,
-//!   ShapeNet, and KITTI (see DESIGN.md for the substitution rationale).
+//!   ShapeNet, and KITTI.
 //!
 //! # Example
 //!

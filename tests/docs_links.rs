@@ -92,3 +92,68 @@ fn extractor_finds_inline_links() {
     assert_eq!(targets, vec!["x.md".to_string(), "docs/y.md#frag".to_string()]);
     assert!(link_targets("no links here").is_empty());
 }
+
+/// The `*.md` file names one doc-comment line mentions: maximal runs of
+/// path characters that end in `.md` after a non-empty stem.
+fn md_names(line: &str) -> Vec<&str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)))
+        .map(|token| token.trim_end_matches('.'))
+        .filter(|token| token.len() > ".md".len() && token.ends_with(".md"))
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, recursively, in a stable order.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+        .map(|e| e.expect("readable dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A `//!` or `///` comment under `crates/` or `tests/` that names a
+/// markdown file names one that exists, read from the repo root or from
+/// the commenting file's own directory (for relative rustdoc links).
+#[test]
+fn doc_comments_name_existing_markdown_files() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    let mut dead: Vec<String> = Vec::new();
+    let mut checked = 0usize;
+    for file in &files {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
+        let dir = file.parent().expect("source file has a parent dir");
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.trim_start();
+            if !(line.starts_with("//!") || line.starts_with("///")) {
+                continue;
+            }
+            for name in md_names(line) {
+                checked += 1;
+                if !root.join(name).exists() && !dir.join(name).exists() {
+                    dead.push(format!("{}:{}: {name}", file.display(), lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "the crate docs should name at least one markdown file");
+    assert!(dead.is_empty(), "doc comments name missing markdown files:\n  {}", dead.join("\n  "));
+}
+
+#[test]
+fn md_names_finds_markdown_paths() {
+    let line =
+        "//! see `docs/ARCHITECTURE.md` and [s](../../docs/S.md). Also NOTES.md. Not a.rs or *.md";
+    assert_eq!(md_names(line), vec!["docs/ARCHITECTURE.md", "../../docs/S.md", "NOTES.md"]);
+    assert!(md_names("/// plain prose").is_empty());
+}

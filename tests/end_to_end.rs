@@ -102,8 +102,8 @@ fn bce_reduces_conflicts_and_node_accesses() {
     assert!(bce.visits < ans.visits);
 }
 
-/// The speedup trends are stable across workload scales (the scaling
-/// argument DESIGN.md relies on).
+/// The speedup trends are stable across workload scales (the argument
+/// for reading trends off `Scale::Quick`).
 #[test]
 fn speedup_trend_is_scale_stable() {
     let cfg = AcceleratorConfig::default();
