@@ -72,27 +72,10 @@ pub fn simulate_aggregation(
     // fixed per-chunk work: reading the neighbor-index words from the
     // Neighbor Index Buffer and writing the gathered rows onward
     const CHUNK_OVERHEAD: u64 = 2;
-    // recycled gather buffer — the loop below runs once per simulated
-    // chunk, so per-chunk allocation is hot
-    let mut addrs: Vec<u64> = Vec::with_capacity(ports);
     for list in neighbor_lists {
         for chunk in list.chunks(ports) {
-            if elide {
-                // everything is eligible, so the per-port outcomes carry no
-                // information beyond the SRAM counters — fold with an empty
-                // sink and read `elided` off the counters afterwards
-                bank.arbitrate_fold(
-                    chunk.len(),
-                    |i| Some(chunk[i] as u64 * word),
-                    |_| true,
-                    |_, _, _| {},
-                );
-                report.rounds += 1 + CHUNK_OVERHEAD;
-            } else {
-                addrs.clear();
-                addrs.extend(chunk.iter().map(|&i| i as u64 * word));
-                report.rounds += bank.gather_serializing(&addrs) + CHUNK_OVERHEAD;
-            }
+            let gather = bank.gather(chunk.iter().map(|&i| i as u64 * word), elide);
+            report.rounds += gather + CHUNK_OVERHEAD;
         }
     }
     let c = bank.counters();
@@ -111,8 +94,7 @@ pub fn conflict_rate_single_issue(neighbor_lists: &[Vec<usize>], sram: SramConfi
     let word = sram.word_bytes as u64;
     for list in neighbor_lists {
         for chunk in list.chunks(sram.num_banks.max(1)) {
-            let addrs: Vec<Option<u64>> = chunk.iter().map(|&i| Some(i as u64 * word)).collect();
-            bank.arbitrate(&addrs, true);
+            bank.gather(chunk.iter().map(|&i| i as u64 * word), true);
         }
     }
     bank.counters().conflict_rate()

@@ -15,8 +15,8 @@
 
 use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
-use crate::split::SplitTree;
-use crate::tree::NODE_BYTES;
+use crate::split::{finalize, SplitTree};
+use crate::tree::{KdTree, NODE_BYTES};
 
 /// Cost of a baseline batch search. It depends only on how the queries
 /// route through the top tree, never on what the sub-tree scans find.
@@ -53,33 +53,68 @@ pub fn split_exhaustive_search(
     let tree = split.tree();
     let r2 = radius * radius;
 
-    // stage 2: exhaustive scan of each queue's sub-tree
-    let mut subtree_nodes: Vec<usize> = Vec::new();
+    // stage 2: exhaustive scan of each queue's sub-tree, from coordinate
+    // columns in scan order so the distance loop vectorizes; the hits are
+    // compacted from the distances afterwards, in the same scan order
+    let mut nodes: Vec<usize> = Vec::new();
+    let mut columns = ScanColumns::default();
+    let mut d2s: Vec<f32> = Vec::new();
     for (s, queue) in queues.iter().enumerate() {
         if queue.is_empty() {
             continue;
         }
-        collect_subtree(tree, split.subtree_roots()[s], &mut subtree_nodes);
+        nodes.clear();
+        collect_subtree(tree, split.subtree_roots()[s], &mut nodes);
+        columns.fill(tree, &nodes);
+        let ScanColumns { xs, ys, zs, indices } = &columns;
         for &qi in queue {
             let q = queries[qi];
-            for &idx in &subtree_nodes {
-                let d2 = tree.point_of(idx).dist2(q);
-                if d2 <= r2 {
-                    results[qi].push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
-                }
+            d2s.resize(xs.len(), 0.0);
+            for (((d2, &x), &y), &z) in d2s.iter_mut().zip(xs).zip(ys).zip(zs) {
+                // the float ops of `Point3::dist2`, in its order
+                let (dx, dy, dz) = (x - q.x, y - q.y, z - q.z);
+                *d2 = dx * dx + dy * dy + dz * dz;
             }
+            results[qi].extend(
+                d2s.iter()
+                    .zip(indices)
+                    .filter(|(&d2, _)| d2 <= r2)
+                    .map(|(&dist2, &index)| Neighbor { index, dist2 }),
+            );
         }
-        subtree_nodes.clear();
     }
 
+    let mut keys = Vec::new();
     for hits in &mut results {
-        hits.sort_by(|a, b| a.dist2.partial_cmp(&b.dist2).unwrap_or(std::cmp::Ordering::Equal));
-        hits.dedup_by_key(|n| n.index);
-        if let Some(k) = max_neighbors {
-            hits.truncate(k);
-        }
+        finalize(hits, max_neighbors, &mut keys);
     }
     (results, report)
+}
+
+/// One sub-tree's points as coordinate columns plus their point indices,
+/// in scan order.
+#[derive(Default)]
+struct ScanColumns {
+    xs: Vec<f32>,
+    ys: Vec<f32>,
+    zs: Vec<f32>,
+    indices: Vec<usize>,
+}
+
+impl ScanColumns {
+    fn fill(&mut self, tree: &KdTree, nodes: &[usize]) {
+        self.xs.clear();
+        self.ys.clear();
+        self.zs.clear();
+        self.indices.clear();
+        for &idx in nodes {
+            let p = tree.point_of(idx);
+            self.xs.push(p.x);
+            self.ys.push(p.y);
+            self.zs.push(p.z);
+            self.indices.push(tree.point_index_of(idx));
+        }
+    }
 }
 
 /// The cost report of [`split_exhaustive_search`] without the sub-tree
@@ -170,7 +205,7 @@ pub fn crescent_dram_bytes(split: &SplitTree<'_>, queries: &[Point3], radius: f3
     bytes
 }
 
-fn collect_subtree(tree: &crate::tree::KdTree, root: usize, out: &mut Vec<usize>) {
+fn collect_subtree(tree: &KdTree, root: usize, out: &mut Vec<usize>) {
     let mut stack = vec![root];
     while let Some(i) = stack.pop() {
         out.push(i);

@@ -287,8 +287,9 @@ impl SplitTree<'_> {
                 &mut results,
             );
         }
+        let mut keys = Vec::new();
         for hits in &mut results {
-            finalize(hits, config.max_neighbors);
+            finalize(hits, config.max_neighbors, &mut keys);
         }
         (results, stats)
     }
@@ -527,7 +528,7 @@ pub fn replay_batch(
     let threshold = trace.height.saturating_sub(config.elision_depth);
     let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, false);
     let r2 = trace.radius * trace.radius;
-    let DrainScratch { pes, tops, .. } = &mut state.replay;
+    let DrainScratch { pes, .. } = &mut state.replay;
     let mut next = 0;
     for &end in &trace.queue_ends {
         let mut queue = TracedQueue { walks: &trace.walks, next, end: end as usize };
@@ -538,13 +539,13 @@ pub fn replay_batch(
             config.num_pes,
             &mut arbiter,
             pes,
-            tops,
             &mut results,
         );
         next = end as usize;
     }
+    let mut keys = Vec::new();
     for hits in &mut results {
-        finalize(hits, config.max_neighbors);
+        finalize(hits, config.max_neighbors, &mut keys);
     }
     (results, stats)
 }

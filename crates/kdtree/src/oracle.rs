@@ -261,7 +261,7 @@ proptest! {
             );
         }
         for hits in &mut want {
-            finalize(hits, None);
+            finalize(hits, None, &mut Vec::new());
         }
         prop_assert_eq!(stats.subtree, expected);
         prop_assert_eq!(bits(&got), bits(&want));

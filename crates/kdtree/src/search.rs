@@ -8,6 +8,7 @@
 
 use crescent_pointcloud::{Neighbor, Point3};
 
+use crate::split::finalize;
 use crate::tree::KdTree;
 
 /// Statistics of a single search traversal.
@@ -108,10 +109,7 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
         }
         stats.max_stack_depth = stats.max_stack_depth.max(stack.len());
     }
-    hits.sort_by(|a, b| a.dist2.partial_cmp(&b.dist2).unwrap_or(std::cmp::Ordering::Equal));
-    if let Some(k) = max_neighbors {
-        hits.truncate(k);
-    }
+    finalize(&mut hits, max_neighbors, &mut Vec::new());
     (hits, stats)
 }
 

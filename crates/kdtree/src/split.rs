@@ -32,7 +32,9 @@ use serde::{Deserialize, Serialize};
 use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3};
 
-use crate::tree::{heap_level, heap_subtree_len, KdTree, NODE_BYTES};
+use crate::tree::{
+    heap_level, heap_subtree_len, KdTree, META_AXIS_SHIFT, META_INDEX_MASK, NODE_BYTES,
+};
 
 /// Error building a [`SplitTree`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,7 +254,7 @@ impl<'a> SplitTree<'a> {
         };
         let root = self.subtree_roots[s];
         subtree_radius_search(self.tree, root, query, radius, &mut hits, on_fetch);
-        finalize(&mut hits, max_neighbors);
+        finalize(&mut hits, max_neighbors, &mut Vec::new());
         hits
     }
 
@@ -332,8 +334,9 @@ impl<'a> SplitTree<'a> {
             );
         }
 
+        let mut keys = Vec::new();
         for hits in &mut results {
-            finalize(hits, config.max_neighbors);
+            finalize(hits, config.max_neighbors, &mut keys);
         }
         (results, stats)
     }
@@ -361,8 +364,6 @@ impl<'a> SplitTree<'a> {
         let mut next_query = 0usize;
         // per-PE (query index, cursor); None = idle
         let mut pe_state: Vec<Option<(usize, usize)>> = vec![None; num_pes];
-        // per-round request scratch, reused across rounds
-        let mut requests: Vec<Option<usize>> = Vec::with_capacity(num_pes);
         loop {
             // issue new queries to idle PEs
             for slot in pe_state.iter_mut() {
@@ -375,17 +376,16 @@ impl<'a> SplitTree<'a> {
                 break;
             }
             stats.rounds += 1;
+            arbiter.begin_round();
             let mut round_stalled = false;
-            requests.clear();
-            requests.extend(pe_state.iter().map(|s| s.map(|(_, idx)| idx)));
-            let honored = arbiter.arbitrate(&requests);
             for (pe, slot) in pe_state.iter_mut().enumerate() {
                 let Some((qi, idx)) = *slot else { continue };
                 stats.attempts += 1;
-                if honored[pe] != Arbitration::Honored {
+                let arbitration = arbiter.request(pe, idx);
+                if arbitration != Arbitration::Honored {
                     stats.conflicts += 1;
                 }
-                let visit = match honored[pe] {
+                let visit = match arbitration {
                     Arbitration::Honored => true,
                     Arbitration::Reused(w) => {
                         stats.reuses += 1;
@@ -483,10 +483,6 @@ pub(crate) struct TreeArbiter {
     min_elide_idx: usize,
     /// Sec 4.2 descendant-reuse refinement on elided fetches.
     reuse: bool,
-    /// Per-round outcome scratch, reused so the innermost simulation
-    /// loop does not allocate (one arbitration round per simulated
-    /// cycle).
-    outcomes: Vec<Arbitration>,
 }
 
 impl TreeArbiter {
@@ -499,7 +495,6 @@ impl TreeArbiter {
                 threshold: usize::MAX,
                 min_elide_idx: usize::MAX,
                 reuse: false,
-                outcomes: Vec::new(),
             },
             Some(e) => TreeArbiter::banked(e.num_banks, e.elision_height, e.descendant_reuse),
         }
@@ -524,7 +519,6 @@ impl TreeArbiter {
                 .checked_shl(threshold.min(usize::BITS as usize) as u32)
                 .map_or(usize::MAX, |v| v - 1),
             reuse,
-            outcomes: Vec::new(),
         }
     }
 
@@ -545,69 +539,45 @@ impl TreeArbiter {
         }
     }
 
-    /// Arbitrates one lock-step round. `requests[pe]` is the node each PE
-    /// wants to fetch (`None` = idle port). The returned slice lives in a
-    /// buffer the arbiter recycles round to round, so the per-cycle inner
-    /// loop performs no allocation.
-    pub(crate) fn arbitrate(&mut self, requests: &[Option<usize>]) -> &[Arbitration] {
-        self.outcomes.clear();
-        let Some(sram) = &mut self.sram else {
-            // ideal SRAM: every request is honored (idle slots carry a
-            // placeholder the callers never read)
-            self.outcomes.extend(requests.iter().map(|r| {
-                if r.is_some() {
-                    Arbitration::Honored
+    /// Opens a lock-step round: every PE that fetches in it then calls
+    /// [`Self::request`], in PE order.
+    #[inline]
+    pub(crate) fn begin_round(&mut self) {
+        if let Some(sram) = &mut self.sram {
+            sram.begin_round();
+        }
+    }
+
+    /// PE `pe` fetches tree node `node` in the current round. Arbitration
+    /// is first-come-per-bank, so the fetch is resolved on the spot: the
+    /// memsim request returns its outcome and, for a loser, the bank's
+    /// winner, and the tree-shaped policy (the `h_e` comparator folded to
+    /// `min_elide_idx`, the descendant-reuse ancestor check) applies to
+    /// it directly. The ideal SRAM honors every fetch.
+    #[inline]
+    pub(crate) fn request(&mut self, pe: usize, node: usize) -> Arbitration {
+        let Some(sram) = &mut self.sram else { return Arbitration::Honored };
+        debug_assert_eq!(node >= self.min_elide_idx, heap_level(node) >= self.threshold);
+        let eligible = node >= self.min_elide_idx;
+        match sram.request(pe, (node * NODE_BYTES) as u64, eligible) {
+            (PortOutcome::Granted, _) => Arbitration::Honored,
+            (PortOutcome::Conflict, _) => Arbitration::Stalled,
+            // without descendant reuse an elided fetch is simply dropped —
+            // no need to look at whose data the bank multicast
+            (PortOutcome::Elided, _) if !self.reuse => Arbitration::Elided,
+            (PortOutcome::Elided, winner) => {
+                let winner = winner.expect("a lost bank has a winner");
+                let winner_node = winner.addr as usize / NODE_BYTES;
+                if is_ancestor(node, winner_node) {
+                    // the winner's data lies beneath the lost node:
+                    // continuing from it terminates and skips fewer
+                    // nodes (Sec 4.2 refinement)
+                    Arbitration::Reused(winner_node)
                 } else {
-                    Arbitration::Stalled
+                    Arbitration::Elided
                 }
-            }));
-            return &self.outcomes;
-        };
-        debug_assert!(requests
-            .iter()
-            .flatten()
-            .all(|&idx| { (idx >= self.min_elide_idx) == (heap_level(idx) >= self.threshold) }));
-        // single pass: the memsim round delivers each port's outcome (and
-        // its bank's winner, already final under first-come arbitration)
-        // through a sink, and the tree-shaped policy resolves it in
-        // place. Addresses and eligibility are computed per port instead
-        // of materialized — this call runs once per simulated cycle.
-        let min_elide_idx = self.min_elide_idx;
-        let reuse = self.reuse;
-        let outcomes = &mut self.outcomes;
-        sram.arbitrate_fold(
-            requests.len(),
-            |pe| requests[pe].map(|idx| (idx * NODE_BYTES) as u64),
-            |pe| requests[pe].is_some_and(|idx| idx >= min_elide_idx),
-            |pe, outcome, winner| {
-                let arb = match requests[pe] {
-                    None => Arbitration::Stalled,
-                    Some(idx) => match outcome {
-                        PortOutcome::Granted => Arbitration::Honored,
-                        PortOutcome::Conflict => Arbitration::Stalled,
-                        // without descendant reuse an elided fetch is
-                        // simply dropped — no need to look up whose data
-                        // the bank multicast
-                        PortOutcome::Elided if !reuse => Arbitration::Elided,
-                        PortOutcome::Elided => {
-                            let winner_port = winner.expect("a lost bank has a winner");
-                            let winner_node =
-                                requests[winner_port].expect("winners requested a node");
-                            if is_ancestor(idx, winner_node) {
-                                // the winner's data lies beneath the lost
-                                // node: continuing from it terminates and
-                                // skips fewer nodes (Sec 4.2 refinement)
-                                Arbitration::Reused(winner_node)
-                            } else {
-                                Arbitration::Elided
-                            }
-                        }
-                    },
-                };
-                outcomes.push(arb);
-            },
-        );
-        &self.outcomes
+            }
+        }
     }
 }
 
@@ -680,31 +650,42 @@ impl std::ops::AddAssign for DrainCounters {
 /// by geometry and each node's walked subtree is the contiguous span up
 /// to its `end`.
 pub(crate) fn walk(tree: &KdTree, idx: usize, q: Point3, r2: f32, steps: &mut Vec<TraceStep>) {
-    let at = steps.len();
-    let point = tree.point_of(idx);
-    let dist2 = point.dist2(q);
-    steps.push(TraceStep {
-        node: idx as u32,
-        end: 0,
-        dist2,
-        index: tree.point_index_of(idx) as u32,
-    });
-    let axis = tree.axis_of(idx);
-    let delta = q.coord(axis) - point.coord(axis);
-    let (near, far) = if delta <= 0.0 {
-        (tree.left(idx), tree.right(idx))
-    } else {
-        (tree.right(idx), tree.left(idx))
-    };
-    if let Some(n) = near {
-        walk(tree, n, q, r2, steps);
-    }
-    if delta * delta <= r2 {
-        if let Some(f) = far {
-            walk(tree, f, q, r2, steps);
+    Walker { points: &tree.points, meta: &tree.meta, q, r2 }.walk(idx, steps);
+}
+
+/// What [`walk`] reads on every step: the tree's point and meta columns
+/// (children by heap arithmetic, axis and point index unpacked from one
+/// meta word), the query and the squared radius.
+struct Walker<'a> {
+    points: &'a [Point3],
+    meta: &'a [u32],
+    q: Point3,
+    r2: f32,
+}
+
+impl Walker<'_> {
+    fn walk(&self, idx: usize, steps: &mut Vec<TraceStep>) {
+        let at = steps.len();
+        let point = self.points[idx];
+        let m = self.meta[idx];
+        steps.push(TraceStep {
+            node: idx as u32,
+            end: 0,
+            dist2: point.dist2(self.q),
+            index: m & META_INDEX_MASK,
+        });
+        let axis = (m >> META_AXIS_SHIFT) as usize;
+        let delta = self.q.coord(axis) - point.coord(axis);
+        let (near, far) =
+            if delta <= 0.0 { (2 * idx + 1, 2 * idx + 2) } else { (2 * idx + 2, 2 * idx + 1) };
+        if near < self.points.len() {
+            self.walk(near, steps);
         }
+        if delta * delta <= self.r2 && far < self.points.len() {
+            self.walk(far, steps);
+        }
+        steps[at].end = steps.len() as u32;
     }
-    steps[at].end = steps.len() as u32;
 }
 
 /// One node of a stage-2 walk (16 bytes).
@@ -792,14 +773,12 @@ impl WalkSource for TreeWalks<'_> {
     }
 }
 
-/// Reusable scratch of the stage-2 drain: each PE's cursor, the
-/// per-round request snapshot and, for the tree source, each PE's walk.
-/// Reused across sub-tree queues and, via
+/// Reusable scratch of the stage-2 drain: each PE's cursor and, for the
+/// tree source, each PE's walk. Reused across sub-tree queues and, via
 /// [`BatchState`](crate::BatchState), across the frames of a stream.
 #[derive(Debug, Default)]
 pub(crate) struct DrainScratch {
     pub(crate) pes: Vec<Option<Cursor>>,
-    pub(crate) tops: Vec<Option<usize>>,
     walks: Vec<Vec<TraceStep>>,
     /// The rest of a walk behind a spliced span.
     tail: Vec<TraceStep>,
@@ -821,20 +800,21 @@ pub(crate) fn drain_subtree_queue(
     results: &mut [Vec<Neighbor>],
 ) -> DrainCounters {
     let r2 = radius * radius;
-    let DrainScratch { pes, tops, walks, tail } = scratch;
+    let DrainScratch { pes, walks, tail } = scratch;
     walks.resize_with(num_pes.max(1), Vec::new);
     let mut source = TreeWalks { tree, root, queue: queue.iter(), queries, r2, walks, tail };
-    drain_queue(&mut source, r2, tree.len(), num_pes, arbiter, pes, tops, results)
+    drain_queue(&mut source, r2, tree.len(), num_pes, arbiter, pes, results)
 }
 
 /// The stage-2 simulator: drains one sub-tree queue of an `nodes`-node
-/// tree in lock step. Idle PEs pick up the next queued query, and every
-/// round each active PE requests the node at its cursor from `arbiter`.
-/// An honored fetch (or a same-node reuse) visits the node and moves to
-/// the next step, a stalled one stays, an elided one jumps past the
-/// node's walked subtree, and a reuse of a node beneath it splices the
-/// walk to continue there. Skipped node counts come from heap
-/// arithmetic.
+/// tree in lock step. Idle PEs pick up the next queued query (reserving
+/// room in its hit list for every in-radius step of its walk), and every
+/// round each active PE requests the node at its cursor from `arbiter`
+/// and acts on the outcome in the same pass. An honored fetch (or a
+/// same-node reuse) visits the node and moves to the next step, a
+/// stalled one stays, an elided one jumps past the node's walked
+/// subtree, and a reuse of a node beneath it splices the walk to
+/// continue there. Skipped node counts come from heap arithmetic.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drain_queue(
     source: &mut impl WalkSource,
@@ -843,7 +823,6 @@ pub(crate) fn drain_queue(
     num_pes: usize,
     arbiter: &mut TreeArbiter,
     pes: &mut Vec<Option<Cursor>>,
-    tops: &mut Vec<Option<usize>>,
     results: &mut [Vec<Neighbor>],
 ) -> DrainCounters {
     let mut out = DrainCounters::default();
@@ -853,6 +832,8 @@ pub(crate) fn drain_queue(
     loop {
         for (i, pe) in pes.iter_mut().enumerate().filter(|(_, pe)| pe.is_none()) {
             let Some(cursor) = source.pick_up(i) else { break };
+            let walk = &source.steps(i)[cursor.at..cursor.end];
+            results[cursor.query].reserve(walk.iter().filter(|step| step.dist2 <= r2).count());
             *pe = Some(cursor);
             active += 1;
         }
@@ -879,16 +860,13 @@ pub(crate) fn drain_queue(
             continue;
         }
         out.rounds += 1;
-        tops.clear();
-        tops.extend(
-            pes.iter().enumerate().map(|(i, pe)| pe.map(|c| source.steps(i)[c.at].node as usize)),
-        );
+        arbiter.begin_round();
         let mut round_stalled = false;
-        for (i, (pe, outcome)) in pes.iter_mut().zip(arbiter.arbitrate(tops)).enumerate() {
+        for (i, pe) in pes.iter_mut().enumerate() {
             let Some(cursor) = pe else { continue };
             let step = source.steps(i)[cursor.at];
             out.attempts += 1;
-            let visit = match *outcome {
+            let visit = match arbiter.request(i, step.node as usize) {
                 Arbitration::Honored => true,
                 Arbitration::Stalled => {
                     out.conflicts += 1;
@@ -1071,12 +1049,63 @@ pub fn subtree_radius_search(
     }
 }
 
-pub(crate) fn finalize(hits: &mut Vec<Neighbor>, max_neighbors: Option<usize>) {
-    hits.sort_by(|a, b| a.dist2.partial_cmp(&b.dist2).unwrap_or(std::cmp::Ordering::Equal));
-    hits.dedup_by_key(|n| n.index);
-    if let Some(k) = max_neighbors {
+/// Orders one query's hits nearest first and keeps the `max_neighbors`
+/// nearest (all of them for `None`); equal distances keep their arrival
+/// order. `keys` is scratch the caller's loop recycles.
+///
+/// Every hit passed a `d2 <= r2` filter, so its distance is neither NaN
+/// nor −0.0, and a non-negative float orders like its bit pattern: the
+/// key `(d².to_bits() << 32) | arrival` sorts exactly as a stable sort by
+/// distance. Hits carry distinct point indices (each tree node holds a
+/// distinct point, and a query visits a node at most once), so there is
+/// nothing to deduplicate. Only the `k` nearest keys are selected and
+/// sorted, and each sorted key then swaps its arrival for its hit's point
+/// index (below 2³⁰, the tree's meta limit) to rebuild the list in place.
+pub(crate) fn finalize(
+    hits: &mut Vec<Neighbor>,
+    max_neighbors: Option<usize>,
+    keys: &mut Vec<u64>,
+) {
+    debug_assert!(
+        hits.iter().all(|n| n.dist2.to_bits() <= f32::INFINITY.to_bits()),
+        "hits are in-radius: no NaN or negative distance"
+    );
+    debug_assert!(distinct_indices(hits), "a query's hits name distinct points");
+    let k = max_neighbors.map_or(hits.len(), |k| k.min(hits.len()));
+    if hits.len() <= 1 || k == 0 {
         hits.truncate(k);
+        return;
     }
+    const LOW: u64 = u32::MAX as u64;
+    debug_assert!(hits.len() as u64 <= LOW);
+    keys.clear();
+    keys.extend(
+        hits.iter()
+            .enumerate()
+            .map(|(arrival, n)| (u64::from(n.dist2.to_bits()) << 32) | arrival as u64),
+    );
+    if k < keys.len() {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
+    }
+    keys.sort_unstable();
+    for key in keys.iter_mut() {
+        let index = hits[(*key & LOW) as usize].index;
+        debug_assert!(index as u64 <= LOW);
+        *key = (*key & !LOW) | index as u64;
+    }
+    hits.clear();
+    hits.extend(keys.iter().map(|&key| Neighbor {
+        index: (key & LOW) as usize,
+        dist2: f32::from_bits((key >> 32) as u32),
+    }));
+}
+
+/// Whether no two hits name the same point (the [`finalize`] premise).
+fn distinct_indices(hits: &[Neighbor]) -> bool {
+    let mut indices: Vec<usize> = hits.iter().map(|n| n.index).collect();
+    indices.sort_unstable();
+    indices.windows(2).all(|w| w[0] != w[1])
 }
 
 #[cfg(test)]
@@ -1387,6 +1416,53 @@ mod tests {
             for r in &mut results {
                 r.clear();
             }
+        }
+    }
+
+    /// Today's finalizer, kept as the reference: a stable sort by
+    /// distance, then `dedup_by_key` on the point index, then truncation.
+    fn reference_finalize(hits: &mut Vec<Neighbor>, max_neighbors: Option<usize>) {
+        hits.sort_by(|a, b| a.dist2.partial_cmp(&b.dist2).unwrap_or(std::cmp::Ordering::Equal));
+        hits.dedup_by_key(|n| n.index);
+        if let Some(k) = max_neighbors {
+            hits.truncate(k);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The top-k key finalizer equals the stable sort it replaced, bit
+        /// for bit: quantized distances tie often, and the cap covers
+        /// `None`, 0, 1 and one below and above the hit count.
+        #[test]
+        fn finalize_matches_the_stable_sort(
+            steps in proptest::prop::collection::vec(0u8..6, 0..64),
+            salt in 0usize..1009,
+            cap in 0u8..5,
+        ) {
+            // distinct point indices, scrambled against arrival order
+            let hits: Vec<Neighbor> = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| Neighbor { index: (i * 37 + salt) % 1009, dist2: d as f32 * 0.25 })
+                .collect();
+            let max_neighbors = match cap {
+                0 => None,
+                1 => Some(0),
+                2 => Some(1),
+                3 => Some(hits.len().saturating_sub(1)),
+                _ => Some(hits.len() + 1),
+            };
+            let mut want = hits.clone();
+            reference_finalize(&mut want, max_neighbors);
+            let mut got = hits;
+            let mut keys = vec![7, 9];
+            finalize(&mut got, max_neighbors, &mut keys);
+            let bits = |v: &[Neighbor]| -> Vec<(usize, u32)> {
+                v.iter().map(|n| (n.index, n.dist2.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 

@@ -12,6 +12,7 @@
 //! cache hundreds of millions of times.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -43,6 +44,34 @@ impl CacheStats {
 
 const NIL: u32 = u32::MAX;
 
+/// Fibonacci (multiplicative) hashing of a line tag: one multiply by
+/// `2^64 / φ`, rotated so the well-mixed high half of the product lands
+/// in the low bits the table indexes buckets with. The tag map is only
+/// looked up, never iterated, so no output depends on the hash, and the
+/// default SipHash's flooding resistance buys nothing for simulated
+/// addresses.
+#[derive(Clone, Copy, Debug, Default)]
+struct FibonacciHasher(u64);
+
+impl Hasher for FibonacciHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, tag: u64) {
+        self.0 = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32);
+    }
+}
+
+/// Line tag → slot.
+type TagMap = HashMap<u64, u32, BuildHasherDefault<FibonacciHasher>>;
+
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     tag: u64,
@@ -70,7 +99,7 @@ struct Slot {
 pub struct FullyAssociativeCache {
     line_bytes: u64,
     capacity_lines: usize,
-    map: HashMap<u64, u32>,
+    map: TagMap,
     slots: Vec<Slot>,
     head: u32, // most recently used
     tail: u32, // least recently used
@@ -90,7 +119,7 @@ impl FullyAssociativeCache {
         FullyAssociativeCache {
             line_bytes,
             capacity_lines,
-            map: HashMap::with_capacity(capacity_lines + 1),
+            map: TagMap::with_capacity_and_hasher(capacity_lines + 1, Default::default()),
             slots: Vec::with_capacity(capacity_lines),
             head: NIL,
             tail: NIL,

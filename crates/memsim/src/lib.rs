@@ -5,7 +5,10 @@
 //! * [`FullyAssociativeCache`] — the 10 MB fully-associative LRU cache of
 //!   the Fig 3 motivation experiment;
 //! * [`BankedSram`] — bank-conflict detection, serialization, and the
-//!   Fig 10 selective-elision augmentation (Figs 4, 5);
+//!   Fig 10 selective-elision augmentation (Figs 4, 5): lock-step
+//!   searches arbitrate per request ([`BankedSram::begin_round`],
+//!   [`BankedSram::request`]), and gathers are booked in closed form
+//!   from a per-bank load histogram ([`BankedSram::gather`]);
 //! * [`EnergyModel`] / [`EnergyLedger`] — the paper's published energy
 //!   ratios (random : streaming DRAM = 3 : 1, random DRAM : SRAM = 25 : 1)
 //!   and the per-category ledger behind Fig 16 (a stream keeps one
@@ -39,7 +42,9 @@ pub mod sram;
 pub use cache::{CacheStats, FullyAssociativeCache};
 pub use dram::{DramCounters, DramTiming, DramTraceAnalyzer};
 pub use energy::{EnergyLedger, EnergyModel};
-pub use sram::{crossbar_relative_area, BankedSram, PortOutcome, SramConfig, SramCounters};
+pub use sram::{
+    crossbar_relative_area, BankWinner, BankedSram, PortOutcome, SramConfig, SramCounters,
+};
 
 /// Stream-level energy: a stream keeps one [`EnergyLedger`] per frame and
 /// its totals are [`EnergyLedger::merged`] over those frames, in order.

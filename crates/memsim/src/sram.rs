@@ -81,10 +81,25 @@ impl SramCounters {
     }
 }
 
+/// The port and address holding a bank in the current round: the first
+/// request the bank granted since [`BankedSram::begin_round`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BankWinner {
+    /// The winning port.
+    pub port: usize,
+    /// The winning request's byte address.
+    pub addr: u64,
+}
+
 /// A banked SRAM arbiter.
 ///
 /// The model is stateless w.r.t. data (only addresses matter) but keeps
-/// running counters.
+/// running counters. Arbitration is per request: a round opens with
+/// [`BankedSram::begin_round`], and each [`BankedSram::request`] is
+/// resolved the moment it is made, because under first-come-per-bank
+/// arbitration a bank's winner is final once it is granted. Gathers that
+/// only need the totals are solved in closed form from a per-bank load
+/// histogram ([`BankedSram::gather`]).
 ///
 /// # Examples
 ///
@@ -100,18 +115,18 @@ impl SramCounters {
 pub struct BankedSram {
     config: SramConfig,
     counters: SramCounters,
-    bank_winner: Vec<Option<usize>>, // scratch, reused across rounds
-    // gather scratch, reused across calls: the pending-request list and
-    // the per-round outcome buffer. Simulated rounds are the innermost
-    // unit of work in every timing model above this crate, so a fresh
-    // `Vec` per round (or per gather) is the kind of allocation that
-    // shows up on the sweep's wall-clock.
-    pending: Vec<Option<u64>>,
-    round_out: Vec<PortOutcome>,
+    /// The current round's stamp; [`BankedSram::begin_round`] bumps it.
+    round: u64,
+    /// Per bank: the round of its last grant and that round's winner. A
+    /// bank whose stamp is not the current round is free, so opening a
+    /// round clears nothing.
+    grants: Vec<(u64, BankWinner)>,
+    /// Per-bank load histogram of a gather, left zeroed between gathers.
+    loads: Vec<u64>,
     // fast bank decode — `(addr >> shift) & mask` — precomputed when both
     // the word size and the bank count are powers of two (every shipped
     // configuration). `bank_of`'s div+mod sits in the innermost simulated
-    // round, where the hardware divide is measurable.
+    // request, where the hardware divide is measurable.
     shift_mask: Option<(u32, u64)>,
 }
 
@@ -130,9 +145,9 @@ impl BankedSram {
         BankedSram {
             config,
             counters: SramCounters::default(),
-            bank_winner: vec![None; config.num_banks],
-            pending: Vec::new(),
-            round_out: Vec::new(),
+            round: 0,
+            grants: vec![(0, BankWinner { port: 0, addr: 0 }); config.num_banks],
+            loads: vec![0; config.num_banks],
             shift_mask,
         }
     }
@@ -140,6 +155,56 @@ impl BankedSram {
     /// The static configuration.
     pub fn config(&self) -> &SramConfig {
         &self.config
+    }
+
+    #[inline]
+    fn bank(&self, addr: u64) -> usize {
+        match self.shift_mask {
+            Some((shift, mask)) => ((addr >> shift) & mask) as usize,
+            None => self.config.bank_of(addr),
+        }
+    }
+
+    /// Opens an arbitration round: every bank is free again.
+    #[inline]
+    pub fn begin_round(&mut self) {
+        self.round += 1;
+        self.counters.rounds += 1;
+    }
+
+    /// Port `port` requests byte address `addr` in the current round.
+    ///
+    /// The first request to a bank wins it ([`PortOutcome::Granted`]). A
+    /// later one loses to that winner, which is returned with the
+    /// outcome: it is elided ([`PortOutcome::Elided`]) if `eligible`
+    /// holds (the `h_e` comparator output for its address, the Fig 10 AND
+    /// gate lowering the conflict signal) and stalls
+    /// ([`PortOutcome::Conflict`]) otherwise. Ports request in port
+    /// order; an idle port simply makes no request.
+    #[inline]
+    pub fn request(
+        &mut self,
+        port: usize,
+        addr: u64,
+        eligible: bool,
+    ) -> (PortOutcome, Option<BankWinner>) {
+        debug_assert!(self.round > 0, "a request needs an open round");
+        self.counters.requests += 1;
+        let bank = self.bank(addr);
+        let (stamp, winner) = &mut self.grants[bank];
+        if *stamp != self.round {
+            *stamp = self.round;
+            *winner = BankWinner { port, addr };
+            self.counters.grants += 1;
+            return (PortOutcome::Granted, None);
+        }
+        self.counters.conflicts += 1;
+        if eligible {
+            self.counters.elided += 1;
+            (PortOutcome::Elided, Some(*winner))
+        } else {
+            (PortOutcome::Conflict, Some(*winner))
+        }
     }
 
     /// Arbitrates one cycle of port requests (`None` = idle port).
@@ -160,25 +225,15 @@ impl BankedSram {
     }
 
     /// One arbitration round with *computed* requests and a *per-port*
-    /// elision eligibility — the form the selective-elision hardware of
-    /// Sec 4.4 needs, and the one core every other form calls:
-    /// `request(port)` yields port `port`'s address (`None` = idle), and
-    /// a losing request is elided only if `eligible(port)` holds (the
-    /// `h_e` comparator output for that port's address) and stalls
-    /// ([`PortOutcome::Conflict`]) otherwise. The innermost simulation
-    /// loops call it directly, because materializing per-round address
-    /// or eligibility buffers is measurable across the millions of
-    /// rounds a sweep simulates.
+    /// elision eligibility: a [`Self::begin_round`] followed by one
+    /// [`Self::request`] per busy port, in port order. `request(port)`
+    /// yields port `port`'s address (`None` = idle), and a losing request
+    /// is elided only if `eligible(port)` holds.
     ///
     /// Outcomes go to a sink: `sink(port, outcome, winner)` fires once
     /// per port in port order (idle ports read [`PortOutcome::Granted`]),
     /// where `winner` is the port whose request won the loser's bank
-    /// (`None` for idle and granted ports). Because
-    /// arbitration is first-come-per-bank, a loser's winner is already
-    /// final when the loser is processed — so a caller layering policy on
-    /// top of lost fetches (stall/elide/forward-from-winner) can resolve
-    /// each port in the same pass the round itself makes, instead of a
-    /// second walk over a materialized outcome buffer.
+    /// (`None` for idle and granted ports).
     pub fn arbitrate_fold(
         &mut self,
         ports: usize,
@@ -186,34 +241,13 @@ impl BankedSram {
         eligible: impl Fn(usize) -> bool,
         mut sink: impl FnMut(usize, PortOutcome, Option<usize>),
     ) {
-        self.counters.rounds += 1;
-        for w in &mut self.bank_winner {
-            *w = None;
-        }
+        self.begin_round();
         for port in 0..ports {
-            let Some(addr) = request(port) else {
-                sink(port, PortOutcome::Granted, None);
-                continue;
-            };
-            self.counters.requests += 1;
-            let bank = match self.shift_mask {
-                Some((shift, mask)) => ((addr >> shift) & mask) as usize,
-                None => self.config.bank_of(addr),
-            };
-            match self.bank_winner[bank] {
-                None => {
-                    self.bank_winner[bank] = Some(port);
-                    self.counters.grants += 1;
-                    sink(port, PortOutcome::Granted, None);
-                }
-                Some(winner) => {
-                    self.counters.conflicts += 1;
-                    if eligible(port) {
-                        self.counters.elided += 1;
-                        sink(port, PortOutcome::Elided, Some(winner));
-                    } else {
-                        sink(port, PortOutcome::Conflict, Some(winner));
-                    }
+            match request(port) {
+                None => sink(port, PortOutcome::Granted, None),
+                Some(addr) => {
+                    let (outcome, winner) = self.request(port, addr, eligible(port));
+                    sink(port, outcome, winner.map(|w| w.port));
                 }
             }
         }
@@ -221,43 +255,67 @@ impl BankedSram {
 
     /// Books `rounds` rounds of a single request each: a lone requester
     /// wins its bank every round, so a caller that knows no port competes
-    /// can skip [`Self::arbitrate_fold`] and still keep the counters whole
-    /// (`rounds`, `requests` and `grants` each grow by `rounds`).
+    /// can skip arbitration and still keep the counters whole (`rounds`,
+    /// `requests` and `grants` each grow by `rounds`).
     pub fn grant_uncontended(&mut self, rounds: u64) {
         self.counters.rounds += rounds;
         self.counters.requests += rounds;
         self.counters.grants += rounds;
     }
 
+    /// Runs a gather of `addrs`, one port per address, to completion and
+    /// returns the rounds it took; an empty gather takes none.
+    ///
+    /// The outcome depends only on each bank's load `l` (the number of
+    /// addresses it serves), so it is booked in closed form instead of
+    /// simulated round by round:
+    ///
+    /// * **serializing** (`elide == false`): a bank grants one request per
+    ///   round and its losers re-issue, so the gather takes `max l`
+    ///   rounds, a bank issues `l + (l − 1) + … + 1 = l(l+1)/2` requests,
+    ///   every address is granted once and every other request conflicts;
+    /// * **eliding** (`elide == true`): one round, one grant per busy
+    ///   bank, and every other request conflicts and is elided.
+    pub fn gather(&mut self, addrs: impl IntoIterator<Item = u64>, elide: bool) -> u64 {
+        let mut n = 0u64;
+        for addr in addrs {
+            let bank = self.bank(addr);
+            self.loads[bank] += 1;
+            n += 1;
+        }
+        if n == 0 {
+            return 0;
+        }
+        let (mut max_load, mut busy, mut requests) = (0, 0, 0);
+        for load in &mut self.loads {
+            let l = std::mem::take(load);
+            max_load = max_load.max(l);
+            busy += u64::from(l > 0);
+            requests += l * (l + 1) / 2;
+        }
+        let c = &mut self.counters;
+        if elide {
+            c.rounds += 1;
+            c.requests += n;
+            c.grants += busy;
+            c.conflicts += n - busy;
+            c.elided += n - busy;
+            1
+        } else {
+            c.rounds += max_load;
+            c.requests += requests;
+            c.grants += n;
+            c.conflicts += requests - n;
+            max_load
+        }
+    }
+
     /// Runs a gather of `addrs` to completion under baseline (serializing)
     /// arbitration: conflicted requests re-issue on subsequent rounds.
-    /// Returns the number of rounds the gather took.
+    /// Returns the number of rounds the gather took ([`Self::gather`]
+    /// without elision).
     pub fn gather_serializing(&mut self, addrs: &[u64]) -> u64 {
-        // the pending list and per-round outcomes live in recycled
-        // buffers (taken out of `self` so the round borrow checks)
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut outcomes = std::mem::take(&mut self.round_out);
-        pending.clear();
-        pending.extend(addrs.iter().copied().map(Some));
-        let mut rounds = 0;
-        while pending.iter().any(Option::is_some) {
-            rounds += 1;
-            outcomes.clear();
-            self.arbitrate_fold(
-                pending.len(),
-                |slot| pending[slot],
-                |_| false,
-                |_, o, _| outcomes.push(o),
-            );
-            for (slot, outcome) in outcomes.iter().enumerate() {
-                if pending[slot].is_some() && *outcome == PortOutcome::Granted {
-                    pending[slot] = None;
-                }
-            }
-        }
-        self.pending = pending;
-        self.round_out = outcomes;
-        rounds
+        self.gather(addrs.iter().copied(), false)
     }
 
     /// Accumulated counters.
@@ -418,6 +476,100 @@ mod tests {
         }
         // 32 banks vs 8 requests: conflicts should be rare
         assert!(rates[4] < 0.15, "32-bank rate {}", rates[4]);
+    }
+
+    #[test]
+    fn request_resolves_each_port_against_the_round_so_far() {
+        let mut s = sram(2);
+        s.begin_round();
+        assert_eq!(s.request(0, 0, true), (PortOutcome::Granted, None));
+        assert_eq!(s.request(1, 4, true), (PortOutcome::Granted, None));
+        let winner = Some(BankWinner { port: 0, addr: 0 });
+        assert_eq!(s.request(2, 8, true), (PortOutcome::Elided, winner));
+        assert_eq!(s.request(3, 16, false), (PortOutcome::Conflict, winner));
+        // a new round frees every bank without clearing anything
+        s.begin_round();
+        assert_eq!(s.request(0, 8, false), (PortOutcome::Granted, None));
+        let c = s.counters();
+        assert_eq!((c.rounds, c.requests, c.grants, c.conflicts, c.elided), (2, 5, 3, 2, 1));
+    }
+
+    #[test]
+    fn eliding_gather_takes_one_round() {
+        let mut s = sram(2);
+        // banks 0, 0, 1, 0: two banks busy, two losers elided
+        assert_eq!(s.gather([0, 8, 4, 16], true), 1);
+        let c = *s.counters();
+        assert_eq!((c.rounds, c.requests, c.grants, c.conflicts, c.elided), (1, 4, 2, 2, 2));
+        let mut folded = sram(2);
+        folded.arbitrate(&[Some(0), Some(8), Some(4), Some(16)], true);
+        assert_eq!(folded.counters(), &c, "the same round, arbitrated port by port");
+    }
+
+    /// Today's round loop, kept as the reference for the closed-form
+    /// gather: every round, each pending request arbitrates against a
+    /// fresh bank → first-port table in port order; a serializing gather
+    /// re-issues its losers until none is left, an eliding one resolves
+    /// every loser in its one round.
+    fn reference_gather(config: SramConfig, addrs: &[u64], elide: bool) -> (u64, SramCounters) {
+        let mut c = SramCounters::default();
+        let mut pending: Vec<Option<u64>> = addrs.iter().copied().map(Some).collect();
+        let mut rounds = 0;
+        while pending.iter().any(Option::is_some) {
+            rounds += 1;
+            c.rounds += 1;
+            let mut winner: Vec<Option<usize>> = vec![None; config.num_banks];
+            for (port, slot) in pending.iter_mut().enumerate() {
+                let Some(addr) = *slot else { continue };
+                c.requests += 1;
+                let bank = config.bank_of(addr);
+                if winner[bank].is_none() {
+                    winner[bank] = Some(port);
+                    c.grants += 1;
+                    *slot = None;
+                } else {
+                    c.conflicts += 1;
+                    if elide {
+                        c.elided += 1;
+                        *slot = None;
+                    }
+                }
+            }
+        }
+        (rounds, c)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The closed-form gather books exactly what simulating it round
+        /// by round books: the rounds and the whole counter block, on
+        /// power-of-two and other bank counts and word sizes.
+        #[test]
+        fn closed_form_gather_matches_the_round_loop(
+            addrs in proptest::prop::collection::vec(0u64..4096, 0..48),
+            num_banks in 1usize..18,
+            word_bytes in 1usize..17,
+            elide in 0u8..2,
+            repeat in 1usize..4,
+        ) {
+            let config = SramConfig { num_banks, word_bytes, capacity_bytes: 1 << 16 };
+            let elide = elide == 1;
+            let mut sram = BankedSram::new(config);
+            let mut want = SramCounters::default();
+            // several gathers on one arbiter: the histogram must leave no
+            // load behind for the next
+            for _ in 0..repeat {
+                let (rounds, c) = reference_gather(config, &addrs, elide);
+                proptest::prop_assert_eq!(sram.gather(addrs.iter().copied(), elide), rounds);
+                want.rounds += c.rounds;
+                want.requests += c.requests;
+                want.grants += c.grants;
+                want.conflicts += c.conflicts;
+                want.elided += c.elided;
+                proptest::prop_assert_eq!(*sram.counters(), want);
+            }
+        }
     }
 
     #[test]

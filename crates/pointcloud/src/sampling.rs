@@ -37,35 +37,138 @@ pub fn farthest_point_sample(cloud: &PointCloud, n: usize) -> Vec<usize> {
     }
 
     let centroid = cloud.centroid();
-    let first = pts
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            a.dist2(centroid).partial_cmp(&b.dist2(centroid)).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-        .expect("non-empty cloud");
-
+    let first = last_max(pts.iter().map(|p| p.dist2(centroid)));
+    let columns = Columns::new(pts);
+    let mut min_d2 = vec![0.0; pts.len()];
     let mut picked = Vec::with_capacity(n);
     picked.push(first);
-    let mut min_d2: Vec<f32> = pts.iter().map(|p| p.dist2(pts[first])).collect();
-
     while picked.len() < n {
-        let (next, _) = min_d2
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty distances");
-        picked.push(next);
-        let np = pts[next];
-        for (d, p) in min_d2.iter_mut().zip(pts) {
-            let nd = p.dist2(np);
-            if nd < *d {
-                *d = nd;
-            }
-        }
+        // one pass per pick: fold the newest pick into every point's
+        // distance to the picked set and find the farthest point
+        let newest = pts[*picked.last().expect("the first pick is made")];
+        let farthest = if picked.len() == 1 {
+            columns.update_and_argmax::<true>(&mut min_d2, newest)
+        } else {
+            columns.update_and_argmax::<false>(&mut min_d2, newest)
+        };
+        picked.push(farthest.unwrap_or_else(|| last_max(min_d2.iter().copied())));
     }
     picked
+}
+
+/// Index of the last maximum of `values` under `partial_cmp` with
+/// incomparable pairs equal — `Iterator::max_by`'s rule ([`takes_lead`]):
+/// a NaN takes the lead and the next value takes it back.
+fn last_max(values: impl Iterator<Item = f32>) -> usize {
+    let mut best = f32::NEG_INFINITY;
+    let mut best_idx = 0;
+    for (i, d) in values.enumerate() {
+        if takes_lead(best, d) {
+            best = d;
+            best_idx = i;
+        }
+    }
+    best_idx
+}
+
+/// Whether `d` takes the lead from `best` under `max_by`'s rule: unless
+/// `best` is strictly greater, so a NaN on either side takes it.
+#[inline(always)]
+fn takes_lead(best: f32, d: f32) -> bool {
+    best.partial_cmp(&d) != Some(std::cmp::Ordering::Greater)
+}
+
+/// Lanes of the fused FPS pass.
+const LANES: usize = 8;
+
+/// A cloud's coordinates as columns, for the fused FPS pass.
+struct Columns {
+    xs: Vec<f32>,
+    ys: Vec<f32>,
+    zs: Vec<f32>,
+}
+
+impl Columns {
+    fn new(pts: &[Point3]) -> Self {
+        Columns {
+            xs: pts.iter().map(|p| p.x).collect(),
+            ys: pts.iter().map(|p| p.y).collect(),
+            zs: pts.iter().map(|p| p.z).collect(),
+        }
+    }
+
+    /// Lowers each point's entry of `min_d2` to its distance to `pick`
+    /// (sets it, when `INIT`) and returns the index of the last maximum
+    /// of the updated entries, or `None` if one of them is NaN.
+    ///
+    /// Point `i` folds into lane `i % LANES`, each lane keeping its last
+    /// maximum, and the lanes merge by (value, larger index). Without NaN
+    /// that is the sequential [`last_max`]; with one the sequential rule
+    /// depends on order, so the caller falls back to it.
+    fn update_and_argmax<const INIT: bool>(
+        &self,
+        min_d2: &mut [f32],
+        pick: Point3,
+    ) -> Option<usize> {
+        debug_assert!(min_d2.len() <= u32::MAX as usize, "lane indices are u32");
+        let mut best = [f32::NEG_INFINITY; LANES];
+        let mut best_idx = [0u32; LANES];
+        let mut nan = [false; LANES];
+        let full = min_d2.len() / LANES * LANES;
+        let (body, tail) = min_d2.split_at_mut(full);
+        for (c, (((d, x), y), z)) in body
+            .chunks_exact_mut(LANES)
+            .zip(self.xs.chunks_exact(LANES))
+            .zip(self.ys.chunks_exact(LANES))
+            .zip(self.zs.chunks_exact(LANES))
+            .enumerate()
+        {
+            let d: &mut [f32; LANES] = d.try_into().expect("a full chunk");
+            let (x, y, z): (&[f32; LANES], &[f32; LANES], &[f32; LANES]) = (
+                x.try_into().expect("a full chunk"),
+                y.try_into().expect("a full chunk"),
+                z.try_into().expect("a full chunk"),
+            );
+            let base = (c * LANES) as u32;
+            for lane in 0..LANES {
+                // the float ops of `Point3::dist2`, in its order
+                let (dx, dy, dz) = (x[lane] - pick.x, y[lane] - pick.y, z[lane] - pick.z);
+                let nd = dx * dx + dy * dy + dz * dz;
+                let v = if INIT || nd < d[lane] { nd } else { d[lane] };
+                d[lane] = v;
+                nan[lane] |= v.is_nan();
+                let take = takes_lead(best[lane], v);
+                best[lane] = if take { v } else { best[lane] };
+                best_idx[lane] = if take { base + lane as u32 } else { best_idx[lane] };
+            }
+        }
+        // the last, partial chunk: the same fold, lane by lane
+        for (lane, d) in tail.iter_mut().enumerate() {
+            let i = full + lane;
+            let (dx, dy, dz) = (self.xs[i] - pick.x, self.ys[i] - pick.y, self.zs[i] - pick.z);
+            let nd = dx * dx + dy * dy + dz * dz;
+            if INIT || nd < *d {
+                *d = nd;
+            }
+            nan[lane] |= d.is_nan();
+            if takes_lead(best[lane], *d) {
+                best[lane] = *d;
+                best_idx[lane] = i as u32;
+            }
+        }
+        if nan.contains(&true) {
+            return None;
+        }
+        let mut lead = 0;
+        for lane in 1..LANES {
+            if best[lane] > best[lead]
+                || (best[lane] == best[lead] && best_idx[lane] > best_idx[lead])
+            {
+                lead = lane;
+            }
+        }
+        Some(best_idx[lead] as usize)
+    }
 }
 
 /// Returns the sampled sub-cloud (points, not indices) of
@@ -194,6 +297,70 @@ mod tests {
             m
         };
         assert!(min_gap(&picks) > min_gap(&[0, 1, 2, 3, 4]));
+    }
+
+    /// Today's two-pass FPS loop, kept as the reference: each pick scans
+    /// for the last maximum with `max_by`, then lowers every distance.
+    fn reference_fps(cloud: &PointCloud, n: usize) -> Vec<usize> {
+        let pts = cloud.points();
+        if n >= pts.len() {
+            return (0..pts.len()).collect();
+        }
+        if n == 0 || pts.is_empty() {
+            return Vec::new();
+        }
+        let centroid = cloud.centroid();
+        let first = pts
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| {
+                a.dist2(centroid)
+                    .partial_cmp(&b.dist2(centroid))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .map(|(i, _)| i)
+            .expect("non-empty cloud");
+        let mut picked = vec![first];
+        let mut min_d2: Vec<f32> = pts.iter().map(|p| p.dist2(pts[first])).collect();
+        while picked.len() < n {
+            let (next, _) = min_d2
+                .iter()
+                .enumerate()
+                .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("non-empty distances");
+            picked.push(next);
+            let np = pts[next];
+            for (d, p) in min_d2.iter_mut().zip(pts) {
+                let nd = p.dist2(np);
+                if nd < *d {
+                    *d = nd;
+                }
+            }
+        }
+        picked
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The fused single-pass FPS picks exactly what the two-pass loop
+        /// picks: on coarse grids (duplicate points, exact distance ties),
+        /// at sizes that are no multiple of the lane count, with and
+        /// without a NaN point.
+        #[test]
+        fn fused_fps_matches_the_two_pass_loop(
+            grid in proptest::prop::collection::vec((0u8..4, 0u8..4, 0u8..3), 1..40),
+            n in 0usize..44,
+            nan_at in 0usize..80,
+        ) {
+            let mut pts: Vec<Point3> =
+                grid.iter().map(|&(x, y, z)| Point3::new(x as f32, y as f32, z as f32)).collect();
+            if let Some(p) = pts.get_mut(nan_at) {
+                p.y = f32::NAN;
+            }
+            let cloud = PointCloud::from_points(pts);
+            proptest::prop_assert_eq!(farthest_point_sample(&cloud, n), reference_fps(&cloud, n));
+        }
     }
 
     #[test]

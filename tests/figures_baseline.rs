@@ -8,8 +8,8 @@
 //! and energy models, seeded clouds), so any drift is a behavioural
 //! change. Wall-clock speedups of the figure pipeline claim to change no
 //! byte, and this test is where that claim is pinned. The accuracy
-//! figures (fig13, 18–21, 23) train networks and are noise at quick
-//! scale, so they are not gated here.
+//! figures (fig13, 18–21, 23) train networks; their gate is
+//! `tests/accuracy_baseline.rs`.
 //!
 //! The file is the `repro` output of these ids without its header and
 //! per-figure timing lines. On intended drift, refresh it with
