@@ -118,10 +118,13 @@ impl SetAbstraction {
     /// are discarded (coordinates are inputs, not parameters).
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         let g_rows = self.pool.backward(grad);
-        let g_in = self.mlp.backward(&g_rows);
         let c = self.in_channels;
         let mut g_feat = Tensor::zeros(self.in_rows, c);
-        if c > 0 {
+        if c == 0 {
+            // the MLP input is relative positions only: no gradient to carry
+            self.mlp.backward_params(&g_rows);
+        } else {
+            let g_in = self.mlp.backward(&g_rows);
             let (_, g_feature_cols) = g_in.split_cols(3);
             g_feat.scatter_add_rows(&self.neighbor_flat, &g_feature_cols);
         }
@@ -191,11 +194,11 @@ impl GlobalFeature {
     /// Backward pass: gradient w.r.t. the input features `[n, C]`.
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         let g_rows = crescent_nn::global_max_pool_backward(grad, &self.argmax, self.in_rows);
-        let g_in = self.mlp.backward(&g_rows);
         if self.in_channels == 0 {
+            self.mlp.backward_params(&g_rows);
             Tensor::zeros(self.in_rows, 0)
         } else {
-            let (_, g_feat) = g_in.split_cols(3);
+            let (_, g_feat) = self.mlp.backward(&g_rows).split_cols(3);
             g_feat
         }
     }
@@ -230,6 +233,39 @@ mod tests {
         assert_eq!(sa.out_dim(), 32);
         let g = sa.backward(&Tensor::full(16, 32, 1.0));
         assert_eq!(g.shape(), (64, 0));
+    }
+
+    /// With no input features, `backward` skips the MLP's input gradient
+    /// yet accumulates the parameter gradients of the full backward, bit
+    /// for bit, and still returns the zero-width `[n, 0]` gradient.
+    #[test]
+    fn sa_without_features_skips_only_the_input_gradient() {
+        let cloud = random_cloud(48, 16);
+        let mut sa = SetAbstraction::new(Some(12), 6, 0.4, &[3, 16, 24], 17);
+        let mut full = SetAbstraction::new(Some(12), 6, 0.4, &[3, 16, 24], 17);
+        let grad = Tensor::he_init(12, 24, 18);
+        let (_, y) = sa.forward(&cloud, None, &ApproxSetting::ans(2), true);
+        let (_, y_full) = full.forward(&cloud, None, &ApproxSetting::ans(2), true);
+        assert_eq!(y, y_full);
+        let g = sa.backward(&grad);
+        assert_eq!(g.shape(), (48, 0));
+        let g_rows = full.pool.backward(&grad);
+        assert_eq!(full.mlp.backward(&g_rows).shape(), (12 * 6, 3));
+        let grad_bits = |sa: &mut SetAbstraction| {
+            let mut out = Vec::new();
+            sa.visit_params(&mut |p| out.extend(p.grad.data().iter().map(|v| v.to_bits())));
+            out
+        };
+        assert_eq!(grad_bits(&mut sa), grad_bits(&mut full));
+    }
+
+    #[test]
+    fn global_feature_on_an_empty_cloud() {
+        let mut gf = GlobalFeature::new(&[3, 8, 16], 19);
+        let out = gf.forward(&PointCloud::new(), None, true);
+        assert_eq!(out.shape(), (1, 16));
+        let g = gf.backward(&Tensor::full(1, 16, 1.0));
+        assert_eq!(g.shape(), (0, 0));
     }
 
     #[test]

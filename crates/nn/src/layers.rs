@@ -21,6 +21,13 @@ pub trait Layer {
     /// accumulates parameter gradients.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// Backward pass for a layer whose input gradient nobody reads: it
+    /// accumulates the same parameter gradients as [`Layer::backward`],
+    /// bit for bit, and may skip computing dL/d(input).
+    fn backward_params(&mut self, grad: &Tensor) {
+        let _ = self.backward(grad);
+    }
+
     /// Visits every trainable parameter (for the optimizer).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
@@ -63,12 +70,19 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let y = x.matmul(&self.w.value).add_row(self.b.value.row(0));
+        let mut y = x.matmul(&self.w.value);
+        y.add_row_assign(self.b.value.row(0));
         self.cache_x = Some(x.clone());
         y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_params(grad);
+        grad.matmul_t(&self.w.value)
+    }
+
+    /// Accumulates `dW = xᵀ·grad` and `db`, and skips `grad·Wᵀ`.
+    fn backward_params(&mut self, grad: &Tensor) {
         let x = self.cache_x.as_ref().expect("backward before forward");
         self.w.grad.add_assign(&x.t_matmul(grad));
         // bias grad: column sums of grad
@@ -79,7 +93,6 @@ impl Layer for Linear {
             }
         }
         self.b.grad.add_assign(&bg);
-        grad.matmul_t(&self.w.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -359,6 +372,17 @@ impl Layer for Sequential {
         cur
     }
 
+    /// Full backward through every layer but the first, whose input
+    /// gradient would be the stack's own.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut cur = grad.clone();
+        for l in rest.iter_mut().rev() {
+            cur = l.backward(&cur);
+        }
+        first.backward_params(&cur);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for l in &mut self.layers {
             l.visit_params(f);
@@ -413,6 +437,10 @@ impl Layer for Mlp {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         self.seq.backward(grad)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.seq.backward_params(grad);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -552,6 +580,33 @@ mod tests {
             let want = reference_bn_backward(&mut reference, &grad);
             prop_assert_eq!(bits(dx.data()), bits(want.data()));
             prop_assert_eq!(bn_state_bits(&bn), bn_state_bits(&reference));
+        }
+    }
+
+    /// Every parameter gradient of `layer`, as bits.
+    fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |p| out.push(bits(p.grad.data())));
+        out
+    }
+
+    /// The params-only backward accumulates the same gradient bits as the
+    /// full one, for an MLP with and without batch norm, over two steps
+    /// (so accumulation onto non-zero gradients is covered too).
+    #[test]
+    fn backward_params_matches_full_backward() {
+        for batch_norm in [false, true] {
+            let mut full = Mlp::new(&[3, 8, 5], batch_norm, 21);
+            let mut params_only = Mlp::new(&[3, 8, 5], batch_norm, 21);
+            for step in 0..2 {
+                let x = Tensor::he_init(12, 3, 22 + step);
+                let grad = Tensor::he_init(12, 5, 24 + step).map(|v| v.max(0.0));
+                let y = full.forward(&x, true);
+                assert_eq!(bits(y.data()), bits(params_only.forward(&x, true).data()));
+                assert_eq!(full.backward(&grad).shape(), (12, 3));
+                params_only.backward_params(&grad);
+                assert_eq!(grad_bits(&mut full), grad_bits(&mut params_only), "bn {batch_norm}");
+            }
         }
     }
 

@@ -58,12 +58,16 @@ impl GroupMaxPool {
         assert_eq!(n % self.group_size, 0, "rows not divisible by group size");
         let groups = n / self.group_size;
         self.in_shape = (n, c);
-        self.argmax = vec![0; groups * c];
+        self.argmax.clear();
         let mut out = Tensor::full(groups, c, f32::NEG_INFINITY);
         for g in 0..groups {
-            let arg_row = &mut self.argmax[g * c..(g + 1) * c];
+            // a channel no row beats (all -inf or NaN) routes its gradient
+            // to the group's first row
+            let first = g * self.group_size;
+            self.argmax.resize((g + 1) * c, first);
+            let arg_row = &mut self.argmax[g * c..];
             let out_row = out.row_mut(g);
-            for r in g * self.group_size..(g + 1) * self.group_size {
+            for r in first..first + self.group_size {
                 // strict `>`: the first row holding the maximum wins ties
                 for ((o, a), &v) in out_row.iter_mut().zip(arg_row.iter_mut()).zip(x.row(r)) {
                     if v > *o {
@@ -118,10 +122,14 @@ pub fn global_max_pool(x: &Tensor) -> (Tensor, Vec<usize>) {
     (out, arg)
 }
 
-/// Scatters a global-pool gradient back to the input rows.
+/// Scatters a global-pool gradient back to the input rows (`[0, C]` for
+/// an empty input, whose pooled zeros came from no row).
 pub fn global_max_pool_backward(grad: &Tensor, argmax: &[usize], in_rows: usize) -> Tensor {
     let c = grad.cols();
     let mut dx = Tensor::zeros(in_rows, c);
+    if in_rows == 0 {
+        return dx;
+    }
     for ch in 0..c {
         dx[(argmax[ch], ch)] += grad[(0, ch)];
     }
@@ -210,6 +218,35 @@ mod tests {
         assert_eq!(dx.row(1), &[10.0, 0.0]); // max of ch0 group0 at row1
         assert_eq!(dx.row(2), &[30.0, 0.0]);
         assert_eq!(dx.row(3), &[0.0, 40.0]);
+    }
+
+    #[test]
+    fn unbeaten_channel_routes_to_its_own_group() {
+        // group 1's channel 0 is all -inf and its channel 1 all NaN: no
+        // row beats the -inf seed, and the gradient stays in group 1
+        let x = Tensor::from_rows(&[
+            &[1.0, 2.0],
+            &[3.0, 0.5],
+            &[f32::NEG_INFINITY, f32::NAN],
+            &[f32::NEG_INFINITY, f32::NAN],
+        ]);
+        let mut pool = GroupMaxPool::new(2);
+        let y = pool.forward(&x);
+        assert_eq!(y.row(0), &[3.0, 2.0]);
+        assert_eq!(y.row(1), &[f32::NEG_INFINITY, f32::NEG_INFINITY]);
+        let dx = pool.backward(&Tensor::from_rows(&[&[1.0, 2.0], &[10.0, 20.0]]));
+        assert_eq!(dx.row(0), &[0.0, 2.0]);
+        assert_eq!(dx.row(1), &[1.0, 0.0]);
+        assert_eq!(dx.row(2), &[10.0, 20.0], "group 1's first row takes its gradient");
+        assert_eq!(dx.row(3), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn global_pool_of_no_rows() {
+        let (y, arg) = global_max_pool(&Tensor::zeros(0, 3));
+        assert_eq!(y.data(), &[0.0, 0.0, 0.0]);
+        let dx = global_max_pool_backward(&Tensor::full(1, 3, 1.0), &arg, 0);
+        assert_eq!(dx.shape(), (0, 3));
     }
 
     #[test]
