@@ -11,12 +11,10 @@
 //!   round, which implicitly *replicates* a neighbor (the MLP input matrix
 //!   keeps its expected size, Sec 4.2).
 
-use serde::{Deserialize, Serialize};
-
 use crescent_memsim::{BankedSram, SramConfig};
 
 /// Outcome of simulating an aggregation pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AggregationReport {
     /// SRAM arbitration rounds (cycle-count proxy for the gather).
     pub rounds: u64,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crescent_kdtree::ElisionConfig;
 use crescent_memsim::{DramTiming, EnergyModel, SramConfig};
 
 /// Static configuration of the full point-cloud accelerator of Fig 12:
 /// neighbor-search engine + aggregation unit + systolic array, with the
 /// paper's SRAM partitioning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AcceleratorConfig {
     /// Number of neighbor-search PEs (paper: 4).
     pub num_pes: usize,

@@ -6,8 +6,6 @@
 //! streaming and double-buffered, so engine latency is
 //! `max(compute, DMA) + pipeline fill`.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_kdtree::{
     crescent_dram_bytes, split_exhaustive_report, split_exhaustive_search, BaselineReport, KdTree,
     SplitSearchConfig, SplitSearchStats, SplitTree,
@@ -20,7 +18,7 @@ use crate::config::AcceleratorConfig;
 pub const PE_PIPELINE_DEPTH: u64 = 5;
 
 /// Timing + statistics of a neighbor-search engine run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SearchEngineReport {
     /// Datapath cycles (lock-step rounds only; the pipeline fill is
     /// charged exactly once, in [`SearchEngineReport::cycles`]).

@@ -8,10 +8,8 @@
 //! (GPU ≈ 38× Mesorasi energy, Tigris+GPU ≈ 25×; both are far slower than
 //! the accelerators).
 
-use serde::{Deserialize, Serialize};
-
 /// Throughput and energy constants of the GPU model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GpuModel {
     /// Brute-force neighbor-search point visits retired per cycle
     /// (memory-bound).
@@ -46,7 +44,7 @@ impl Default for GpuModel {
 }
 
 /// Cycles and energy of one GPU kernel mix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GpuReport {
     /// Neighbor-search cycles.
     pub ns_cycles: u64,

@@ -11,8 +11,6 @@
 //! (DensePoint search-dominated at ~80 %, the others near 50/50 on the
 //! baseline accelerator).
 
-use serde::{Deserialize, Serialize};
-
 use crescent_kdtree::{KdTree, NODE_BYTES};
 use crescent_memsim::EnergyLedger;
 use crescent_pointcloud::{replicate_to_k, Point3, PointCloud, POINT_BYTES};
@@ -26,7 +24,7 @@ use crate::gpu::GpuModel;
 use crate::systolic::{mlp_report, SystolicReport};
 
 /// Which system executes the network (the Fig 14 legend).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Mobile Pascal GPU for everything.
     Gpu,
@@ -58,7 +56,7 @@ impl Variant {
 }
 
 /// Crescent's approximation knobs `h = <h_t, h_e>` (Sec 5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrescentKnobs {
     /// Top-tree height `h_t`.
     pub top_height: usize,
@@ -74,7 +72,7 @@ impl Default for CrescentKnobs {
 }
 
 /// One search→aggregate→MLP layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LayerSpec {
     /// Input points searched over.
     pub n_points: usize,
@@ -89,7 +87,7 @@ pub struct LayerSpec {
 }
 
 /// A full network: layers plus a head MLP applied to the final features.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetworkSpec {
     /// Network name (Tbl 1).
     pub name: String,
@@ -233,7 +231,7 @@ impl NetworkSpec {
 }
 
 /// Per-stage cycle breakdown.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageCycles {
     /// Neighbor-search cycles.
     pub search: u64,
@@ -251,7 +249,7 @@ impl StageCycles {
 }
 
 /// Result of simulating one network on one system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PipelineReport {
     /// The simulated system.
     pub variant: Variant,

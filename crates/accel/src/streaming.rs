@@ -69,8 +69,6 @@
 //! `tree_build` category; [`StreamReport::energy`] merges them in frame
 //! order.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_kdtree::{
     replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, KdTree, RefitConfig,
     RefitScratch, SplitTree, NODE_BYTES,
@@ -84,7 +82,7 @@ use crate::engine::PE_PIPELINE_DEPTH;
 use crate::pipeline::CrescentKnobs;
 
 /// Per-frame K-d-tree maintenance policy of [`run_frame_stream`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum TreeMaintenance {
     /// Build the tree from scratch every frame (the honest baseline; its
     /// cost is now charged instead of silently modeled as free).
@@ -118,7 +116,7 @@ impl TreeMaintenance {
 pub const DEFAULT_STREAM_ELISION_DEPTH: usize = 4;
 
 /// Search parameters applied to every frame of a stream.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StreamSearchConfig {
     /// Search radius (frame-cloud units).
     pub radius: f32,
@@ -157,7 +155,7 @@ impl Default for StreamSearchConfig {
 }
 
 /// Timing and statistics of one frame in a stream.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FrameReport {
     /// 0-based frame index.
     pub frame: usize,
@@ -285,7 +283,7 @@ impl FrameReport {
 }
 
 /// Aggregate report of a frame-sequence simulation.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamReport {
     /// Per-frame reports, in frame order.
     pub frames: Vec<FrameReport>,

@@ -12,10 +12,8 @@
 //!
 //! plus global-buffer traffic for activations, weights, and outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing/energy outcome of running a GEMM on the systolic array.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SystolicReport {
     /// Datapath cycles.
     pub cycles: u64,

@@ -1,8 +1,6 @@
 //! High-level entry point tying the hardware simulator and the
 //! approximation-aware networks together.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_accel::{
     run_crescent_search, run_network, AcceleratorConfig, CrescentKnobs, NetworkSpec,
     PipelineReport, SearchEngineReport, Variant,
@@ -29,7 +27,7 @@ use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 /// assert!(!results[0].is_empty());
 /// assert_eq!(report.dram_random_bytes, 0, "Crescent DRAM is fully streaming");
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Crescent {
     /// Hardware configuration (Sec 6 defaults).
     pub config: AcceleratorConfig,

@@ -43,7 +43,6 @@
 
 pub mod facade;
 pub mod tenant;
-pub mod testgen;
 pub mod workload;
 
 pub use facade::{format_table, Crescent};

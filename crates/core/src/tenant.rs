@@ -16,13 +16,11 @@
 //! from the tenant index alone, and deadlines cycle through three
 //! latency tiers so deadline-aware dispatch has something to reorder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::{FrameStreamConfig, StreamScenario};
 
 /// One tenant of the streaming service: a seeded query workload plus its
 /// arrival phase and per-frame latency contract.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantSpec {
     /// Stable tenant name (report key; `"t03-urban_canyon"` style for
     /// the canonical mixes).

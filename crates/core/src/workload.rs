@@ -31,8 +31,6 @@
 //! through [`Crescent::run_stream`](crate::Crescent::run_stream) —
 //! bit-identical neighbor sets, cycle counts, and energy totals.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_accel::{run_frame_stream, StreamReport, StreamSearchConfig, TreeMaintenance};
 use crescent_pointcloud::datasets::{generate_scene, LidarSceneConfig};
 use crescent_pointcloud::sampling::gaussian;
@@ -43,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use crate::facade::Crescent;
 
 /// Constant-rate ego motion of the sensor between frames.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EgoMotion {
     /// Forward speed along the current heading, meters per second.
     pub speed_mps: f32,
@@ -62,7 +60,7 @@ impl Default for EgoMotion {
 
 /// The shape of a streamed workload — chosen to stress the engine's
 /// [`TreeMaintenance`] policy in qualitatively different ways.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StreamScenario {
     /// Raw spinning-LiDAR frames: range cull plus a fresh azimuthal
     /// re-sort every frame. Point *identity* is not stable across
@@ -206,7 +204,7 @@ impl StreamScenario {
 }
 
 /// Configuration of a [`FrameStream`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FrameStreamConfig {
     /// The static world the sensor drives through.
     pub scene: LidarSceneConfig,
@@ -282,7 +280,7 @@ impl FrameStreamConfig {
 }
 
 /// One rendered frame of a stream.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Frame {
     /// 0-based frame index.
     pub index: usize,

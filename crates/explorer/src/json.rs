@@ -1,9 +1,8 @@
 //! Minimal deterministic JSON emission.
 //!
-//! The workspace's `serde` is an offline marker stub (no `serde_json`),
-//! and the sweep report needs *byte*-stable output anyway — the CI gate
-//! compares reports with an exact comparator, so the serializer must be
-//! a pure function of the data with no map-ordering, locale, or
+//! The sweep report needs *byte*-stable output: the CI gate compares
+//! reports with an exact comparator, so the serializer must be a pure
+//! function of the data with no map-ordering, locale, or
 //! float-formatting wiggle room. This hand-rolled value tree gives
 //! exactly that: objects keep insertion order, floats print through
 //! Rust's shortest-roundtrip formatter (deterministic for a given

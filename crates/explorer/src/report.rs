@@ -4,8 +4,6 @@
 
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 use crescent_memsim::EnergyLedger;
 
 use crate::fnv::Fnv1a;
@@ -28,7 +26,7 @@ pub const SCHEMA: &str = "crescent-sweep/v6";
 /// metrics are *modeled* (cycles, bytes, energy units, recall against a
 /// brute-force oracle) — no wall-clock anywhere — so every field is
 /// bit-reproducible across runs, worker counts, and machines.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepRow {
     /// Row index == grid expansion index.
     pub index: usize,
@@ -165,7 +163,7 @@ impl SweepRow {
 
 /// A completed sweep: the spec that produced it plus one row per grid
 /// point, in grid order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepReport {
     /// The spec the sweep ran.
     pub spec: SweepSpec,

@@ -1,8 +1,6 @@
 //! Declarative sweep specifications: a cartesian grid over architecture
 //! and workload knobs, expanded into an ordered list of sweep points.
 
-use serde::{Deserialize, Serialize};
-
 use crescent::workload::{EgoMotion, FrameStreamConfig, StreamScenario};
 use crescent_accel::{AcceleratorConfig, ConfigError, TreeMaintenance};
 use crescent_pointcloud::datasets::LidarSceneConfig;
@@ -14,7 +12,7 @@ use crescent_pointcloud::datasets::LidarSceneConfig;
 /// Expansion order is fixed and documented ([`SweepSpec::expand`]), so a
 /// report row index identifies the same configuration forever — the
 /// property the checked-in CI baseline relies on.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// Human-readable name of the spec (`"quick"`, `"full"`, ...);
     /// echoed into the report header.
@@ -48,7 +46,7 @@ pub struct SweepSpec {
 }
 
 /// One expanded grid point, in expansion order.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
     /// Position in the expanded grid (== report row index).
     pub index: usize,

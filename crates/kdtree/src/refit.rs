@@ -43,14 +43,12 @@
 //! arise here; invariant violations and bound dilation are the only two
 //! signals that matter.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_pointcloud::{Point3, PointCloud, POINT_BYTES};
 
 use crate::tree::{build_recursive, KdTree, NODE_BYTES};
 
 /// Knobs of [`KdTree::refit`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RefitConfig {
     /// Tree level at which validation and repair are granular: the
     /// sub-trees rooted at this level are individually validated and, if
@@ -74,7 +72,7 @@ impl Default for RefitConfig {
 }
 
 /// How a [`KdTree::refit`] call resolved.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RefitOutcome {
     /// The tree was updated in place (possibly with some sub-trees
     /// rebuilt); the result is identical to a fresh build.
@@ -85,7 +83,7 @@ pub enum RefitOutcome {
 }
 
 /// Why a refit fell back to a full rebuild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RebuildReason {
     /// The new cloud has a different point count — point identity across
     /// frames is gone, so the retained topology is meaningless.
@@ -100,7 +98,7 @@ pub enum RebuildReason {
 /// Cost and diagnostic report of one [`KdTree::refit`] call. Mirrors
 /// [`BuildStats`](crate::BuildStats) so the two maintenance paths can be
 /// charged through the same timing model.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RefitStats {
     /// Nodes whose coordinates were patched in place.
     pub nodes_refitted: usize,

@@ -27,8 +27,6 @@
 //! loser's walk to continue beneath the winner's node, so it needs the
 //! tree source.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3};
 
@@ -590,7 +588,7 @@ impl TreeArbiter {
 /// ([`BatchSearchStats::subtree`](crate::BatchSearchStats)). Fed the same
 /// queues, the two drivers' stage-2 blocks are equal as whole records
 /// (tested in `tests/elision_unified.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DrainCounters {
     /// Lock-step arbitration rounds (the search cycle proxy).
     pub rounds: usize,
@@ -928,7 +926,7 @@ pub(crate) enum Arbitration {
 }
 
 /// Configuration of [`SplitTree::batch_search`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SplitSearchConfig {
     /// Search radius.
     pub radius: f32,
@@ -947,7 +945,7 @@ impl Default for SplitSearchConfig {
 }
 
 /// Bank-conflict elision parameters (Sec 4.4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ElisionConfig {
     /// Tree level at and below which conflicted fetches are dropped
     /// (`h_e`). Conflicts above this level stall instead.
@@ -960,7 +958,6 @@ pub struct ElisionConfig {
     /// traversal from the winner's node instead of dropping its whole
     /// subtree. Fewer nodes are skipped (higher accuracy) at no extra
     /// hardware cost beyond an ancestor check on the two indices.
-    #[serde(default)]
     pub descendant_reuse: bool,
 }
 
@@ -987,7 +984,7 @@ fn is_ancestor(ancestor: usize, node: usize) -> bool {
 
 /// Statistics of a [`SplitTree::batch_search`] run: the arbitration
 /// counters of each stage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SplitSearchStats {
     /// Stage 1: the lock-step top-tree descent.
     pub top: DrainCounters,

@@ -17,8 +17,6 @@
 //! they need, which is most of the simulator's wall-clock. See
 //! `docs/ARCHITECTURE.md` ("Modeled time vs wall-clock time").
 
-use serde::{Deserialize, Serialize};
-
 use crescent_pointcloud::{Point3, PointCloud, POINT_BYTES};
 
 /// Size of one tree node in the accelerator's DRAM layout: 12 B point +
@@ -35,7 +33,7 @@ pub const NODE_BYTES: usize = 16;
 /// compare-and-move per cycle during median selection plus one node write
 /// per cycle, with the DRAM side (cloud in, image out) fully streaming
 /// and double-buffered against the datapath.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Tree nodes written to the flat image (= number of points).
     pub nodes_written: usize,
@@ -62,7 +60,7 @@ impl BuildStats {
 }
 
 /// One K-d tree node.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KdNode {
     /// The splitting point stored at this node.
     pub point: Point3,
@@ -85,7 +83,7 @@ pub struct KdNode {
 /// assert_eq!(tree.len(), 100);
 /// assert_eq!(tree.height(), 7); // ceil(log2(101))
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KdTree {
     /// Splitting point of every node, in heap (level) order. Kept as a
     /// dense structure-of-arrays column so the distance-compare inner

@@ -14,10 +14,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss statistics of a [`FullyAssociativeCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

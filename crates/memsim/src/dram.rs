@@ -11,10 +11,8 @@
 //!    ×4-channel bandwidth model (the paper's Micron part), so the
 //!    accelerator simulator can overlap DMA with compute.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification counters for a DRAM access stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DramCounters {
     /// Accesses whose address continued the previous access.
     pub streaming_accesses: u64,
@@ -116,17 +114,11 @@ impl DramTraceAnalyzer {
     pub fn counters(&self) -> &DramCounters {
         &self.counters
     }
-
-    /// Resets stream history (e.g. between kernels) without clearing
-    /// counters, so the next access is classified as random.
-    pub fn break_stream(&mut self) {
-        self.next_addr = None;
-    }
 }
 
 /// LPDDR3-1600 ×4-channel timing parameters (Sec 6's DRAM model), expressed
 /// against the accelerator's 1 GHz clock.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DramTiming {
     /// Sustained sequential bandwidth in bytes per accelerator cycle.
     /// LPDDR3-1600 ×4 channels peaks at 25.6 GB/s ≈ 25.6 B/cycle at 1 GHz;
@@ -206,15 +198,6 @@ mod tests {
         assert_eq!(c.random_accesses, 1);
         assert_eq!(c.total_bytes(), 1000);
         assert_eq!(c.total_accesses(), 16); // ceil(1000/64)
-    }
-
-    #[test]
-    fn break_stream_forces_random() {
-        let mut a = DramTraceAnalyzer::new();
-        a.access(0, 64);
-        a.break_stream();
-        a.access(64, 64); // would have been streaming
-        assert_eq!(a.counters().random_accesses, 2);
     }
 
     #[test]

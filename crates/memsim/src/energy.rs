@@ -15,10 +15,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-event energy costs (arbitrary units).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// Energy per byte of a random DRAM access.
     pub dram_random_per_byte: f64,
@@ -62,7 +60,7 @@ impl EnergyModel {
 }
 
 /// Energy consumption broken down by the categories of Fig 16.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyLedger {
     /// Random DRAM traffic energy.
     pub dram_random: f64,

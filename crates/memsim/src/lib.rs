@@ -42,9 +42,7 @@ pub mod sram;
 pub use cache::{CacheStats, FullyAssociativeCache};
 pub use dram::{DramCounters, DramTiming, DramTraceAnalyzer};
 pub use energy::{EnergyLedger, EnergyModel};
-pub use sram::{
-    crossbar_relative_area, BankWinner, BankedSram, PortOutcome, SramConfig, SramCounters,
-};
+pub use sram::{BankWinner, BankedSram, PortOutcome, SramConfig, SramCounters};
 
 /// Stream-level energy: a stream keeps one [`EnergyLedger`] per frame and
 /// its totals are [`EnergyLedger::merged`] over those frames, in order.

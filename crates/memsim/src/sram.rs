@@ -7,14 +7,11 @@
 //! **elided** (Crescent — the port is handed the winner's data, or the
 //! request is dropped, depending on the pipeline mode; see Sec 4.2).
 //!
-//! The module also carries the crossbar-cost observation of Sec 2.2: the
-//! crossbar area grows quadratically with the bank count, which is why
-//! simply adding banks is not an acceptable fix for conflicts.
-
-use serde::{Deserialize, Serialize};
+//! Bank count is a configuration knob, not a free fix for conflicts: Sec 2.2
+//! observes that the crossbar area grows quadratically with it.
 
 /// Static configuration of a banked SRAM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SramConfig {
     /// Number of banks (low-order interleaved on word address).
     pub num_banks: usize,
@@ -43,7 +40,7 @@ impl SramConfig {
 }
 
 /// Outcome of one port's request in an arbitration round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortOutcome {
     /// The request won (or had no contention) and data was returned.
     Granted,
@@ -56,7 +53,7 @@ pub enum PortOutcome {
 }
 
 /// Counter block for a banked SRAM.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SramCounters {
     /// Requests issued across all rounds (including re-issues).
     pub requests: u64,
@@ -324,17 +321,6 @@ impl BankedSram {
     }
 }
 
-/// Relative crossbar area of a `banks × ports` SRAM crossbar, normalized to
-/// a 2-bank, 2-port design.
-///
-/// The paper (Sec 2.2) reports crossbar area growing quadratically with
-/// bank count — with 32 banks the crossbar is twice the area of the memory
-/// arrays themselves. This helper exists for the Fig 22 discussion (why
-/// "just add banks" is not free).
-pub fn crossbar_relative_area(num_banks: usize, num_ports: usize) -> f64 {
-    (num_banks as f64 * num_ports as f64) / 4.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,13 +556,6 @@ mod tests {
                 proptest::prop_assert_eq!(*sram.counters(), want);
             }
         }
-    }
-
-    #[test]
-    fn crossbar_area_quadratic() {
-        assert_eq!(crossbar_relative_area(2, 2), 1.0);
-        assert_eq!(crossbar_relative_area(4, 4), 4.0);
-        assert_eq!(crossbar_relative_area(32, 32), 256.0);
     }
 
     #[test]

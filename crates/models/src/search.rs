@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crescent_kdtree::{ElisionConfig, KdTree, SplitSearchConfig, SplitTree};
 use crescent_pointcloud::{replicate_to_k, Point3, PointCloud};
@@ -21,7 +20,7 @@ use crescent_pointcloud::{replicate_to_k, Point3, PointCloud};
 /// One approximate setting `h`, plus the hardware parameters the
 /// bank-conflict model needs (Sec 5: "the bank conflict simulator takes
 /// `h_e` and the hardware banking configuration").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ApproxSetting {
     /// Top-tree height `h_t`; 0 disables the split (exact search).
     pub top_height: usize,
@@ -70,7 +69,7 @@ impl ApproxSetting {
 
 /// A sampler over approximate settings for mixed training (Sec 5's
 /// "training also randomly samples an `h` for each input").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SettingSampler {
     /// Always the same setting (dedicated-model training, Figs 18/19).
     Fixed(ApproxSetting),

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crescent_nn::{huber_loss, softmax_cross_entropy, Adam};
 use crescent_pointcloud::datasets::{ClassificationSample, DetectionSample, SegmentationSample};
@@ -23,7 +22,7 @@ use crate::search::{ApproxSetting, SettingSampler};
 use crate::seg::PointNet2Seg;
 
 /// Training hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     /// Passes over the training set.
     pub epochs: usize,
@@ -69,7 +68,7 @@ impl TrainConfig {
 }
 
 /// Loss trace of a training run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TrainReport {
     /// Mean loss per epoch.
     pub epoch_losses: Vec<f32>,

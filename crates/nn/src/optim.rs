@@ -1,11 +1,9 @@
 //! Parameters and the Adam optimizer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::Tensor;
 
 /// A trainable parameter: value, gradient accumulator, and Adam moments.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
@@ -46,7 +44,7 @@ impl Param {
 /// }
 /// assert!(p.value[(0, 0)].abs() < 0.05);
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
@@ -103,7 +101,7 @@ impl Adam {
 }
 
 /// Plain SGD with optional momentum, for the ablation comparisons.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,

@@ -49,7 +49,6 @@ use std::ops::{Index, IndexMut, Range};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A row-major 2D tensor of `f32`.
 ///
@@ -62,7 +61,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Tensor::eye(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

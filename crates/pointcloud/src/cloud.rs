@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::point::{Aabb, Point3};
 
 /// A collection of points in 3D space, the unit of input to every Crescent
@@ -22,7 +20,7 @@ use crate::point::{Aabb, Point3};
 /// assert_eq!(cloud.len(), 2);
 /// assert_eq!(cloud.bounds().size(), Point3::splat(1.0));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PointCloud {
     points: Vec<Point3>,
 }

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::cloud::PointCloud;
 use crate::datasets::shapes;
@@ -19,7 +18,7 @@ use crate::point::Point3;
 use crate::sampling::gaussian;
 
 /// The shape classes of the synthetic classification dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum ShapeClass {
     /// Uniform sphere surface.
@@ -111,7 +110,7 @@ impl ShapeClass {
 }
 
 /// A labelled classification sample.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClassificationSample {
     /// The (normalized, augmented) point cloud.
     pub cloud: PointCloud,
@@ -120,7 +119,7 @@ pub struct ClassificationSample {
 }
 
 /// A train/test split of classification samples.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ClassificationDataset {
     /// Training samples.
     pub train: Vec<ClassificationSample>,
@@ -131,7 +130,7 @@ pub struct ClassificationDataset {
 }
 
 /// Configuration for [`ClassificationDataset::generate`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ClassificationConfig {
     /// Points per sample cloud.
     pub points_per_cloud: usize,

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::cloud::PointCloud;
 use crate::datasets::shapes;
@@ -22,7 +21,7 @@ use crate::point::{Aabb, Point3};
 use crate::sampling::gaussian;
 
 /// Configuration for [`generate_scene`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LidarSceneConfig {
     /// Approximate total number of points in the scene.
     pub total_points: usize,
@@ -67,7 +66,7 @@ impl LidarSceneConfig {
 }
 
 /// A generated LiDAR-like scene.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LidarScene {
     /// All scene points, shuffled into sensor-sweep-like order.
     pub cloud: PointCloud,
@@ -176,7 +175,7 @@ fn sweep_order(pts: Vec<Point3>) -> Vec<Point3> {
 /// One frustum detection sample: the points in a view frustum containing a
 /// single car plus background, the per-point car mask, and the ground-truth
 /// box.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DetectionSample {
     /// Frustum point cloud, centered per F-PointNet convention.
     pub cloud: PointCloud,
@@ -187,7 +186,7 @@ pub struct DetectionSample {
 }
 
 /// Train/test split of frustum detection samples.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DetectionDataset {
     /// Training samples.
     pub train: Vec<DetectionSample>,
@@ -196,7 +195,7 @@ pub struct DetectionDataset {
 }
 
 /// Configuration for [`DetectionDataset::generate`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DetectionConfig {
     /// Points per frustum sample.
     pub points_per_sample: usize,

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::cloud::PointCloud;
 use crate::datasets::shapes;
@@ -18,7 +17,7 @@ use crate::point::Point3;
 pub const NUM_PARTS: usize = 4;
 
 /// Shape categories of the segmentation dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SegCategory {
     /// Flat top (part 0) on four legs (part 1).
     Table,
@@ -48,7 +47,7 @@ impl SegCategory {
 
 /// A labelled segmentation sample: one point cloud plus one part label per
 /// point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SegmentationSample {
     /// The point cloud.
     pub cloud: PointCloud,
@@ -59,7 +58,7 @@ pub struct SegmentationSample {
 }
 
 /// Train/test split of segmentation samples.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SegmentationDataset {
     /// Training samples.
     pub train: Vec<SegmentationSample>,
@@ -70,7 +69,7 @@ pub struct SegmentationDataset {
 }
 
 /// Configuration for [`SegmentationDataset::generate`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SegmentationConfig {
     /// Points per sample cloud (approximate; parts round independently).
     pub points_per_cloud: usize,

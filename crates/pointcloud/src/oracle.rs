@@ -33,7 +33,8 @@
 //! the `(d², index)` sort do the rest, reproducing the naive scan's
 //! stable order — including [`Option<usize>`] truncation — bit for bit.
 //! `tests/oracle_properties.rs` asserts the equality on every canonical
-//! stream scenario and on fuzzed `testgen` streams.
+//! stream scenario and on streams fuzzed by the umbrella package's
+//! `testgen::ScenarioGen`.
 
 use crate::bruteforce::Neighbor;
 use crate::cloud::PointCloud;

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of spatial dimensions of a point cloud.
 pub const DIMS: usize = 3;
 
@@ -24,7 +22,7 @@ pub const DIMS: usize = 3;
 /// assert_eq!(p.norm(), 3.0);
 /// assert_eq!(p[1], 2.0);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Point3 {
     /// Coordinate along the first split axis.
     pub x: f32,
@@ -256,7 +254,7 @@ impl Div<f32> for Point3 {
 /// assert!(b.contains(Point3::splat(1.0)));
 /// assert_eq!(b.volume(), 8.0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Point3,

@@ -40,10 +40,8 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// Which knob policy a grid point runs: the innermost serve-grid axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControlMode {
     /// `h_e` is pinned to the point's `elision_depth` for the whole run
     /// and maintenance follows the spec policy — byte-identical to the
@@ -66,7 +64,7 @@ impl ControlMode {
 
 /// Tuning of the SLO controller, echoed (and fingerprinted) in the
 /// report header.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ControllerConfig {
     /// Top of the elision band: chosen `h_e` never exceeds this (and
     /// never goes below 0 — the band is `[0, h_e_max]`).

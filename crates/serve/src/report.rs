@@ -3,8 +3,6 @@
 //! compact row object per line — so [`crescent_explorer::diff_reports`]
 //! points the CI serve gate straight at drifted service configurations.
 
-use serde::{Deserialize, Serialize};
-
 use crescent_explorer::{Json, ReportHead};
 use crescent_memsim::EnergyLedger;
 
@@ -37,7 +35,7 @@ pub const TIMINGS_SCHEMA: &str = "crescent-serve-timings/v2";
 /// [`TenantLedger`](crate::ledger::TenantLedger): counts, tail
 /// percentiles, and attributed energy — per-frame outcomes stay in the
 /// in-memory ledger, the report keeps rows line-diffable.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantRow {
     /// Tenant name (`t03-jitter` style: mix position + scenario).
     pub name: String,
@@ -93,7 +91,7 @@ impl TenantRow {
 /// All metrics are *modeled* (cycles, energy units, counts) — no
 /// wall-clock anywhere — so every field is bit-reproducible across
 /// runs, worker counts, and machines.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeRow {
     /// Row index == grid expansion index.
     pub index: usize,
@@ -278,7 +276,7 @@ impl ServeRow {
 
 /// A completed serve run: the spec that produced it plus one row per
 /// grid point, in expansion order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeReport {
     /// The spec the service ran.
     pub spec: ServeSpec,

@@ -7,8 +7,6 @@
 //! configuration forever — the property the checked-in
 //! `bench/serve-baseline.json` relies on.
 
-use serde::{Deserialize, Serialize};
-
 use crescent::tenant::DEADLINE_TIERS;
 use crescent::workload::{FrameStreamConfig, StreamScenario};
 use crescent_accel::TreeMaintenance;
@@ -20,7 +18,7 @@ use crate::controller::{ControlMode, ControllerConfig};
 /// `elision_depths` × `controller_modes` runs the same multi-tenant
 /// service scenario (shared map, canonical tenant mix, one scheduler)
 /// and produces one report row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeSpec {
     /// Human-readable name (`"quick"`, `"full"`), echoed in the report.
     pub label: String,
@@ -69,7 +67,7 @@ pub struct ServeSpec {
 }
 
 /// One expanded grid point, in expansion order.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServePoint {
     /// Position in the expanded grid (== report row index).
     pub index: usize,

@@ -1,15 +1,13 @@
-//! Umbrella crate for the Crescent reproduction's examples and integration
-//! tests.
+//! Umbrella package for the Crescent reproduction's examples and
+//! integration tests.
 //!
-//! The library surface lives in the workspace crates; this crate only
-//! re-exports them so `examples/` and `tests/` have a single import root.
+//! The library surface lives in the workspace crates, which `examples/`
+//! and `tests/` import directly. This library holds only what those
+//! tests share: the adversarial stream-scenario generator
+//! ([`testgen`]). It is the one place in the workspace that links
+//! proptest outside a dev-dependency, and no library crate depends on
+//! this package.
 
 #![warn(missing_docs)]
 
-pub use crescent;
-pub use crescent_accel as accel;
-pub use crescent_kdtree as kdtree;
-pub use crescent_memsim as memsim;
-pub use crescent_models as models;
-pub use crescent_nn as nn;
-pub use crescent_pointcloud as pointcloud;
+pub mod testgen;

@@ -5,20 +5,21 @@
 //! ego trajectory, an arbitrary [`StreamScenario`] with arbitrary
 //! parameters, arbitrary density/dropout/query-count knobs — composed
 //! into one [`FrameStreamConfig`] and driven end to end through
-//! [`Crescent::run_stream`](crate::Crescent::run_stream). This module
+//! [`Crescent::run_stream`](crescent::Crescent::run_stream). This module
 //! packages that composition as a reusable proptest [`Strategy`]
 //! ([`ScenarioGen`]) plus a greedy structural shrinker
 //! ([`shrink_failing`]) for the vendored proptest stub, which does not
 //! shrink on its own.
 //!
-//! It ships in the library (rather than a `#[cfg(test)]` module) so the
-//! workspace-level integration tests can reuse it; it has no other
-//! runtime role.
+//! It lives in the umbrella package's library (rather than a
+//! `#[cfg(test)]` module) so the workspace-level integration tests can
+//! reuse it. No library crate depends on this package, so `repro`, the
+//! gates and the benchmark compile no proptest.
 
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 
-use crate::workload::{EgoMotion, FrameStreamConfig, StreamScenario};
+use crescent::workload::{EgoMotion, FrameStreamConfig, StreamScenario};
 use crescent_accel::TreeMaintenance;
 
 /// Strategy generating adversarial [`FrameStreamConfig`]s.

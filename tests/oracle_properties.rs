@@ -11,12 +11,12 @@
 //! The case count is `PROPTEST_CASES` (default 12 — the bounded CI
 //! budget; raise it for deeper local hunts). The vendored proptest stub
 //! does not shrink, so a failing case is re-minimized with
-//! [`crescent::testgen::shrink_failing`] and printed ready to check in
+//! [`crescent_repro::testgen::shrink_failing`] and printed ready to check in
 //! as a named regression test.
 
 use crescent::pointcloud::{radius_search_bruteforce_into, Neighbor, OracleAdvance, OracleIndex};
-use crescent::testgen::{shrink_failing, ScenarioGen};
 use crescent::workload::{FrameStream, FrameStreamConfig};
+use crescent_repro::testgen::{shrink_failing, ScenarioGen};
 use proptest::strategy::Strategy;
 use proptest::ProptestConfig;
 

@@ -19,16 +19,16 @@
 //! The case count is `PROPTEST_CASES` (default 12 — the bounded CI
 //! budget; raise it for deeper local hunts). The vendored proptest stub
 //! does not shrink, so a failing case is re-minimized here with
-//! [`crescent::testgen::shrink_failing`] and printed ready to check in
+//! [`crescent_repro::testgen::shrink_failing`] and printed ready to check in
 //! as a named regression test — `shrunk_single_frame_stream_pays_one_fill`
 //! below is one such pinned counterexample.
 
 use crescent::accel::PE_PIPELINE_DEPTH;
 use crescent::kdtree::{KdTree, SplitTree};
 use crescent::pointcloud::radius_search_bruteforce;
-use crescent::testgen::{shrink_failing, ScenarioGen};
 use crescent::workload::{FrameStream, FrameStreamConfig};
 use crescent::Crescent;
+use crescent_repro::testgen::{shrink_failing, ScenarioGen};
 use proptest::strategy::Strategy;
 use proptest::ProptestConfig;
 
@@ -197,7 +197,7 @@ fn fuzz_every_reported_neighbor_is_a_true_neighbor() {
 }
 
 /// Pinned fuzzer counterexample (shrunken with
-/// [`crescent::testgen::shrink_failing`] from a
+/// [`crescent_repro::testgen::shrink_failing`] from a
 /// `fuzz_fill_identity_holds_on_arbitrary_streams` hunt): a single-frame
 /// stream has no inter-frame overlap at all, so the naive identity
 /// `serial − pipelined == (num_frames − 1)·fill + overlapped` written

@@ -1,7 +1,7 @@
 //! The SLO-controller property harness: the closed loop is pinned by
 //! the same determinism discipline as the rest of the serve layer.
 //!
-//! Fuzzed (over [`crescent::testgen::ScenarioGen`] tenant mixes):
+//! Fuzzed (over [`crescent_repro::testgen::ScenarioGen`] tenant mixes):
 //!
 //! * **off means off** — a controller whose band is `[0, 0]` runs
 //!   bit-identically to the pinned static `h_e = 0` path: answers,
@@ -18,7 +18,7 @@
 //! calibrated overload corner of `bench/serve-baseline.json` — the
 //! 8-tenant / fleet-1 / `h_e`-start-0 SLO row — as exact constants.
 
-use crescent::testgen::ScenarioGen;
+use crescent_repro::testgen::ScenarioGen;
 use crescent_serve::{
     run_service, run_service_controlled, ControllerConfig, ServeSpec, ServiceContext,
 };

@@ -6,7 +6,7 @@
 //! populated per tenant and fleet-wide.
 //!
 //! The fuzzed half draws random tenant workloads through
-//! [`crescent::testgen::ScenarioGen`] and random service knobs, then
+//! [`crescent_repro::testgen::ScenarioGen`] and random service knobs, then
 //! checks the three scheduler invariants on every draw:
 //!
 //! * **conservation** — every admitted frame is served exactly once
@@ -25,10 +25,10 @@ use std::collections::BTreeSet;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
 
-use crescent::testgen::ScenarioGen;
 use crescent_accel::{AcceleratorConfig, CrescentKnobs, ServiceInstance, StreamSearchConfig};
 use crescent_kdtree::TaggedBatch;
 use crescent_memsim::EnergyLedger;
+use crescent_repro::testgen::ScenarioGen;
 use crescent_serve::{
     run_serve, run_service, run_service_controlled, ControlMode, ServeSpec, ServiceContext,
     ServiceOutcome,

@@ -22,9 +22,9 @@ use crescent::accel::{
 };
 use crescent::kdtree::{KdTree, RefitConfig, RefitOutcome};
 use crescent::pointcloud::{Point3, PointCloud};
-use crescent::testgen::ScenarioGen;
 use crescent::workload::{Frame, FrameStream};
 use crescent::CrescentKnobs;
+use crescent_repro::testgen::ScenarioGen;
 
 /// Scenario streams small enough for a debug-profile property run.
 fn small_streams() -> ScenarioGen {
