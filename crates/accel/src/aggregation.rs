@@ -52,7 +52,9 @@ impl AggregationReport {
 /// configuration `sram`, issuing at most `ports` requests per cycle.
 ///
 /// Returns the report; when `elide` is set, the replicated fetch count is
-/// in [`AggregationReport::elided`].
+/// in [`AggregationReport::elided`]. With `ports == sram.num_banks` and
+/// `elide` set, every issue group is one round with no retries, and
+/// [`AggregationReport::conflict_rate`] is the Fig 5 experiment.
 ///
 /// # Panics
 ///
@@ -82,20 +84,6 @@ pub fn simulate_aggregation(
     report.conflicts = c.conflicts;
     report.elided = c.elided;
     report
-}
-
-/// Measures the single-round conflict rate of issuing each neighbor list
-/// as one batch of concurrent requests — the Fig 5 experiment (16 banks,
-/// 16 concurrent requests, no retries counted).
-pub fn conflict_rate_single_issue(neighbor_lists: &[Vec<usize>], sram: SramConfig) -> f64 {
-    let mut bank = BankedSram::new(sram);
-    let word = sram.word_bytes as u64;
-    for list in neighbor_lists {
-        for chunk in list.chunks(sram.num_banks.max(1)) {
-            bank.gather(chunk.iter().map(|&i| i as u64 * word), true);
-        }
-    }
-    bank.counters().conflict_rate()
 }
 
 #[cfg(test)]
@@ -173,7 +161,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let rate = conflict_rate_single_issue(&lists, cfg(16));
+        let rate = simulate_aggregation(&lists, cfg(16), 16, true).conflict_rate();
         assert!(rate > 0.25 && rate < 0.70, "rate {rate}");
     }
 

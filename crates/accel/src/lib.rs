@@ -52,7 +52,7 @@ pub mod service;
 pub mod streaming;
 pub mod systolic;
 
-pub use aggregation::{conflict_rate_single_issue, simulate_aggregation, AggregationReport};
+pub use aggregation::{simulate_aggregation, AggregationReport};
 pub use config::{AcceleratorConfig, ConfigBuilder, ConfigError};
 pub use engine::{
     run_crescent_search, run_tigris_report, run_tigris_search, SearchEngineReport,

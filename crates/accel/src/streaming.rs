@@ -517,7 +517,7 @@ pub fn maintain_tree_sequence(
                 MaintainedTree { tree, cost }
             }
             (Some(prev), TreeMaintenance::Refit { rebuild_threshold }) => {
-                let cfg = RefitConfig { check_height, rebuild_threshold, ..RefitConfig::default() };
+                let cfg = RefitConfig { check_height, rebuild_threshold };
                 let mut tree = prev.tree.clone();
                 let r = tree.refit_with_scratch(cloud, &cfg, &mut refit_scratch);
                 let cost = MaintenanceCost {

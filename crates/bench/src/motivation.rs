@@ -1,6 +1,6 @@
 //! Motivation / characterization experiments: Figs 2, 3, 4, 5, 8, 9.
 
-use crescent::accel::conflict_rate_single_issue;
+use crescent::accel::simulate_aggregation;
 use crescent::kdtree::{
     radius_search_traced, ElisionConfig, KdTree, SplitSearchConfig, SplitTree, NODE_BYTES,
 };
@@ -38,7 +38,7 @@ pub fn fig2(scale: Scale) -> Figure {
         let tree = KdTree::build(&cloud);
         let mut dram = DramTraceAnalyzer::new();
         for &q in &queries {
-            let _ = radius_search_traced(&tree, q, *radius, None, &mut |idx| {
+            radius_search_traced(&tree, q, *radius, None, &mut |idx| {
                 dram.access(tree.node_addr(idx), NODE_BYTES as u64);
             });
         }
@@ -94,7 +94,7 @@ pub fn fig3(scale: Scale) -> Figure {
         };
         let mut cache = FullyAssociativeCache::new(cache_bytes, 64);
         for &q in &queries {
-            let _ = radius_search_traced(&tree, q, *radius, None, &mut |idx| {
+            radius_search_traced(&tree, q, *radius, None, &mut |idx| {
                 cache.access_range(idx as u64 * BASELINE_NODE_BYTES, BASELINE_NODE_BYTES);
             });
         }
@@ -162,7 +162,10 @@ pub fn fig5(scale: Scale) -> Figure {
                 replicate_to_k(&idx, *k, Some(0))
             })
             .collect();
-        let rate = conflict_rate_single_issue(&lists, SramConfig::point_buffer());
+        // one eliding round per 16-wide issue group, no retries counted
+        let point_buffer = SramConfig::point_buffer();
+        let rate = simulate_aggregation(&lists, point_buffer, point_buffer.num_banks, true)
+            .conflict_rate();
         rows.push(FigRow { label: (*name).into(), values: vec![rate * 100.0] });
     }
     Figure {

@@ -72,7 +72,7 @@ pub use batch::{
     TaggedResults,
 };
 pub use refit::{RebuildReason, RefitConfig, RefitOutcome, RefitScratch, RefitStats};
-pub use search::{radius_search, radius_search_traced, TraversalStats};
+pub use search::{radius_search, radius_search_traced};
 pub use split::{
     subtree_radius_search, DrainCounters, ElisionConfig, SplitSearchConfig, SplitSearchStats,
     SplitTree, SplitTreeError,

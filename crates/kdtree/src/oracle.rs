@@ -5,7 +5,7 @@
 //! bank → first-PE table, a loser's elision eligibility is its node's
 //! level (walked up to the root) against the threshold, and descendant
 //! reuse walks the winner's node up to the loser's. There is no
-//! `BankedSram` fold, no recycled scratch, no recorded walks and no
+//! `BankedSram`, no recycled scratch, no recorded walks and no
 //! `min_elide_idx` index shortcut, so the proptests below check the one
 //! stage-2 drain, from the tree (`drain_subtree_queue`, where descendant
 //! reuse splices walks) and from a trace ([`replay_batch`]), against an

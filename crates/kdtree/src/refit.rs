@@ -20,8 +20,8 @@
 //!   dirty sub-trees are rebuilt in place from their own points (the
 //!   flat layout makes every sub-tree a dense, complete heap range, so
 //!   the normal build recursion can target it directly);
-//! * a sub-tree whose bounding extent dilated beyond
-//!   [`RefitConfig::max_dilation`] is treated as dirty too — heavy
+//! * a sub-tree whose bounding extent grew more than four-fold
+//!   (`MAX_DILATION`) along any axis is treated as dirty too — heavy
 //!   dilation means the local geometry changed shape, a cheap
 //!   incoherence detector;
 //! * if more than [`RefitConfig::rebuild_threshold`] of the sub-trees
@@ -59,15 +59,16 @@ pub struct RefitConfig {
     /// Fraction of checked sub-trees that may be dirty before the frame
     /// is declared incoherent and refit falls back to a full rebuild.
     pub rebuild_threshold: f64,
-    /// Per-axis bounding-extent growth factor beyond which a sub-tree is
-    /// treated as dirty even without an invariant violation.
-    pub max_dilation: f32,
 }
+
+/// Per-axis bounding-extent growth factor beyond which a sub-tree is
+/// treated as dirty even without an invariant violation.
+const MAX_DILATION: f32 = 4.0;
 
 impl Default for RefitConfig {
     fn default() -> Self {
         // check_height matches CrescentKnobs::default().top_height
-        RefitConfig { check_height: 4, rebuild_threshold: 0.25, max_dilation: 4.0 }
+        RefitConfig { check_height: 4, rebuild_threshold: 0.25 }
     }
 }
 
@@ -176,11 +177,11 @@ impl SubtreeScratch {
         }
     }
 
-    fn dilated(&self, max_dilation: f32) -> bool {
+    fn dilated(&self) -> bool {
         for axis in 0..3 {
             let old = self.old_max.coord(axis) - self.old_min.coord(axis);
             let new = self.new_max.coord(axis) - self.new_min.coord(axis);
-            if old > f32::EPSILON && new > old * max_dilation {
+            if old > f32::EPSILON && new > old * MAX_DILATION {
                 return true;
             }
         }
@@ -281,7 +282,7 @@ impl KdTree {
         // ---- decide: local repair or incoherence fallback ----
         dirty.clear();
         for (s, sc) in scratch.iter().enumerate() {
-            let dilated = sc.violations == 0 && sc.dilated(cfg.max_dilation);
+            let dilated = sc.violations == 0 && sc.dilated();
             if dilated {
                 stats.dilated_subtrees += 1;
             }

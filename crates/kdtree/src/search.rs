@@ -11,15 +11,6 @@ use crescent_pointcloud::{Neighbor, Point3};
 use crate::split::finalize;
 use crate::tree::KdTree;
 
-/// Statistics of a single search traversal.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraversalStats {
-    /// Number of tree nodes fetched (FN-stage activations).
-    pub nodes_visited: usize,
-    /// Maximum stack depth reached.
-    pub max_stack_depth: usize,
-}
-
 /// Exact radius search over the whole tree.
 ///
 /// Returns up to `max_neighbors` hits sorted ascending by distance
@@ -45,7 +36,7 @@ pub fn radius_search(
     // monomorphized no-op trace: the untraced hot path must not pay an
     // indirect call per node fetch (`radius_search_traced` takes `&mut
     // dyn FnMut`, which the optimizer cannot elide)
-    radius_search_impl(tree, query, radius, max_neighbors, &mut |_| {}).0
+    radius_search_impl(tree, query, radius, max_neighbors, &mut |_| {})
 }
 
 /// Exact radius search that reports every node fetch to `on_fetch` (heap
@@ -56,7 +47,7 @@ pub fn radius_search_traced(
     radius: f32,
     max_neighbors: Option<usize>,
     on_fetch: &mut dyn FnMut(usize),
-) -> (Vec<Neighbor>, TraversalStats) {
+) -> Vec<Neighbor> {
     radius_search_impl(tree, query, radius, max_neighbors, on_fetch)
 }
 
@@ -71,11 +62,10 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
     radius: f32,
     max_neighbors: Option<usize>,
     on_fetch: &mut F,
-) -> (Vec<Neighbor>, TraversalStats) {
+) -> Vec<Neighbor> {
     let mut hits = Vec::new();
-    let mut stats = TraversalStats::default();
     if tree.is_empty() {
-        return (hits, stats);
+        return hits;
     }
     let r2 = radius * radius;
     // hot loop on the SoA columns directly: one `meta` load per node
@@ -86,8 +76,7 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
     let len = points.len();
     let mut stack: Vec<usize> = vec![0];
     while let Some(idx) = stack.pop() {
-        stats.nodes_visited += 1; // FN
-        on_fetch(idx);
+        on_fetch(idx); // FN
         let point = points[idx];
         let m = meta[idx];
         let d2 = point.dist2(query); // CD
@@ -107,10 +96,9 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
         if near < len {
             stack.push(near);
         }
-        stats.max_stack_depth = stats.max_stack_depth.max(stack.len());
     }
     finalize(&mut hits, max_neighbors, &mut Vec::new());
-    (hits, stats)
+    hits
 }
 
 #[cfg(test)]
@@ -171,11 +159,9 @@ mod tests {
         let cloud = random_cloud(127, 17);
         let tree = KdTree::build(&cloud);
         let mut fetched = Vec::new();
-        let (_, stats) =
-            radius_search_traced(&tree, Point3::splat(2.0), 0.5, None, &mut |i| fetched.push(i));
-        assert_eq!(stats.nodes_visited, fetched.len());
-        assert!(stats.nodes_visited >= tree.height()); // at least one root-to-leaf path
-        assert!(stats.nodes_visited <= tree.len());
+        radius_search_traced(&tree, Point3::splat(2.0), 0.5, None, &mut |i| fetched.push(i));
+        assert!(fetched.len() >= tree.height()); // at least one root-to-leaf path
+        assert!(fetched.len() <= tree.len());
         assert!(fetched.iter().all(|&i| i < tree.len()));
         assert_eq!(fetched[0], 0, "traversal starts at the root");
     }
@@ -186,13 +172,9 @@ mod tests {
         // than the cloud size (the whole point of space subdivision)
         let cloud = random_cloud(4096, 23);
         let tree = KdTree::build(&cloud);
-        let (_, stats) = radius_search_traced(&tree, Point3::splat(2.0), 0.1, None, &mut |_| {});
-        assert!(
-            stats.nodes_visited < cloud.len() / 4,
-            "visited {} of {}",
-            stats.nodes_visited,
-            cloud.len()
-        );
+        let mut visited = 0;
+        radius_search_traced(&tree, Point3::splat(2.0), 0.1, None, &mut |_| visited += 1);
+        assert!(visited < cloud.len() / 4, "visited {visited} of {}", cloud.len());
     }
 
     #[test]

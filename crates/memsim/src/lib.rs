@@ -5,10 +5,12 @@
 //! * [`FullyAssociativeCache`] — the 10 MB fully-associative LRU cache of
 //!   the Fig 3 motivation experiment;
 //! * [`BankedSram`] — bank-conflict detection, serialization, and the
-//!   Fig 10 selective-elision augmentation (Figs 4, 5): lock-step
-//!   searches arbitrate per request ([`BankedSram::begin_round`],
-//!   [`BankedSram::request`]), and gathers are booked in closed form
-//!   from a per-bank load histogram ([`BankedSram::gather`]);
+//!   Fig 10 selective-elision augmentation (Figs 4, 5), the one
+//!   arbitration model behind search, aggregation and training:
+//!   lock-step searches and training's neighbor replication arbitrate
+//!   per request ([`BankedSram::begin_round`], [`BankedSram::request`]),
+//!   and gathers are booked in closed form from a per-bank load
+//!   histogram ([`BankedSram::gather`]);
 //! * [`EnergyModel`] / [`EnergyLedger`] — the paper's published energy
 //!   ratios (random : streaming DRAM = 3 : 1, random DRAM : SRAM = 25 : 1)
 //!   and the per-category ledger behind Fig 16 (a stream keeps one
@@ -25,9 +27,9 @@
 //! dram.access(1 << 20, 16);
 //! assert!(dram.counters().non_streaming_fraction() < 0.1);
 //!
-//! // arbitrate 4 concurrent requests over a 4-banked SRAM
+//! // gather 4 concurrent requests from a 4-banked SRAM, conflicts stalling
 //! let mut sram = BankedSram::new(SramConfig::tree_buffer());
-//! let rounds = sram.gather_serializing(&[0, 4, 8, 16]);
+//! let rounds = sram.gather([0, 4, 8, 16], false);
 //! assert_eq!(rounds, 2); // addresses 0 and 16 share bank 0
 //! ```
 

@@ -7,6 +7,13 @@
 //! **elided** (Crescent — the port is handed the winner's data, or the
 //! request is dropped, depending on the pipeline mode; see Sec 4.2).
 //!
+//! [`BankedSram`] is the one place a word address becomes a bank and a
+//! bank's winner is chosen. Lock-step rounds (the search PEs of both
+//! search models, and training's neighbor replication in
+//! `crescent_models::apply_aggregation_elision`) arbitrate request by
+//! request; aggregation gathers (the accelerator's timing and the Fig 5
+//! conflict rate) are booked in closed form by [`BankedSram::gather`].
+//!
 //! Bank count is a configuration knob, not a free fix for conflicts: Sec 2.2
 //! observes that the crossbar area grows quadratically with it.
 
@@ -101,12 +108,17 @@ pub struct BankWinner {
 /// # Examples
 ///
 /// ```
-/// use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
+/// use crescent_memsim::{BankWinner, BankedSram, PortOutcome, SramConfig};
 ///
 /// let mut sram = BankedSram::new(SramConfig { num_banks: 2, word_bytes: 4, capacity_bytes: 1024 });
-/// // two requests to bank 0, one to bank 1
-/// let out = sram.arbitrate(&[Some(0), Some(8), Some(4)], false);
-/// assert_eq!(out, vec![PortOutcome::Granted, PortOutcome::Conflict, PortOutcome::Granted]);
+/// // one lock-step round: two requests to bank 0, one to bank 1
+/// sram.begin_round();
+/// assert_eq!(sram.request(0, 0, false), (PortOutcome::Granted, None));
+/// let winner = Some(BankWinner { port: 0, addr: 0 });
+/// assert_eq!(sram.request(1, 8, false), (PortOutcome::Conflict, winner));
+/// assert_eq!(sram.request(2, 4, false), (PortOutcome::Granted, None));
+/// // the same addresses as one eliding gather, booked in closed form
+/// assert_eq!(sram.gather([0, 8, 4], true), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BankedSram {
@@ -204,52 +216,6 @@ impl BankedSram {
         }
     }
 
-    /// Arbitrates one cycle of port requests (`None` = idle port).
-    ///
-    /// With `elide == false`, losers get [`PortOutcome::Conflict`] (the
-    /// baseline serializing SRAM). With `elide == true`, losers get
-    /// [`PortOutcome::Elided`] — the Fig 10 AND gate lowering the conflict
-    /// signal.
-    pub fn arbitrate(&mut self, requests: &[Option<u64>], elide: bool) -> Vec<PortOutcome> {
-        let mut out = Vec::with_capacity(requests.len());
-        self.arbitrate_fold(
-            requests.len(),
-            |port| requests[port],
-            |_| elide,
-            |_, o, _| out.push(o),
-        );
-        out
-    }
-
-    /// One arbitration round with *computed* requests and a *per-port*
-    /// elision eligibility: a [`Self::begin_round`] followed by one
-    /// [`Self::request`] per busy port, in port order. `request(port)`
-    /// yields port `port`'s address (`None` = idle), and a losing request
-    /// is elided only if `eligible(port)` holds.
-    ///
-    /// Outcomes go to a sink: `sink(port, outcome, winner)` fires once
-    /// per port in port order (idle ports read [`PortOutcome::Granted`]),
-    /// where `winner` is the port whose request won the loser's bank
-    /// (`None` for idle and granted ports).
-    pub fn arbitrate_fold(
-        &mut self,
-        ports: usize,
-        request: impl Fn(usize) -> Option<u64>,
-        eligible: impl Fn(usize) -> bool,
-        mut sink: impl FnMut(usize, PortOutcome, Option<usize>),
-    ) {
-        self.begin_round();
-        for port in 0..ports {
-            match request(port) {
-                None => sink(port, PortOutcome::Granted, None),
-                Some(addr) => {
-                    let (outcome, winner) = self.request(port, addr, eligible(port));
-                    sink(port, outcome, winner.map(|w| w.port));
-                }
-            }
-        }
-    }
-
     /// Books `rounds` rounds of a single request each: a lone requester
     /// wins its bank every round, so a caller that knows no port competes
     /// can skip arbitration and still keep the counters whole (`rounds`,
@@ -307,14 +273,6 @@ impl BankedSram {
         }
     }
 
-    /// Runs a gather of `addrs` to completion under baseline (serializing)
-    /// arbitration: conflicted requests re-issue on subsequent rounds.
-    /// Returns the number of rounds the gather took ([`Self::gather`]
-    /// without elision).
-    pub fn gather_serializing(&mut self, addrs: &[u64]) -> u64 {
-        self.gather(addrs.iter().copied(), false)
-    }
-
     /// Accumulated counters.
     pub fn counters(&self) -> &SramCounters {
         &self.counters
@@ -340,10 +298,16 @@ mod tests {
         assert_eq!(cfg.bank_of(6), 1); // within-word offset ignored
     }
 
+    /// One lock-step round in which port `p` requests `addrs[p]`.
+    fn round(s: &mut BankedSram, addrs: &[u64], eligible: bool) -> Vec<PortOutcome> {
+        s.begin_round();
+        addrs.iter().enumerate().map(|(port, &addr)| s.request(port, addr, eligible).0).collect()
+    }
+
     #[test]
     fn no_conflict_when_banks_differ() {
         let mut s = sram(4);
-        let out = s.arbitrate(&[Some(0), Some(4), Some(8), Some(12)], false);
+        let out = round(&mut s, &[0, 4, 8, 12], false);
         assert!(out.iter().all(|o| *o == PortOutcome::Granted));
         assert_eq!(s.counters().conflicts, 0);
     }
@@ -351,7 +315,7 @@ mod tests {
     #[test]
     fn conflict_first_port_wins() {
         let mut s = sram(4);
-        let out = s.arbitrate(&[Some(0), Some(16)], false);
+        let out = round(&mut s, &[0, 16], false);
         assert_eq!(out[0], PortOutcome::Granted);
         assert_eq!(out[1], PortOutcome::Conflict);
         assert_eq!(s.counters().conflict_rate(), 0.5);
@@ -360,7 +324,7 @@ mod tests {
     #[test]
     fn elide_mode_marks_losers_elided() {
         let mut s = sram(2);
-        let out = s.arbitrate(&[Some(0), Some(8), Some(16)], true);
+        let out = round(&mut s, &[0, 8, 16], true);
         assert_eq!(out[0], PortOutcome::Granted);
         assert_eq!(out[1], PortOutcome::Elided);
         assert_eq!(out[2], PortOutcome::Elided);
@@ -371,49 +335,23 @@ mod tests {
     fn selective_elision_decides_per_port() {
         let mut s = sram(2);
         // ports 0..3 all hit bank 0: port 0 wins, port 1 is eligible and
-        // elides, port 2 is not eligible and stalls; port 3 idles
-        let reqs = [Some(0), Some(8), Some(16), None];
-        let eligible = [false, true, false, true];
-        let mut seen = Vec::new();
-        s.arbitrate_fold(
-            reqs.len(),
-            |p| reqs[p],
-            |p| eligible[p],
-            |port, outcome, winner| seen.push((port, outcome, winner)),
-        );
-        assert_eq!(
-            seen,
-            vec![
-                (0, PortOutcome::Granted, None),
-                (1, PortOutcome::Elided, Some(0)),
-                (2, PortOutcome::Conflict, Some(0)),
-                (3, PortOutcome::Granted, None),
-            ],
-            "one call per port in port order; a loser names the port holding its bank"
-        );
+        // elides, port 2 is not eligible and stalls
+        s.begin_round();
+        assert_eq!(s.request(0, 0, false), (PortOutcome::Granted, None));
+        let winner = Some(BankWinner { port: 0, addr: 0 });
+        assert_eq!(s.request(1, 8, true), (PortOutcome::Elided, winner));
+        assert_eq!(s.request(2, 16, false), (PortOutcome::Conflict, winner));
         assert_eq!(s.counters().conflicts, 2);
         assert_eq!(s.counters().elided, 1);
         assert_eq!(s.counters().requests, 3);
     }
 
     #[test]
-    fn broadcast_arbitrate_matches_selective() {
-        let reqs = [Some(0u64), Some(8), Some(4), Some(12)];
-        for elide in [false, true] {
-            let mut a = sram(2);
-            let mut b = sram(2);
-            let mut folded = Vec::new();
-            b.arbitrate_fold(reqs.len(), |p| reqs[p], |_| elide, |_, o, _| folded.push(o));
-            assert_eq!(a.arbitrate(&reqs, elide), folded);
-            assert_eq!(a.counters(), b.counters());
-        }
-    }
-
-    #[test]
     fn idle_ports_ignored() {
         let mut s = sram(2);
-        let out = s.arbitrate(&[None, Some(0), None], false);
-        assert_eq!(out[1], PortOutcome::Granted);
+        // ports 0 and 2 idle: they make no request, and port 1 wins alone
+        s.begin_round();
+        assert_eq!(s.request(1, 0, false), (PortOutcome::Granted, None));
         assert_eq!(s.counters().requests, 1);
     }
 
@@ -421,11 +359,11 @@ mod tests {
     fn serializing_gather_rounds() {
         let mut s = sram(2);
         // 4 requests, 2 to each bank -> 2 rounds
-        assert_eq!(s.gather_serializing(&[0, 4, 8, 12]), 2);
+        assert_eq!(s.gather([0, 4, 8, 12], false), 2);
         // all 4 to the same bank -> 4 rounds
-        assert_eq!(s.gather_serializing(&[0, 8, 16, 24]), 4);
+        assert_eq!(s.gather([0, 8, 16, 24], false), 4);
         // no requests -> 0 rounds
-        assert_eq!(s.gather_serializing(&[]), 0);
+        assert_eq!(s.gather([], false), 0);
     }
 
     #[test]
@@ -434,7 +372,8 @@ mod tests {
         booked.grant_uncontended(5);
         let mut arbitrated = sram(4);
         for addr in [0u64, 4, 8, 4, 12] {
-            arbitrated.arbitrate(&[None, Some(addr), None], true);
+            arbitrated.begin_round();
+            arbitrated.request(1, addr, true);
         }
         assert_eq!(booked.counters(), arbitrated.counters());
     }
@@ -447,13 +386,13 @@ mod tests {
             let mut s = sram(banks);
             let mut x = 99u64;
             for _ in 0..2_000 {
-                let reqs: Vec<Option<u64>> = (0..8)
+                let addrs: Vec<u64> = (0..8)
                     .map(|_| {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        Some((x >> 13) % 4096)
+                        (x >> 13) % 4096
                     })
                     .collect();
-                s.arbitrate(&reqs, false);
+                round(&mut s, &addrs, false);
             }
             rates.push(s.counters().conflict_rate());
         }
@@ -487,9 +426,9 @@ mod tests {
         assert_eq!(s.gather([0, 8, 4, 16], true), 1);
         let c = *s.counters();
         assert_eq!((c.rounds, c.requests, c.grants, c.conflicts, c.elided), (1, 4, 2, 2, 2));
-        let mut folded = sram(2);
-        folded.arbitrate(&[Some(0), Some(8), Some(4), Some(16)], true);
-        assert_eq!(folded.counters(), &c, "the same round, arbitrated port by port");
+        let mut arbitrated = sram(2);
+        round(&mut arbitrated, &[0, 8, 4, 16], true);
+        assert_eq!(arbitrated.counters(), &c, "the same round, arbitrated port by port");
     }
 
     /// Today's round loop, kept as the reference for the closed-form

@@ -10,11 +10,19 @@
 //! * ANS+BCE (`elision_height` set — the bank-conflict model of Fig 11 is
 //!   "called by both neighbor search and feature computation"), and
 //! * the per-input sampling of `h` during approximation-aware training.
+//!
+//! Both halves of that bank-conflict model run on memsim's
+//! [`BankedSram`], the arbiter the accelerator times: the neighbor search
+//! through kdtree's lock-step simulation, and the feature computation's
+//! neighbor replication ([`apply_aggregation_elision`]) as one eliding
+//! round per Point Buffer issue group. So training sees exactly the
+//! neighbors the hardware elides, and no bank mapping lives here.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crescent_kdtree::{ElisionConfig, KdTree, SplitSearchConfig, SplitTree};
+use crescent_memsim::{BankedSram, SramConfig};
 use crescent_pointcloud::{replicate_to_k, Point3, PointCloud};
 
 /// One approximate setting `h`, plus the hardware parameters the
@@ -151,19 +159,20 @@ pub fn neighbor_lists(
 }
 
 /// Applies the aggregation-stage bank-conflict elision to neighbor lists:
-/// within each `point_banks`-wide issue group, indices that lose bank
-/// arbitration are replaced by the winning index of their bank — exactly
-/// the hardware's implicit neighbor replication (Sec 4.2).
+/// each `point_banks`-wide issue group is one eliding round on the Point
+/// Buffer's [`BankedSram`], and an index that loses bank arbitration is
+/// replaced by its bank's winning index — exactly the hardware's implicit
+/// neighbor replication (Sec 4.2).
 pub fn apply_aggregation_elision(lists: &mut [Vec<usize>], point_banks: usize) {
-    let banks = point_banks.max(1);
+    let config = SramConfig { num_banks: point_banks.max(1), ..SramConfig::point_buffer() };
+    let word = config.word_bytes as u64;
+    let mut sram = BankedSram::new(config);
     for list in lists.iter_mut() {
-        for chunk in list.chunks_mut(banks) {
-            let mut winner_of_bank: Vec<Option<usize>> = vec![None; banks];
-            for slot in chunk.iter_mut() {
-                let bank = *slot % banks;
-                match winner_of_bank[bank] {
-                    None => winner_of_bank[bank] = Some(*slot),
-                    Some(w) => *slot = w, // replicated neighbor
+        for chunk in list.chunks_mut(config.num_banks) {
+            sram.begin_round();
+            for (port, slot) in chunk.iter_mut().enumerate() {
+                if let (_, Some(winner)) = sram.request(port, *slot as u64 * word, true) {
+                    *slot = (winner.addr / word) as usize; // replicated neighbor
                 }
             }
         }

@@ -31,7 +31,7 @@ fn main() {
     let queries: Vec<_> = (0..2000).map(|i| scene.cloud.point(i * 50)).collect();
     let mut visits = 0u64;
     for &q in &queries {
-        let _ = radius_search_traced(&tree, q, 1.0, None, &mut |idx| {
+        radius_search_traced(&tree, q, 1.0, None, &mut |idx| {
             visits += 1;
             dram.access(tree.node_addr(idx), NODE_BYTES as u64);
         });

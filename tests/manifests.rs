@@ -7,8 +7,11 @@
 //! * The offline stubs agree everywhere they are named: the directories
 //!   under `vendor/`, the root manifest's `vendor/` workspace members and
 //!   default members, and the rows of `vendor/README.md`'s table.
+//! * The crate table in `docs/ARCHITECTURE.md` names, for every crate
+//!   under `crates/`, exactly the first-party crates its manifest lists
+//!   under `[dependencies]`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn root() -> &'static Path {
@@ -122,6 +125,52 @@ fn vendor_dirs_members_and_readme_name_the_same_stubs() {
     assert_eq!(rows, dirs, "rows of vendor/README.md's stub table");
 }
 
+/// The `name` of a manifest's `[package]`.
+fn package_name(manifest: &str) -> &str {
+    manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[package]")
+        .find_map(|l| l.trim().strip_prefix("name")?.trim_start().strip_prefix('='))
+        .map(|v| v.trim().trim_matches('"'))
+        .expect("manifest has a [package] name")
+}
+
+#[test]
+fn architecture_crate_table_names_each_crates_first_party_dependencies() {
+    const PREFIX: &str = "crescent-";
+    // `| `crescent-x` | a, b | role |` → ("crescent-x", {"a", "b"}); `—`
+    // is the empty list
+    let table: BTreeMap<String, BTreeSet<String>> = read(&root().join("docs/ARCHITECTURE.md"))
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|row| {
+            let mut cells = row.split('|');
+            let name = cells.next()?.trim().trim_end_matches('`');
+            let deps = cells.next()?.split(',').map(str::trim).filter(|d| *d != "—");
+            Some((name.to_string(), deps.map(str::to_string).collect()))
+        })
+        .filter(|(name, _)| name.starts_with(PREFIX))
+        .collect();
+    for path in crate_manifests() {
+        let manifest = read(&path);
+        let name = package_name(&manifest);
+        let want: BTreeSet<String> = normal_dependencies(&manifest)
+            .iter()
+            .filter_map(|d| d.strip_prefix(PREFIX))
+            .map(str::to_string)
+            .collect();
+        let row = table
+            .get(name)
+            .unwrap_or_else(|| panic!("docs/ARCHITECTURE.md's crate table has no `{name}` row"));
+        assert_eq!(
+            row,
+            &want,
+            "docs/ARCHITECTURE.md's \"Depends on\" cell for `{name}` against {}",
+            path.strip_prefix(root()).unwrap_or(&path).display()
+        );
+    }
+}
+
 #[test]
 fn manifest_parsers_read_the_forms_cargo_accepts() {
     let manifest = r#"
@@ -143,6 +192,7 @@ libc = "0.2"
 path = "e"
 "#;
     assert_eq!(normal_dependencies(manifest), ["rand", "half", "libc", "extra"]);
+    assert_eq!(package_name(manifest), "x");
     let arrays = r#"
 members = [
     "a",
