@@ -16,7 +16,8 @@ use proptest::prelude::*;
 
 use crate::batch::{replay_batch, BatchSearchConfig, BatchState};
 use crate::split::{
-    drain_subtree_queue, finalize, DrainCounters, DrainScratch, SplitTree, TreeArbiter,
+    drain_subtree_queue, finalize, DrainCounters, DrainScratch, ElisionConfig, SplitSearchConfig,
+    SplitSearchStats, SplitTree, TreeArbiter,
 };
 use crate::tree::KdTree;
 
@@ -54,8 +55,42 @@ fn count_nodes(tree: &KdTree, idx: usize) -> usize {
         + tree.right(idx).map_or(0, |r| count_nodes(tree, r))
 }
 
-/// The stage-2 drain of `queue` under `root`, `num_pes` PEs over
-/// `num_banks` banks, eliding losers at level `>= threshold`.
+/// The reference's banked tree buffer; `None` stands for the ideal SRAM,
+/// which grants every fetch.
+#[derive(Clone, Copy, Debug)]
+struct Banks {
+    count: usize,
+    /// Losers at level `>= threshold` are dropped, the rest stall.
+    threshold: usize,
+    reuse: bool,
+}
+
+/// One lock-step round: the node each PE wants (`None` = idle PE) →
+/// what happens to its fetch. The lowest-numbered PE on a bank wins it.
+fn arbitrate(wants: &[Option<usize>], banks: Option<Banks>) -> Vec<Fetch> {
+    let Some(banks) = banks else { return vec![Fetch::Granted; wants.len()] };
+    let mut owner: Vec<Option<usize>> = vec![None; banks.count.max(1)];
+    let mut fetches = Vec::new();
+    for want in wants {
+        let Some(node) = *want else {
+            fetches.push(Fetch::Stalled);
+            continue;
+        };
+        let bank = node % banks.count.max(1);
+        fetches.push(match owner[bank] {
+            None => {
+                owner[bank] = Some(node);
+                Fetch::Granted
+            }
+            Some(_) if level(node) < banks.threshold => Fetch::Stalled,
+            Some(w) if banks.reuse && beneath(w, node) => Fetch::Reused(w),
+            Some(_) => Fetch::Elided,
+        });
+    }
+    fetches
+}
+
+/// The stage-2 drain of `queue` under `root`, `num_pes` PEs over `banks`.
 #[allow(clippy::too_many_arguments)]
 fn reference_drain(
     tree: &KdTree,
@@ -64,9 +99,7 @@ fn reference_drain(
     queries: &[Point3],
     radius: f32,
     num_pes: usize,
-    num_banks: usize,
-    threshold: usize,
-    reuse: bool,
+    banks: Option<Banks>,
     results: &mut [Vec<Neighbor>],
 ) -> DrainCounters {
     let mut c = DrainCounters::default();
@@ -81,27 +114,9 @@ fn reference_drain(
             return c;
         }
         c.rounds += 1;
-        // arbitration: the lowest-numbered PE on a bank wins it
         let wants: Vec<Option<usize>> =
             pes.iter().map(|pe| pe.as_ref().map(|(_, s)| *s.last().unwrap())).collect();
-        let mut owner: Vec<Option<usize>> = vec![None; num_banks.max(1)];
-        let mut fetches = Vec::new();
-        for want in &wants {
-            let Some(node) = *want else {
-                fetches.push(Fetch::Stalled);
-                continue;
-            };
-            let bank = node % num_banks.max(1);
-            fetches.push(match owner[bank] {
-                None => {
-                    owner[bank] = Some(node);
-                    Fetch::Granted
-                }
-                Some(_) if level(node) < threshold => Fetch::Stalled,
-                Some(w) if reuse && beneath(w, node) => Fetch::Reused(w),
-                Some(_) => Fetch::Elided,
-            });
-        }
+        let fetches = arbitrate(&wants, banks);
         let mut stalled = false;
         for (pe, fetch) in pes.iter_mut().zip(fetches) {
             let Some((qi, stack)) = pe else { continue };
@@ -162,6 +177,149 @@ fn reference_drain(
     }
 }
 
+/// Stage 1 of the per-query engine: `num_pes` PEs take queries in
+/// arrival order, and each descends the top tree one routing fetch per
+/// round, with no backtracking, to the sub-tree it lands in. A lost
+/// routing fetch at level `>= threshold` drops the query (it reaches no
+/// sub-tree), or with descendant reuse continues the route from the
+/// winner's node beneath it. Returns each query's sub-tree.
+fn reference_top_stage(
+    split: &SplitTree,
+    queries: &[Point3],
+    radius: f32,
+    num_pes: usize,
+    banks: Option<Banks>,
+    results: &mut [Vec<Neighbor>],
+    c: &mut DrainCounters,
+) -> Vec<Option<usize>> {
+    let tree = split.tree();
+    let top = split.top_height();
+    if top == 0 {
+        // the whole tree is the one sub-tree: nothing to route
+        return vec![Some(0); queries.len()];
+    }
+    let first = split.subtree_roots()[0];
+    let r2 = radius * radius;
+    let mut subtree = vec![None; queries.len()];
+    // each PE: (query, the top-tree node it fetches next)
+    let mut pes: Vec<Option<(usize, usize)>> = vec![None; num_pes.max(1)];
+    let mut pending = 0..queries.len();
+    loop {
+        for pe in pes.iter_mut().filter(|pe| pe.is_none()) {
+            *pe = pending.next().map(|qi| (qi, 0));
+        }
+        if pes.iter().all(Option::is_none) {
+            return subtree;
+        }
+        c.rounds += 1;
+        let wants: Vec<Option<usize>> = pes.iter().map(|pe| pe.map(|(_, node)| node)).collect();
+        let fetches = arbitrate(&wants, banks);
+        let mut stalled = false;
+        for (pe, fetch) in pes.iter_mut().zip(fetches) {
+            let Some((qi, node)) = *pe else { continue };
+            c.attempts += 1;
+            if !matches!(fetch, Fetch::Granted) {
+                c.conflicts += 1;
+            }
+            // where the route goes on from
+            let next = match fetch {
+                Fetch::Stalled => {
+                    c.stalls += 1;
+                    stalled = true;
+                    continue;
+                }
+                Fetch::Elided => {
+                    c.elided += 1;
+                    c.skipped += count_nodes(tree, node);
+                    *pe = None;
+                    continue;
+                }
+                Fetch::Reused(w) if w != node => {
+                    c.reuses += 1;
+                    c.skipped += count_nodes(tree, node) - count_nodes(tree, w);
+                    w
+                }
+                Fetch::Granted | Fetch::Reused(_) => {
+                    c.reuses += usize::from(!matches!(fetch, Fetch::Granted));
+                    c.visits += 1;
+                    let q = queries[qi];
+                    let p = tree.point_of(node);
+                    let d2 = p.dist2(q);
+                    if d2 <= r2 {
+                        results[qi].push(Neighbor { index: tree.point_index_of(node), dist2: d2 });
+                    }
+                    // the child on the query's side
+                    let axis = tree.axis_of(node);
+                    if q.coord(axis) - p.coord(axis) <= 0.0 {
+                        2 * node + 1
+                    } else {
+                        2 * node + 2
+                    }
+                }
+            };
+            if next < tree.len() && level(next) < top {
+                *pe = Some((qi, next));
+                continue;
+            }
+            // landed: a slot past the tree's ragged bottom goes to the
+            // sub-tree of its leftmost descendant at level `h_t`, clamped
+            // to the last sub-tree
+            let mut root = next;
+            while level(root) < top {
+                root = 2 * root + 1;
+            }
+            subtree[qi] = Some((root - first).min(split.num_subtrees() - 1));
+            *pe = None;
+        }
+        if stalled {
+            c.stall_rounds += 1;
+        }
+    }
+}
+
+/// The whole per-query engine: [`reference_top_stage`], then
+/// [`reference_drain`] of every sub-tree queue in arrival order, then
+/// each query's hits ordered and capped.
+fn reference_engine(
+    split: &SplitTree,
+    queries: &[Point3],
+    config: &SplitSearchConfig,
+) -> (Vec<Vec<Neighbor>>, SplitSearchStats) {
+    let banks = config.elision.map(|e| Banks {
+        count: e.num_banks,
+        threshold: e.elision_height,
+        reuse: e.descendant_reuse,
+    });
+    let mut results = vec![Vec::new(); queries.len()];
+    let mut stats = SplitSearchStats::default();
+    let subtree = reference_top_stage(
+        split,
+        queries,
+        config.radius,
+        config.num_pes,
+        banks,
+        &mut results,
+        &mut stats.top,
+    );
+    for (s, &root) in split.subtree_roots().iter().enumerate() {
+        let queue: Vec<usize> = (0..queries.len()).filter(|&qi| subtree[qi] == Some(s)).collect();
+        stats.subtree += reference_drain(
+            split.tree(),
+            root,
+            &queue,
+            queries,
+            config.radius,
+            config.num_pes,
+            banks,
+            &mut results,
+        );
+    }
+    for hits in &mut results {
+        finalize(hits, config.max_neighbors, &mut Vec::new());
+    }
+    (results, stats)
+}
+
 /// Neighbor lists as `(index, dist2 bits)`, so equality is bit for bit.
 fn bits(lists: &[Vec<Neighbor>]) -> Vec<Vec<(usize, u32)>> {
     lists.iter().map(|l| l.iter().map(|n| (n.index, n.dist2.to_bits())).collect()).collect()
@@ -210,7 +368,13 @@ proptest! {
 
         let mut want = vec![Vec::new(); queries.len()];
         let expected = reference_drain(
-            &tree, root, &queue, &queries, radius, num_pes, num_banks, threshold, reuse,
+            &tree,
+            root,
+            &queue,
+            &queries,
+            radius,
+            num_pes,
+            Some(Banks { count: num_banks, threshold, reuse }),
             &mut want,
         );
         let mut got = vec![Vec::new(); queries.len()];
@@ -255,15 +419,53 @@ proptest! {
         let threshold = tree.height().saturating_sub(depth);
         let mut expected = DrainCounters::default();
         for (&root, queue) in split.subtree_roots().iter().zip(&queues) {
-            expected += reference_drain(
-                &tree, root, queue, &queries, radius, num_pes, num_banks, threshold, false,
-                &mut want,
-            );
+            let banks = Banks { count: num_banks, threshold, reuse: false };
+            expected +=
+                reference_drain(&tree, root, queue, &queries, radius, num_pes, Some(banks), &mut want);
         }
         for hits in &mut want {
             finalize(hits, None, &mut Vec::new());
         }
         prop_assert_eq!(stats.subtree, expected);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// `batch_search` equals the reference per-query engine: the whole
+    /// `SplitSearchStats` record (both stages) and every neighbor list,
+    /// bit for bit, with `h_e` below, at and above `h_t`, descendant
+    /// reuse on and off, and the ideal SRAM (`elision: None`).
+    #[test]
+    fn batch_search_matches_the_reference_engine(
+        points in arb_points(160),
+        queries in arb_points(40),
+        radius in 0.1f32..1.5,
+        top_pick in 0usize..8,
+        num_pes in 1usize..17,
+        num_banks in 1usize..17,
+        he_offset in 0usize..7,
+        bank_mode in 0u8..3,
+        cap in 0usize..12,
+    ) {
+        let cloud: PointCloud = points.into_iter().collect();
+        let tree = KdTree::build(&cloud);
+        let top = top_pick.min(tree.height() - 1);
+        let split = SplitTree::new(&tree, top).unwrap();
+        // h_e from h_t − 3 to h_t + 3; mode 0 is the ideal SRAM, 2 reuses
+        let elision_height = (top + he_offset).saturating_sub(3);
+        let elision = (bank_mode > 0).then_some(ElisionConfig {
+            elision_height,
+            num_banks,
+            descendant_reuse: bank_mode == 2,
+        });
+        let config = SplitSearchConfig {
+            radius,
+            max_neighbors: (cap > 0).then_some(cap),
+            num_pes,
+            elision,
+        };
+        let (got, stats) = split.batch_search(&queries, &config);
+        let (want, expected) = reference_engine(&split, &queries, &config);
+        prop_assert_eq!(stats, expected);
         prop_assert_eq!(bits(&got), bits(&want));
     }
 }
