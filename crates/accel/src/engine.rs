@@ -44,8 +44,8 @@ pub struct SearchEngineReport {
 /// Runs the Crescent two-stage search on the engine and returns the
 /// neighbor results plus the timing report.
 ///
-/// `top_height` is clamped into the feasible range for the tree and the
-/// configured tree buffer.
+/// `top_height` is clamped into the feasible range for the tree
+/// ([`KdTree::clamp_top_height`]).
 pub fn run_crescent_search(
     tree: &KdTree,
     top_height: usize,
@@ -54,8 +54,8 @@ pub fn run_crescent_search(
     max_neighbors: Option<usize>,
     config: &AcceleratorConfig,
 ) -> (Vec<Vec<Neighbor>>, SearchEngineReport) {
-    let ht = clamp_top_height(tree, top_height);
-    let split = SplitTree::new(tree, ht).expect("clamped top height is valid");
+    let split = SplitTree::new(tree, tree.clamp_top_height(top_height))
+        .expect("clamped top height is valid");
     let search_cfg = SplitSearchConfig {
         radius,
         max_neighbors,
@@ -94,7 +94,7 @@ pub fn run_tigris_search(
     max_neighbors: Option<usize>,
     config: &AcceleratorConfig,
 ) -> (Vec<Vec<Neighbor>>, SearchEngineReport) {
-    let split = SplitTree::new(tree, clamp_top_height(tree, top_height))
+    let split = SplitTree::new(tree, tree.clamp_top_height(top_height))
         .expect("clamped top height is valid");
     let (results, base) = split_exhaustive_search(
         &split,
@@ -117,7 +117,7 @@ pub fn run_tigris_report(
     radius: f32,
     config: &AcceleratorConfig,
 ) -> SearchEngineReport {
-    let split = SplitTree::new(tree, clamp_top_height(tree, top_height))
+    let split = SplitTree::new(tree, tree.clamp_top_height(top_height))
         .expect("clamped top height is valid");
     let base = split_exhaustive_report(&split, queries, radius, tigris_queue_capacity(config));
     tigris_report(&base, queries.len(), config)
@@ -154,14 +154,6 @@ fn tigris_report(
         dram_random_bytes: random_bytes,
         tree_buffer_reads: base.nodes_visited as u64,
         stats: SplitSearchStats::default(),
-    }
-}
-
-fn clamp_top_height(tree: &KdTree, requested: usize) -> usize {
-    if tree.is_empty() {
-        0
-    } else {
-        requested.min(tree.height().saturating_sub(1))
     }
 }
 

@@ -774,8 +774,8 @@ impl FrameEngine {
         top_height: usize,
         f: impl FnOnce(&SplitTree, &mut BatchState) -> R,
     ) -> R {
-        let ht = if tree.is_empty() { 0 } else { top_height.min(tree.height() - 1) };
-        let split = SplitTree::resplit(tree, ht, std::mem::take(&mut self.roots_pool))
+        let roots = std::mem::take(&mut self.roots_pool);
+        let split = SplitTree::resplit(tree, tree.clamp_top_height(top_height), roots)
             .expect("clamped top height is valid");
         let out = f(&split, &mut self.state);
         self.roots_pool = split.into_subtree_roots();

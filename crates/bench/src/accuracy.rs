@@ -8,8 +8,8 @@
 use crescent::accel::{run_network, AcceleratorConfig, CrescentKnobs, NetworkSpec, Variant};
 use crescent::models::{
     eval_classifier, eval_detector, eval_segmenter, train_classifier, train_detector,
-    train_segmenter, ApproxSetting, Classifier, DensePointCls, FPointNetDet, PointNet2Cls,
-    PointNet2Seg, TrainConfig,
+    train_segmenter, ApproxSetting, DensePointCls, FPointNetDet, PointNet2Cls, PointNet2Seg,
+    TrainConfig, TrainReport,
 };
 use crescent::pointcloud::datasets::{
     ClassificationConfig, ClassificationDataset, DetectionConfig, DetectionDataset,
@@ -57,95 +57,76 @@ fn det_dataset(scale: Scale) -> DetectionDataset {
 /// ANS+BCE without retraining, for all four networks.
 pub fn fig13(scale: Scale) -> Figure {
     let epochs = scale.epochs();
-    let ans = ApproxSetting::ans(DEFAULT_HT);
-    let bce = ApproxSetting::ans_bce(DEFAULT_HT, DEFAULT_HE);
-    let exact = ApproxSetting::exact();
-    let mut rows = Vec::new();
-
-    // ---- classification: PointNet++ (c) and DensePoint ----
-    let ds = cls_dataset(scale);
-    {
-        let run = |seed: u64, make: &dyn Fn(u64) -> Box<dyn Classifier>| -> Vec<f64> {
-            let mut base = make(seed);
-            train_classifier(&mut *base, &ds.train, &TrainConfig::exact(epochs));
-            let acc_base = eval_classifier(&mut *base, &ds.test, &exact);
-            let acc_no_retrain = eval_classifier(&mut *base, &ds.test, &bce);
-            let mut m_ans = make(seed + 1000);
-            train_classifier(&mut *m_ans, &ds.train, &TrainConfig::dedicated(ans, epochs));
-            let acc_ans = eval_classifier(&mut *m_ans, &ds.test, &ans);
-            let mut m_bce = make(seed + 2000);
-            train_classifier(&mut *m_bce, &ds.train, &TrainConfig::dedicated(bce, epochs));
-            let acc_bce = eval_classifier(&mut *m_bce, &ds.test, &bce);
-            vec![
-                acc_base as f64 * 100.0,
-                acc_ans as f64 * 100.0,
-                acc_bce as f64 * 100.0,
-                acc_no_retrain as f64 * 100.0,
-            ]
-        };
-        rows.push(FigRow {
-            label: "PointNet++ (c)".into(),
-            values: run(11, &|s| Box::new(PointNet2Cls::new(ds.num_classes, s))),
-        });
-        rows.push(FigRow {
-            label: "DensePoint".into(),
-            values: run(17, &|s| Box::new(DensePointCls::new(ds.num_classes, 3, 16, s))),
-        });
-    }
-
-    // ---- segmentation: PointNet++ (s), mIoU ----
-    {
-        let ds = seg_dataset(scale);
-        let mut base = PointNet2Seg::new(ds.num_parts, 23);
-        train_segmenter(&mut base, &ds.train, &TrainConfig::exact(epochs));
-        let acc_base = eval_segmenter(&mut base, &ds.test, &exact);
-        let acc_no = eval_segmenter(&mut base, &ds.test, &bce);
-        let mut m_ans = PointNet2Seg::new(ds.num_parts, 24);
-        train_segmenter(&mut m_ans, &ds.train, &TrainConfig::dedicated(ans, epochs));
-        let acc_ans = eval_segmenter(&mut m_ans, &ds.test, &ans);
-        let mut m_bce = PointNet2Seg::new(ds.num_parts, 25);
-        train_segmenter(&mut m_bce, &ds.train, &TrainConfig::dedicated(bce, epochs));
-        let acc_bce = eval_segmenter(&mut m_bce, &ds.test, &bce);
-        rows.push(FigRow {
-            label: "PointNet++ (s)".into(),
-            values: vec![
-                acc_base as f64 * 100.0,
-                acc_ans as f64 * 100.0,
-                acc_bce as f64 * 100.0,
-                acc_no as f64 * 100.0,
-            ],
-        });
-    }
-
-    // ---- detection: F-PointNet, geometric-mean box IoU ----
-    {
-        let ds = det_dataset(scale);
-        let mut base = FPointNetDet::new(31);
-        train_detector(&mut base, &ds.train, &TrainConfig::exact(epochs));
-        let acc_base = eval_detector(&mut base, &ds.test, &exact);
-        let acc_no = eval_detector(&mut base, &ds.test, &bce);
-        let mut m_ans = FPointNetDet::new(32);
-        train_detector(&mut m_ans, &ds.train, &TrainConfig::dedicated(ans, epochs));
-        let acc_ans = eval_detector(&mut m_ans, &ds.test, &ans);
-        let mut m_bce = FPointNetDet::new(33);
-        train_detector(&mut m_bce, &ds.train, &TrainConfig::dedicated(bce, epochs));
-        let acc_bce = eval_detector(&mut m_bce, &ds.test, &bce);
-        rows.push(FigRow {
-            label: "F-PointNet".into(),
-            values: vec![
-                acc_base as f64 * 100.0,
-                acc_ans as f64 * 100.0,
-                acc_bce as f64 * 100.0,
-                acc_no as f64 * 100.0,
-            ],
-        });
-    }
-
+    let cls = cls_dataset(scale);
+    let pointnet_cls = retrain_row(
+        "PointNet++ (c)",
+        [11, 1011, 2011],
+        epochs,
+        |s| PointNet2Cls::new(cls.num_classes, s),
+        |m, cfg| train_classifier(m, &cls.train, cfg),
+        |m, setting| eval_classifier(m, &cls.test, setting),
+    );
+    let densepoint = retrain_row(
+        "DensePoint",
+        [17, 1017, 2017],
+        epochs,
+        |s| DensePointCls::new(cls.num_classes, 3, 16, s),
+        |m, cfg| train_classifier(m, &cls.train, cfg),
+        |m, setting| eval_classifier(m, &cls.test, setting),
+    );
+    let seg = seg_dataset(scale);
+    let pointnet_seg = retrain_row(
+        "PointNet++ (s)",
+        [23, 24, 25],
+        epochs,
+        |s| PointNet2Seg::new(seg.num_parts, s),
+        |m, cfg| train_segmenter(m, &seg.train, cfg),
+        |m, setting| eval_segmenter(m, &seg.test, setting),
+    );
+    let det = det_dataset(scale);
+    let fpointnet = retrain_row(
+        "F-PointNet",
+        [31, 32, 33],
+        epochs,
+        FPointNetDet::new,
+        |m, cfg| train_detector(m, &det.train, cfg),
+        |m, setting| eval_detector(m, &det.test, setting),
+    );
     Figure {
         id: "fig13",
         caption: "Accuracy: baseline / ANS retrained / ANS+BCE retrained / ANS+BCE w/o retraining (paper: <=0.9% loss with retraining, 27-40% drop without)",
         columns: vec!["baseline", "ANS_retrained", "ANS+BCE_retrained", "ANS+BCE_no_retrain"],
-        rows,
+        rows: vec![pointnet_cls, densepoint, pointnet_seg, fpointnet],
+    }
+}
+
+/// One Fig 13 row: a baseline model (seed `seeds[0]`) trained exact and
+/// evaluated exact and under ANS+BCE without retraining, then a model
+/// trained and evaluated under ANS (`seeds[1]`) and one under ANS+BCE
+/// (`seeds[2]`), each trained for `epochs`.
+fn retrain_row<M>(
+    label: &str,
+    seeds: [u64; 3],
+    epochs: usize,
+    make: impl Fn(u64) -> M,
+    train: impl Fn(&mut M, &TrainConfig) -> TrainReport,
+    eval: impl Fn(&mut M, &ApproxSetting) -> f32,
+) -> FigRow {
+    let ans = ApproxSetting::ans(DEFAULT_HT);
+    let bce = ApproxSetting::ans_bce(DEFAULT_HT, DEFAULT_HE);
+    let mut base = make(seeds[0]);
+    train(&mut base, &TrainConfig::exact(epochs));
+    let acc_base = eval(&mut base, &ApproxSetting::exact());
+    let acc_no_retrain = eval(&mut base, &bce);
+    let mut m_ans = make(seeds[1]);
+    train(&mut m_ans, &TrainConfig::dedicated(ans, epochs));
+    let acc_ans = eval(&mut m_ans, &ans);
+    let mut m_bce = make(seeds[2]);
+    train(&mut m_bce, &TrainConfig::dedicated(bce, epochs));
+    let acc_bce = eval(&mut m_bce, &bce);
+    FigRow {
+        label: label.into(),
+        values: [acc_base, acc_ans, acc_bce, acc_no_retrain].map(|a| a as f64 * 100.0).to_vec(),
     }
 }
 

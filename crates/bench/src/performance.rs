@@ -281,8 +281,8 @@ pub fn fig24(scale: Scale) -> Figure {
         let (_, ours) =
             run_crescent_search(&tree, knobs.top_height, &queries, layer.radius, None, &cfg);
         let tigris = run_tigris_report(&tree, knobs.top_height, &queries, layer.radius, &cfg);
-        let ht = knobs.top_height.min(tree.height().saturating_sub(1));
-        let split = SplitTree::new(&tree, ht).expect("valid split");
+        let split =
+            SplitTree::new(&tree, tree.clamp_top_height(knobs.top_height)).expect("valid split");
         let quicknn = split_exhaustive_report(&split, &queries, layer.radius, 32);
         let ours_dram = crescent_dram_bytes(&split, &queries, layer.radius);
         let visit_red =

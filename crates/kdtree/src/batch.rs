@@ -13,10 +13,10 @@
 //!
 //! Stage 2 is where the banked tree buffer bites, and it is modeled, not
 //! assumed away: each sub-tree's query queue is drained in lock-step by
-//! `num_pes` PEs through the same
-//! [`crescent_memsim::BankedSram`]-backed arbiter the per-query engine
-//! model ([`SplitTree::batch_search`]) uses — one shared implementation,
-//! so the two paths cannot drift apart. A fetch that loses bank
+//! `num_pes` PEs through the same drain and
+//! [`crescent_memsim::BankedSram`]-backed arbiter that run both stages
+//! of the per-query engine model ([`SplitTree::batch_search`]) — one
+//! shared implementation, so the two paths cannot drift apart. A fetch that loses bank
 //! arbitration **stalls** (re-issues next round) unless its node lies in
 //! the `h_e` deepest levels of the tree, in which case it is **elided**:
 //! dropped together with the subtree beneath it (Sec 4's selective
@@ -37,8 +37,9 @@
 //! dropped together with its subtree. A query's stage-2 visit order is
 //! therefore fixed by geometry: every (PEs, banks, `h_e`) config visits
 //! a subsequence of one preorder walk, and an elision skips one
-//! contiguous span of it. The one stage-2 drain (in `split.rs`) moves a
-//! cursor per PE over such walks: an honored fetch moves to the next
+//! contiguous span of it. The one drain (in `split.rs`; the per-query
+//! engine's stage 1 runs on it too, over top-tree routes) moves a cursor
+//! per PE over such walks: an honored fetch moves to the next
 //! step, a stalled one stays, and an elided one jumps to the end of the
 //! node's span. It reads the walks from one of two sources:
 //!

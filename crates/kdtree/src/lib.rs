@@ -10,10 +10,11 @@
 //! * [`SplitTree`] — the paper's two-level top-tree/sub-tree structure with
 //!   the fully-streaming two-stage search (Sec 3) and the lock-step
 //!   bank-conflict elision model (Sec 4), whose counts both search
-//!   drivers keep in one [`DrainCounters`] record per stage. Stage 2 has
-//!   one simulator: a drain that moves each PE's cursor over its query's
-//!   radius-pruned walk, read from the tree or from a [`BatchTrace`],
-//!   with descendant reuse splicing a walk;
+//!   drivers keep in one [`DrainCounters`] record per stage. Both stages
+//!   have one simulator: a drain that moves each PE's cursor over its
+//!   query's walk — the top-tree route in stage 1, the radius-pruned
+//!   sub-tree walk, read from the tree or from a [`BatchTrace`], in
+//!   stage 2 — with descendant reuse splicing a walk;
 //! * [`batch`] — the batched two-stage search ([`SplitTree::search_batch`])
 //!   that amortizes top-tree fetches across a query batch, reuses its
 //!   descent state across the frames of a stream ([`BatchState`]), and
@@ -74,7 +75,6 @@ pub use batch::{
 pub use refit::{RebuildReason, RefitConfig, RefitOutcome, RefitScratch, RefitStats};
 pub use search::{radius_search, radius_search_traced};
 pub use split::{
-    subtree_radius_search, DrainCounters, ElisionConfig, SplitSearchConfig, SplitSearchStats,
-    SplitTree, SplitTreeError,
+    DrainCounters, ElisionConfig, SplitSearchConfig, SplitSearchStats, SplitTree, SplitTreeError,
 };
 pub use tree::{height_for, left_subtree_size, BuildStats, KdNode, KdTree, NODE_BYTES};

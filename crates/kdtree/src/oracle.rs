@@ -1,15 +1,19 @@
-//! A reference model of the stage-2 drain, for tests only.
+//! A reference model of the lock-step search engine, for tests only.
 //!
 //! [`reference_drain`] simulates one sub-tree queue in lock step the
 //! plain way: each PE owns its query and its stack, each round builds a
-//! bank → first-PE table, a loser's elision eligibility is its node's
-//! level (walked up to the root) against the threshold, and descendant
-//! reuse walks the winner's node up to the loser's. There is no
+//! bank → first-PE table ([`arbitrate`]), a loser's elision eligibility
+//! is its node's level (walked up to the root) against the threshold,
+//! and descendant reuse walks the winner's node up to the loser's.
+//! [`reference_top_stage`] runs stage 1 of the per-query engine on the
+//! same table with a per-PE routing cursor, and [`reference_engine`]
+//! chains the two like `SplitTree::batch_search`. There is no
 //! `BankedSram`, no recycled scratch, no recorded walks and no
 //! `min_elide_idx` index shortcut, so the proptests below check the one
-//! stage-2 drain, from the tree (`drain_subtree_queue`, where descendant
-//! reuse splices walks) and from a trace ([`replay_batch`]), against an
-//! independent statement of the arbitration rule.
+//! drain — over stage-1 routes (`batch_search`), from the tree
+//! (`drain_subtree_queue`, where descendant reuse splices walks) and from
+//! a trace ([`replay_batch`]) — against an independent statement of the
+//! arbitration rule.
 
 use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 use proptest::prelude::*;

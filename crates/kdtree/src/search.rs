@@ -51,11 +51,8 @@ pub fn radius_search_traced(
     radius_search_impl(tree, query, radius, max_neighbors, on_fetch)
 }
 
-/// The one traversal behind both `radius_search` variants, generic over
-/// the fetch observer so the untraced caller monomorphizes it away while
-/// the traced caller passes its `&mut dyn FnMut` through (a `&mut F` is
-/// itself `FnMut`). Identical float-op order either way — the observer
-/// only watches.
+/// Both `radius_search` variants: the traversal from the root, then the
+/// hits ordered and capped.
 fn radius_search_impl<F: FnMut(usize) + ?Sized>(
     tree: &KdTree,
     query: Point3,
@@ -64,9 +61,29 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
     on_fetch: &mut F,
 ) -> Vec<Neighbor> {
     let mut hits = Vec::new();
-    if tree.is_empty() {
-        return hits;
+    if !tree.is_empty() {
+        radius_search_from(tree, 0, query, radius, &mut hits, on_fetch);
     }
+    finalize(&mut hits, max_neighbors, &mut Vec::new());
+    hits
+}
+
+/// The one exact traversal, confined to the subtree beneath heap slot
+/// `root` (the whole tree from slot 0, one sub-tree in stage 2 of
+/// [`SplitTree::search_one_traced`](crate::SplitTree::search_one_traced)),
+/// appending in-radius hits to `hits` unordered. Generic over the fetch
+/// observer so an untraced caller monomorphizes it away while a traced
+/// caller passes its `&mut dyn FnMut` through (a `&mut F` is itself
+/// `FnMut`). Identical float-op order either way — the observer only
+/// watches.
+pub(crate) fn radius_search_from<F: FnMut(usize) + ?Sized>(
+    tree: &KdTree,
+    root: usize,
+    query: Point3,
+    radius: f32,
+    hits: &mut Vec<Neighbor>,
+    on_fetch: &mut F,
+) {
     let r2 = radius * radius;
     // hot loop on the SoA columns directly: one `meta` load per node
     // (axis and point index unpacked from the same word) instead of one
@@ -74,7 +91,7 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
     let points = tree.points.as_slice();
     let meta = tree.meta.as_slice();
     let len = points.len();
-    let mut stack: Vec<usize> = vec![0];
+    let mut stack: Vec<usize> = vec![root];
     while let Some(idx) = stack.pop() {
         on_fetch(idx); // FN
         let point = points[idx];
@@ -97,8 +114,6 @@ fn radius_search_impl<F: FnMut(usize) + ?Sized>(
             stack.push(near);
         }
     }
-    finalize(&mut hits, max_neighbors, &mut Vec::new());
-    hits
 }
 
 #[cfg(test)]

@@ -20,16 +20,19 @@
 //!   [`BatchSearchConfig::elision_depth`](crate::BatchSearchConfig)); both forms drive the one
 //!   shared arbitration implementation (`TreeArbiter`, in this module).
 //!
-//! Stage 2 has one simulator, `drain_queue`: a cursor per PE over its
-//! query's radius-pruned preorder walk, read from the tree as each PE
-//! picks a query up (`drain_subtree_queue`, both search drivers) or from
-//! a [`BatchTrace`](crate::BatchTrace). A descendant reuse splices the
-//! loser's walk to continue beneath the winner's node, so it needs the
-//! tree source.
+//! Both stages run on one lock-step simulator, `drain_queue`: a cursor
+//! per PE over its query's walk. In stage 1 of [`SplitTree::batch_search`]
+//! the walk is the query's top-tree route (`Routes`); in stage 2 it is
+//! the query's radius-pruned preorder walk of its sub-tree, read from the
+//! tree as each PE picks a query up (`drain_subtree_queue`, both search
+//! drivers) or from a [`BatchTrace`](crate::BatchTrace). A descendant
+//! reuse splices the loser's walk to continue beneath the winner's node,
+//! so it needs a source that can walk the tree.
 
 use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3};
 
+use crate::search::radius_search_from;
 use crate::tree::{
     heap_level, heap_subtree_len, KdTree, META_AXIS_SHIFT, META_INDEX_MASK, NODE_BYTES,
 };
@@ -250,8 +253,7 @@ impl<'a> SplitTree<'a> {
         let Some(s) = self.route_query(query, radius, &mut hits, on_fetch) else {
             return hits;
         };
-        let root = self.subtree_roots[s];
-        subtree_radius_search(self.tree, root, query, radius, &mut hits, on_fetch);
+        radius_search_from(self.tree, self.subtree_roots[s], query, radius, &mut hits, on_fetch);
         finalize(&mut hits, max_neighbors, &mut Vec::new());
         hits
     }
@@ -283,9 +285,11 @@ impl<'a> SplitTree<'a> {
     /// model, implementing selective bank-conflict elision (Sec 4).
     ///
     /// Queries are routed in stage 1, grouped per sub-tree, and each
-    /// sub-tree's queue is processed `config.num_pes` queries at a time.
-    /// Every simulated cycle, each active PE issues a fetch for the next
-    /// node of its query's walk; fetches that lose bank arbitration
+    /// sub-tree's queue is processed `config.num_pes` queries at a time;
+    /// both stages run through the one lock-step drain. Every simulated
+    /// cycle, each active PE issues a fetch for the next node of its
+    /// query's walk (its top-tree route in stage 1); fetches that lose
+    /// bank arbitration
     /// either **stall** (node level < `h_e`) or are **elided** (level ≥
     /// `h_e`), skipping the node and the whole subtree beneath it.
     ///
@@ -301,22 +305,39 @@ impl<'a> SplitTree<'a> {
             return (results, stats);
         }
         let mut arbiter = TreeArbiter::from_elision(&config.elision);
+        let r2 = config.radius * config.radius;
+        let mut scratch = DrainScratch::default();
+        let DrainScratch { pes, walks, .. } = &mut scratch;
+        walks.resize_with(config.num_pes.max(1), Vec::new);
 
-        // ---- stage 1: top-tree descent (lock-step, conflicts modeled) ----
-        let assignments =
-            self.run_top_stage(queries, config, &mut arbiter, &mut results, &mut stats.top);
+        // ---- stage 1: top-tree descent, each PE walking its query's route ----
+        let mut routes = Routes {
+            split: self,
+            queries,
+            pending: 0..queries.len(),
+            walks,
+            subtrees: vec![None; queries.len()],
+        };
+        stats.top = drain_queue(
+            &mut routes,
+            r2,
+            self.tree.len(),
+            config.num_pes,
+            &mut arbiter,
+            pes,
+            &mut results,
+        );
 
         // ---- group queries per sub-tree, preserving arrival order ----
         // (a query whose routing fetch was elided has no sub-tree)
         let mut queues: Vec<Vec<usize>> = vec![Vec::new(); self.num_subtrees()];
-        for (qi, a) in assignments.iter().enumerate() {
-            if let Some(s) = a {
+        for (qi, s) in routes.subtrees.iter().enumerate() {
+            if let Some(s) = s {
                 queues[*s].push(qi);
             }
         }
 
         // ---- stage 2: per-sub-tree confined search ----
-        let mut scratch = DrainScratch::default();
         for (s, queue) in queues.iter().enumerate() {
             let root = self.subtree_roots[s];
             stats.subtree += drain_subtree_queue(
@@ -339,127 +360,52 @@ impl<'a> SplitTree<'a> {
         (results, stats)
     }
 
-    /// Stage-1 simulation: PEs pull queries from the head of the batch as
-    /// they go idle (each PE executes queries independently, Fig 7) and
-    /// descend the top tree cycle by cycle. Returns each query's sub-tree.
-    fn run_top_stage(
-        &self,
-        queries: &[Point3],
-        config: &SplitSearchConfig,
-        arbiter: &mut TreeArbiter,
-        results: &mut [Vec<Neighbor>],
-        stats: &mut DrainCounters,
-    ) -> Vec<Option<usize>> {
-        let r2 = config.radius * config.radius;
-        let mut assignments: Vec<Option<usize>> = vec![None; queries.len()];
-        if self.top_height == 0 {
-            for a in assignments.iter_mut() {
-                *a = Some(0);
+    /// Appends `q`'s stage-1 route from heap slot `idx` to `steps`: each
+    /// top-tree node it descends through, on the query's side of each
+    /// split, with no backtracking. Every step ends where the route ends,
+    /// so an elided routing fetch drops the rest of the route. Returns the
+    /// sub-tree the route lands in (a ragged bottom goes through
+    /// [`Self::nearest_subtree_for`]); at `h_t = 0` the route is empty.
+    fn route(&self, mut idx: usize, q: Point3, steps: &mut Vec<TraceStep>) -> usize {
+        let start = steps.len();
+        let first = self.subtree_roots[0];
+        let s = loop {
+            if idx >= first {
+                break idx - first;
             }
-            return assignments;
+            let point = self.tree.point_of(idx);
+            steps.push(TraceStep {
+                node: idx as u32,
+                end: 0,
+                dist2: point.dist2(q),
+                index: self.tree.point_index_of(idx) as u32,
+            });
+            let axis = self.tree.axis_of(idx);
+            let next = if q.coord(axis) - point.coord(axis) <= 0.0 {
+                self.tree.left(idx)
+            } else {
+                self.tree.right(idx)
+            };
+            match next {
+                Some(n) => idx = n,
+                None => break self.nearest_subtree_for(idx),
+            }
+        };
+        let end = steps.len() as u32;
+        for step in &mut steps[start..] {
+            step.end = end;
         }
-        let num_pes = config.num_pes.max(1);
-        let mut next_query = 0usize;
-        // per-PE (query index, cursor); None = idle
-        let mut pe_state: Vec<Option<(usize, usize)>> = vec![None; num_pes];
-        loop {
-            // issue new queries to idle PEs
-            for slot in pe_state.iter_mut() {
-                if slot.is_none() && next_query < queries.len() {
-                    *slot = Some((next_query, 0));
-                    next_query += 1;
-                }
-            }
-            if pe_state.iter().all(Option::is_none) {
-                break;
-            }
-            stats.rounds += 1;
-            arbiter.begin_round();
-            let mut round_stalled = false;
-            for (pe, slot) in pe_state.iter_mut().enumerate() {
-                let Some((qi, idx)) = *slot else { continue };
-                stats.attempts += 1;
-                let arbitration = arbiter.request(pe, idx);
-                if arbitration != Arbitration::Honored {
-                    stats.conflicts += 1;
-                }
-                let visit = match arbitration {
-                    Arbitration::Honored => true,
-                    Arbitration::Reused(w) => {
-                        stats.reuses += 1;
-                        if w == idx {
-                            // same node: the multicast data is exactly
-                            // what this PE asked for
-                            true
-                        } else {
-                            // continue routing from the winner's (top-tree)
-                            // node — routing stays on a valid downward path
-                            stats.skipped += self.tree.subtree_len(idx) - self.tree.subtree_len(w);
-                            if self.tree.level_of(w) >= self.top_height {
-                                assignments[qi] = Some(w - self.subtree_roots[0]);
-                                *slot = None;
-                            } else {
-                                *slot = Some((qi, w));
-                            }
-                            false
-                        }
-                    }
-                    Arbitration::Stalled => {
-                        stats.stalls += 1; // retry next round
-                        round_stalled = true;
-                        false
-                    }
-                    Arbitration::Elided => {
-                        // routing fetch lost and dropped: the query never
-                        // reaches a sub-tree
-                        stats.elided += 1;
-                        stats.skipped += self.tree.subtree_len(idx);
-                        *slot = None;
-                        false
-                    }
-                };
-                if visit {
-                    stats.visits += 1;
-                    let point = self.tree.point_of(idx);
-                    let q = queries[qi];
-                    let d2 = point.dist2(q);
-                    if d2 <= r2 {
-                        results[qi]
-                            .push(Neighbor { index: self.tree.point_index_of(idx), dist2: d2 });
-                    }
-                    let axis = self.tree.axis_of(idx);
-                    let next = if q.coord(axis) - point.coord(axis) <= 0.0 {
-                        self.tree.left(idx)
-                    } else {
-                        self.tree.right(idx)
-                    };
-                    match next {
-                        Some(n) if self.tree.level_of(n) >= self.top_height => {
-                            assignments[qi] = Some(n - self.subtree_roots[0]);
-                            *slot = None;
-                        }
-                        Some(n) => *slot = Some((qi, n)),
-                        None => {
-                            assignments[qi] = Some(self.nearest_subtree_for(idx));
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-            if round_stalled {
-                stats.stall_rounds += 1;
-            }
-        }
-        assignments
+        s
     }
 }
 
-/// The lock-step tree-buffer arbiter shared by *every* timing path that
-/// fetches tree nodes: stage 1 of the per-query engine model
-/// ([`SplitTree::batch_search`]) and the one stage-2 drain, whether its
-/// walks come from the tree or from a trace, route their node fetches
-/// through this one implementation, so "one unified timing model" is a
-/// structural property, not a testing aspiration.
+/// The lock-step tree-buffer arbiter of *every* timing path that fetches
+/// tree nodes: both stages of the per-query engine model
+/// ([`SplitTree::batch_search`]) and stage 2 of the wavefront run through
+/// the one drain, whose walks come from a top-tree route, the tree or a
+/// trace, and the drain routes every node fetch through this one
+/// implementation, so "one unified timing model" is a structural
+/// property, not a testing aspiration.
 ///
 /// Bank mapping and winner selection are delegated to `crescent-memsim`'s
 /// [`BankedSram`] (node index × [`NODE_BYTES`], word size = one node, so
@@ -580,8 +526,9 @@ impl TreeArbiter {
 }
 
 /// The lock-step arbitration counters of one search stage — the one
-/// record both drivers keep them in. The one stage-2 drain returns one
-/// per sub-tree queue, whichever source its walks come from;
+/// record both drivers keep them in. The one drain returns one per queue
+/// it drains (a batch's stage-1 routes, or a sub-tree queue), whichever
+/// source its walks come from;
 /// [`SplitTree::batch_search`] keeps a stage-1 and a stage-2 block
 /// ([`SplitSearchStats`]), and the wavefront
 /// [`SplitTree::search_batch`](crate::batch) keeps a stage-2 block
@@ -711,11 +658,13 @@ pub(crate) struct Cursor {
     pub(crate) end: usize,
 }
 
-/// Where the stage-2 drain reads each PE's walk: the tree, walked when a
-/// PE picks its query up (`drain_subtree_queue`), or the walks a
-/// [`BatchTrace`](crate::BatchTrace) recorded
-/// ([`replay_batch`](crate::replay_batch)). The drain is generic over
-/// it, so neither source pays a per-step dispatch.
+/// Where [`drain_queue`] reads each PE's walk. Stage 2 reads it from the
+/// tree, walked when a PE picks its query up (`drain_subtree_queue`), or
+/// from the walks a [`BatchTrace`](crate::BatchTrace) recorded
+/// ([`replay_batch`](crate::replay_batch)); stage 1 of
+/// [`SplitTree::batch_search`] reads each query's top-tree route
+/// (`Routes`). The drain is generic over it, so no source pays a
+/// per-step dispatch.
 pub(crate) trait WalkSource {
     /// Hands PE `pe` the next queued query: the query and the span of its
     /// walk in [`Self::steps`]`(pe)`, or `None` once the queue is drained.
@@ -725,6 +674,11 @@ pub(crate) trait WalkSource {
     /// Descendant reuse: replaces the span of the step at `cursor.at`
     /// with the query's walk beneath `w`, a node under it.
     fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize);
+    /// Elision: the fetch of `step`, the one at `cursor.at`, was dropped,
+    /// so the walk resumes past its span.
+    fn elide(&mut self, cursor: &mut Cursor, step: TraceStep) {
+        cursor.at = step.end as usize;
+    }
 }
 
 /// The tree as a walk source: each PE records its query's walk beneath
@@ -771,8 +725,54 @@ impl WalkSource for TreeWalks<'_> {
     }
 }
 
-/// Reusable scratch of the stage-2 drain: each PE's cursor and, for the
-/// tree source, each PE's walk. Reused across sub-tree queues and, via
+/// Stage 1 of [`SplitTree::batch_search`] as a walk source: a PE's walk
+/// is its query's route from the root down to its sub-tree
+/// ([`SplitTree::route`]), recorded with the sub-tree when the PE picks
+/// the query up. A descendant reuse re-routes the query from the
+/// winner's node, and an elided routing fetch leaves it no sub-tree. At
+/// `h_t = 0` every route is empty, so no PE is handed a walk.
+struct Routes<'a, 's> {
+    split: &'a SplitTree<'s>,
+    queries: &'a [Point3],
+    pending: std::ops::Range<usize>,
+    walks: &'a mut [Vec<TraceStep>],
+    /// Each query's sub-tree (`None` until routed, or once elided).
+    subtrees: Vec<Option<usize>>,
+}
+
+impl WalkSource for Routes<'_, '_> {
+    fn pick_up(&mut self, pe: usize) -> Option<Cursor> {
+        let steps = &mut self.walks[pe];
+        loop {
+            let query = self.pending.next()?;
+            steps.clear();
+            self.subtrees[query] = Some(self.split.route(0, self.queries[query], steps));
+            if !steps.is_empty() {
+                return Some(Cursor { query, at: 0, end: steps.len() });
+            }
+        }
+    }
+
+    fn steps(&self, pe: usize) -> &[TraceStep] {
+        &self.walks[pe]
+    }
+
+    fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
+        let steps = &mut self.walks[pe];
+        steps.truncate(cursor.at);
+        let query = cursor.query;
+        self.subtrees[query] = Some(self.split.route(w, self.queries[query], steps));
+        cursor.end = steps.len();
+    }
+
+    fn elide(&mut self, cursor: &mut Cursor, step: TraceStep) {
+        self.subtrees[cursor.query] = None;
+        cursor.at = step.end as usize;
+    }
+}
+
+/// Reusable scratch of the drain: each PE's cursor and, for the tree and
+/// route sources, each PE's walk. Reused across sub-tree queues and, via
 /// [`BatchState`](crate::BatchState), across the frames of a stream.
 #[derive(Debug, Default)]
 pub(crate) struct DrainScratch {
@@ -804,15 +804,17 @@ pub(crate) fn drain_subtree_queue(
     drain_queue(&mut source, r2, tree.len(), num_pes, arbiter, pes, results)
 }
 
-/// The stage-2 simulator: drains one sub-tree queue of an `nodes`-node
-/// tree in lock step. Idle PEs pick up the next queued query (reserving
-/// room in its hit list for every in-radius step of its walk), and every
-/// round each active PE requests the node at its cursor from `arbiter`
-/// and acts on the outcome in the same pass. An honored fetch (or a
-/// same-node reuse) visits the node and moves to the next step, a
-/// stalled one stays, an elided one jumps past the node's walked
-/// subtree, and a reuse of a node beneath it splices the walk to
-/// continue there. Skipped node counts come from heap arithmetic.
+/// The lock-step simulator of both search stages, and the one place an
+/// [`Arbitration`] is acted on: drains one queue of an `nodes`-node tree
+/// (a batch's stage-1 routes or one sub-tree queue). Idle PEs pick up the
+/// next queued query (reserving room in its hit list for every in-radius
+/// step of its walk), and every round each active PE requests the node
+/// at its cursor from `arbiter` and acts on the outcome in the same pass.
+/// An honored fetch (or a same-node reuse) visits the node and moves to
+/// the next step, a stalled one stays, an elided one jumps past the
+/// node's walked span ([`WalkSource::elide`]), and a reuse of a node
+/// beneath it splices the walk to continue there. Stall rounds come from
+/// here alone, and skipped node counts from heap arithmetic.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drain_queue(
     source: &mut impl WalkSource,
@@ -877,7 +879,7 @@ pub(crate) fn drain_queue(
                     out.conflicts += 1;
                     out.elided += 1;
                     out.skipped += heap_subtree_len(nodes, step.node as usize);
-                    cursor.at = step.end as usize;
+                    source.elide(cursor, step);
                     false
                 }
                 Arbitration::Reused(w) => {
@@ -1009,43 +1011,6 @@ impl std::ops::AddAssign for SplitSearchStats {
     }
 }
 
-/// Exact radius search confined to the sub-tree rooted at `root`,
-/// appending to `hits`.
-pub fn subtree_radius_search(
-    tree: &KdTree,
-    root: usize,
-    query: Point3,
-    radius: f32,
-    hits: &mut Vec<Neighbor>,
-    on_fetch: &mut dyn FnMut(usize),
-) {
-    let r2 = radius * radius;
-    let mut stack = vec![root];
-    while let Some(idx) = stack.pop() {
-        on_fetch(idx);
-        let point = tree.point_of(idx);
-        let d2 = point.dist2(query);
-        if d2 <= r2 {
-            hits.push(Neighbor { index: tree.point_index_of(idx), dist2: d2 });
-        }
-        let axis = tree.axis_of(idx);
-        let delta = query.coord(axis) - point.coord(axis);
-        let (near, far) = if delta <= 0.0 {
-            (tree.left(idx), tree.right(idx))
-        } else {
-            (tree.right(idx), tree.left(idx))
-        };
-        if delta * delta <= r2 {
-            if let Some(f) = far {
-                stack.push(f);
-            }
-        }
-        if let Some(n) = near {
-            stack.push(n);
-        }
-    }
-}
-
 /// Orders one query's hits nearest first and keeps the `max_neighbors`
 /// nearest (all of them for `None`); equal distances keep their arrival
 /// order. `keys` is scratch the caller's loop recycles.
@@ -1138,6 +1103,10 @@ mod tests {
         let err = SplitTree::new(&tree, 7).unwrap_err();
         assert!(matches!(err, SplitTreeError::TopHeightTooLarge { .. }));
         assert!(err.to_string().contains("height 7"));
+        // the clamp grants the tallest valid split, and 0 on an empty tree
+        assert_eq!(tree.clamp_top_height(7), 6);
+        assert_eq!(tree.clamp_top_height(3), 3);
+        assert_eq!(KdTree::build(&PointCloud::new()).clamp_top_height(5), 0);
     }
 
     #[test]

@@ -265,6 +265,14 @@ impl KdTree {
         self.points.len() * NODE_BYTES
     }
 
+    /// The top-tree height a split of this tree can grant for a request
+    /// of `requested`: at most `height − 1`, so a sub-tree level remains,
+    /// and 0 for an empty tree. [`SplitTree::new`](crate::SplitTree::new)
+    /// accepts it for every request.
+    pub fn clamp_top_height(&self, requested: usize) -> usize {
+        requested.min(self.height.saturating_sub(1))
+    }
+
     /// Half-open heap-slot range of the sub-tree roots when the tree is
     /// split below a top tree of height `top_height` (all existing slots
     /// at level `top_height`; empty if `top_height >= self.height()`).

@@ -130,8 +130,8 @@ pub fn neighbor_lists(
         return query_indices.iter().map(|_| Vec::new()).collect();
     }
     let tree = KdTree::build(points);
-    let ht = setting.top_height.min(tree.height().saturating_sub(1));
-    let split = SplitTree::new(&tree, ht).expect("clamped top height");
+    let split = SplitTree::new(&tree, tree.clamp_top_height(setting.top_height))
+        .expect("clamped top height");
     let queries: Vec<Point3> = query_indices.iter().map(|&i| points.point(i)).collect();
     let cfg = SplitSearchConfig {
         radius,

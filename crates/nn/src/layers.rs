@@ -549,8 +549,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
         /// BatchNorm forward and backward are bit-identical to the
         /// column-walking reference: a training step on a warm-up batch
         /// (which moves the running statistics), then a step on a batch

@@ -186,8 +186,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
         /// The row-slice forward pools the same bits and picks the same
         /// argmax rows as the reference; the signed zeros in the inputs
         /// make ties common.

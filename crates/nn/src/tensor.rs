@@ -770,8 +770,6 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
         /// `matmul_t` is bit-identical to the `.sum()` reference,
         /// including `K = 0`, single rows, an all `-0.0` operand and
         /// signed zeros mixed into the inputs.
