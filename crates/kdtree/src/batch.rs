@@ -485,7 +485,7 @@ pub struct BatchTrace {
     /// level.
     height: usize,
     /// Stage-1 hits `(query, neighbor)` in push order.
-    top_hits: Vec<(u32, Neighbor)>,
+    pub(crate) top_hits: Vec<(u32, Neighbor)>,
     /// The touched sub-trees' queues and their queries' walks.
     walks: Walks,
     /// End offset in `walks.queued` of each touched sub-tree's queue.

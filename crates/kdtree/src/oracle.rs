@@ -13,17 +13,24 @@
 //! drain — over stage-1 routes (`batch_search`), from the tree
 //! (`drain_subtree_queue`, where descendant reuse splices walks) and from
 //! a trace ([`replay_batch`]) — against an independent statement of the
-//! arbitration rule.
+//! arbitration rule. A last proptest checks the wavefront's stage 1 (the
+//! config-free [`BatchSearchStats`] fields and the top-tree hits) against
+//! per-query routing with `SplitTree::route_query`.
+//!
+//! Each proptest runs 384 cases, or `PROPTEST_CASES` when it is set (CI
+//! runs them deeper that way).
 
-use crescent_pointcloud::{Neighbor, Point3, PointCloud};
+use std::collections::BTreeSet;
+
+use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
 use proptest::prelude::*;
 
-use crate::batch::{replay_batch, BatchSearchConfig, BatchState};
+use crate::batch::{replay_batch, BatchSearchConfig, BatchSearchStats, BatchState};
 use crate::split::{
     drain_subtree_queue, finalize, DrainCounters, DrainScratch, ElisionConfig, SplitSearchConfig,
     SplitSearchStats, SplitTree, TreeArbiter,
 };
-use crate::tree::KdTree;
+use crate::tree::{KdTree, NODE_BYTES};
 
 /// What happened to one PE's fetch in a round.
 #[derive(Clone, Copy)]
@@ -336,8 +343,13 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point3>> {
     })
 }
 
+/// Cases per proptest: `PROPTEST_CASES` when it is set, else 384.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(384)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(384))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// `drain_subtree_queue` equals the reference drain: the whole
     /// counter record and every neighbor list, bit for bit.
@@ -471,5 +483,80 @@ proptest! {
         let (want, expected) = reference_engine(&split, &queries, &config);
         prop_assert_eq!(stats, expected);
         prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// Stage 1 of the wavefront, two batches through one `BatchState`
+    /// (the second repeats a prefix of the first), equals per-query
+    /// routing: every config-free `BatchSearchStats` field, the sub-tree
+    /// assignments and each query's top-tree hits in root-to-leaf order.
+    /// A node is fetched once per batch iff some query's route reaches
+    /// it; the DRAM bytes are Sec 3.4's schedule (queries moved three
+    /// times, the top tree and each touched sub-tree streamed once).
+    #[test]
+    fn wavefront_matches_per_query_routing(
+        points in arb_points(160),
+        first in arb_points(40),
+        extra in arb_points(40),
+        keep in 0usize..41,
+        radius in 0.1f32..1.5,
+        top_pick in 0usize..8,
+    ) {
+        let cloud: PointCloud = points.into_iter().collect();
+        let tree = KdTree::build(&cloud);
+        let top = top_pick.min(tree.height() - 1);
+        let split = SplitTree::new(&tree, top).unwrap();
+        let second: Vec<Point3> =
+            first[..keep.min(first.len())].iter().chain(&extra).copied().collect();
+        let config = BatchSearchConfig::banked(radius, None, 4, 4, 0);
+        let (mut searched, mut traced) = (BatchState::new(), BatchState::new());
+        let mut prev: Vec<Option<usize>> = Vec::new();
+        for (frame, queries) in [first, second].iter().enumerate() {
+            let mut hits = vec![Vec::new(); queries.len()];
+            let mut fetched = BTreeSet::new();
+            let mut unamortized = 0;
+            let mut assignments = Vec::new();
+            for (&q, h) in queries.iter().zip(&mut hits) {
+                assignments.push(split.route_query(q, radius, h, &mut |idx| {
+                    fetched.insert(idx);
+                    unamortized += 1;
+                }));
+            }
+            let touched: BTreeSet<usize> = assignments.iter().flatten().copied().collect();
+            let top_nodes = (0..tree.len()).filter(|&i| level(i) < top).count();
+            let subtree_nodes: usize =
+                touched.iter().map(|&s| count_nodes(&tree, split.subtree_roots()[s])).sum();
+            let want = BatchSearchStats {
+                queries: queries.len(),
+                top_fetches: fetched.len(),
+                top_fetches_unamortized: unamortized,
+                subtrees_touched: touched.len(),
+                assignment_reuses: assignments
+                    .iter()
+                    .zip(&prev)
+                    .filter(|(a, p)| a.is_some() && a == p)
+                    .count(),
+                dram_bytes: (3 * queries.len() * POINT_BYTES + (top_nodes + subtree_nodes) * NODE_BYTES)
+                    as u64,
+                frame_index: frame,
+                subtree: DrainCounters::default(),
+            };
+            let config_free = |stats: BatchSearchStats| BatchSearchStats {
+                subtree: DrainCounters::default(),
+                ..stats
+            };
+
+            let (_, stats) = split.search_batch(queries, &config, &mut searched);
+            prop_assert_eq!(config_free(stats), want.clone());
+            prop_assert_eq!(searched.assignments(), assignments.as_slice());
+            let trace = split.trace_batch(queries, radius, &mut traced);
+            let (_, stats) = replay_batch(&trace, &config, &mut traced);
+            prop_assert_eq!(config_free(stats), want);
+            let mut got = vec![Vec::new(); queries.len()];
+            for &(qi, n) in &trace.top_hits {
+                got[qi as usize].push(n);
+            }
+            prop_assert_eq!(bits(&got), bits(&hits));
+            prev = assignments;
+        }
     }
 }
