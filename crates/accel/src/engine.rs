@@ -64,7 +64,7 @@ pub fn run_crescent_search(
     };
     let (results, stats) = split.batch_search(queries, &search_cfg);
 
-    let dram_bytes = crescent_dram_bytes(&split, queries, radius);
+    let dram_bytes = crescent_dram_bytes(&split, queries);
     let total = stats.total();
     let compute = total.rounds as u64;
     let dma = config.dram.stream_cycles(dram_bytes);

@@ -284,7 +284,7 @@ pub fn fig24(scale: Scale) -> Figure {
         let split =
             SplitTree::new(&tree, tree.clamp_top_height(knobs.top_height)).expect("valid split");
         let quicknn = split_exhaustive_report(&split, &queries, layer.radius, 32);
-        let ours_dram = crescent_dram_bytes(&split, &queries, layer.radius);
+        let ours_dram = crescent_dram_bytes(&split, &queries);
         let visit_red =
             (1.0 - ours.tree_buffer_reads as f64 / tigris.tree_buffer_reads.max(1) as f64) * 100.0;
         let dram_red = (1.0 - ours_dram as f64 / quicknn.dram_bytes.max(1) as f64) * 100.0;

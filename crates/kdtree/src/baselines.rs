@@ -185,24 +185,21 @@ fn route_and_account(
     Routed { hits, queues, report }
 }
 
-/// DRAM bytes of the Crescent schedule for the same workload: every query
-/// read in stage 1, written back to its sub-tree queue, and read again in
-/// stage 2; the top tree and **each non-empty sub-tree loaded exactly
-/// once** (Sec 3.4).
-pub fn crescent_dram_bytes(split: &SplitTree<'_>, queries: &[Point3], radius: f32) -> u64 {
-    let assignments = split.assign_queries(queries, radius);
-    let mut used = vec![false; split.num_subtrees()];
-    for a in assignments.into_iter().flatten() {
-        used[a] = true;
-    }
-    let mut bytes = (3 * queries.len() * POINT_BYTES) as u64;
-    bytes += (split.top_len() * NODE_BYTES) as u64;
-    for (s, &u) in used.iter().enumerate() {
-        if u {
-            bytes += (split.subtree_len(s) * NODE_BYTES) as u64;
+/// DRAM bytes of the Crescent schedule for the same workload
+/// ([`SplitTree::schedule_dram_bytes`]): every query read in stage 1,
+/// written back to its sub-tree queue, and read again in stage 2; the top
+/// tree and **each non-empty sub-tree loaded exactly once** (Sec 3.4).
+pub fn crescent_dram_bytes(split: &SplitTree<'_>, queries: &[Point3]) -> u64 {
+    let mut touched = vec![false; split.num_subtrees()];
+    if !split.tree().is_empty() {
+        let mut route = Vec::new();
+        for &q in queries {
+            route.clear();
+            touched[split.route(0, q, &mut route)] = true;
         }
     }
-    bytes
+    let touched = (0..).zip(touched).filter(|&(_, t)| t).map(|(s, _)| s);
+    split.schedule_dram_bytes(queries.len(), touched)
 }
 
 fn collect_subtree(tree: &KdTree, root: usize, out: &mut Vec<usize>) {
@@ -284,7 +281,7 @@ mod tests {
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries: Vec<Point3> = random_cloud(256, 26).into_points();
         let quicknn = split_exhaustive_report(&split, &queries, 0.2, 8);
-        let ours = crescent_dram_bytes(&split, &queries, 0.2);
+        let ours = crescent_dram_bytes(&split, &queries);
         assert!(ours < quicknn.dram_bytes, "crescent {ours} vs quicknn {}", quicknn.dram_bytes);
         assert!(quicknn.subtree_loads > split.num_subtrees());
     }
@@ -340,5 +337,16 @@ mod tests {
         assert_eq!(r.nodes_visited, 0);
         assert!(results[0].is_empty());
         assert_eq!(split_exhaustive_report(&split, &[Point3::ZERO], 1.0, 4), r);
+    }
+
+    #[test]
+    fn crescent_dram_bytes_on_an_empty_tree() {
+        // no top tree and no sub-tree to stream: only the three query
+        // passes are charged (the wavefront charges nothing here)
+        let tree = KdTree::build(&PointCloud::new());
+        let split = SplitTree::new(&tree, 0).unwrap();
+        let queries = [Point3::ZERO, Point3::new(1.0, 2.0, 3.0)];
+        assert_eq!(crescent_dram_bytes(&split, &queries), (3 * 2 * POINT_BYTES) as u64);
+        assert_eq!(crescent_dram_bytes(&split, &[]), 0);
     }
 }

@@ -9,7 +9,12 @@
 //! pass through it, instead of once per query. Because each stage-1 step
 //! issues exactly one shared fetch, the wavefront's top-tree descent is
 //! conflict-free *by construction* — the amortization is also a
-//! serialization-free schedule.
+//! serialization-free schedule. Each query's route comes from
+//! `SplitTree::route`, the same descent the per-query engine's stage 1
+//! runs on: a node is fetched iff some route reaches it, so the issued
+//! fetches are the distinct route nodes. The batch's DRAM bytes are
+//! [`SplitTree::schedule_dram_bytes`], the one statement of Sec 3.4's
+//! schedule.
 //!
 //! Stage 2 is where the banked tree buffer bites, and it is modeled, not
 //! assumed away: each sub-tree's query queue is drained in lock-step by
@@ -49,43 +54,41 @@
 //!   reuse splices the loser's walk to continue beneath the winner's
 //!   node.
 //! * **A trace.** [`SplitTree::trace_batch`] records the config-free
-//!   part of a batch once (the stage-1 wavefront outcome and each queued
-//!   query's walk, 16 bytes per visited node), and [`replay_batch`]
-//!   drains the [`BatchTrace`] per config without reading the tree. A
-//!   trace has no tree to splice from, so the replay rejects descendant
-//!   reuse.
+//!   part of a batch once (the stage-1 wavefront outcome, its top-tree
+//!   hits query by query, and each queued query's walk, 16 bytes per
+//!   visited node), and [`replay_batch`] drains the [`BatchTrace`] per
+//!   config without reading the tree. A trace has no tree to splice
+//!   from, so the replay rejects descendant reuse.
 //!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
-//! descent state forward: the wavefront and per-sub-tree queue allocations
-//! are recycled, and the previous frame's sub-tree assignments are kept so
-//! the engine can measure temporal locality (how many queries landed in the
-//! same sub-tree as last frame — the signal future cross-frame caching
-//! optimizations will exploit).
+//! descent state forward: the route buffer, the fetched-node flags and the
+//! per-sub-tree queues are recycled, and the previous frame's sub-tree
+//! assignments are kept so the engine can measure temporal locality (how
+//! many queries landed in the same sub-tree as last frame — the signal
+//! future cross-frame caching optimizations will exploit).
 
-use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
+use crescent_pointcloud::{Neighbor, Point3};
 
 use crate::split::{
     drain_queue, drain_subtree_queue, finalize, walk, Cursor, DrainCounters, DrainScratch,
     SplitTree, TraceStep, TreeArbiter, WalkSource,
 };
-use crate::tree::NODE_BYTES;
 
 /// Reusable state for [`SplitTree::search_batch`] (and for
 /// [`SplitTree::trace_batch`] and [`replay_batch`]), designed to live
 /// across the frames of a stream.
 ///
-/// Holds the wavefront and per-sub-tree queue buffers (recycled every call
-/// so steady-state frames allocate almost nothing) plus the previous
-/// frame's sub-tree assignments, from which the cross-frame
-/// [`BatchSearchStats::assignment_reuses`] locality metric is computed.
+/// Holds the stage-1 route and fetched-node buffers and the per-sub-tree
+/// queues (recycled every call so steady-state frames allocate almost
+/// nothing) plus the previous frame's sub-tree assignments, from which
+/// the cross-frame [`BatchSearchStats::assignment_reuses`] locality
+/// metric is computed.
 #[derive(Debug, Default)]
 pub struct BatchState {
-    /// Current wavefront: `(top-tree node, queries whose path reaches it)`.
-    frontier: Vec<(usize, Vec<usize>)>,
-    /// Next-level wavefront under construction.
-    next: Vec<(usize, Vec<usize>)>,
-    /// Recycled query-list allocations.
-    spare: Vec<Vec<usize>>,
+    /// The top-tree route of the query being routed.
+    route: Vec<TraceStep>,
+    /// Whether each top-tree node was fetched in the current batch.
+    fetched: Vec<bool>,
     /// Per-sub-tree query queues (arrival order).
     queues: Vec<Vec<usize>>,
     /// Sub-tree assignment of each query in the most recent batch.
@@ -114,15 +117,6 @@ impl BatchState {
     /// state; a trace alone does not count.
     pub fn frames(&self) -> usize {
         self.frames
-    }
-
-    fn take_list(&mut self) -> Vec<usize> {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    fn recycle(&mut self, mut list: Vec<usize>) {
-        list.clear();
-        self.spare.push(list);
     }
 }
 
@@ -337,10 +331,15 @@ impl SplitTree<'_> {
     }
 
     /// Stage 1 of a batch and the counters it settles: rotates `state`'s
-    /// assignment history, descends the top tree as one wavefront
-    /// (reporting each top-tree hit to `hit` in push order), groups the
-    /// queries into `state`'s per-sub-tree queues, and returns every
+    /// assignment history, routes every query down the top tree with
+    /// [`SplitTree::route`] (reporting each top-tree hit to `hit`, query
+    /// by query, each query's in root-to-leaf order), groups the queries
+    /// into `state`'s per-sub-tree queues, and returns every
     /// [`BatchSearchStats`] field but `frame_index` and `subtree`.
+    ///
+    /// A top-tree node costs one shared fetch per batch iff some query's
+    /// route reaches it, so the issued fetches are the distinct route
+    /// nodes and the unamortized ones the sum of the route lengths.
     fn route_wavefront(
         &self,
         queries: &[Point3],
@@ -348,100 +347,44 @@ impl SplitTree<'_> {
         state: &mut BatchState,
         mut hit: impl FnMut(usize, Neighbor),
     ) -> BatchSearchStats {
-        let tree = self.tree();
         let mut stats = BatchSearchStats { queries: queries.len(), ..BatchSearchStats::default() };
 
         // rotate assignment history: last batch becomes "previous frame"
         std::mem::swap(&mut state.prev_assignments, &mut state.assignments);
         state.assignments.clear();
-        state.assignments.resize(queries.len(), None);
         for q in state.queues.iter_mut() {
             q.clear();
         }
 
-        if tree.is_empty() || queries.is_empty() {
+        if self.tree().is_empty() || queries.is_empty() {
+            state.assignments.resize(queries.len(), None);
             return stats;
         }
 
-        // ---- stage 1: wavefront descent of the top tree ----
-        // Every query starts at the root; at each level the queries sitting
-        // on a node are partitioned onto its children, so a node is fetched
-        // once no matter how many queries route through it.
+        // ---- stage 1: route every query, fetching each node once ----
         let r2 = radius * radius;
-        let first_subtree = self.subtree_roots()[0];
-        debug_assert!(state.frontier.is_empty() && state.next.is_empty());
-        let mut root_list = state.take_list();
-        root_list.extend(0..queries.len());
-        if self.top_height() == 0 {
-            for a in state.assignments.iter_mut() {
-                *a = Some(0);
-            }
-            state.recycle(root_list);
-        } else {
-            state.frontier.push((0, root_list));
-            while !state.frontier.is_empty() {
-                while let Some((idx, qlist)) = state.frontier.pop() {
-                    stats.top_fetches += 1; // one shared fetch for the node
-                    stats.top_fetches_unamortized += qlist.len();
-                    let point = tree.point_of(idx);
-                    let axis = tree.axis_of(idx);
-                    let split_coord = point.coord(axis);
-                    let (left, right) = (tree.left(idx), tree.right(idx));
-                    let mut left_list = state.take_list();
-                    let mut right_list = state.take_list();
-                    for &qi in &qlist {
-                        let q = queries[qi];
-                        let d2 = point.dist2(q);
-                        if d2 <= r2 {
-                            hit(qi, Neighbor { index: tree.point_index_of(idx), dist2: d2 });
-                        }
-                        let (next_slot, side) = if q.coord(axis) - split_coord <= 0.0 {
-                            (left, &mut left_list)
-                        } else {
-                            (right, &mut right_list)
-                        };
-                        match next_slot {
-                            Some(n) if tree.level_of(n) >= self.top_height() => {
-                                state.assignments[qi] = Some(n - first_subtree);
-                            }
-                            Some(_) => side.push(qi),
-                            // ragged bottom: clamp like route_query does
-                            None => {
-                                state.assignments[qi] = Some(self.nearest_subtree_for(idx));
-                            }
-                        }
-                    }
-                    for (child, list) in [(left, left_list), (right, right_list)] {
-                        match child {
-                            Some(c) if !list.is_empty() => state.next.push((c, list)),
-                            _ => state.recycle(list),
-                        }
-                    }
-                    state.recycle(qlist);
-                }
-                std::mem::swap(&mut state.frontier, &mut state.next);
-            }
-        }
-
-        // ---- group queries per sub-tree, preserving arrival order ----
+        state.fetched.clear();
+        state.fetched.resize(self.top_len(), false);
         state.queues.resize_with(self.num_subtrees(), Vec::new);
-        for (qi, a) in state.assignments.iter().enumerate() {
-            if let Some(s) = *a {
-                state.queues[s].push(qi);
+        for (qi, &q) in queries.iter().enumerate() {
+            state.route.clear();
+            let s = self.route(0, q, &mut state.route);
+            stats.top_fetches_unamortized += state.route.len();
+            for step in &state.route {
+                let fetched = &mut state.fetched[step.node as usize];
+                stats.top_fetches += usize::from(!*fetched);
+                *fetched = true;
+                if let Some(n) = step.hit(r2) {
+                    hit(qi, n);
+                }
             }
+            state.assignments.push(Some(s));
+            state.queues[s].push(qi);
         }
 
-        // Crescent's phased DRAM schedule (Sec 3.4): queries moved three
-        // times, the top tree streamed once, and each touched sub-tree
-        // streamed once.
-        for (s, queue) in state.queues.iter().enumerate() {
-            if !queue.is_empty() {
-                stats.subtrees_touched += 1;
-                stats.dram_bytes += (self.subtree_len(s) * NODE_BYTES) as u64;
-            }
-        }
-        stats.dram_bytes += (3 * queries.len() * POINT_BYTES) as u64;
-        stats.dram_bytes += (self.top_len() * NODE_BYTES) as u64;
+        let touched = (0..).zip(&state.queues).filter(|(_, q)| !q.is_empty()).map(|(s, _)| s);
+        stats.subtrees_touched = touched.clone().count();
+        stats.dram_bytes = self.schedule_dram_bytes(queries.len(), touched);
 
         // ---- cross-frame locality ----
         for (a, p) in state.assignments.iter().zip(&state.prev_assignments) {
@@ -484,7 +427,8 @@ pub struct BatchTrace {
     /// Height of the traced tree, from which `h_e` sets the elision
     /// level.
     height: usize,
-    /// Stage-1 hits `(query, neighbor)` in push order.
+    /// Stage-1 hits `(query, neighbor)`, query by query, each query's in
+    /// root-to-leaf order.
     pub(crate) top_hits: Vec<(u32, Neighbor)>,
     /// The touched sub-trees' queues and their queries' walks.
     walks: Walks,
@@ -775,7 +719,7 @@ mod tests {
         let queries = random_queries(64, 71);
         let mut state = BatchState::new();
         let (_, stats) = split.search_batch(&queries, &stall_only(0.3, None), &mut state);
-        let reference = crate::baselines::crescent_dram_bytes(&split, &queries, 0.3);
+        let reference = crate::baselines::crescent_dram_bytes(&split, &queries);
         assert_eq!(stats.dram_bytes, reference);
     }
 
@@ -972,9 +916,14 @@ mod tests {
         let queries = random_queries(64, 74);
         let mut state = BatchState::new();
         split.search_batch(&queries, &stall_only(0.3, None), &mut state);
-        let spare_after_first = state.spare.len();
-        assert!(spare_after_first > 0, "wavefront lists must return to the spare pool");
+        let route = (state.route.as_ptr(), state.route.capacity());
+        let fetched = (state.fetched.as_ptr(), state.fetched.capacity());
+        assert!(route.1 >= split.top_height(), "the route buffer holds a whole route");
+        assert!(fetched.1 >= split.top_len(), "one fetched flag per top-tree node");
         split.search_batch(&queries, &stall_only(0.3, None), &mut state);
-        assert_eq!(state.spare.len(), spare_after_first, "steady state allocates nothing new");
+        let again = (state.route.as_ptr(), state.route.capacity());
+        assert_eq!(again, route, "the route buffer keeps its allocation");
+        let again = (state.fetched.as_ptr(), state.fetched.capacity());
+        assert_eq!(again, fetched, "the fetched flags keep their allocation");
     }
 }

@@ -14,7 +14,12 @@
 //!   have one simulator: a drain that moves each PE's cursor over its
 //!   query's walk — the top-tree route in stage 1, the radius-pruned
 //!   sub-tree walk, read from the tree or from a [`BatchTrace`], in
-//!   stage 2 — with descendant reuse splicing a walk;
+//!   stage 2 — with descendant reuse splicing a walk. Both drivers and
+//!   [`crescent_dram_bytes`] route on one top-tree descent, and the DRAM
+//!   bytes of the Sec 3.4 schedule are written once
+//!   ([`SplitTree::schedule_dram_bytes`]); `search_one` keeps its own
+//!   router, [`SplitTree::route_query`], as the reference the tests hold
+//!   them to;
 //! * [`batch`] — the batched two-stage search ([`SplitTree::search_batch`])
 //!   that amortizes top-tree fetches across a query batch, reuses its
 //!   descent state across the frames of a stream ([`BatchState`]), and

@@ -28,9 +28,16 @@
 //! drivers) or from a [`BatchTrace`](crate::BatchTrace). A descendant
 //! reuse splices the loser's walk to continue beneath the winner's node,
 //! so it needs a source that can walk the tree.
+//!
+//! Both stage-1 descents of the search drivers — `Routes` and the
+//! wavefront — and [`crescent_dram_bytes`](crate::crescent_dram_bytes)
+//! route on one method, `SplitTree::route`; the wavefront and
+//! `crescent_dram_bytes` charge DRAM by one,
+//! [`SplitTree::schedule_dram_bytes`]. [`SplitTree::route_query`] is the
+//! reference router that [`SplitTree::search_one`] runs on.
 
 use crescent_memsim::{BankedSram, PortOutcome, SramConfig};
-use crescent_pointcloud::{Neighbor, Point3};
+use crescent_pointcloud::{Neighbor, Point3, POINT_BYTES};
 
 use crate::search::radius_search_from;
 use crate::tree::{
@@ -182,10 +189,28 @@ impl<'a> SplitTree<'a> {
         ((1usize << self.top_height) - 1).min(self.tree.len())
     }
 
-    /// Stage 1 for a single query: descends the top tree (no backtracking)
-    /// and returns the sub-tree index the query is assigned to, reporting
-    /// candidate neighbors found among the top-tree nodes to `hits` and
-    /// each node fetch to `on_fetch`.
+    /// DRAM bytes of Crescent's phased schedule (Sec 3.4) for a batch of
+    /// `queries` queries whose routes land in the sub-trees `touched`
+    /// (each named once): every query read in stage 1, written back to
+    /// its sub-tree queue and read again in stage 2; the top tree and
+    /// each touched sub-tree streamed once.
+    pub fn schedule_dram_bytes(
+        &self,
+        queries: usize,
+        touched: impl IntoIterator<Item = usize>,
+    ) -> u64 {
+        let nodes =
+            self.top_len() + touched.into_iter().map(|s| self.subtree_len(s)).sum::<usize>();
+        (3 * queries * POINT_BYTES + nodes * NODE_BYTES) as u64
+    }
+
+    /// The reference router: stage 1 for a single query, written out on
+    /// its own. It descends the top tree (no backtracking) and returns the
+    /// sub-tree index the query is assigned to, reporting candidate
+    /// neighbors found among the top-tree nodes to `hits` and each node
+    /// fetch to `on_fetch`. [`SplitTree::search_one`] runs on it, so the
+    /// tests that hold both search drivers to `search_one` also hold
+    /// their shared router, `SplitTree::route`, to this one.
     ///
     /// Returns `None` for an empty tree.
     pub fn route_query(
@@ -228,7 +253,7 @@ impl<'a> SplitTree<'a> {
         }
     }
 
-    pub(crate) fn nearest_subtree_for(&self, idx: usize) -> usize {
+    fn nearest_subtree_for(&self, idx: usize) -> usize {
         // map a top-tree slot with a missing child onto the sub-tree whose
         // root shares the longest path prefix; clamp into range
         let first = self.subtree_roots[0];
@@ -266,19 +291,6 @@ impl<'a> SplitTree<'a> {
         max_neighbors: Option<usize>,
     ) -> Vec<Neighbor> {
         self.search_one_traced(query, radius, max_neighbors, &mut |_| {})
-    }
-
-    /// Stage-1 routing for a whole batch: returns the sub-tree assignment
-    /// of each query (usable for DRAM-traffic accounting) without running
-    /// stage 2.
-    pub fn assign_queries(&self, queries: &[Point3], radius: f32) -> Vec<Option<usize>> {
-        queries
-            .iter()
-            .map(|&q| {
-                let mut hits = Vec::new();
-                self.route_query(q, radius, &mut hits, &mut |_| {})
-            })
-            .collect()
     }
 
     /// Batch two-stage search with the lock-step PE / banked-tree-buffer
@@ -366,7 +378,13 @@ impl<'a> SplitTree<'a> {
     /// so an elided routing fetch drops the rest of the route. Returns the
     /// sub-tree the route lands in (a ragged bottom goes through
     /// [`Self::nearest_subtree_for`]); at `h_t = 0` the route is empty.
-    fn route(&self, mut idx: usize, q: Point3, steps: &mut Vec<TraceStep>) -> usize {
+    ///
+    /// The one production top-tree descent: the per-query engine's stage
+    /// 1 (`Routes`), the wavefront and [`crescent_dram_bytes`] route on
+    /// it. The tree must not be empty.
+    ///
+    /// [`crescent_dram_bytes`]: crate::crescent_dram_bytes
+    pub(crate) fn route(&self, mut idx: usize, q: Point3, steps: &mut Vec<TraceStep>) -> usize {
         let start = steps.len();
         let first = self.subtree_roots[0];
         let s = loop {
@@ -637,7 +655,7 @@ impl Walker<'_> {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TraceStep {
     /// Heap slot of the node: the tree-buffer address the PE requests.
-    node: u32,
+    pub(crate) node: u32,
     /// Offset just past this node's walked subtree in the walk's buffer:
     /// where the walk resumes when the fetch is elided.
     end: u32,
@@ -645,6 +663,15 @@ pub(crate) struct TraceStep {
     dist2: f32,
     /// The node's original point index.
     index: u32,
+}
+
+impl TraceStep {
+    /// The node's point as a neighbor of the query, if it lies within the
+    /// squared radius `r2`.
+    #[inline]
+    pub(crate) fn hit(&self, r2: f32) -> Option<Neighbor> {
+        (self.dist2 <= r2).then_some(Neighbor { index: self.index as usize, dist2: self.dist2 })
+    }
 }
 
 /// One PE's place in its query's walk.
@@ -851,11 +878,7 @@ pub(crate) fn drain_queue(
             out.attempts += rest.len();
             out.visits += rest.len();
             arbiter.grant_uncontended(rest.len());
-            results[cursor.query].extend(
-                rest.iter()
-                    .filter(|step| step.dist2 <= r2)
-                    .map(|step| Neighbor { index: step.index as usize, dist2: step.dist2 }),
-            );
+            results[cursor.query].extend(rest.iter().filter_map(|step| step.hit(r2)));
             active = 0;
             continue;
         }
@@ -899,9 +922,8 @@ pub(crate) fn drain_queue(
             };
             if visit {
                 out.visits += 1;
-                if step.dist2 <= r2 {
-                    results[cursor.query]
-                        .push(Neighbor { index: step.index as usize, dist2: step.dist2 });
+                if let Some(n) = step.hit(r2) {
+                    results[cursor.query].push(n);
                 }
                 cursor.at += 1;
             }
