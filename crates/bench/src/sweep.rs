@@ -106,13 +106,14 @@ pub fn render_summary(report: &SweepReport) -> String {
 }
 
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
-/// the run total, the serial scenario-setup prologue — overall and per
-/// scenario — and each stage of the cascade summed across the worker
-/// pool, the trace and search stages with their pass counts (compose is
-/// the per-point clock of the sidecar).
+/// the run total, the elapsed scenario setups (frame renders and recall
+/// oracles on the worker pool) — overall and per scenario — and each
+/// stage of the cascade summed across the worker pool, the trace and
+/// search stages with their pass counts (compose is the per-point clock
+/// of the sidecar).
 fn eprint_timings(timings: &RunTimings, stats: &SweepRunStats) {
     eprintln!(
-        "# wall-clock: total {:.3}s (scenario setup {:.3}s serial; summed over {} workers: \
+        "# wall-clock: total {:.3}s (scenario setup {:.3}s elapsed; summed over {} workers: \
          maintain {:.3}s, trace {:.3}s over {} passes, search {:.3}s over {} passes, \
          compose {:.3}s)",
         secs(timings.total_nanos),

@@ -296,6 +296,11 @@ pub struct Frame {
 
 /// A seeded iterator of temporally-coherent LiDAR frames.
 ///
+/// Every frame is also reachable on its own through
+/// [`FrameStream::frame`], which the iterator itself calls: frame `i`
+/// depends only on the config and `i`, so frames can be rendered in any
+/// order, or on several threads at once.
+///
 /// # Examples
 ///
 /// ```
@@ -310,14 +315,26 @@ pub struct Frame {
 /// // same config ⇒ bit-identical frames
 /// let again: Vec<_> = FrameStream::new(&cfg).collect();
 /// assert_eq!(frames[2].cloud, again[2].cloud);
+/// // ... and frame 2 rendered on its own is the iterator's frame 2
+/// assert_eq!(FrameStream::new(&cfg).frame(2).cloud, frames[2].cloud);
 /// ```
 #[derive(Clone, Debug)]
 pub struct FrameStream {
     cfg: FrameStreamConfig,
     world: PointCloud,
     movers: Vec<Mover>,
-    frame: usize,
+    /// Index of the frame the iterator yields next.
+    next: usize,
+}
+
+/// The sensor pose a frame is rendered from.
+#[derive(Clone, Copy, Debug)]
+struct Pose {
+    /// 0-based frame index.
+    index: usize,
+    /// Sensor position in world coordinates.
     position: Point3,
+    /// Sensor heading (yaw) in radians.
     heading: f32,
 }
 
@@ -370,7 +387,7 @@ impl FrameStream {
             }
             _ => Vec::new(),
         };
-        FrameStream { cfg: *cfg, world, movers, frame: 0, position: Point3::ZERO, heading: 0.0 }
+        FrameStream { cfg: *cfg, world, movers, next: 0 }
     }
 
     /// The stream's configuration.
@@ -383,18 +400,45 @@ impl FrameStream {
         &self.world
     }
 
-    /// Renders the frame for the current pose without advancing it.
-    fn render(&self) -> Frame {
+    /// Renders frame `index` of the stream — bit for bit the frame the
+    /// iterator yields at that position, without rendering the frames
+    /// before it. The pose is replayed from the origin with the
+    /// iterator's own step, and the frame's noise is seeded from `index`
+    /// alone. Indices past [`FrameStreamConfig::num_frames`] continue
+    /// the same trajectory; only the iterator stops there.
+    pub fn frame(&self, index: usize) -> Frame {
+        self.render(&self.pose(index))
+    }
+
+    /// The sensor pose of frame `index`: frame 0 is at the origin heading
+    /// along +x, and each frame after it first moves the sensor along its
+    /// current heading, then turns it by the yaw rate.
+    fn pose(&self, index: usize) -> Pose {
+        let ego = &self.cfg.ego;
+        let dt = ego.frame_period_s;
+        let step = ego.speed_mps * self.speed_mult() * dt;
+        let mut pose = Pose { index, position: Point3::ZERO, heading: 0.0 };
+        for _ in 0..index {
+            pose.position += Point3::new(pose.heading.cos(), pose.heading.sin(), 0.0) * step;
+            pose.heading += ego.yaw_rate_rps * dt;
+        }
+        pose
+    }
+
+    /// Renders the frame taken from `pose`.
+    fn render(&self, pose: &Pose) -> Frame {
         let cfg = &self.cfg;
         // Decorrelate per-frame noise from the scene RNG and from other
         // frames (SplitMix64 increment as the per-frame stream offset).
         let noise_seed =
-            cfg.scene.seed ^ (self.frame as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            cfg.scene.seed ^ (pose.index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = StdRng::seed_from_u64(noise_seed);
         let cloud = match cfg.scenario {
-            StreamScenario::Sweep => self.render_sweep(&mut rng),
-            StreamScenario::MultiSensor { sensors } => self.render_multi_sensor(sensors, &mut rng),
-            _ => self.render_registered(&mut rng),
+            StreamScenario::Sweep => self.render_sweep(pose, &mut rng),
+            StreamScenario::MultiSensor { sensors } => {
+                self.render_multi_sensor(pose, sensors, &mut rng)
+            }
+            _ => self.render_registered(pose, pose.position, &mut rng),
         };
         let queries = match cfg.scenario {
             StreamScenario::DescendantReuse { clusters } => {
@@ -403,16 +447,16 @@ impl FrameStream {
             _ => stride_queries(&cloud, cfg.queries_per_frame),
         };
         Frame {
-            index: self.frame,
-            ego_position: self.position,
-            ego_heading: self.heading,
+            index: pose.index,
+            ego_position: pose.position,
+            ego_heading: pose.heading,
             cloud,
             queries,
         }
     }
 
     /// Raw spinning-LiDAR render: range cull + azimuthal sweep re-sort.
-    fn render_sweep(&self, rng: &mut StdRng) -> PointCloud {
+    fn render_sweep(&self, pose: &Pose, rng: &mut StdRng) -> PointCloud {
         let cfg = &self.cfg;
         let range2 = cfg.max_range * cfg.max_range;
         // (azimuth, point) pairs so the sweep sort computes atan2 once per
@@ -420,7 +464,7 @@ impl FrameStream {
         let mut pts: Vec<(f32, Point3)> = Vec::new();
         for &p in &self.world {
             // world → sensor frame: translate to the sensor, undo heading
-            let d = (p - self.position).rotated_z(-self.heading);
+            let d = (p - pose.position).rotated_z(-pose.heading);
             if d.x * d.x + d.y * d.y > range2 {
                 continue;
             }
@@ -436,18 +480,13 @@ impl FrameStream {
     /// Registered (motion-compensated) render: stable point identity —
     /// world order is preserved, nothing is culled or re-sorted. The
     /// density filter, per-scenario dropout/occlusion filters, and the
-    /// dynamic movers of the richer scenarios are layered on top.
-    fn render_registered(&self, rng: &mut StdRng) -> PointCloud {
-        self.render_registered_at(self.position, rng)
-    }
-
-    /// [`render_registered`](Self::render_registered) from an explicit
-    /// sensor position (the multi-sensor rig renders once per mounting
-    /// point); the heading is shared across the rig.
-    fn render_registered_at(&self, position: Point3, rng: &mut StdRng) -> PointCloud {
+    /// dynamic movers of the richer scenarios are layered on top. The
+    /// sensor sits at `position` (the pose's own, or a rig mounting
+    /// point off it); the heading is the pose's.
+    fn render_registered(&self, pose: &Pose, position: Point3, rng: &mut StdRng) -> PointCloud {
         let cfg = &self.cfg;
-        let heading = self.heading + self.burst_yaw();
-        let keep_pct = self.keep_pct();
+        let heading = pose.heading + self.burst_yaw(pose.index);
+        let keep_pct = self.keep_pct(pose.index);
         let noise_m = cfg.noise_m * self.noise_mult();
         let mut pts: Vec<Point3> = Vec::with_capacity(self.world.len());
         for (i, &p) in self.world.iter().enumerate() {
@@ -456,7 +495,7 @@ impl FrameStream {
             if keep_pct < 100 && (i * 7919) % 100 >= keep_pct {
                 continue;
             }
-            if self.dropped(i, p, position) {
+            if self.dropped(pose.index, i, p, position) {
                 continue;
             }
             let d = (p - position).rotated_z(-heading);
@@ -467,7 +506,7 @@ impl FrameStream {
         // visible only while its center is inside the sensor range
         let dt = cfg.ego.frame_period_s;
         for mover in &self.movers {
-            let center = mover.center(self.frame, dt);
+            let center = mover.center(pose.index, dt);
             let rel = center - position;
             if rel.x * rel.x + rel.y * rel.y > cfg.max_range * cfg.max_range {
                 continue;
@@ -488,39 +527,37 @@ impl FrameStream {
     /// period later). Both offsets are constant in the ego frame, so on
     /// a straight trajectory the concatenated cloud still translates
     /// rigidly frame to frame.
-    fn render_multi_sensor(&self, sensors: usize, rng: &mut StdRng) -> PointCloud {
+    fn render_multi_sensor(&self, pose: &Pose, sensors: usize, rng: &mut StdRng) -> PointCloud {
         let cfg = &self.cfg;
         let sensors = sensors.max(1);
-        let forward = Point3::new(self.heading.cos(), self.heading.sin(), 0.0);
-        let lateral = Point3::new(-self.heading.sin(), self.heading.cos(), 0.0);
+        let forward = Point3::new(pose.heading.cos(), pose.heading.sin(), 0.0);
+        let lateral = Point3::new(-pose.heading.sin(), pose.heading.cos(), 0.0);
         let step = cfg.ego.speed_mps * self.speed_mult() * cfg.ego.frame_period_s;
         let mut pts: Vec<Point3> = Vec::with_capacity(sensors * self.world.len());
         for s in 0..sensors {
             let mount = lateral * ((s as f32 - 0.5 * (sensors - 1) as f32) * 0.8);
             let phase = forward * (step * s as f32 / sensors as f32);
-            let sub = self.render_registered_at(self.position + mount + phase, rng);
+            let sub = self.render_registered(pose, pose.position + mount + phase, rng);
             pts.extend_from_slice(sub.points());
         }
         PointCloud::from_points(pts)
     }
 
     /// Extra heading applied from the rotation-burst frame onward.
-    fn burst_yaw(&self) -> f32 {
+    fn burst_yaw(&self, frame: usize) -> f32 {
         match self.cfg.scenario {
-            StreamScenario::RotationBurst { at_frame, yaw_rad } if self.frame >= at_frame => {
-                yaw_rad
-            }
+            StreamScenario::RotationBurst { at_frame, yaw_rad } if frame >= at_frame => yaw_rad,
             _ => 0.0,
         }
     }
 
-    /// Percentage of world points kept this frame (100 outside the
+    /// Percentage of world points kept in `frame` (100 outside the
     /// variable-density and highway scenarios).
-    fn keep_pct(&self) -> usize {
+    fn keep_pct(&self, frame: usize) -> usize {
         match self.cfg.scenario {
             StreamScenario::VariableDensity { min_keep_pct, period } => {
                 let min = usize::from(min_keep_pct.min(100));
-                let phase = std::f32::consts::TAU * self.frame as f32 / period.max(1) as f32;
+                let phase = std::f32::consts::TAU * frame as f32 / period.max(1) as f32;
                 min + (((100 - min) as f32) * 0.5 * (1.0 + phase.cos())).round() as usize
             }
             StreamScenario::Highway { keep_pct, .. } => usize::from(keep_pct.min(100)),
@@ -549,11 +586,11 @@ impl FrameStream {
     /// the frame index, and the pose — no RNG state is consumed, so the
     /// noise stream of the surviving points stays decoupled from the
     /// filter.
-    fn dropped(&self, i: usize, p: Point3, position: Point3) -> bool {
+    fn dropped(&self, frame: usize, i: usize, p: Point3, position: Point3) -> bool {
         match self.cfg.scenario {
             StreamScenario::UrbanCanyon { sectors, dropout_pct } => {
                 // multipath: a pseudo-random subset flickers per frame
-                let h = i.wrapping_mul(6151).wrapping_add(self.frame.wrapping_mul(7907));
+                let h = i.wrapping_mul(6151).wrapping_add(frame.wrapping_mul(7907));
                 if h % 100 < usize::from(dropout_pct.min(100)) {
                     return true;
                 }
@@ -567,8 +604,8 @@ impl FrameStream {
             StreamScenario::Weather { dropout_pct } => {
                 // the storm front breathes: the effective dropout drifts
                 // around the mean so no two frames keep the same count
-                let pct = (usize::from(dropout_pct.min(90)) + (self.frame * 7) % 17).min(95);
-                i.wrapping_mul(4391).wrapping_add(self.frame.wrapping_mul(9973)) % 100 < pct
+                let pct = (usize::from(dropout_pct.min(90)) + (frame * 7) % 17).min(95);
+                i.wrapping_mul(4391).wrapping_add(frame.wrapping_mul(9973)) % 100 < pct
             }
             _ => false,
         }
@@ -579,22 +616,16 @@ impl Iterator for FrameStream {
     type Item = Frame;
 
     fn next(&mut self) -> Option<Frame> {
-        if self.frame >= self.cfg.num_frames {
+        if self.next >= self.cfg.num_frames {
             return None;
         }
-        let frame = self.render();
-        // advance the pose for the next frame (frame 0 is at the origin)
-        let dt = self.cfg.ego.frame_period_s;
-        let step = Point3::new(self.heading.cos(), self.heading.sin(), 0.0)
-            * (self.cfg.ego.speed_mps * self.speed_mult() * dt);
-        self.position += step;
-        self.heading += self.cfg.ego.yaw_rate_rps * dt;
-        self.frame += 1;
+        let frame = self.frame(self.next);
+        self.next += 1;
         Some(frame)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.cfg.num_frames - self.frame.min(self.cfg.num_frames);
+        let left = self.cfg.num_frames - self.next.min(self.cfg.num_frames);
         (left, Some(left))
     }
 }

@@ -1,13 +1,14 @@
 //! The parallel sweep executor: an explicit stage cascade over a
 //! [`SweepSpec`].
 //!
-//! The sweep handles **one scenario at a time**. It renders the
-//! scenario's frame stream, solves its recall oracle and builds frame
-//! 0's tree (the *setup*); enumerates the distinct stage keys of the
-//! scenario's grid points; runs every stage once per key on a
-//! `std::thread::scope` worker pool; composes each grid point's row
-//! from the stage outputs; and drops the scenario's trees before the
-//! next scenario starts. Each stage runs once for the axes it reads:
+//! The sweep handles **one scenario at a time**. Its *setup* renders
+//! the scenario's frames and solves each frame's recall oracle, one job
+//! per frame on a `std::thread::scope` worker pool; the sweep then
+//! enumerates the distinct stage keys of the scenario's grid points;
+//! runs every stage once per key on the same pool; composes each grid
+//! point's row from the stage outputs; and drops the scenario's trees
+//! before the next scenario starts. Each stage runs once for the axes
+//! it reads:
 //!
 //! | stage | runs once per (within a scenario) | reads |
 //! |---|---|---|
@@ -18,15 +19,17 @@
 //! | compose ([`compose_stream`]) | grid point | the counters above, the maintenance costs, DRAM bandwidth, the energy model |
 //!
 //! The tree-KiB axis reaches the stream only through the `h_t` grant
-//! (the Sec 3.3 feasibility clamp against frame 0's tree). The search
-//! stage reads the *trees* of a maintained sequence, not its policy:
-//! refit ≡ rebuild makes every sequence of a scenario hold the same
-//! trees in the common case, so one search serves them all and the
+//! (the Sec 3.3 feasibility clamp against the height of frame 0's
+//! tree, [`height_for`] of its point count — no tree is built for it).
+//! The search stage reads the *trees* of a maintained sequence, not its
+//! policy: refit ≡ rebuild makes every sequence of a scenario hold the
+//! same trees in the common case, so one search serves them all and the
 //! other sequences are kept only for their cost vectors. Duplicate
 //! points can tie a median, though, and a refit then keeps a valid tree
 //! laid out differently from a fresh build — so the runner compares the
-//! sequences node for node ([`KdTree::same_nodes`]) and searches each
-//! distinct one, instead of assuming they match.
+//! sequences node for node
+//! ([`KdTree::same_nodes`](crescent_kdtree::KdTree::same_nodes)) and
+//! searches each distinct one, instead of assuming they match.
 //!
 //! Stage 2 of the search prunes on the radius alone, so a query's visit
 //! order is fixed by geometry and the (PEs, banks, `h_e`) keys of one
@@ -64,7 +67,7 @@ use crescent_accel::{
     trace_stream, AcceleratorConfig, AggregationReport, FrameSearch, MaintainedTree,
     MaintenanceCost, StreamSearchConfig, TreeMaintenance,
 };
-use crescent_kdtree::{BatchTrace, KdTree};
+use crescent_kdtree::{height_for, BatchTrace};
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
 use crate::fnv::Fnv1a;
@@ -73,7 +76,7 @@ use crate::spec::{maintenance_label, SweepPoint, SweepSpec};
 use crate::timings::RunTimings;
 
 /// Exact neighbor-index sets (sorted) per frame per query — the recall
-/// oracle, computed once per scenario by brute force.
+/// oracle, solved once per frame in the scenario setup.
 type ExactSets = Vec<Vec<Vec<usize>>>;
 
 /// Maintenance-stage key: the policy variant, its rebuild threshold's
@@ -167,10 +170,10 @@ pub struct SweepRunStats {
     /// Search passes executed: exactly one per distinct search key of
     /// each scenario, whatever the worker count.
     pub search_passes: usize,
-    /// Total **wall-clock** nanoseconds spent in the serial scenario
-    /// prologue (frame rendering + recall oracle + frame 0's tree). A
-    /// measured quantity — it lives here and in the `--timings` sidecar
-    /// precisely because it can never live in the report bytes.
+    /// Total **wall-clock** nanoseconds of the scenario setups (the world
+    /// scene, then each frame's render and recall oracle on the worker
+    /// pool). A measured quantity — it lives here and in the `--timings`
+    /// sidecar precisely because it can never live in the report bytes.
     pub setup_nanos: u64,
     /// Total **wall-clock** nanoseconds of the maintenance stage, summed
     /// across workers. Measured, never part of the report.
@@ -254,14 +257,21 @@ fn run_scenario(
     stats: &mut SweepRunStats,
     timings: &mut RunTimings,
 ) {
-    // ---- setup: everything no architecture knob can change ----
+    // ---- setup: everything no architecture knob can change, one job per frame ----
     let setup_start = Instant::now();
     let scenario = points[0].scenario;
     let mut wcfg = spec.workload;
     wcfg.scenario = scenario;
-    let frames: Vec<Frame> = FrameStream::new(&wcfg).collect();
-    let exact = exact_baseline(&frames, wcfg.radius, wcfg.max_neighbors);
-    let tree0 = KdTree::build(&frames[0].cloud);
+    let stream = FrameStream::new(&wcfg);
+    let indices: Vec<usize> = (0..wcfg.num_frames).collect();
+    let solved = par_map(&indices, workers, |_, &i| {
+        let frame = stream.frame(i);
+        let exact = exact_sets(&frame, wcfg.radius, wcfg.max_neighbors);
+        (frame, exact)
+    });
+    let (frames, exact): (Vec<Frame>, ExactSets) = solved.into_iter().map(|(out, _)| out).unzip();
+    // the height KdTree::build gives frame 0's tree
+    let tree0_height = height_for(frames[0].cloud.len());
     timings.setup.push((scenario.label().to_string(), setup_start.elapsed().as_nanos() as u64));
 
     // ---- plan: every point's maintenance key ----
@@ -273,7 +283,7 @@ fn run_scenario(
             let config = point.config().expect("spec validation checked every grid point");
             // the requested h_t, clamped into the Sec 3.3 feasibility
             // range of the point's tree buffer against frame 0's tree
-            let top_height_used = match config.top_height_range(tree0.height()) {
+            let top_height_used = match config.top_height_range(tree0_height) {
                 Some((lo, hi)) => point.top_height.clamp(lo, hi),
                 None => point.top_height,
             };
@@ -503,39 +513,29 @@ fn compose_row(
     }
 }
 
-/// Exact neighbor sets for every query of every frame, reduced to sorted
+/// Exact neighbor sets for every query of one frame, reduced to sorted
 /// index sets (membership is what recall needs).
 ///
-/// Solved through the incremental [`OracleIndex`] instead of a per-frame
-/// naive scan: the grid is built on frame 0 and advanced frame to frame
-/// (patched for exactly-rigid frames, rebuilt otherwise), and each query
-/// scans only the cells overlapping its search ball — with answers
-/// bit-identical to `radius_search_bruteforce`, so nothing about the
-/// recall or digest columns can move. One hits buffer is recycled across
-/// all queries of the scenario.
-fn exact_baseline(frames: &[Frame], radius: f32, max_neighbors: Option<usize>) -> ExactSets {
-    let mut oracle: Option<OracleIndex> = None;
+/// Solved through an [`OracleIndex`] built on the frame instead of a
+/// naive scan: each query scans only the grid cells overlapping its
+/// search ball, with answers bit-identical to `radius_search_bruteforce`,
+/// so nothing about the recall or digest columns can move. Each frame
+/// gets its own index so that frames can be solved on different workers.
+/// [`OracleIndex::advance`] would not save the build: it patches only a
+/// frame that is an exact f32 translation of the last, and a render
+/// rounds each `p − position` differently frame to frame. One hits
+/// buffer is recycled across the frame's queries.
+fn exact_sets(frame: &Frame, radius: f32, max_neighbors: Option<usize>) -> Vec<Vec<usize>> {
+    let oracle = OracleIndex::build(&frame.cloud, radius);
     let mut hits: Vec<Neighbor> = Vec::new();
-    frames
+    frame
+        .queries
         .iter()
-        .map(|frame| {
-            match oracle.as_mut() {
-                None => oracle = Some(OracleIndex::build(&frame.cloud, radius)),
-                Some(o) => {
-                    o.advance(&frame.cloud);
-                }
-            }
-            let oracle = oracle.as_ref().expect("oracle built on first frame");
-            frame
-                .queries
-                .iter()
-                .map(|&q| {
-                    oracle.radius_search_into(q, max_neighbors, &mut hits);
-                    let mut idx: Vec<usize> = hits.iter().map(|n| n.index).collect();
-                    idx.sort_unstable();
-                    idx
-                })
-                .collect()
+        .map(|&q| {
+            oracle.radius_search_into(q, max_neighbors, &mut hits);
+            let mut idx: Vec<usize> = hits.iter().map(|n| n.index).collect();
+            idx.sort_unstable();
+            idx
         })
         .collect()
 }

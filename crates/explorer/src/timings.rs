@@ -50,9 +50,10 @@ pub struct RunTimings {
     /// Wall time of the whole run, in nanoseconds.
     pub total_nanos: u64,
     /// Named set-up phases, in run order: one entry per sweep scenario
-    /// (rendering the frame stream, solving the recall oracle, building
-    /// frame 0's tree), or serve's one `context` entry (map stream,
-    /// tree maintenance, tenant query generation).
+    /// (the elapsed time to render its frames and solve each frame's
+    /// recall oracle, one job per frame on the worker pool), or serve's
+    /// one `context` entry (map stream, tree maintenance, tenant query
+    /// generation).
     pub setup: Vec<(String, u64)>,
     /// Per-grid-point cost as `(row index, nanos)`, in row order of the
     /// produced report. A sweep point is timed over its **compose**
@@ -64,7 +65,7 @@ pub struct RunTimings {
 }
 
 impl RunTimings {
-    /// Total set-up wall time (the serial prologue).
+    /// Total set-up wall time: the elapsed time of every set-up phase.
     pub fn setup_nanos(&self) -> u64 {
         self.setup.iter().map(|&(_, n)| n).sum()
     }

@@ -1,16 +1,24 @@
 //! Incremental brute-force oracle: a uniform-grid cell index that answers
 //! radius queries with results **bit-identical** to
 //! [`radius_search_bruteforce`](crate::radius_search_bruteforce), built
-//! once per frame stream and *patched* across temporally coherent frames.
+//! over one frame and *patched* across frames that are exact rigid
+//! translations of it.
 //!
 //! The sweep explorer solves every scenario's exact neighbor sets up
-//! front (the recall oracle). Re-running the naive `O(n · q)` scan per
-//! frame dominates that setup, yet nothing about the oracle's *answer*
-//! needs a full re-solve: the grid bins each point once, so a query only
-//! scans the cells overlapping its search ball, and a frame that is a
-//! rigid translation of the indexed one needs no new grid at all — the
-//! query shifts into the index's base space instead
-//! ([`OracleIndex::advance`]).
+//! front (the recall oracle). The naive `O(n · q)` scan per frame would
+//! dominate that setup; the grid bins each point once, so a query only
+//! scans the cells overlapping its search ball. The sweep builds one
+//! index per frame, each in that frame's own job on its worker pool. A
+//! rendered frame is in practice never an exact f32 translation of the
+//! one before it, because the render rounds each `p − position` anew:
+//! chained across the quick and full grids' streams, none of the 160
+//! advances patches.
+//!
+//! [`OracleIndex::advance`] serves streams that really are rigid: a
+//! frame that is an exact translation of the indexed one needs no new
+//! grid at all — the query shifts into the index's base space instead.
+//! Its property test in `tests/oracle_properties.rs` and perfbench's
+//! chained oracle pass call it.
 //!
 //! # Honesty rules (mirroring refit's)
 //!

@@ -12,6 +12,12 @@
 //! pins the explorer's search-key collapses: a traced stream replayed
 //! under any (PEs, banks, `h_e`) equals the live search, and a 1-PE
 //! stream does not depend on banks or `h_e`.
+//!
+//! A last property pins [`FrameStream::frame`], which the sweep's setup
+//! calls once per frame on its worker pool: on `ScenarioGen` streams and
+//! on every canonical scenario, frame `i` rendered on its own is the
+//! iterator's `i`-th frame bit for bit, taken from the pose a step-by-step
+//! replay of the ego motion reaches.
 
 use proptest::prelude::*;
 
@@ -22,7 +28,7 @@ use crescent::accel::{
 };
 use crescent::kdtree::{KdTree, RefitConfig, RefitOutcome};
 use crescent::pointcloud::{Point3, PointCloud};
-use crescent::workload::{Frame, FrameStream};
+use crescent::workload::{EgoMotion, Frame, FrameStream, FrameStreamConfig, StreamScenario};
 use crescent::CrescentKnobs;
 use crescent_repro::testgen::ScenarioGen;
 
@@ -292,6 +298,94 @@ proptest! {
             }
             let (search, config) = setup(1, log_banks, elision_depth);
             prop_assert_eq!(search_stream(&inputs, &trees, &search, top_height, &config), one_pe.clone());
+        }
+    }
+}
+
+/// Every coordinate's bit pattern, so a comparison tells `-0.0` from
+/// `0.0` and a NaN equals itself.
+fn bits(points: &[Point3]) -> Vec<[u32; 3]> {
+    points.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+}
+
+/// Asserts that `FrameStream::frame(i)` equals the iterator's `i`-th
+/// frame bit for bit (index, pose, cloud, queries) for every `i`, and
+/// that the pose is the one reached by stepping the ego motion frame by
+/// frame: move along the current heading, then turn.
+fn assert_frames_render_alone(cfg: &FrameStreamConfig) {
+    let label = cfg.scenario.label();
+    let stream = FrameStream::new(cfg);
+    let speed_mult = match cfg.scenario {
+        StreamScenario::Highway { speed_mult, .. } => speed_mult,
+        _ => 1.0,
+    };
+    let dt = cfg.ego.frame_period_s;
+    let (mut position, mut heading) = (Point3::ZERO, 0.0f32);
+    let mut count = 0;
+    for (i, iterated) in FrameStream::new(cfg).enumerate() {
+        let alone = stream.frame(i);
+        assert_eq!((alone.index, iterated.index), (i, i), "{label} frame {i}: index");
+        assert_eq!(bits(&[iterated.ego_position]), bits(&[position]), "{label} frame {i}: pose");
+        assert_eq!(iterated.ego_heading.to_bits(), heading.to_bits(), "{label} frame {i}: pose");
+        assert_eq!(
+            bits(&[alone.ego_position]),
+            bits(&[iterated.ego_position]),
+            "{label} frame {i}: position"
+        );
+        assert_eq!(
+            alone.ego_heading.to_bits(),
+            iterated.ego_heading.to_bits(),
+            "{label} frame {i}: heading"
+        );
+        assert_eq!(
+            bits(alone.cloud.points()),
+            bits(iterated.cloud.points()),
+            "{label} frame {i}: cloud"
+        );
+        assert_eq!(bits(&alone.queries), bits(&iterated.queries), "{label} frame {i}: queries");
+        position +=
+            Point3::new(heading.cos(), heading.sin(), 0.0) * (cfg.ego.speed_mps * speed_mult * dt);
+        heading += cfg.ego.yaw_rate_rps * dt;
+        count += 1;
+    }
+    assert_eq!(count, cfg.num_frames, "{label}: frame count");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any frame of a `ScenarioGen` stream renders alone exactly as the
+    /// iterator renders it in sequence.
+    #[test]
+    fn frame_renders_the_iterated_frame(cfg in small_streams()) {
+        assert_frames_render_alone(&cfg);
+    }
+}
+
+/// The same equality on every canonical scenario, on a turning ego and
+/// long enough to reach the dynamic objects' entry and the rotation
+/// burst's `at_frame` and go past it.
+#[test]
+fn frame_renders_the_iterated_frame_on_every_canonical_scenario() {
+    for scenario in StreamScenario::canonical_matrix() {
+        let mut cfg = FrameStreamConfig::default();
+        cfg.scene.total_points = 1_500;
+        cfg.scene.seed = 0xF7A3;
+        cfg.num_frames = 7;
+        cfg.queries_per_frame = 32;
+        cfg.max_range = 10.0;
+        cfg.ego = EgoMotion { speed_mps: 7.0, yaw_rate_rps: 0.6, frame_period_s: 0.1 };
+        cfg.scenario = scenario;
+        if let StreamScenario::RotationBurst { at_frame, .. } = scenario {
+            assert!(at_frame + 1 < cfg.num_frames, "the stream must run past the burst");
+        }
+        assert_frames_render_alone(&cfg);
+        if let StreamScenario::DynamicObjects { .. } = scenario {
+            let sizes: Vec<usize> = FrameStream::new(&cfg).map(|f| f.cloud.len()).collect();
+            assert!(
+                sizes.iter().any(|&n| n != sizes[0]),
+                "a mover must enter or leave within the stream: {sizes:?}"
+            );
         }
     }
 }
