@@ -149,12 +149,13 @@ pub fn render_summary(report: &ServeReport) -> String {
 }
 
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
-/// the run total, the serial context build, the per-point time summed
-/// across the worker pool, and how many of the dispatched wavefronts
-/// the context's memo actually simulated.
+/// the run total, the elapsed context build (map renders, both
+/// maintenance runs and tenant queries as jobs on the worker pool), the
+/// per-point time summed across the worker pool, and how many of the
+/// dispatched wavefronts the context's memo actually simulated.
 fn eprint_timings(timings: &RunTimings, stats: &ServeRunStats) {
     eprintln!(
-        "# wall-clock: total {:.3}s (context build {:.3}s serial, points {:.3}s summed over \
+        "# wall-clock: total {:.3}s (context build {:.3}s elapsed, points {:.3}s summed over \
          {} workers; {} of {} wavefronts simulated)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),

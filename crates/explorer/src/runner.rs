@@ -426,6 +426,9 @@ fn run_scenario(
 /// A pure `f` therefore yields the same outputs at any worker count;
 /// only the clocks vary.
 ///
+/// Every worker has fully exited when it returns, so back-to-back pools
+/// reuse the same allocator arenas.
+///
 /// ```
 /// use crescent_explorer::runner::par_map;
 ///
@@ -441,15 +444,26 @@ pub fn par_map<T: Sync, R: Send>(
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<(R, u64)>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers.clamp(1, items.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let start = Instant::now();
-                let out = f(i, item);
-                let nanos = start.elapsed().as_nanos() as u64;
-                *slots[i].lock().expect("stage slot poisoned") = Some((out, nanos));
-            });
+        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let start = Instant::now();
+                    let out = f(i, item);
+                    let nanos = start.elapsed().as_nanos() as u64;
+                    *slots[i].lock().expect("stage slot poisoned") = Some((out, nanos));
+                })
+            })
+            .collect();
+        // join each worker itself: the scope's own wait returns once the
+        // closures are done, while the threads may still be exiting; a
+        // pool spawned right after then finds no free malloc arena and
+        // opens a new one, which keeps its freed memory resident
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -670,6 +684,15 @@ mod tests {
             );
             assert_eq!(rebuild.recall, refit.recall);
         }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            par_map(&[1, 2, 3], 2, |_, &x: &i32| if x == 2 { panic!("job two") } else { x })
+        });
+        let payload = caught.expect_err("the worker's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job two"));
     }
 
     #[test]

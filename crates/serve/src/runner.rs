@@ -1,7 +1,7 @@
 //! The parallel serve executor: builds the shared [`ServiceContext`]
-//! once (map trees, canonical tenant mix, per-tick queries), then fans
-//! the service grid points out over the explorer's worker pool
-//! ([`par_map`]).
+//! once (map trees, canonical tenant mix, per-tick queries) as jobs on
+//! the explorer's worker pool ([`par_map`]), then fans the service grid
+//! points out over a pool of the same size.
 //!
 //! # Determinism
 //!
@@ -11,7 +11,10 @@
 //! returns the rows in grid order whatever the worker count. Two runs —
 //! or a 1-worker and an N-worker run — therefore serialize to
 //! byte-identical JSON, which is what lets the CI serve gate compare
-//! reports with an exact comparator.
+//! reports with an exact comparator. The context is built the same way:
+//! each map frame's render, both maintenance runs and each tenant's
+//! query generation is a pure job whose output comes back in job
+//! order, so the context, too, is the same at any worker count.
 //!
 //! The context's trees, tenants and queries are read-only. Its one
 //! mutable part is the compute-once wavefront memo: the first dispatch
@@ -44,7 +47,8 @@ pub struct ServeRunStats {
     /// Grid points simulated.
     pub points: usize,
     /// The **effective** worker count: the requested pool clamped to
-    /// the point count.
+    /// the point count. Both the context build's jobs and the grid
+    /// points run on a pool of this many threads.
     pub workers: usize,
     /// Tenants in the canonical mix the context was built with (the
     /// largest tenant-count axis value).
@@ -80,16 +84,17 @@ pub fn run_serve_timed(
 ) -> Result<(ServeReport, ServeRunStats, RunTimings), String> {
     spec.validate()?;
     let run_start = Instant::now();
-    // The context — map stream, tree maintenance, tenant mix, query
-    // generation — is a pure function of the spec and independent of
-    // every grid axis, so it is built once at the largest tenant count
-    // and shared read-only; a grid point selects a tenant prefix.
-    let context_start = Instant::now();
-    let ctx = ServiceContext::build(spec);
-    let context_nanos = context_start.elapsed().as_nanos() as u64;
-
     let points = spec.expand();
     let workers = workers.clamp(1, points.len().max(1));
+    // The context — map stream, tree maintenance, tenant mix, query
+    // generation — is a pure function of the spec and independent of
+    // every grid axis, so it is built once (on the same pool) at the
+    // largest tenant count and shared read-only; a grid point selects a
+    // tenant prefix.
+    let context_start = Instant::now();
+    let ctx = ServiceContext::build_on(spec, workers);
+    let context_nanos = context_start.elapsed().as_nanos() as u64;
+
     let served = par_map(&points, workers, |_, point| {
         ServeRow::from_ledger(*point, &serve_point(&ctx, spec, point).ledger)
     });

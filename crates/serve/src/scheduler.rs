@@ -69,6 +69,8 @@ use crescent_accel::{
     maintain_tree_sequence, AcceleratorConfig, CrescentKnobs, Fleet, MaintainedTree,
     MaintenanceCost, StreamSearchConfig, TreeMaintenance,
 };
+use crescent_explorer::default_workers;
+use crescent_explorer::runner::par_map;
 use crescent_memsim::EnergyLedger;
 use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 
@@ -94,7 +96,9 @@ pub const SERVICE_STREAM_BYTES_PER_CYCLE: f64 = 163.84;
 /// at its largest size, and every tenant's per-tick query sets. Built
 /// once ([`ServiceContext::build`]) and shared by reference across the
 /// whole grid — a grid point only picks how many tenants, how many
-/// instances, which `h_e`, and which knob policy.
+/// instances, which `h_e`, and which knob policy. The build runs as jobs
+/// on the worker pool (each map frame's render, both maintenance runs,
+/// each tenant's query generation), and is the same at any worker count.
 ///
 /// The context also carries a compute-once **wavefront memo**, empty
 /// at build time. Within one context a dispatched wavefront is a pure
@@ -135,26 +139,66 @@ pub struct ServiceContext {
 }
 
 impl ServiceContext {
-    /// Builds the context for `spec` at its largest tenant count.
+    /// Builds the context for `spec` at its largest tenant count, on
+    /// [`default_workers`] threads of the worker pool.
     pub fn build(spec: &ServeSpec) -> ServiceContext {
-        let map_frames: Vec<_> = FrameStream::new(&spec.map).collect();
-        let clouds: Vec<&PointCloud> = map_frames.iter().map(|f| &f.cloud).collect();
-        let trees = maintain_tree_sequence(&clouds, spec.map.maintenance, spec.top_height);
-        let alt_policy = match spec.map.maintenance {
-            TreeMaintenance::RebuildEveryFrame => TreeMaintenance::refit(),
-            TreeMaintenance::Refit { .. } => TreeMaintenance::RebuildEveryFrame,
-        };
-        let alt_maintenance = maintain_tree_sequence(&clouds, alt_policy, spec.top_height)
-            .iter()
-            .map(|t| t.cost)
+        ServiceContext::build_on(spec, default_workers())
+    }
+
+    /// [`ServiceContext::build`] on `workers` threads of the worker pool
+    /// ([`par_map`]). Each map frame renders as its own job; then the
+    /// spec-policy maintenance, the alternate-policy maintenance and one
+    /// query job per tenant run as one more pool, longest first. Every
+    /// job is a pure function of the spec and the outputs come back in
+    /// job order, so the context is the same at any worker count.
+    pub(crate) fn build_on(spec: &ServeSpec, workers: usize) -> ServiceContext {
+        let map = FrameStream::new(&spec.map);
+        let indices: Vec<usize> = (0..spec.map.num_frames).collect();
+        let map_clouds: Vec<PointCloud> = par_map(&indices, workers, |_, &i| map.frame(i).cloud)
+            .into_iter()
+            .map(|(c, _)| c)
             .collect();
+        // the world cloud is not needed once its frames are rendered
+        drop(map);
+        let clouds: Vec<&PointCloud> = map_clouds.iter().collect();
+        let alt_policy = alternate_policy(spec.map.maintenance);
         let mut base = spec.tenant_base;
         base.num_frames = spec.map.num_frames;
         let tenants =
             mixed_tenants(spec.max_tenants(), &base, spec.frame_period, spec.base_deadline);
-        let queries = tenants
-            .iter()
-            .map(|t| FrameStream::new(&t.workload).map(|f| f.queries).collect())
+
+        let mut jobs = vec![BuildJob::Trees, BuildJob::AltCosts];
+        jobs.extend(tenants.iter().map(BuildJob::Queries));
+        let mut outs = par_map(&jobs, workers, |_, job| match job {
+            BuildJob::Trees => BuildOut::Trees(maintain_tree_sequence(
+                &clouds,
+                spec.map.maintenance,
+                spec.top_height,
+            )),
+            // only the bill is kept: the trees equal the spec policy's
+            BuildJob::AltCosts => BuildOut::Costs(
+                maintain_tree_sequence(&clouds, alt_policy, spec.top_height)
+                    .iter()
+                    .map(|t| t.cost)
+                    .collect(),
+            ),
+            BuildJob::Queries(tenant) => {
+                BuildOut::Queries(FrameStream::new(&tenant.workload).map(|f| f.queries).collect())
+            }
+        })
+        .into_iter()
+        .map(|(out, _)| out);
+        let Some(BuildOut::Trees(trees)) = outs.next() else {
+            unreachable!("job 0 maintains the spec policy")
+        };
+        let Some(BuildOut::Costs(alt_maintenance)) = outs.next() else {
+            unreachable!("job 1 prices the alternate policy")
+        };
+        let queries = outs
+            .map(|out| match out {
+                BuildOut::Queries(queries) => queries,
+                _ => unreachable!("jobs 2.. generate tenant queries"),
+            })
             .collect();
         ServiceContext {
             trees,
@@ -181,6 +225,33 @@ impl ServiceContext {
     pub fn wavefronts_simulated(&self) -> usize {
         self.wavefronts.simulated()
     }
+}
+
+/// The maintenance policy the controller may switch a tick to: refit if
+/// `policy` rebuilds, rebuild if it refits.
+fn alternate_policy(policy: TreeMaintenance) -> TreeMaintenance {
+    match policy {
+        TreeMaintenance::RebuildEveryFrame => TreeMaintenance::refit(),
+        TreeMaintenance::Refit { .. } => TreeMaintenance::RebuildEveryFrame,
+    }
+}
+
+/// One job of the context build's second pool, in the order they run
+/// (longest first).
+enum BuildJob<'a> {
+    /// The map tree sequence under the spec's maintenance policy.
+    Trees,
+    /// The alternate policy's per-tick maintenance costs.
+    AltCosts,
+    /// One tenant's per-tick query sets.
+    Queries(&'a TenantSpec),
+}
+
+/// What a [`BuildJob`] returns: only what the context keeps.
+enum BuildOut {
+    Trees(Vec<MaintainedTree>),
+    Costs(Vec<MaintenanceCost>),
+    Queries(Vec<Vec<Point3>>),
 }
 
 /// Result of one service run: the ledger plus every tenant's raw
@@ -571,6 +642,10 @@ mod tests {
     use crescent_kdtree::TaggedBatch;
 
     fn quick_ctx() -> ServiceContext {
+        ServiceContext::build(&quick_spec())
+    }
+
+    fn quick_spec() -> ServeSpec {
         let mut spec = ServeSpec::quick();
         // shrink for debug-profile unit tests
         spec.map.scene.total_points = 1_500;
@@ -584,7 +659,67 @@ mod tests {
         spec.frame_period = 1_200;
         spec.base_deadline = 1_800;
         spec.max_backlog = 32;
-        ServiceContext::build(&spec)
+        spec
+    }
+
+    /// Every coordinate of one tenant's per-tick queries, as bits.
+    fn query_bits(tenant: &[Vec<Point3>]) -> Vec<Vec<[u32; 3]>> {
+        tenant
+            .iter()
+            .map(|tick| {
+                tick.iter().map(|q| [q.x.to_bits(), q.y.to_bits(), q.z.to_bits()]).collect()
+            })
+            .collect()
+    }
+
+    /// The context is a pure function of the spec at any worker count,
+    /// under either map policy (so both alternate-policy arms run), and
+    /// each part lands in its own field: the spec policy's trees, the
+    /// alternate policy's costs, each tenant's queries in mix order.
+    #[test]
+    fn context_is_a_pure_function_of_the_spec_at_any_worker_count() {
+        for maintenance in [TreeMaintenance::refit(), TreeMaintenance::RebuildEveryFrame] {
+            let mut spec = quick_spec();
+            spec.map.maintenance = maintenance;
+            let one = ServiceContext::build_on(&spec, 1);
+
+            let frames: Vec<_> = FrameStream::new(&spec.map).collect();
+            let clouds: Vec<&PointCloud> = frames.iter().map(|f| &f.cloud).collect();
+            let costs = |policy| -> Vec<MaintenanceCost> {
+                maintain_tree_sequence(&clouds, policy, spec.top_height)
+                    .iter()
+                    .map(|t| t.cost)
+                    .collect()
+            };
+            let tree_costs: Vec<MaintenanceCost> = one.trees.iter().map(|t| t.cost).collect();
+            assert_eq!(tree_costs, costs(maintenance), "trees follow the spec policy");
+            assert_eq!(
+                one.alt_maintenance,
+                costs(alternate_policy(maintenance)),
+                "the alternate policy prices the slot"
+            );
+            assert_ne!(one.alt_maintenance, tree_costs, "the two bills differ");
+            assert_eq!(one.queries.len(), spec.max_tenants());
+            for (tenant, queries) in one.tenants.iter().zip(&one.queries) {
+                let own: Vec<_> = FrameStream::new(&tenant.workload).map(|f| f.queries).collect();
+                assert_eq!(query_bits(&own), query_bits(queries), "{}", tenant.name);
+            }
+
+            for workers in [2, 4] {
+                let many = ServiceContext::build_on(&spec, workers);
+                assert_eq!(many.ticks(), one.ticks());
+                for (a, b) in one.trees.iter().zip(&many.trees) {
+                    assert!(a.tree.same_nodes(&b.tree), "{workers} workers: tree differs");
+                    assert_eq!(a.cost, b.cost, "{workers} workers: tick cost differs");
+                }
+                assert_eq!(many.alt_maintenance, one.alt_maintenance, "{workers} workers");
+                assert_eq!(format!("{:?}", many.tenants), format!("{:?}", one.tenants));
+                assert_eq!(many.queries.len(), one.queries.len());
+                for (a, b) in one.queries.iter().zip(&many.queries) {
+                    assert_eq!(query_bits(a), query_bits(b), "{workers} workers: queries differ");
+                }
+            }
+        }
     }
 
     #[test]
