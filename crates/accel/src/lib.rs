@@ -62,7 +62,7 @@ pub use gpu::{GpuModel, GpuReport};
 pub use pipeline::{
     run_network, CrescentKnobs, LayerSpec, NetworkSpec, PipelineReport, StageCycles, Variant,
 };
-pub use service::{Fleet, ServiceInstance};
+pub use service::{trace_segment, Fleet, ServiceInstance};
 pub use streaming::{
     aggregate_stream, compose_stream, maintain_tree_sequence, replay_stream, run_frame_stream,
     run_frame_stream_on_trees, search_stream, trace_stream, FrameReport, FrameSearch,

@@ -5,12 +5,20 @@
 //! A wavefront is a one-frame stream: it runs the stream driver's
 //! per-frame search and aggregation steps and is priced by
 //! [`FrameReport`]'s one slot and energy model, with no maintenance
-//! bill. Tree **maintenance** is charged elsewhere: the service
+//! bill. A wavefront is either simulated from its flat query batch
+//! ([`ServiceInstance::simulate_wavefront`]) or replayed from its
+//! riders' once-recorded segment traces ([`trace_segment`],
+//! [`ServiceInstance::replay_wavefront`]), which reproduces the
+//! simulation bit for bit without routing or walking any query again;
+//! both are priced by the one aggregate-and-compose tail. Tree
+//! **maintenance** is charged elsewhere: the service
 //! maintains one shared map tree per tick (via
 //! [`crate::maintain_tree_sequence`]) and charges it once, fleet-wide —
 //! an instance only ever *searches*.
 
-use crescent_kdtree::{KdTree, TaggedBatch, TaggedResults};
+use crescent_kdtree::{
+    BatchSearchStats, KdTree, SegmentTrace, SplitTree, TaggedBatch, TaggedResults,
+};
 use crescent_pointcloud::{Neighbor, Point3};
 
 use crate::config::AcceleratorConfig;
@@ -85,12 +93,45 @@ impl ServiceInstance {
         config: &AcceleratorConfig,
     ) -> (Vec<Vec<Neighbor>>, FrameReport) {
         let (hits, stats) = self.engine.search(tree, queries, knobs.top_height, search, config);
+        let report = self.price(tree.len(), &hits, stats, config);
+        (hits, report)
+    }
+
+    /// [`Self::simulate_wavefront`] of the riders' queries concatenated,
+    /// replayed from their segment traces: each rider's queries paired
+    /// with its [`trace_segment`] on the same tree, radius and
+    /// `knobs.top_height`, in batch order. Neighbor lists and frame
+    /// record are bit-identical to simulating the flat batch, but no
+    /// query is routed or walked again. Books nothing on the instance.
+    pub fn replay_wavefront(
+        &mut self,
+        tree: &KdTree,
+        segments: &[(&[Point3], &SegmentTrace)],
+        search: &StreamSearchConfig,
+        knobs: CrescentKnobs,
+        config: &AcceleratorConfig,
+    ) -> (Vec<Vec<Neighbor>>, FrameReport) {
+        let (hits, stats) = self.engine.replay(tree, segments, knobs.top_height, search, config);
+        let report = self.price(tree.len(), &hits, stats, config);
+        (hits, report)
+    }
+
+    /// Prices one searched wavefront of a `points`-point map: the
+    /// gather of its flat hits, then its frame record with no
+    /// maintenance bill. Every wavefront is priced here, simulated or
+    /// replayed.
+    fn price(
+        &mut self,
+        points: usize,
+        hits: &[Vec<Neighbor>],
+        stats: BatchSearchStats,
+        config: &AcceleratorConfig,
+    ) -> FrameReport {
         // the gather unit is as tenant-blind as the search engine: it
         // reads the flat hits, across segment boundaries
-        let agg = self.engine.aggregate(&hits, config.point_buffer, config.aggregation_elision);
-        let searched = FrameSearch::new(tree.len(), &hits, stats);
-        let report = FrameReport::compose(0, &searched, &agg, &MaintenanceCost::default(), config);
-        (hits, report)
+        let agg = self.engine.aggregate(hits, config.point_buffer, config.aggregation_elision);
+        let searched = FrameSearch::new(points, hits, stats);
+        FrameReport::compose(0, &searched, &agg, &MaintenanceCost::default(), config)
     }
 
     /// Books one dispatched wavefront of `latency` cycles on the
@@ -99,6 +140,23 @@ impl ServiceInstance {
         self.busy_cycles += latency;
         self.wavefronts += 1;
     }
+}
+
+/// Records one tenant frame's search geometry on the shared map `tree`
+/// split below `top_height` (clamped to the tree, as a wavefront's split
+/// is), for [`ServiceInstance::replay_wavefront`]: every query's route
+/// and stage-2 walk at `radius` ([`SplitTree::trace_segment`]). A frame
+/// traced once replays inside every wavefront it rides, at any `h_e`
+/// and with descendant reuse on or off.
+pub fn trace_segment(
+    tree: &KdTree,
+    queries: &[Point3],
+    radius: f32,
+    top_height: usize,
+) -> SegmentTrace {
+    SplitTree::new(tree, tree.clamp_top_height(top_height))
+        .expect("clamped top height is valid")
+        .trace_segment(queries, radius)
 }
 
 /// A fleet of [`ServiceInstance`]s with deterministic earliest-free

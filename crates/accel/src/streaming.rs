@@ -71,7 +71,7 @@
 
 use crescent_kdtree::{
     replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, KdTree, RefitConfig,
-    RefitScratch, SplitTree, NODE_BYTES,
+    RefitScratch, SegmentTrace, SplitTree, NODE_BYTES,
 };
 use crescent_memsim::{EnergyLedger, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
@@ -762,6 +762,24 @@ impl FrameEngine {
         let batch_cfg = batch_config(search, config);
         self.with_split(tree, top_height, |split, state| {
             split.search_batch(queries, &batch_cfg, state)
+        })
+    }
+
+    /// [`Self::search`] from the riders' segment traces
+    /// ([`SplitTree::replay_segments`]): the same neighbor lists and
+    /// counters on the segments' queries concatenated, without routing
+    /// or walking them again.
+    pub(crate) fn replay(
+        &mut self,
+        tree: &KdTree,
+        segments: &[(&[Point3], &SegmentTrace)],
+        top_height: usize,
+        search: &StreamSearchConfig,
+        config: &AcceleratorConfig,
+    ) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
+        let batch_cfg = batch_config(search, config);
+        self.with_split(tree, top_height, |split, state| {
+            split.replay_segments(segments, &batch_cfg, state)
         })
     }
 

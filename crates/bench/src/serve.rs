@@ -151,18 +151,20 @@ pub fn render_summary(report: &ServeReport) -> String {
 /// Prints a run's wall-clock accounting to stderr (every mode gets it):
 /// the run total, the elapsed context build (map renders, both
 /// maintenance runs and tenant queries as jobs on the worker pool), the
-/// per-point time summed across the worker pool, and how many of the
-/// dispatched wavefronts the context's memo actually simulated.
+/// per-point time summed across the worker pool, how many of the
+/// dispatched wavefronts the context's memo actually simulated, and how
+/// many tenant frames those simulations traced.
 fn eprint_timings(timings: &RunTimings, stats: &ServeRunStats) {
     eprintln!(
         "# wall-clock: total {:.3}s (context build {:.3}s elapsed, points {:.3}s summed over \
-         {} workers; {} of {} wavefronts simulated)",
+         {} workers; {} of {} wavefronts simulated from {} traced tenant frames)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),
         secs(timings.point_nanos()),
         stats.workers,
         stats.wavefronts_simulated,
         stats.wavefronts_dispatched,
+        stats.frames_traced,
     );
 }
 

@@ -46,7 +46,7 @@
 //! engine's stage 1 runs on it too, over top-tree routes) moves a cursor
 //! per PE over such walks: an honored fetch moves to the next
 //! step, a stalled one stays, and an elided one jumps to the end of the
-//! node's span. It reads the walks from one of two sources:
+//! node's span. It reads the walks from one of three sources:
 //!
 //! * **The tree.** [`SplitTree::search_batch`] (like the per-query
 //!   [`SplitTree::batch_search`]) has each PE walk its query when it
@@ -59,6 +59,20 @@
 //!   visited node), and [`replay_batch`] drains the [`BatchTrace`] per
 //!   config without reading the tree. A trace has no tree to splice
 //!   from, so the replay rejects descendant reuse.
+//! * **Segment traces over a tree.** A wavefront concatenates query
+//!   segments (a service's tenant frames), and each segment's routes and
+//!   walks are fixed by geometry whatever rides beside it.
+//!   [`SplitTree::trace_segment`] records one segment once — each
+//!   query's sub-tree and top-tree hits, and its walk as heap slots
+//!   flagged in-radius or not, 4 bytes per visited node — and
+//!   [`SplitTree::replay_segments`] replays any wavefront of traced
+//!   segments: stage 1 is the union of their routes, each sub-tree
+//!   queue takes the segments' queued queries in batch order, and a PE
+//!   picking a query up refills its buffer from the recorded slots,
+//!   reading each hit's distance and point index back from the tree and
+//!   each span's end from heap ancestry. Since the tree is at hand, a
+//!   descendant reuse splices as in the tree source, so the replay
+//!   equals [`SplitTree::search_batch`] with reuse on or off.
 //!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
 //! descent state forward: the route buffer, the fetched-node flags and the
@@ -70,9 +84,10 @@
 use crescent_pointcloud::{Neighbor, Point3};
 
 use crate::split::{
-    drain_queue, drain_subtree_queue, finalize, walk, Cursor, DrainCounters, DrainScratch,
-    SplitTree, TraceStep, TreeArbiter, WalkSource,
+    drain_queue, drain_subtree_queue, finalize, record_walk, refill_walk, splice_walk, walk,
+    Cursor, DrainCounters, DrainScratch, SplitTree, TraceStep, TreeArbiter, WalkSource,
 };
+use crate::tree::KdTree;
 
 /// Reusable state for [`SplitTree::search_batch`] (and for
 /// [`SplitTree::trace_batch`] and [`replay_batch`]), designed to live
@@ -348,24 +363,12 @@ impl SplitTree<'_> {
         mut hit: impl FnMut(usize, Neighbor),
     ) -> BatchSearchStats {
         let mut stats = BatchSearchStats { queries: queries.len(), ..BatchSearchStats::default() };
-
-        // rotate assignment history: last batch becomes "previous frame"
-        std::mem::swap(&mut state.prev_assignments, &mut state.assignments);
-        state.assignments.clear();
-        for q in state.queues.iter_mut() {
-            q.clear();
-        }
-
-        if self.tree().is_empty() || queries.is_empty() {
-            state.assignments.resize(queries.len(), None);
+        if !self.open_wavefront(queries.len(), state) {
             return stats;
         }
 
         // ---- stage 1: route every query, fetching each node once ----
         let r2 = radius * radius;
-        state.fetched.clear();
-        state.fetched.resize(self.top_len(), false);
-        state.queues.resize_with(self.num_subtrees(), Vec::new);
         for (qi, &q) in queries.iter().enumerate() {
             state.route.clear();
             let s = self.route(0, q, &mut state.route);
@@ -381,18 +384,267 @@ impl SplitTree<'_> {
             state.assignments.push(Some(s));
             state.queues[s].push(qi);
         }
+        self.settle_wavefront(&mut stats, state);
+        stats
+    }
 
+    /// Opens the stage 1 of a batch of `queries` queries in `state`:
+    /// rotates its assignment history (the last batch becomes the
+    /// previous frame) and clears its queues. Returns whether there is
+    /// anything to route; if not, every query is left unassigned.
+    fn open_wavefront(&self, queries: usize, state: &mut BatchState) -> bool {
+        std::mem::swap(&mut state.prev_assignments, &mut state.assignments);
+        state.assignments.clear();
+        for q in state.queues.iter_mut() {
+            q.clear();
+        }
+        if self.tree().is_empty() || queries == 0 {
+            state.assignments.resize(queries, None);
+            return false;
+        }
+        state.fetched.clear();
+        state.fetched.resize(self.top_len(), false);
+        state.queues.resize_with(self.num_subtrees(), Vec::new);
+        true
+    }
+
+    /// Settles the stage-1 counters that follow from a routed batch's
+    /// queues and assignments in `state`: the touched sub-trees, the
+    /// DRAM bytes of Sec 3.4's schedule and the cross-frame locality.
+    fn settle_wavefront(&self, stats: &mut BatchSearchStats, state: &BatchState) {
         let touched = (0..).zip(&state.queues).filter(|(_, q)| !q.is_empty()).map(|(s, _)| s);
         stats.subtrees_touched = touched.clone().count();
-        stats.dram_bytes = self.schedule_dram_bytes(queries.len(), touched);
-
-        // ---- cross-frame locality ----
+        stats.dram_bytes = self.schedule_dram_bytes(stats.queries, touched);
         for (a, p) in state.assignments.iter().zip(&state.prev_assignments) {
             if a.is_some() && a == p {
                 stats.assignment_reuses += 1;
             }
         }
-        stats
+    }
+
+    /// Records one query segment's search geometry for
+    /// [`SplitTree::replay_segments`]: each query's route outcome (its
+    /// sub-tree, its top-tree hits, and the segment's distinct route
+    /// nodes and summed route lengths) and its stage-2 walk beneath its
+    /// sub-tree root as heap slots flagged in-radius or not — what the
+    /// tree cannot give back; the replay reads each hit's distance and
+    /// point index from the tree again and recovers each span by heap
+    /// ancestry.
+    ///
+    /// A segment is traced once and replayed inside any wavefront of any
+    /// (PEs, banks, `h_e`, descendant reuse) on this split and radius.
+    pub fn trace_segment(&self, queries: &[Point3], radius: f32) -> SegmentTrace {
+        let tree = self.tree();
+        let mut trace = SegmentTrace {
+            radius,
+            nodes: tree.len(),
+            queries: queries.len(),
+            ..SegmentTrace::default()
+        };
+        if tree.is_empty() {
+            return trace;
+        }
+        let r2 = radius * radius;
+        let mut fetched = vec![false; self.top_len()];
+        let mut steps = Vec::new();
+        for (qi, &q) in queries.iter().enumerate() {
+            steps.clear();
+            let s = self.route(0, q, &mut steps);
+            trace.route_steps += steps.len();
+            for step in &steps {
+                fetched[step.node as usize] = true;
+                if let Some(n) = step.hit(r2) {
+                    trace.top_hits.push((qi as u32, n));
+                }
+            }
+            trace.subtrees.push(s as u32);
+            steps.clear();
+            walk(tree, self.subtree_roots()[s], q, r2, &mut steps);
+            record_walk(&steps, r2, &mut trace.walk);
+            trace.walk_ends.push(u32::try_from(trace.walk.len()).expect("a segment's walks fit"));
+        }
+        trace.route_nodes = (0..).zip(&fetched).filter(|(_, &f)| f).map(|(i, _)| i).collect();
+        // a trace lives as long as its context: keep no growth slack
+        trace.walk.shrink_to_fit();
+        trace
+    }
+
+    /// Replays one wavefront from its riders' [`SegmentTrace`]s: each
+    /// segment's queries, paired with its trace, in batch order. Results
+    /// and [`BatchSearchStats`] are bit-identical to
+    /// [`SplitTree::search_batch`] on the segments' queries concatenated,
+    /// through the same `state`, descendant reuse on or off.
+    ///
+    /// Stage 1 is the union of the segments' routes: a top-tree node is
+    /// fetched once iff some segment's route reaches it, and the queues,
+    /// touched sub-trees and DRAM bytes follow from the queries'
+    /// recorded sub-trees. Stage 2 drains each sub-tree queue (the
+    /// riders' queued queries in batch order) through the one drain,
+    /// whose PEs read their walks from the traces instead of walking the
+    /// tree, and splice a descendant reuse from the tree as
+    /// [`SplitTree::search_batch`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment's query count differs from its trace's, or
+    /// `config.radius` from the one it was traced at.
+    pub fn replay_segments(
+        &self,
+        segments: &[(&[Point3], &SegmentTrace)],
+        config: &BatchSearchConfig,
+        state: &mut BatchState,
+    ) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
+        let tree = self.tree();
+        let mut offsets = Vec::with_capacity(segments.len());
+        let mut total = 0;
+        for (queries, trace) in segments {
+            assert_eq!(queries.len(), trace.queries, "one trace per query segment");
+            // the recorded hit flags hold at the traced radius only
+            assert_eq!(trace.radius.to_bits(), config.radius.to_bits(), "one radius per trace");
+            debug_assert_eq!(trace.nodes, tree.len(), "traced on this tree");
+            offsets.push(total);
+            total += queries.len();
+        }
+        let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); total];
+        let mut stats = BatchSearchStats { queries: total, ..BatchSearchStats::default() };
+        stats.frame_index = state.frames;
+        state.frames += 1;
+        if !self.open_wavefront(total, state) {
+            return (results, stats);
+        }
+
+        // ---- stage 1: the union of the segments' routes ----
+        for (&offset, (_, trace)) in offsets.iter().zip(segments) {
+            stats.top_fetches_unamortized += trace.route_steps;
+            for &node in &trace.route_nodes {
+                let fetched = &mut state.fetched[node as usize];
+                stats.top_fetches += usize::from(!*fetched);
+                *fetched = true;
+            }
+            for &(qi, n) in &trace.top_hits {
+                results[offset + qi as usize].push(n);
+            }
+            for (qi, &s) in trace.subtrees.iter().enumerate() {
+                state.assignments.push(Some(s as usize));
+                state.queues[s as usize].push(offset + qi);
+            }
+        }
+        self.settle_wavefront(&mut stats, state);
+
+        // ---- stage 2: every sub-tree queue, walks read from the traces ----
+        let threshold = tree.height().saturating_sub(config.elision_depth);
+        let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, config.descendant_reuse);
+        let r2 = config.radius * config.radius;
+        let DrainScratch { pes, walks, tail } = &mut state.replay;
+        walks.resize_with(config.num_pes.max(1), Vec::new);
+        for queue in &state.queues {
+            let mut source = SegmentWalks {
+                tree,
+                segments,
+                offsets: &offsets,
+                queue: queue.iter(),
+                r2,
+                walks,
+                tail,
+            };
+            stats.subtree += drain_queue(
+                &mut source,
+                r2,
+                tree.len(),
+                config.num_pes,
+                &mut arbiter,
+                pes,
+                &mut results,
+            );
+        }
+        let mut keys = Vec::new();
+        for hits in &mut results {
+            finalize(hits, config.max_neighbors, &mut keys);
+        }
+        (results, stats)
+    }
+}
+
+/// One query segment's search geometry on a split tree, recorded once by
+/// [`SplitTree::trace_segment`] and replayed by
+/// [`SplitTree::replay_segments`] inside any wavefront it rides, under
+/// any (PEs, banks, `h_e`, descendant reuse).
+///
+/// It holds each query's route outcome and stage-2 walk as flagged heap
+/// slots only: 4 bytes per walked node, where a [`BatchTrace`] keeps
+/// 16. The replay refills each hit's distance and point index from the
+/// tree it runs on and recovers each node's span by heap ancestry.
+#[derive(Clone, Debug, Default)]
+pub struct SegmentTrace {
+    /// The search radius the routes and walks were pruned with.
+    radius: f32,
+    /// Nodes of the traced tree.
+    nodes: usize,
+    /// Queries in the segment.
+    queries: usize,
+    /// Each query's sub-tree (empty on an empty tree).
+    subtrees: Vec<u32>,
+    /// The distinct top-tree nodes the segment's routes reach,
+    /// ascending.
+    route_nodes: Vec<u32>,
+    /// The segment's route lengths summed (its unamortized fetches).
+    route_steps: usize,
+    /// Stage-1 hits `(query, neighbor)`, query by query, each query's in
+    /// root-to-leaf order.
+    top_hits: Vec<(u32, Neighbor)>,
+    /// End offset in `walk` of each query's walk.
+    walk_ends: Vec<u32>,
+    /// Each query's stage-2 walk: the heap slots it visits in preorder,
+    /// each flagged with whether its point is a hit (`record_walk`).
+    walk: Vec<u32>,
+}
+
+/// The queued queries of one sub-tree as a walk source over segment
+/// traces: a PE picking a query up refills its buffer from the query's
+/// recorded walk ([`refill_walk`]), and a descendant reuse splices from
+/// the tree like the tree source.
+struct SegmentWalks<'a> {
+    tree: &'a KdTree,
+    segments: &'a [(&'a [Point3], &'a SegmentTrace)],
+    /// Where each segment starts in the batch.
+    offsets: &'a [usize],
+    queue: std::slice::Iter<'a, usize>,
+    r2: f32,
+    walks: &'a mut [Vec<TraceStep>],
+    tail: &'a mut Vec<TraceStep>,
+}
+
+impl<'a> SegmentWalks<'a> {
+    /// The segment holding batch query `query`, and the query's index in
+    /// it (an empty segment starts where the next one does, so the last
+    /// segment starting at or before `query` holds it).
+    fn locate(&self, query: usize) -> (&'a SegmentTrace, &'a [Point3], usize) {
+        let seg = self.offsets.partition_point(|&o| o <= query) - 1;
+        let (queries, trace) = self.segments[seg];
+        (trace, queries, query - self.offsets[seg])
+    }
+}
+
+impl WalkSource for SegmentWalks<'_> {
+    fn pick_up(&mut self, pe: usize) -> Option<Cursor> {
+        let &query = self.queue.next()?;
+        let (trace, queries, local) = self.locate(query);
+        let q = queries[local];
+        let start = if local == 0 { 0 } else { trace.walk_ends[local - 1] as usize };
+        let recorded = &trace.walk[start..trace.walk_ends[local] as usize];
+        let steps = &mut self.walks[pe];
+        refill_walk(self.tree, q, recorded, steps);
+        Some(Cursor { query, at: 0, end: steps.len() })
+    }
+
+    fn steps(&self, pe: usize) -> &[TraceStep] {
+        &self.walks[pe]
+    }
+
+    fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
+        let (_, queries, local) = self.locate(cursor.query);
+        let q = queries[local];
+        splice_walk(self.tree, w, q, self.r2, &mut self.walks[pe], self.tail, cursor);
     }
 }
 

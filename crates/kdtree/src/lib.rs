@@ -28,7 +28,9 @@
 //!   depth-from-leaves `h_e` knob of [`BatchSearchConfig`]); its
 //!   config-free geometry can be recorded once
 //!   ([`SplitTree::trace_batch`], a [`BatchTrace`]) and arbitrated per
-//!   config ([`replay_batch`]);
+//!   config ([`replay_batch`]), and a query segment's geometry once
+//!   ([`SplitTree::trace_segment`], a [`SegmentTrace`]) and replayed
+//!   inside any wavefront it rides ([`SplitTree::replay_segments`]);
 //! * [`refit`] — incremental frame-coherent tree maintenance
 //!   ([`KdTree::refit`]): in-place coordinate update + validation +
 //!   per-sub-tree repair for temporally coherent frames, with an honest
@@ -74,8 +76,8 @@ pub use baselines::{
     crescent_dram_bytes, split_exhaustive_report, split_exhaustive_search, BaselineReport,
 };
 pub use batch::{
-    replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, TaggedBatch,
-    TaggedResults,
+    replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, SegmentTrace,
+    TaggedBatch, TaggedResults,
 };
 pub use refit::{RebuildReason, RefitConfig, RefitOutcome, RefitScratch, RefitStats};
 pub use search::{radius_search, radius_search_traced};

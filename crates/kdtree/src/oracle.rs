@@ -13,9 +13,11 @@
 //! drain — over stage-1 routes (`batch_search`), from the tree
 //! (`drain_subtree_queue`, where descendant reuse splices walks) and from
 //! a trace ([`replay_batch`]) — against an independent statement of the
-//! arbitration rule. A last proptest checks the wavefront's stage 1 (the
+//! arbitration rule. Another proptest checks the wavefront's stage 1 (the
 //! config-free [`BatchSearchStats`] fields and the top-tree hits) against
-//! per-query routing with `SplitTree::route_query`.
+//! per-query routing with `SplitTree::route_query`, and a last one holds
+//! a wavefront replayed from per-segment traces
+//! (`SplitTree::replay_segments`) to the live `SplitTree::search_batch`.
 //!
 //! Each proptest runs 384 cases, or `PROPTEST_CASES` when it is set (CI
 //! runs them deeper that way).
@@ -25,7 +27,7 @@ use std::collections::BTreeSet;
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
 use proptest::prelude::*;
 
-use crate::batch::{replay_batch, BatchSearchConfig, BatchSearchStats, BatchState};
+use crate::batch::{replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, SegmentTrace};
 use crate::split::{
     drain_subtree_queue, finalize, DrainCounters, DrainScratch, ElisionConfig, SplitSearchConfig,
     SplitSearchStats, SplitTree, TreeArbiter,
@@ -343,6 +345,14 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point3>> {
     })
 }
 
+/// A query segment of 0 to 7 points on the same coarse grid (empty and
+/// one-query segments are frequent).
+fn arb_segment() -> impl Strategy<Value = Vec<Point3>> {
+    prop::collection::vec((0u32..12, 0u32..12, 0u32..12), 0..8).prop_map(|v| {
+        v.into_iter().map(|(x, y, z)| Point3::new(x as f32, y as f32, z as f32) * 0.25).collect()
+    })
+}
+
 /// Cases per proptest: `PROPTEST_CASES` when it is set, else 384.
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(384)
@@ -557,6 +567,54 @@ proptest! {
             }
             prop_assert_eq!(bits(&got), bits(&hits));
             prev = assignments;
+        }
+    }
+
+    /// A wavefront replayed from its segments' traces equals the live
+    /// `search_batch` on the concatenated segments: every neighbor list
+    /// bit for bit and the whole `BatchSearchStats` record (its
+    /// `queries`, `top_fetches`, `top_fetches_unamortized`,
+    /// `subtrees_touched`, `dram_bytes` and `subtree` counters, and the
+    /// cross-frame locality of a second batch through the same state),
+    /// over ragged and empty trees, empty and one-query segments, every
+    /// `h_t` and `h_e`, PEs {1, 2, 4, 8}, banks {2, 4, 8}, and
+    /// descendant reuse on and off.
+    #[test]
+    fn segment_replay_matches_the_live_wavefront(
+        points in arb_points(160),
+        segments in prop::collection::vec(arb_segment(), 1..7),
+        radius in 0.1f32..1.5,
+        (top_pick, depth_pick, empty) in (0usize..8, 0usize..16, 0u8..8),
+        (pes_pick, banks_pick, reuse, cap) in (0usize..4, 0usize..3, 0u8..2, 0usize..12),
+    ) {
+        let cloud: PointCloud =
+            if empty == 0 { PointCloud::new() } else { points.into_iter().collect() };
+        let tree = KdTree::build(&cloud);
+        let split = SplitTree::new(&tree, tree.clamp_top_height(top_pick)).unwrap();
+        let mut config = BatchSearchConfig::banked(
+            radius,
+            (cap > 0).then_some(cap),
+            [1, 2, 4, 8][pes_pick],
+            [2, 4, 8][banks_pick],
+            depth_pick % (tree.height() + 1),
+        );
+        config.descendant_reuse = reuse == 1;
+        let traces: Vec<_> = segments.iter().map(|q| split.trace_segment(q, radius)).collect();
+        let (mut replayed, mut searched) = (BatchState::new(), BatchState::new());
+        // the segments in order, then reversed through the same states
+        for reverse in [false, true] {
+            let mut order: Vec<usize> = (0..segments.len()).collect();
+            if reverse {
+                order.reverse();
+            }
+            let riders: Vec<(&[Point3], &SegmentTrace)> =
+                order.iter().map(|&i| (segments[i].as_slice(), &traces[i])).collect();
+            let flat: Vec<Point3> = order.iter().flat_map(|&i| segments[i].clone()).collect();
+            let (got, stats) = split.replay_segments(&riders, &config, &mut replayed);
+            let (want, expected) = split.search_batch(&flat, &config, &mut searched);
+            prop_assert_eq!(stats, expected);
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(replayed.assignments(), searched.assignments());
         }
     }
 }

@@ -25,9 +25,11 @@
 //! the walk is the query's top-tree route (`Routes`); in stage 2 it is
 //! the query's radius-pruned preorder walk of its sub-tree, read from the
 //! tree as each PE picks a query up (`drain_subtree_queue`, both search
-//! drivers) or from a [`BatchTrace`](crate::BatchTrace). A descendant
-//! reuse splices the loser's walk to continue beneath the winner's node,
-//! so it needs a source that can walk the tree.
+//! drivers), from a [`BatchTrace`](crate::BatchTrace), or refilled from
+//! a [`SegmentTrace`](crate::SegmentTrace)'s recorded heap slots
+//! (`refill_walk`). A descendant reuse splices the loser's walk to
+//! continue beneath the winner's node (`splice_walk`), so it needs a
+//! source that can walk the tree.
 //!
 //! Both stage-1 descents of the search drivers — `Routes` and the
 //! wavefront — and [`crescent_dram_bytes`](crate::crescent_dram_bytes)
@@ -651,6 +653,57 @@ impl Walker<'_> {
     }
 }
 
+/// Flags a recorded walk step whose node's point lies within the radius
+/// (heap slots stay below 2³⁰, the tree's meta limit).
+const WALK_HIT: u32 = 1 << 31;
+
+/// Records the walk `steps` at squared radius `r2` for [`refill_walk`]:
+/// one word per step, the node's heap slot flagged with whether its
+/// point is a hit.
+pub(crate) fn record_walk(steps: &[TraceStep], r2: f32, out: &mut Vec<u32>) {
+    debug_assert!(steps.iter().all(|s| s.node < WALK_HIT >> 1), "heap slots fit in 30 bits");
+    out.extend(steps.iter().map(|s| s.node | if s.dist2 <= r2 { WALK_HIT } else { 0 }));
+}
+
+/// Refills `steps` with `q`'s stage-2 walk from its [`record_walk`]
+/// words. A hit's distance and point index are read back from `tree`,
+/// exactly as [`walk`] computes them; any other step only needs to miss
+/// the radius, so it carries a NaN distance (no `<=` test passes it) and
+/// is never read from the tree. Each span's end is recovered by heap
+/// ancestry: a preorder walk descends only to children, so a step's heap
+/// parent is an earlier step whose span is still open, and every open
+/// span beneath that parent ends where the step begins.
+pub(crate) fn refill_walk(tree: &KdTree, q: Point3, recorded: &[u32], steps: &mut Vec<TraceStep>) {
+    /// Marks the walk's root as having no open span around it.
+    const OUTSIDE: u32 = u32::MAX;
+    steps.clear();
+    // the innermost open span; each open step's `end` links to the next
+    // open span around it until its own end is known
+    let mut open = OUTSIDE;
+    for &word in recorded {
+        let node = word & !WALK_HIT;
+        let here = steps.len() as u32;
+        if open != OUTSIDE {
+            let parent = (node - 1) / 2;
+            while steps[open as usize].node != parent {
+                open = std::mem::replace(&mut steps[open as usize].end, here);
+            }
+        }
+        steps.push(if word & WALK_HIT != 0 {
+            let slot = node as usize;
+            let index = tree.meta[slot] & META_INDEX_MASK;
+            TraceStep { node, end: open, dist2: tree.points[slot].dist2(q), index }
+        } else {
+            TraceStep { node, end: open, dist2: f32::NAN, index: 0 }
+        });
+        open = here;
+    }
+    let len = steps.len() as u32;
+    while open != OUTSIDE {
+        open = std::mem::replace(&mut steps[open as usize].end, len);
+    }
+}
+
 /// One node of a stage-2 walk (16 bytes).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TraceStep {
@@ -686,9 +739,11 @@ pub(crate) struct Cursor {
 }
 
 /// Where [`drain_queue`] reads each PE's walk. Stage 2 reads it from the
-/// tree, walked when a PE picks its query up (`drain_subtree_queue`), or
+/// tree, walked when a PE picks its query up (`drain_subtree_queue`),
 /// from the walks a [`BatchTrace`](crate::BatchTrace) recorded
-/// ([`replay_batch`](crate::replay_batch)); stage 1 of
+/// ([`replay_batch`](crate::replay_batch)), or refilled from a
+/// [`SegmentTrace`](crate::SegmentTrace)
+/// ([`SplitTree::replay_segments`]); stage 1 of
 /// [`SplitTree::batch_search`] reads each query's top-tree route
 /// (`Routes`). The drain is generic over it, so no source pays a
 /// per-step dispatch.
@@ -735,21 +790,38 @@ impl WalkSource for TreeWalks<'_> {
     }
 
     fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
-        let steps = &mut self.walks[pe];
-        let span_end = steps[cursor.at].end as usize;
-        self.tail.clear();
-        self.tail.extend_from_slice(&steps[span_end..]);
-        steps.truncate(cursor.at);
-        walk(self.tree, w, self.queries[cursor.query], self.r2, steps);
-        // the rest of the walk moves by the span's change in length
-        let start = steps.len();
-        steps.extend(
-            self.tail
-                .iter()
-                .map(|s| TraceStep { end: (s.end as usize - span_end + start) as u32, ..*s }),
-        );
-        cursor.end = steps.len();
+        let q = self.queries[cursor.query];
+        splice_walk(self.tree, w, q, self.r2, &mut self.walks[pe], self.tail, cursor);
     }
+}
+
+/// Descendant reuse on a walk held in a PE's buffer `steps`: replaces
+/// the span of the step at `cursor.at` with `q`'s walk beneath `w`, a
+/// node under it, read from the tree. `tail` is scratch.
+///
+/// Inlined into each source's `splice`, where its body used to live:
+/// the sweep's parallel pass read about 12 % slower with it called.
+#[inline]
+pub(crate) fn splice_walk(
+    tree: &KdTree,
+    w: usize,
+    q: Point3,
+    r2: f32,
+    steps: &mut Vec<TraceStep>,
+    tail: &mut Vec<TraceStep>,
+    cursor: &mut Cursor,
+) {
+    let span_end = steps[cursor.at].end as usize;
+    tail.clear();
+    tail.extend_from_slice(&steps[span_end..]);
+    steps.truncate(cursor.at);
+    walk(tree, w, q, r2, steps);
+    // the rest of the walk moves by the span's change in length
+    let start = steps.len();
+    steps.extend(
+        tail.iter().map(|s| TraceStep { end: (s.end as usize - span_end + start) as u32, ..*s }),
+    );
+    cursor.end = steps.len();
 }
 
 /// Stage 1 of [`SplitTree::batch_search`] as a walk source: a PE's walk
@@ -804,9 +876,9 @@ impl WalkSource for Routes<'_, '_> {
 #[derive(Debug, Default)]
 pub(crate) struct DrainScratch {
     pub(crate) pes: Vec<Option<Cursor>>,
-    walks: Vec<Vec<TraceStep>>,
+    pub(crate) walks: Vec<Vec<TraceStep>>,
     /// The rest of a walk behind a spliced span.
-    tail: Vec<TraceStep>,
+    pub(crate) tail: Vec<TraceStep>,
 }
 
 /// Drains one sub-tree's query queue from the tree: the short entry to

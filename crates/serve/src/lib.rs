@@ -63,5 +63,7 @@ pub use ledger::{
 };
 pub use report::{serve_fingerprint, ServeReport, ServeRow, TenantRow, SCHEMA, TIMINGS_SCHEMA};
 pub use runner::{default_workers, run_serve, run_serve_timed, ServeRunStats};
-pub use scheduler::{run_service, run_service_controlled, ServiceContext, ServiceOutcome};
+pub use scheduler::{
+    run_service, run_service_controlled, service_config, ServiceContext, ServiceOutcome,
+};
 pub use spec::{ServePoint, ServeSpec};

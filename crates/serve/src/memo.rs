@@ -1,4 +1,5 @@
-//! The compute-once wavefront memo every [`ServiceContext`] carries.
+//! The two compute-once caches every [`ServiceContext`] carries: the
+//! per-tenant-frame search traces and the per-key wavefronts.
 //!
 //! Within one context a wavefront is a pure function of its
 //! [`WaveKey`]: every rider belongs to frame `tick`, so the tree is
@@ -7,14 +8,22 @@
 //! list; and the accelerator config, knobs, radius and neighbor cap are
 //! fixed for the context. The grid re-dispatches the same wavefront in
 //! many rows (fleet size, controller mode and tenant prefix often leave
-//! a tick's batch unchanged), so the memo simulates each key once and
-//! every later dispatch reads the stored [`Wavefront`].
+//! a tick's batch unchanged), so the [`WavefrontMemo`] simulates each
+//! key once and every later dispatch reads the stored [`Wavefront`].
 //!
-//! Each key owns a [`OnceLock`] behind the map lock: whichever worker
-//! gets there first simulates, and any other worker asking for the same
-//! key blocks until the value is there. A stored value holds only
-//! fields that are pure functions of the key, so which worker filled an
-//! entry cannot reach a report byte.
+//! The distinct wavefronts still share their riders: a tenant frame
+//! rides a wavefront at every `h_e` and beside every co-rider set the
+//! grid dispatches it in, and its queries' top-tree routes and
+//! radius-pruned sub-tree walks are fixed by geometry alone — only the
+//! banked arbitration differs. So the [`FrameTraces`] record each
+//! `(tick, tenant)` frame's [`SegmentTrace`] once, on first use, and a
+//! memo miss replays its wavefront from its riders' traces.
+//!
+//! Each cell is a [`OnceLock`]: whichever worker gets there first
+//! computes, and any other worker asking for the same cell blocks until
+//! the value is there. A stored value holds only fields that are pure
+//! functions of its key, so which worker filled a cell cannot reach a
+//! report byte.
 //!
 //! [`ServiceContext`]: crate::ServiceContext
 
@@ -25,6 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crescent_accel::FrameReport;
+use crescent_kdtree::SegmentTrace;
 use crescent_memsim::EnergyLedger;
 use crescent_pointcloud::Neighbor;
 
@@ -139,6 +149,58 @@ impl WavefrontMemo {
     /// Wavefronts simulated so far.
     pub fn simulated(&self) -> usize {
         self.simulated.load(Ordering::Relaxed)
+    }
+
+    /// Every simulated wavefront with its key, in no particular order.
+    #[cfg(test)]
+    pub fn entries(&self) -> Vec<(WaveKey, Arc<Wavefront>)> {
+        let entries = self.entries.lock().expect("a worker panicked holding the memo lock");
+        entries
+            .iter()
+            .filter_map(|(key, cell)| cell.get().map(|wf| (key.clone(), Arc::clone(wf))))
+            .collect()
+    }
+}
+
+/// One compute-once [`SegmentTrace`] cell per `(tenant, tick)` frame.
+pub(crate) struct FrameTraces {
+    /// `cells[tenant][tick]`, the layout of the context's queries.
+    cells: Vec<Vec<OnceLock<SegmentTrace>>>,
+    traced: AtomicUsize,
+}
+
+impl FrameTraces {
+    /// Empty cells, `frames` yielding each tenant's frame count.
+    pub fn new(frames: impl IntoIterator<Item = usize>) -> FrameTraces {
+        FrameTraces {
+            cells: frames.into_iter().map(|n| (0..n).map(|_| OnceLock::new()).collect()).collect(),
+            traced: AtomicUsize::new(0),
+        }
+    }
+
+    /// The trace of `tenant`'s frame `tick`; `trace` runs only if no
+    /// lookup of the frame has run it yet.
+    pub fn get_or_trace(
+        &self,
+        tenant: usize,
+        tick: usize,
+        trace: impl FnOnce() -> SegmentTrace,
+    ) -> &SegmentTrace {
+        self.cells[tenant][tick].get_or_init(|| {
+            self.traced.fetch_add(1, Ordering::Relaxed);
+            trace()
+        })
+    }
+
+    /// Frames traced so far.
+    pub fn traced(&self) -> usize {
+        self.traced.load(Ordering::Relaxed)
+    }
+}
+
+impl fmt::Debug for FrameTraces {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameTraces").field("traced", &self.traced()).finish()
     }
 }
 

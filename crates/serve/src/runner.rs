@@ -27,6 +27,10 @@
 //! rest), so it equals what a fresh simulation would return, and which
 //! worker filled an entry is invisible. Each key is simulated exactly
 //! once whatever the worker count ([`ServeRunStats::wavefronts_simulated`]).
+//! A miss replays its wavefront from its riders' frame traces, the
+//! context's other compute-once cache: each `(tick, tenant)` frame is
+//! traced once, the first time a wavefront it rides misses
+//! ([`ServeRunStats::frames_traced`]).
 
 use std::time::Instant;
 
@@ -62,6 +66,10 @@ pub struct ServeRunStats {
     /// Distinct wavefronts actually simulated: the context's memo
     /// entries. Every other dispatch was a memo hit.
     pub wavefronts_simulated: usize,
+    /// Distinct tenant frames traced: the `(tick, tenant)` frames that
+    /// rode a simulated wavefront, each traced once however many of the
+    /// simulated wavefronts replayed it.
+    pub frames_traced: usize,
 }
 
 /// Runs the full serve grid on `workers` OS threads and returns the
@@ -111,6 +119,7 @@ pub fn run_serve_timed(
         point_nanos: timings.point_nanos(),
         wavefronts_dispatched: rows.iter().map(|r| r.wavefronts).sum(),
         wavefronts_simulated: ctx.wavefronts_simulated(),
+        frames_traced: ctx.frames_traced(),
     };
     Ok((ServeReport { spec: spec.clone(), rows }, stats, timings))
 }

@@ -34,9 +34,9 @@
 //!    concatenated in EDF order) on the earliest-free instance — this
 //!    is where cross-tenant top-tree amortization happens — **acting** the
 //!    decision through the wavefront's search config
-//!    ([`ServiceInstance::simulate_wavefront`](crescent_accel::ServiceInstance::simulate_wavefront),
-//!    run once per distinct wavefront of the context: see
-//!    [`ServiceContext`]);
+//!    ([`ServiceInstance::replay_wavefront`](crescent_accel::ServiceInstance::replay_wavefront),
+//!    run once per distinct wavefront of the context from its riders'
+//!    once-traced frames: see [`ServiceContext`]);
 //! 5. grades each served frame against its tenant's deadline
 //!    ([`deadline_missed`]).
 //!
@@ -66,11 +66,12 @@ use std::collections::BinaryHeap;
 use crescent::tenant::{mixed_tenants, TenantSpec};
 use crescent::workload::FrameStream;
 use crescent_accel::{
-    maintain_tree_sequence, AcceleratorConfig, CrescentKnobs, Fleet, MaintainedTree,
+    maintain_tree_sequence, trace_segment, AcceleratorConfig, CrescentKnobs, Fleet, MaintainedTree,
     MaintenanceCost, StreamSearchConfig, TreeMaintenance,
 };
 use crescent_explorer::default_workers;
 use crescent_explorer::runner::par_map;
+use crescent_kdtree::SegmentTrace;
 use crescent_memsim::EnergyLedger;
 use crescent_pointcloud::{Neighbor, Point3, PointCloud};
 
@@ -79,7 +80,7 @@ use crate::ledger::{
     deadline_missed, digest_results, FrameOutcome, InstanceReport, KnobPoint, ServiceLedger,
     TenantLedger,
 };
-use crate::memo::{WaveKey, Wavefront, WavefrontMemo};
+use crate::memo::{FrameTraces, WaveKey, Wavefront, WavefrontMemo};
 use crate::spec::ServeSpec;
 
 /// Sustained DRAM streaming bandwidth of the service operating point,
@@ -91,6 +92,20 @@ use crate::spec::ServeSpec;
 /// wavefronts are compute-bound and elision buys real slot cycles.
 pub const SERVICE_STREAM_BYTES_PER_CYCLE: f64 = 163.84;
 
+/// The service's accelerator: the default machine at
+/// [`SERVICE_STREAM_BYTES_PER_CYCLE`] with aggregation elision on (the
+/// ANS+BCE operating point). Every wavefront reads its banking, PE
+/// count, DRAM bandwidth and aggregation-elision flag; search elision
+/// comes from each wavefront's `h_e` in its search config, so
+/// `search_elision` stays unset.
+pub fn service_config() -> AcceleratorConfig {
+    AcceleratorConfig::builder()
+        .aggregation_elision(true)
+        .dram_stream_bytes_per_cycle(SERVICE_STREAM_BYTES_PER_CYCLE)
+        .build()
+        .expect("the default-based service config is valid")
+}
+
 /// Everything about a serve spec that does **not** vary across grid
 /// points: the maintained map tree sequence, the canonical tenant mix
 /// at its largest size, and every tenant's per-tick query sets. Built
@@ -100,16 +115,25 @@ pub const SERVICE_STREAM_BYTES_PER_CYCLE: f64 = 163.84;
 /// on the worker pool (each map frame's render, both maintenance runs,
 /// each tenant's query generation), and is the same at any worker count.
 ///
-/// The context also carries a compute-once **wavefront memo**, empty
-/// at build time. Within one context a dispatched wavefront is a pure
-/// function of `(tick, h_e, riders in EDF order)`: the tick names the
-/// tree and each rider's queries, descendant reuse follows from the
-/// riders, and everything else the engine reads is fixed here. So the
-/// scheduler simulates each such key once and every later dispatch of
-/// it — in any grid point, on any worker — reads the stored latency,
-/// energy, counters and neighbor lists. A hit is bit-identical to a
-/// fresh simulation; [`ServiceContext::wavefronts_simulated`] counts
-/// the misses.
+/// The context also carries two compute-once caches, both empty at
+/// build time (so the build's cost does not grow with them):
+///
+/// * a **wavefront memo**. Within one context a dispatched wavefront is
+///   a pure function of `(tick, h_e, riders in EDF order)`: the tick
+///   names the tree and each rider's queries, descendant reuse follows
+///   from the riders, and everything else the engine reads is fixed
+///   here. So the scheduler simulates each such key once and every
+///   later dispatch of it — in any grid point, on any worker — reads the
+///   stored latency, energy, counters and neighbor lists. A hit is
+///   bit-identical to a fresh simulation;
+///   [`ServiceContext::wavefronts_simulated`] counts the misses.
+/// * **per-tenant-frame traces**. A memo miss does not route and walk
+///   its riders' queries again: each `(tick, tenant)` frame's top-tree
+///   routes and sub-tree walks are fixed by geometry, so the frame is
+///   traced once, the first time a wavefront it rides misses, and
+///   every miss replays its wavefront's arbitration from its riders'
+///   traces — bit-identical to simulating the flat batch.
+///   [`ServiceContext::frames_traced`] counts the traces.
 #[derive(Debug)]
 pub struct ServiceContext {
     /// One maintained map tree per service tick (built under the spec's
@@ -136,6 +160,8 @@ pub struct ServiceContext {
     pub max_neighbors: Option<usize>,
     /// The compute-once wavefront memo.
     wavefronts: WavefrontMemo,
+    /// The compute-once tenant-frame traces.
+    traces: FrameTraces,
 }
 
 impl ServiceContext {
@@ -194,12 +220,13 @@ impl ServiceContext {
         let Some(BuildOut::Costs(alt_maintenance)) = outs.next() else {
             unreachable!("job 1 prices the alternate policy")
         };
-        let queries = outs
+        let queries: Vec<Vec<Vec<Point3>>> = outs
             .map(|out| match out {
                 BuildOut::Queries(queries) => queries,
                 _ => unreachable!("jobs 2.. generate tenant queries"),
             })
             .collect();
+        let traces = FrameTraces::new(queries.iter().map(Vec::len));
         ServiceContext {
             trees,
             alt_maintenance,
@@ -211,6 +238,7 @@ impl ServiceContext {
             radius: spec.tenant_base.radius,
             max_neighbors: spec.tenant_base.max_neighbors,
             wavefronts: WavefrontMemo::default(),
+            traces,
         }
     }
 
@@ -224,6 +252,23 @@ impl ServiceContext {
     /// however many runs and workers dispatched it.
     pub fn wavefronts_simulated(&self) -> usize {
         self.wavefronts.simulated()
+    }
+
+    /// Distinct tenant frames traced on this context so far: one per
+    /// `(tick, tenant)` that rode any simulated wavefront, however many
+    /// wavefronts, runs and workers it rode in.
+    pub fn frames_traced(&self) -> usize {
+        self.traces.traced()
+    }
+
+    /// `tenant`'s queries of frame `tick`, with their trace on the
+    /// tick's tree (traced on first use).
+    fn rider(&self, tenant: usize, tick: usize) -> (&[Point3], &SegmentTrace) {
+        let queries = &self.queries[tenant][tick];
+        let trace = self.traces.get_or_trace(tenant, tick, || {
+            trace_segment(&self.trees[tick].tree, queries, self.radius, self.top_height)
+        });
+        (queries, trace)
     }
 }
 
@@ -342,16 +387,7 @@ fn run_service_impl(
     events.sort_by_key(|j| (j.arrival, j.tenant, j.frame));
 
     // ---- engine configuration ----
-    // The wavefront path reads banking, PE count, DRAM bandwidth, and
-    // the aggregation-elision flag; search elision comes from each
-    // wavefront's h_e in its search config, so `search_elision` stays
-    // unset.
-    // Aggregation elision on = the ANS+BCE service operating point.
-    let config = AcceleratorConfig::builder()
-        .aggregation_elision(true)
-        .dram_stream_bytes_per_cycle(SERVICE_STREAM_BYTES_PER_CYCLE)
-        .build()
-        .expect("the default-based service config is valid");
+    let config = service_config();
     let knobs = CrescentKnobs { top_height: ctx.top_height, ..CrescentKnobs::default() };
     let search = StreamSearchConfig {
         radius: ctx.radius,
@@ -386,8 +422,6 @@ fn run_service_impl(
     let mut makespan = 0u64;
 
     let mut pending: Vec<Job> = Vec::new();
-    // the flat query batch of a wavefront being simulated
-    let mut batch: Vec<Point3> = Vec::new();
     let mut arrivals = events.into_iter().peekable();
     // frames graded but not yet observed by the controller, ordered by
     // completion (ties: tenant, then frame — fully deterministic)
@@ -460,13 +494,13 @@ fn run_service_impl(
                         descendant_reuse: reuse,
                         ..search
                     };
-                    batch.clear();
-                    for job in &wave {
-                        batch.extend_from_slice(&ctx.queries[job.tenant][job.frame]);
-                    }
-                    let (hits, report) = instance.simulate_wavefront(
+                    // the riders' segments in EDF order, each replayed
+                    // from its frame's trace
+                    let riders: Vec<_> =
+                        wave.iter().map(|j| ctx.rider(j.tenant, j.frame)).collect();
+                    let (hits, report) = instance.replay_wavefront(
                         &ctx.trees[tick].tree,
-                        &batch,
+                        &riders,
                         &wf_search,
                         knobs,
                         &config,
@@ -638,6 +672,8 @@ fn run_service_impl(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crescent_kdtree::TaggedBatch;
 
@@ -766,7 +802,7 @@ mod tests {
         let together = run_service(&ctx, 4, 1, 0);
         // the solo reference: each admitted frame re-run through the same
         // wavefront machinery with only its own tenant in the batch
-        let config = AcceleratorConfig::builder().aggregation_elision(true).build().unwrap();
+        let config = service_config();
         let knobs = CrescentKnobs { top_height: ctx.top_height, ..CrescentKnobs::default() };
         let mut solo = crescent_accel::ServiceInstance::new();
         let mut batch = TaggedBatch::new();
@@ -855,6 +891,103 @@ mod tests {
         let exact = run_service(&ctx, 8, 1, 0);
         assert_eq!(exact.ledger.conflict_reuses, 0, "reuse is provably inert at h_e = 0");
         assert_eq!(exact.ledger.conflicts_elided, 0);
+    }
+
+    /// A stored wavefront as one word list: latency, energy bits, the
+    /// five counters, then every query's hit count and hits.
+    fn wavefront_bits(wf: &Wavefront) -> Vec<u64> {
+        let e = &wf.energy;
+        let mut bits = vec![wf.latency];
+        bits.extend(
+            [
+                e.dram_random,
+                e.dram_streaming,
+                e.sram_search,
+                e.sram_aggregation,
+                e.sram_global,
+                e.compute,
+                e.tree_build,
+                e.leakage,
+            ]
+            .map(f64::to_bits),
+        );
+        bits.extend([
+            wf.top_fetches,
+            wf.top_fetches_unamortized,
+            wf.conflicts_elided,
+            wf.nodes_skipped,
+            wf.conflict_reuses,
+        ]);
+        for hits in wf.neighbors(0..wf.queries) {
+            bits.push(hits.len() as u64);
+            bits.extend(hits.iter().flat_map(|n| [n.index as u64, u64::from(n.dist2.to_bits())]));
+        }
+        bits
+    }
+
+    /// Every wavefront a memo miss stores — replayed from its riders'
+    /// frame traces — equals `simulate_wavefront` of its flat batch on
+    /// the same tree, for every key that static runs at `h_e` 0/2/4 and
+    /// an SLO run of the 8-tenant mix (reuse tenant aboard) simulate,
+    /// under both map policies. Each tenant frame is traced at most once
+    /// whether the runs share 1 worker or race on 4.
+    #[test]
+    fn memo_misses_replay_the_simulated_wavefront() {
+        let runs = [Some(0), Some(2), Some(4), None];
+        for maintenance in [TreeMaintenance::refit(), TreeMaintenance::RebuildEveryFrame] {
+            let mut spec = quick_spec();
+            spec.map.maintenance = maintenance;
+            for workers in [1, 4] {
+                let ctx = ServiceContext::build_on(&spec, workers);
+                par_map(&runs, workers, |_, run| match *run {
+                    Some(h_e) => run_service(&ctx, 8, 1, h_e),
+                    None => run_service_controlled(&ctx, 8, 1, 0, &spec.controller),
+                });
+                let entries = ctx.wavefronts.entries();
+                assert_eq!(entries.len(), ctx.wavefronts_simulated());
+                let frames: HashSet<(usize, usize)> = entries
+                    .iter()
+                    .flat_map(|(key, _)| key.tenants.iter().map(|&t| (key.tick, t)))
+                    .collect();
+                assert_eq!(ctx.frames_traced(), frames.len(), "{workers} workers: one trace each");
+                assert!(
+                    entries.iter().any(|(_, wf)| wf.conflict_reuses > 0),
+                    "the reuse tenant's splices must fire"
+                );
+                if workers > 1 {
+                    continue;
+                }
+                let config = service_config();
+                let knobs =
+                    CrescentKnobs { top_height: ctx.top_height, ..CrescentKnobs::default() };
+                for (key, stored) in &entries {
+                    let search = StreamSearchConfig {
+                        radius: ctx.radius,
+                        max_neighbors: ctx.max_neighbors,
+                        elision_depth: key.h_e,
+                        descendant_reuse: key
+                            .tenants
+                            .iter()
+                            .any(|&t| ctx.tenants[t].workload.scenario.descendant_reuse()),
+                        ..StreamSearchConfig::default()
+                    };
+                    let flat: Vec<Point3> = key
+                        .tenants
+                        .iter()
+                        .flat_map(|&t| ctx.queries[t][key.tick].clone())
+                        .collect();
+                    let (hits, report) = crescent_accel::ServiceInstance::new().simulate_wavefront(
+                        &ctx.trees[key.tick].tree,
+                        &flat,
+                        &search,
+                        knobs,
+                        &config,
+                    );
+                    let simulated = Wavefront::new(&hits, &report);
+                    assert_eq!(wavefront_bits(stored), wavefront_bits(&simulated), "{key:?}");
+                }
+            }
+        }
     }
 
     #[test]

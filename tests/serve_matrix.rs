@@ -25,13 +25,13 @@ use std::collections::BTreeSet;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
 
-use crescent_accel::{AcceleratorConfig, CrescentKnobs, ServiceInstance, StreamSearchConfig};
+use crescent_accel::{CrescentKnobs, ServiceInstance, StreamSearchConfig};
 use crescent_kdtree::TaggedBatch;
 use crescent_memsim::EnergyLedger;
 use crescent_repro::testgen::ScenarioGen;
 use crescent_serve::{
-    run_serve, run_service, run_service_controlled, ControlMode, ServeSpec, ServiceContext,
-    ServiceOutcome,
+    run_serve, run_service, run_service_controlled, service_config, ControlMode, ServeSpec,
+    ServiceContext, ServiceOutcome,
 };
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -218,8 +218,7 @@ fn fuzz_he_zero_batching_never_changes_answers() {
             let (ctx, out) = run_random(&spec);
             // the solo reference: each admitted frame re-run through the
             // same wavefront machinery with only its own tenant aboard
-            let config =
-                AcceleratorConfig::builder().aggregation_elision(true).build().expect("valid");
+            let config = service_config();
             let knobs = CrescentKnobs { top_height: ctx.top_height, ..CrescentKnobs::default() };
             let search = StreamSearchConfig {
                 radius: ctx.radius,
