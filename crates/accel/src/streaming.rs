@@ -70,8 +70,8 @@
 //! order.
 
 use crescent_kdtree::{
-    replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, KdTree, RefitConfig,
-    RefitScratch, SegmentTrace, SplitTree, NODE_BYTES,
+    BatchSearchConfig, BatchSearchStats, BatchState, KdTree, RefitConfig, RefitScratch,
+    SegmentTrace, SplitTree, NODE_BYTES,
 };
 use crescent_memsim::{EnergyLedger, SramConfig};
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
@@ -80,6 +80,7 @@ use crate::aggregation::{simulate_aggregation, AggregationReport};
 use crate::config::AcceleratorConfig;
 use crate::engine::PE_PIPELINE_DEPTH;
 use crate::pipeline::CrescentKnobs;
+use crate::service::trace_segment;
 
 /// Per-frame K-d-tree maintenance policy of [`run_frame_stream`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -602,11 +603,9 @@ pub fn search_stream(
         .unzip()
 }
 
-/// The trace stage: re-splits each frame's tree below `top_height` like
-/// [`search_stream`] and records the frame's config-free search geometry
-/// ([`SplitTree::trace_batch`]). One [`BatchState`] is threaded through
-/// the sequence, so the cross-frame locality metric is part of the
-/// traces.
+/// The trace stage: records each frame's config-free search geometry on
+/// its tree split below `top_height` (clamped to the tree, like
+/// [`search_stream`]) as a one-segment trace ([`trace_segment`]).
 ///
 /// Reads the trees, the queries, `top_height` and the radius — none of
 /// the knobs [`replay_stream`] arbitrates the traces under.
@@ -619,41 +618,52 @@ pub fn trace_stream(
     trees: &[MaintainedTree],
     radius: f32,
     top_height: usize,
-) -> Vec<BatchTrace> {
+) -> Vec<SegmentTrace> {
     assert_eq!(trees.len(), frames.len(), "one maintained tree per frame");
-    let mut engine = FrameEngine::default();
     frames
         .iter()
         .zip(trees)
         .map(|(&(_, queries), maintained)| {
-            engine.with_split(&maintained.tree, top_height, |split, state| {
-                split.trace_batch(queries, radius, state)
-            })
+            trace_segment(&maintained.tree, queries, radius, top_height)
         })
         .collect()
 }
 
-/// The search stage over traces: arbitrates each frame's
-/// [`BatchTrace`] under `config`'s PEs and tree-buffer banks and
-/// `search`'s elision depth ([`replay_batch`]). Returns exactly what
-/// [`search_stream`] returns on the traced trees, reading no tree.
+/// The search stage over traces: replays each frame's [`SegmentTrace`]
+/// as a one-segment wavefront on the frame's tree under `config`'s PEs
+/// and tree-buffer banks and `search`'s elision depth and descendant
+/// reuse ([`SplitTree::replay_segments`]). One [`BatchState`] is threaded
+/// through the sequence, as in [`search_stream`], so this returns
+/// exactly what [`search_stream`] returns on the same trees, without
+/// routing or walking a query again.
 ///
 /// # Panics
 ///
-/// Panics if `search.descendant_reuse` is set: that model splices walks
-/// from the trees [`search_stream`] reads.
+/// Panics if `traces`, `frames` and `trees` differ in length, or a trace
+/// was not recorded by [`trace_stream`] on the same frame, tree, radius
+/// and `top_height`.
 pub fn replay_stream(
-    traces: &[BatchTrace],
+    traces: &[SegmentTrace],
+    frames: &[(&PointCloud, &[Point3])],
+    trees: &[MaintainedTree],
     search: &StreamSearchConfig,
+    top_height: usize,
     config: &AcceleratorConfig,
 ) -> (Vec<Vec<Vec<Neighbor>>>, Vec<FrameSearch>) {
-    let batch_cfg = batch_config(search, config);
-    let mut state = BatchState::default();
+    assert!(
+        traces.len() == frames.len() && trees.len() == frames.len(),
+        "one trace and one maintained tree per frame"
+    );
+    let mut engine = FrameEngine::default();
     traces
         .iter()
-        .map(|trace| {
-            let (hits, stats) = replay_batch(trace, &batch_cfg, &mut state);
-            let frame = FrameSearch::new(trace.points(), &hits, stats);
+        .zip(frames)
+        .zip(trees)
+        .map(|((trace, &(cloud, queries)), maintained)| {
+            let segments = [(queries, trace)];
+            let (hits, stats) =
+                engine.replay(&maintained.tree, &segments, top_height, search, config);
+            let frame = FrameSearch::new(cloud.len(), &hits, stats);
             (hits, frame)
         })
         .unzip()

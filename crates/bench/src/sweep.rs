@@ -109,13 +109,13 @@ pub fn render_summary(report: &SweepReport) -> String {
 /// the run total, the elapsed scenario setups (frame renders and recall
 /// oracles on the worker pool) — overall and per scenario — and each
 /// stage of the cascade summed across the worker pool, the trace and
-/// search stages with their pass counts (compose is the per-point clock
-/// of the sidecar).
+/// search stages with their pass counts and the search stage's replays
+/// on their own (compose is the per-point clock of the sidecar).
 fn eprint_timings(timings: &RunTimings, stats: &SweepRunStats) {
     eprintln!(
         "# wall-clock: total {:.3}s (scenario setup {:.3}s elapsed; summed over {} workers: \
-         maintain {:.3}s, trace {:.3}s over {} passes, search {:.3}s over {} passes, \
-         compose {:.3}s)",
+         maintain {:.3}s, trace {:.3}s over {} passes, search {:.3}s (replay {:.3}s) over {} \
+         passes, compose {:.3}s)",
         secs(timings.total_nanos),
         secs(timings.setup_nanos()),
         stats.workers,
@@ -123,6 +123,7 @@ fn eprint_timings(timings: &RunTimings, stats: &SweepRunStats) {
         secs(stats.trace_nanos),
         stats.trace_passes,
         secs(stats.search_nanos),
+        secs(stats.replay_nanos),
         stats.search_passes,
         secs(stats.point_nanos),
     );

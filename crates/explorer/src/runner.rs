@@ -13,8 +13,8 @@
 //! | stage | runs once per (within a scenario) | reads |
 //! |---|---|---|
 //! | maintenance ([`maintain_tree_sequence`]) | policy × granted `h_t` (rebuild: policy only) | the clouds; the granted `h_t` as the refit `check_height` |
-//! | trace ([`trace_stream`]) | distinct tree sequence × granted `h_t` (not with descendant reuse) | the trees, the queries, the radius |
-//! | search ([`replay_stream`], or [`search_stream`] with descendant reuse) | distinct tree sequence × granted `h_t` × PEs × tree banks × `h_e` (at 1 PE, banks and `h_e` collapse) | the traces (the trees with reuse), `k`, descendant reuse |
+//! | trace ([`trace_stream`]) | distinct tree sequence × granted `h_t` | the trees, the queries, the radius |
+//! | search ([`replay_stream`]) | distinct tree sequence × granted `h_t` × PEs × tree banks × `h_e` (at 1 PE, banks and `h_e` collapse) | the traces, the trees, `k`, descendant reuse |
 //! | aggregation ([`aggregate_stream`]) | search key × aggregation elision | the search key's neighbor sets, the Point Buffer |
 //! | compose ([`compose_stream`]) | grid point | the counters above, the maintenance costs, DRAM bandwidth, the energy model |
 //!
@@ -33,12 +33,12 @@
 //!
 //! Stage 2 of the search prunes on the radius alone, so a query's visit
 //! order is fixed by geometry and the (PEs, banks, `h_e`) keys of one
-//! tree sequence and grant only arbitrate it differently. The trace
-//! stage records that geometry once per sequence and grant
-//! ([`BatchTrace`]); the search jobs replay it, and the trees are
-//! dropped as soon as they are traced. Descendant reuse can continue
-//! beneath a node the trace pruned, so the scenario that turns it on
-//! skips the trace stage and searches its trees live. With one PE,
+//! tree sequence and grant, descendant reuse on or off, only arbitrate
+//! it differently. The trace stage records that geometry once per sequence
+//! and grant, one [`SegmentTrace`](crescent_kdtree::SegmentTrace) per
+//! frame; the search jobs replay it on the same trees, which read back
+//! each hit and, under descendant reuse, the walk beneath a reused node.
+//! The trees are kept until the scenario's search jobs end. With one PE,
 //! every fetch wins its bank, so banks and `h_e` drop out of the search
 //! key. Each search job also runs the aggregation for every
 //! aggregation-elision value of the spec and derives recall, digest and
@@ -63,11 +63,11 @@ use std::time::Instant;
 
 use crescent::workload::{Frame, FrameStream};
 use crescent_accel::{
-    aggregate_stream, compose_stream, maintain_tree_sequence, replay_stream, search_stream,
-    trace_stream, AcceleratorConfig, AggregationReport, FrameSearch, MaintainedTree,
-    MaintenanceCost, StreamSearchConfig, TreeMaintenance,
+    aggregate_stream, compose_stream, maintain_tree_sequence, replay_stream, trace_stream,
+    AcceleratorConfig, AggregationReport, FrameSearch, MaintainedTree, MaintenanceCost,
+    StreamSearchConfig, TreeMaintenance,
 };
-use crescent_kdtree::{height_for, BatchTrace};
+use crescent_kdtree::height_for;
 use crescent_pointcloud::{Neighbor, OracleIndex, Point3, PointCloud};
 
 use crate::fnv::Fnv1a;
@@ -143,6 +143,8 @@ struct SearchOut {
     neighbors: usize,
     recall: f64,
     digest: u64,
+    /// Wall-clock nanoseconds of the pass's [`replay_stream`].
+    replay_nanos: u64,
 }
 
 /// A reasonable worker count for the local machine, capped so the quick
@@ -164,8 +166,7 @@ pub struct SweepRunStats {
     /// printed for a 4-point run.
     pub workers: usize,
     /// Trace passes executed: exactly one per distinct (tree sequence,
-    /// granted `h_t`) of each scenario without descendant reuse, whatever
-    /// the worker count.
+    /// granted `h_t`) of each scenario, whatever the worker count.
     pub trace_passes: usize,
     /// Search passes executed: exactly one per distinct search key of
     /// each scenario, whatever the worker count.
@@ -181,10 +182,13 @@ pub struct SweepRunStats {
     /// Total **wall-clock** nanoseconds of the trace stage, summed across
     /// workers.
     pub trace_nanos: u64,
-    /// Total **wall-clock** nanoseconds of the search stage (the replay
-    /// or live search, aggregation, recall and digest), summed across
-    /// workers.
+    /// Total **wall-clock** nanoseconds of the search stage (the replay,
+    /// aggregation, recall and digest), summed across workers.
     pub search_nanos: u64,
+    /// Total **wall-clock** nanoseconds of the replays alone
+    /// ([`replay_stream`]), the part of `search_nanos` before aggregation,
+    /// recall and digest, summed across workers.
+    pub replay_nanos: u64,
     /// Total **wall-clock** nanoseconds of the compose step — the
     /// per-point clocks of the `--timings` sidecar — summed across
     /// workers.
@@ -230,6 +234,7 @@ fn run_points(spec: &SweepSpec, workers: usize) -> (Vec<SweepRow>, SweepRunStats
         maintain_nanos: 0,
         trace_nanos: 0,
         search_nanos: 0,
+        replay_nanos: 0,
         point_nanos: 0,
     };
     let mut timings = RunTimings::default();
@@ -316,10 +321,6 @@ fn run_scenario(
     }
 
     // ---- trace: one geometry record per (tree sequence, granted h_t) ----
-    // descendant reuse is scenario-derived, and a reused fetch can
-    // continue beneath a node a trace pruned: such a scenario searches
-    // its trees live and traces nothing
-    let reuse = scenario.descendant_reuse();
     let mut trace_keys: Keys<(usize, usize)> = Keys::new();
     let trace_slots: Vec<usize> = plans
         .iter()
@@ -328,25 +329,19 @@ fn run_scenario(
         .collect();
     let inputs: Vec<(&PointCloud, &[Point3])> =
         frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
-    let traces: Vec<Vec<BatchTrace>> = if reuse {
-        Vec::new()
-    } else {
-        stats.trace_passes += trace_keys.first.len();
-        let traced = par_map(&trace_keys.first, workers, |_, &p| {
-            let plan = &plans[p];
-            let trees = &tree_sets[tree_set_of[plan.maintain]];
-            trace_stream(&inputs, trees, spec.workload.radius, plan.top_height_used)
-        });
-        // the replays read no tree
-        tree_sets.clear();
-        traced
-            .into_iter()
-            .map(|(trace, nanos)| {
-                stats.trace_nanos += nanos;
-                trace
-            })
-            .collect()
-    };
+    stats.trace_passes += trace_keys.first.len();
+    let traced = par_map(&trace_keys.first, workers, |_, &p| {
+        let plan = &plans[p];
+        let trees = &tree_sets[tree_set_of[plan.maintain]];
+        trace_stream(&inputs, trees, spec.workload.radius, plan.top_height_used)
+    });
+    let traces: Vec<_> = traced
+        .into_iter()
+        .map(|(trace, nanos)| {
+            stats.trace_nanos += nanos;
+            trace
+        })
+        .collect();
 
     // ---- search + aggregation: one pass per search key ----
     let mut search_keys: Keys<SearchKey> = Keys::new();
@@ -375,14 +370,19 @@ fn run_scenario(
             // descendant-reuse workload turns the salvage knob on, so
             // every other scenario's rows stay on the stall/elide-only
             // model
-            descendant_reuse: reuse,
+            descendant_reuse: scenario.descendant_reuse(),
         };
-        let (sets, frames) = if reuse {
-            let trees = &tree_sets[tree_set_of[plan.maintain]];
-            search_stream(&inputs, trees, &search, plan.top_height_used, &plan.config)
-        } else {
-            replay_stream(&traces[trace_slots[p]], &search, &plan.config)
-        };
+        let trees = &tree_sets[tree_set_of[plan.maintain]];
+        let replay_start = Instant::now();
+        let (sets, frames) = replay_stream(
+            &traces[trace_slots[p]],
+            &inputs,
+            trees,
+            &search,
+            plan.top_height_used,
+            &plan.config,
+        );
+        let replay_nanos = replay_start.elapsed().as_nanos() as u64;
         let aggregate = |elide: bool| {
             spec.aggregation_elision
                 .contains(&elide)
@@ -394,6 +394,7 @@ fn run_scenario(
             recall: recall(&sets, &exact),
             digest: digest(&sets),
             frames,
+            replay_nanos,
         }
     });
     drop((tree_sets, traces));
@@ -401,6 +402,7 @@ fn run_scenario(
         .into_iter()
         .map(|(out, nanos)| {
             stats.search_nanos += nanos;
+            stats.replay_nanos += out.replay_nanos;
             out
         })
         .collect();
@@ -784,8 +786,8 @@ mod tests {
     /// requests that clamp to one grant, 2 `h_e`, and maintenance, DRAM
     /// bandwidth and aggregation elision twice each). On the quick grid
     /// every refit sequence holds the rebuild trees, so each scenario
-    /// searches 2 × 2 × 2 keys once, and the nine scenarios without
-    /// descendant reuse trace once each. On the slice's noise-free
+    /// searches 2 × 2 × 2 keys once, and all ten scenarios, descendant
+    /// reuse included, trace once each. On the slice's noise-free
     /// 12k-point scenes a few refit frames keep a tied median in another
     /// heap slot, so each scenario traces two tree sequences and searches
     /// 2 × 8 keys instead of 8.
@@ -802,7 +804,7 @@ mod tests {
         slice.top_heights = vec![2, 4];
         slice.elision_depths = vec![0, 4];
         assert_eq!(slice.num_points(), 384);
-        for (spec, trace_passes, search_passes) in [(SweepSpec::quick(), 9, 80), (slice, 6, 48)] {
+        for (spec, trace_passes, search_passes) in [(SweepSpec::quick(), 10, 80), (slice, 6, 48)] {
             for workers in [1, 4] {
                 let (_, stats, _) = run_sweep_timed(&spec, workers).expect("sweep runs");
                 assert_eq!(stats.trace_passes, trace_passes, "{} at {workers}", spec.label);

@@ -195,7 +195,8 @@ pub fn crescent_dram_bytes(split: &SplitTree<'_>, queries: &[Point3]) -> u64 {
         let mut route = Vec::new();
         for &q in queries {
             route.clear();
-            touched[split.route(0, q, &mut route)] = true;
+            // only the landing sub-tree is read, never a hit flag
+            touched[split.route(0, q, 0.0, &mut route)] = true;
         }
     }
     let touched = (0..).zip(touched).filter(|&(_, t)| t).map(|(s, _)| s);

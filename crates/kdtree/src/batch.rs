@@ -46,32 +46,28 @@
 //! engine's stage 1 runs on it too, over top-tree routes) moves a cursor
 //! per PE over such walks: an honored fetch moves to the next
 //! step, a stalled one stays, and an elided one jumps to the end of the
-//! node's span. It reads the walks from one of three sources:
+//! node's span. Every walk is written in one step format, 8 bytes per
+//! visited node: the heap slot, flagged when its point is in radius, and
+//! the end of its span; the drain reads a hit's point index and
+//! distance from the tree when it visits the step. It reads the walks
+//! from one of two sources:
 //!
 //! * **The tree.** [`SplitTree::search_batch`] (like the per-query
 //!   [`SplitTree::batch_search`]) has each PE walk its query when it
 //!   picks the query up, so a drain holds `num_pes` walks. A descendant
 //!   reuse splices the loser's walk to continue beneath the winner's
 //!   node.
-//! * **A trace.** [`SplitTree::trace_batch`] records the config-free
-//!   part of a batch once (the stage-1 wavefront outcome, its top-tree
-//!   hits query by query, and each queued query's walk, 16 bytes per
-//!   visited node), and [`replay_batch`] drains the [`BatchTrace`] per
-//!   config without reading the tree. A trace has no tree to splice
-//!   from, so the replay rejects descendant reuse.
-//! * **Segment traces over a tree.** A wavefront concatenates query
-//!   segments (a service's tenant frames), and each segment's routes and
-//!   walks are fixed by geometry whatever rides beside it.
-//!   [`SplitTree::trace_segment`] records one segment once — each
-//!   query's sub-tree and top-tree hits, and its walk as heap slots
-//!   flagged in-radius or not, 4 bytes per visited node — and
+//! * **Segment traces.** A wavefront concatenates query segments (a
+//!   service's tenant frames, or one whole frame of a stream), and each
+//!   segment's routes and walks are fixed by geometry whatever rides
+//!   beside it. [`SplitTree::trace_segment`] records one segment once —
+//!   each query's sub-tree and top-tree hits, and its walk — and
 //!   [`SplitTree::replay_segments`] replays any wavefront of traced
-//!   segments: stage 1 is the union of their routes, each sub-tree
-//!   queue takes the segments' queued queries in batch order, and a PE
-//!   picking a query up refills its buffer from the recorded slots,
-//!   reading each hit's distance and point index back from the tree and
-//!   each span's end from heap ancestry. Since the tree is at hand, a
-//!   descendant reuse splices as in the tree source, so the replay
+//!   segments on the same tree: stage 1 is the union of their routes,
+//!   each sub-tree queue takes the segments' queued queries in batch
+//!   order, and a PE picking a query up reads its walk in place from
+//!   the trace. Only a descendant reuse copies the rest of the PE's walk
+//!   into its own buffer and splices there, from the tree, so the replay
 //!   equals [`SplitTree::search_batch`] with reuse on or off.
 //!
 //! Across consecutive frames of a stream, a [`BatchState`] carries the
@@ -84,14 +80,14 @@
 use crescent_pointcloud::{Neighbor, Point3};
 
 use crate::split::{
-    drain_queue, drain_subtree_queue, finalize, record_walk, refill_walk, splice_walk, walk,
-    Cursor, DrainCounters, DrainScratch, SplitTree, TraceStep, TreeArbiter, WalkSource,
+    drain_queue, drain_subtree_queue, finalize, splice_walk, walk, Cursor, DrainCounters,
+    DrainScratch, SplitTree, TraceStep, TreeArbiter, WalkSource,
 };
 use crate::tree::KdTree;
 
-/// Reusable state for [`SplitTree::search_batch`] (and for
-/// [`SplitTree::trace_batch`] and [`replay_batch`]), designed to live
-/// across the frames of a stream.
+/// Reusable state for [`SplitTree::search_batch`] and
+/// [`SplitTree::replay_segments`], designed to live across the frames of
+/// a stream.
 ///
 /// Holds the stage-1 route and fetched-node buffers and the per-sub-tree
 /// queues (recycled every call so steady-state frames allocate almost
@@ -129,7 +125,7 @@ impl BatchState {
     }
 
     /// Number of batches (frames) searched or replayed through this
-    /// state; a trace alone does not count.
+    /// state.
     pub fn frames(&self) -> usize {
         self.frames
     }
@@ -304,47 +300,6 @@ impl SplitTree<'_> {
         (results, stats)
     }
 
-    /// Records the config-free part of [`SplitTree::search_batch`]: the
-    /// stage-1 wavefront outcome and every queued query's stage-2
-    /// preorder walk. [`replay_batch`] then arbitrates it under any PE
-    /// count, bank count and `h_e` with descendant reuse off, reading no
-    /// tree.
-    ///
-    /// The wavefront runs in `state`'s recycled buffers and rotates its
-    /// assignment history (the cross-frame
-    /// [`BatchSearchStats::assignment_reuses`] metric is part of the
-    /// trace); `state`'s frame count is left to the replay.
-    pub fn trace_batch(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        state: &mut BatchState,
-    ) -> BatchTrace {
-        let tree = self.tree();
-        let mut trace = BatchTrace {
-            radius,
-            nodes: tree.len(),
-            height: tree.height(),
-            ..BatchTrace::default()
-        };
-        let top_hits = &mut trace.top_hits;
-        trace.stats =
-            self.route_wavefront(queries, radius, state, |qi, n| top_hits.push((qi as u32, n)));
-        let r2 = radius * radius;
-        let walks = &mut trace.walks;
-        for (&root, queue) in self.subtree_roots().iter().zip(&state.queues) {
-            if !queue.is_empty() {
-                for &qi in queue {
-                    walks.queued.push(qi as u32);
-                    walk(tree, root, queries[qi], r2, &mut walks.steps);
-                    walks.ends.push(walks.steps.len() as u32);
-                }
-                trace.queue_ends.push(walks.queued.len() as u32);
-            }
-        }
-        trace
-    }
-
     /// Stage 1 of a batch and the counters it settles: rotates `state`'s
     /// assignment history, routes every query down the top tree with
     /// [`SplitTree::route`] (reporting each top-tree hit to `hit`, query
@@ -371,13 +326,13 @@ impl SplitTree<'_> {
         let r2 = radius * radius;
         for (qi, &q) in queries.iter().enumerate() {
             state.route.clear();
-            let s = self.route(0, q, &mut state.route);
+            let s = self.route(0, q, r2, &mut state.route);
             stats.top_fetches_unamortized += state.route.len();
             for step in &state.route {
-                let fetched = &mut state.fetched[step.node as usize];
+                let fetched = &mut state.fetched[step.node()];
                 stats.top_fetches += usize::from(!*fetched);
                 *fetched = true;
-                if let Some(n) = step.hit(r2) {
+                if let Some(n) = step.hit(self.tree(), q) {
                     hit(qi, n);
                 }
             }
@@ -426,10 +381,10 @@ impl SplitTree<'_> {
     /// [`SplitTree::replay_segments`]: each query's route outcome (its
     /// sub-tree, its top-tree hits, and the segment's distinct route
     /// nodes and summed route lengths) and its stage-2 walk beneath its
-    /// sub-tree root as heap slots flagged in-radius or not — what the
-    /// tree cannot give back; the replay reads each hit's distance and
-    /// point index from the tree again and recovers each span by heap
-    /// ancestry.
+    /// sub-tree root, 8 bytes per visited node (the heap slot flagged
+    /// in-radius or not, and the end of its span) — what the tree cannot
+    /// give back; the replay reads each hit's distance and point index
+    /// from the tree again.
     ///
     /// A segment is traced once and replayed inside any wavefront of any
     /// (PEs, banks, `h_e`, descendant reuse) on this split and radius.
@@ -449,18 +404,17 @@ impl SplitTree<'_> {
         let mut steps = Vec::new();
         for (qi, &q) in queries.iter().enumerate() {
             steps.clear();
-            let s = self.route(0, q, &mut steps);
+            let s = self.route(0, q, r2, &mut steps);
             trace.route_steps += steps.len();
             for step in &steps {
-                fetched[step.node as usize] = true;
-                if let Some(n) = step.hit(r2) {
+                fetched[step.node()] = true;
+                if let Some(n) = step.hit(tree, q) {
                     trace.top_hits.push((qi as u32, n));
                 }
             }
             trace.subtrees.push(s as u32);
-            steps.clear();
-            walk(tree, self.subtree_roots()[s], q, r2, &mut steps);
-            record_walk(&steps, r2, &mut trace.walk);
+            // span ends are offsets in the segment's whole walk array
+            walk(tree, self.subtree_roots()[s], q, r2, &mut trace.walk);
             trace.walk_ends.push(u32::try_from(trace.walk.len()).expect("a segment's walks fit"));
         }
         trace.route_nodes = (0..).zip(&fetched).filter(|(_, &f)| f).map(|(i, _)| i).collect();
@@ -480,14 +434,16 @@ impl SplitTree<'_> {
     /// touched sub-trees and DRAM bytes follow from the queries'
     /// recorded sub-trees. Stage 2 drains each sub-tree queue (the
     /// riders' queued queries in batch order) through the one drain,
-    /// whose PEs read their walks from the traces instead of walking the
-    /// tree, and splice a descendant reuse from the tree as
-    /// [`SplitTree::search_batch`] does.
+    /// whose PEs read their walks in place from the traces instead of
+    /// walking the tree, read each hit from this split's tree, and splice
+    /// a descendant reuse from it as [`SplitTree::search_batch`] does.
     ///
     /// # Panics
     ///
-    /// Panics if a segment's query count differs from its trace's, or
-    /// `config.radius` from the one it was traced at.
+    /// Panics if a segment's query count differs from its trace's,
+    /// `config.radius` from the one it was traced at, or this split's
+    /// node count from the traced tree's (the hits are read from the
+    /// tree, so a trace replays only on the tree it was recorded on).
     pub fn replay_segments(
         &self,
         segments: &[(&[Point3], &SegmentTrace)],
@@ -501,7 +457,7 @@ impl SplitTree<'_> {
             assert_eq!(queries.len(), trace.queries, "one trace per query segment");
             // the recorded hit flags hold at the traced radius only
             assert_eq!(trace.radius.to_bits(), config.radius.to_bits(), "one radius per trace");
-            debug_assert_eq!(trace.nodes, tree.len(), "traced on this tree");
+            assert_eq!(trace.nodes, tree.len(), "a trace replays on the tree it was traced on");
             offsets.push(total);
             total += queries.len();
         }
@@ -534,28 +490,23 @@ impl SplitTree<'_> {
         // ---- stage 2: every sub-tree queue, walks read from the traces ----
         let threshold = tree.height().saturating_sub(config.elision_depth);
         let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, config.descendant_reuse);
-        let r2 = config.radius * config.radius;
         let DrainScratch { pes, walks, tail } = &mut state.replay;
-        walks.resize_with(config.num_pes.max(1), Vec::new);
+        let num_pes = config.num_pes.max(1);
+        walks.resize_with(num_pes, Vec::new);
+        let mut source = SegmentWalks {
+            tree,
+            segments,
+            offsets: &offsets,
+            queue: [].iter(),
+            r2: config.radius * config.radius,
+            views: vec![None; num_pes],
+            walks,
+            tail,
+        };
         for queue in &state.queues {
-            let mut source = SegmentWalks {
-                tree,
-                segments,
-                offsets: &offsets,
-                queue: queue.iter(),
-                r2,
-                walks,
-                tail,
-            };
-            stats.subtree += drain_queue(
-                &mut source,
-                r2,
-                tree.len(),
-                config.num_pes,
-                &mut arbiter,
-                pes,
-                &mut results,
-            );
+            source.queue = queue.iter();
+            stats.subtree +=
+                drain_queue(&mut source, tree, config.num_pes, &mut arbiter, pes, &mut results);
         }
         let mut keys = Vec::new();
         for hits in &mut results {
@@ -570,10 +521,9 @@ impl SplitTree<'_> {
 /// [`SplitTree::replay_segments`] inside any wavefront it rides, under
 /// any (PEs, banks, `h_e`, descendant reuse).
 ///
-/// It holds each query's route outcome and stage-2 walk as flagged heap
-/// slots only: 4 bytes per walked node, where a [`BatchTrace`] keeps
-/// 16. The replay refills each hit's distance and point index from the
-/// tree it runs on and recovers each node's span by heap ancestry.
+/// It holds each query's route outcome and stage-2 walk, 8 bytes per
+/// walked node, and nothing of the tree but its node count: the replay
+/// reads each hit's distance and point index from the tree it runs on.
 #[derive(Clone, Debug, Default)]
 pub struct SegmentTrace {
     /// The search radius the routes and walks were pruned with.
@@ -591,18 +541,18 @@ pub struct SegmentTrace {
     route_steps: usize,
     /// Stage-1 hits `(query, neighbor)`, query by query, each query's in
     /// root-to-leaf order.
-    top_hits: Vec<(u32, Neighbor)>,
+    pub(crate) top_hits: Vec<(u32, Neighbor)>,
     /// End offset in `walk` of each query's walk.
     walk_ends: Vec<u32>,
-    /// Each query's stage-2 walk: the heap slots it visits in preorder,
-    /// each flagged with whether its point is a hit (`record_walk`).
-    walk: Vec<u32>,
+    /// The queries' stage-2 walks, one after another, each step's span
+    /// end an offset in this array.
+    walk: Vec<TraceStep>,
 }
 
 /// The queued queries of one sub-tree as a walk source over segment
-/// traces: a PE picking a query up refills its buffer from the query's
-/// recorded walk ([`refill_walk`]), and a descendant reuse splices from
-/// the tree like the tree source.
+/// traces: a PE picking a query up reads the query's walk in place from
+/// its trace, and a descendant reuse copies the rest of the walk into the
+/// PE's buffer and splices there, from the tree, like the tree source.
 struct SegmentWalks<'a> {
     tree: &'a KdTree,
     segments: &'a [(&'a [Point3], &'a SegmentTrace)],
@@ -610,173 +560,44 @@ struct SegmentWalks<'a> {
     offsets: &'a [usize],
     queue: std::slice::Iter<'a, usize>,
     r2: f32,
+    /// The trace walk array each PE's cursor indexes, or `None` once a
+    /// splice moved the PE's walk into its buffer in `walks`.
+    views: Vec<Option<&'a [TraceStep]>>,
     walks: &'a mut [Vec<TraceStep>],
     tail: &'a mut Vec<TraceStep>,
-}
-
-impl<'a> SegmentWalks<'a> {
-    /// The segment holding batch query `query`, and the query's index in
-    /// it (an empty segment starts where the next one does, so the last
-    /// segment starting at or before `query` holds it).
-    fn locate(&self, query: usize) -> (&'a SegmentTrace, &'a [Point3], usize) {
-        let seg = self.offsets.partition_point(|&o| o <= query) - 1;
-        let (queries, trace) = self.segments[seg];
-        (trace, queries, query - self.offsets[seg])
-    }
 }
 
 impl WalkSource for SegmentWalks<'_> {
     fn pick_up(&mut self, pe: usize) -> Option<Cursor> {
         let &query = self.queue.next()?;
-        let (trace, queries, local) = self.locate(query);
-        let q = queries[local];
-        let start = if local == 0 { 0 } else { trace.walk_ends[local - 1] as usize };
-        let recorded = &trace.walk[start..trace.walk_ends[local] as usize];
-        let steps = &mut self.walks[pe];
-        refill_walk(self.tree, q, recorded, steps);
-        Some(Cursor { query, at: 0, end: steps.len() })
+        // an empty segment starts where the next one does, so the last
+        // segment starting at or before `query` holds it
+        let seg = self.offsets.partition_point(|&o| o <= query) - 1;
+        let (queries, trace) = self.segments[seg];
+        let local = query - self.offsets[seg];
+        let at = if local == 0 { 0 } else { trace.walk_ends[local - 1] as usize };
+        self.views[pe] = Some(&trace.walk);
+        Some(Cursor { query, q: queries[local], at, end: trace.walk_ends[local] as usize })
     }
 
+    #[inline]
     fn steps(&self, pe: usize) -> &[TraceStep] {
-        &self.walks[pe]
+        match self.views[pe] {
+            Some(view) => view,
+            None => &self.walks[pe],
+        }
     }
 
     fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
-        let (_, queries, local) = self.locate(cursor.query);
-        let q = queries[local];
-        splice_walk(self.tree, w, q, self.r2, &mut self.walks[pe], self.tail, cursor);
-    }
-}
-
-/// The traced stage-2 walks of queued queries, queue after queue.
-#[derive(Clone, Debug, Default)]
-struct Walks {
-    /// The queries, each sub-tree queue in arrival order.
-    queued: Vec<u32>,
-    /// End offset in `steps` of each queued query's walk (parallel to
-    /// `queued`).
-    ends: Vec<u32>,
-    /// The walks, in `queued` order.
-    steps: Vec<TraceStep>,
-}
-
-/// One batch's search geometry, recorded once by
-/// [`SplitTree::trace_batch`] and arbitrated by [`replay_batch`] under
-/// any (PEs, banks, `h_e`) with descendant reuse off.
-///
-/// It holds the stage-1 wavefront outcome (top-tree hits, sub-tree
-/// queues, the config-free [`BatchSearchStats`] fields) and every
-/// queued query's stage-2 preorder walk, and nothing of the tree but its
-/// node count and height.
-#[derive(Clone, Debug, Default)]
-pub struct BatchTrace {
-    /// Every [`BatchSearchStats`] field but `frame_index` and `subtree`.
-    stats: BatchSearchStats,
-    /// The search radius the walks were pruned with.
-    radius: f32,
-    /// Nodes of the traced tree (one per cloud point).
-    nodes: usize,
-    /// Height of the traced tree, from which `h_e` sets the elision
-    /// level.
-    height: usize,
-    /// Stage-1 hits `(query, neighbor)`, query by query, each query's in
-    /// root-to-leaf order.
-    pub(crate) top_hits: Vec<(u32, Neighbor)>,
-    /// The touched sub-trees' queues and their queries' walks.
-    walks: Walks,
-    /// End offset in `walks.queued` of each touched sub-tree's queue.
-    queue_ends: Vec<u32>,
-}
-
-impl BatchTrace {
-    /// Points of the traced frame (the tree has one node per point).
-    pub fn points(&self) -> usize {
-        self.nodes
-    }
-}
-
-/// Arbitrates a [`BatchTrace`] under `config`'s PEs, banks and `h_e`:
-/// the geometry-free half of [`SplitTree::search_batch`], with results
-/// and [`BatchSearchStats`] bit-identical to it.
-///
-/// Each sub-tree queue runs through the one stage-2 drain, with the
-/// trace's walks as its walk source instead of the tree. The trace is
-/// only read, so one trace serves any number of configs.
-///
-/// # Panics
-///
-/// Panics if `config.descendant_reuse` is set: a reused fetch can
-/// continue beneath a node the trace pruned, so that model needs the
-/// tree [`SplitTree::search_batch`] walks.
-pub fn replay_batch(
-    trace: &BatchTrace,
-    config: &BatchSearchConfig,
-    state: &mut BatchState,
-) -> (Vec<Vec<Neighbor>>, BatchSearchStats) {
-    assert!(!config.descendant_reuse, "descendant reuse needs the tree, not a trace");
-    debug_assert_eq!(config.radius.to_bits(), trace.radius.to_bits(), "one radius per trace");
-    let mut stats = trace.stats.clone();
-    stats.frame_index = state.frames;
-    state.frames += 1;
-    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); stats.queries];
-    for &(qi, n) in &trace.top_hits {
-        results[qi as usize].push(n);
-    }
-    let threshold = trace.height.saturating_sub(config.elision_depth);
-    let mut arbiter = TreeArbiter::banked(config.num_banks, threshold, false);
-    let r2 = trace.radius * trace.radius;
-    let DrainScratch { pes, .. } = &mut state.replay;
-    let mut next = 0;
-    for &end in &trace.queue_ends {
-        let mut queue = TracedQueue { walks: &trace.walks, next, end: end as usize };
-        stats.subtree += drain_queue(
-            &mut queue,
-            r2,
-            trace.nodes,
-            config.num_pes,
-            &mut arbiter,
-            pes,
-            &mut results,
-        );
-        next = end as usize;
-    }
-    let mut keys = Vec::new();
-    for hits in &mut results {
-        finalize(hits, config.max_neighbors, &mut keys);
-    }
-    (results, stats)
-}
-
-/// One traced sub-tree queue as a walk source: the queries
-/// `walks.queued[next..end]` in arrival order, every PE reading the
-/// shared steps.
-struct TracedQueue<'a> {
-    walks: &'a Walks,
-    next: usize,
-    end: usize,
-}
-
-impl WalkSource for TracedQueue<'_> {
-    fn pick_up(&mut self, _: usize) -> Option<Cursor> {
-        if self.next == self.end {
-            return None;
+        let steps = &mut self.walks[pe];
+        if let Some(view) = self.views[pe].take() {
+            // the rest of the walk moves to the start of the PE's buffer
+            steps.clear();
+            let by = -(cursor.at as isize);
+            steps.extend(view[cursor.at..cursor.end].iter().map(|s| s.shifted(by)));
+            (cursor.at, cursor.end) = (0, steps.len());
         }
-        let at = if self.next == 0 { 0 } else { self.walks.ends[self.next - 1] as usize };
-        let cursor = Cursor {
-            query: self.walks.queued[self.next] as usize,
-            at,
-            end: self.walks.ends[self.next] as usize,
-        };
-        self.next += 1;
-        Some(cursor)
-    }
-
-    fn steps(&self, _: usize) -> &[TraceStep] {
-        &self.walks.steps
-    }
-
-    fn splice(&mut self, _: usize, _: &mut Cursor, _: usize) {
-        unreachable!("a trace carries no tree to splice a reused walk from")
+        splice_walk(self.tree, w, self.r2, steps, self.tail, cursor);
     }
 }
 
@@ -1143,21 +964,48 @@ mod tests {
         batch.split_results(vec![0u32]);
     }
 
-    /// One trace replayed under config after config, each matching a
-    /// fresh `search_batch`: the replay only reads its trace.
+    /// One trace replayed under config after config, descendant reuse
+    /// on and off, each matching a fresh `search_batch`: the replay only
+    /// reads its trace, and a splice never writes into it.
     #[test]
     fn one_trace_replays_every_config() {
         let cloud = random_cloud(4096, 83);
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, 3).unwrap();
         let queries = random_queries(96, 84);
-        let trace = split.trace_batch(&queries, 0.3, &mut BatchState::new());
-        for (pes, banks, depth) in [(8, 4, 0), (2, 2, 6), (16, 1, 3), (1, 8, 9), (8, 4, 0)] {
-            let cfg = BatchSearchConfig::banked(0.3, Some(16), pes, banks, depth);
-            let replayed = replay_batch(&trace, &cfg, &mut BatchState::new());
+        let trace = split.trace_segment(&queries, 0.3);
+        let configs = [
+            (8, 4, 0, false),
+            (2, 2, 6, true),
+            (16, 1, 3, false),
+            (1, 8, 9, true),
+            (8, 4, 0, false),
+        ];
+        for (pes, banks, depth, reuse) in configs {
+            let cfg = BatchSearchConfig::banked(0.3, Some(16), pes, banks, depth)
+                .with_descendant_reuse(reuse);
+            let segments: [(&[Point3], &SegmentTrace); 1] = [(&queries, &trace)];
+            let replayed = split.replay_segments(&segments, &cfg, &mut BatchState::new());
             let fresh = split.search_batch(&queries, &cfg, &mut BatchState::new());
-            assert_eq!(replayed, fresh, "{pes} PEs, {banks} banks, h_e {depth}");
+            assert_eq!(replayed, fresh, "{pes} PEs, {banks} banks, h_e {depth}, reuse {reuse}");
         }
+    }
+
+    /// A trace's hits are read from the tree it replays on, so a tree of
+    /// another size is refused rather than read out of place.
+    #[test]
+    #[should_panic(expected = "a trace replays on the tree it was traced on")]
+    fn replay_rejects_a_tree_of_another_size() {
+        let queries = random_queries(16, 86);
+        let traced = KdTree::build(&random_cloud(512, 85));
+        let trace = SplitTree::new(&traced, 2).unwrap().trace_segment(&queries, 0.3);
+        let other = KdTree::build(&random_cloud(511, 85));
+        let cfg = BatchSearchConfig::banked(0.3, None, 4, 4, 0);
+        SplitTree::new(&other, 2).unwrap().replay_segments(
+            &[(&queries, &trace)],
+            &cfg,
+            &mut BatchState::new(),
+        );
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   drivers keep in one [`DrainCounters`] record per stage. Both stages
 //!   have one simulator: a drain that moves each PE's cursor over its
 //!   query's walk — the top-tree route in stage 1, the radius-pruned
-//!   sub-tree walk, read from the tree or from a [`BatchTrace`], in
-//!   stage 2 — with descendant reuse splicing a walk. Both drivers and
+//!   sub-tree walk, walked from the tree or read in place from a
+//!   [`SegmentTrace`], in stage 2 — with descendant reuse splicing a
+//!   walk. Every walk has one 8-byte step format, and the drain reads a
+//!   hit's point index and distance from the tree. Both drivers and
 //!   [`crescent_dram_bytes`] route on one top-tree descent, and the DRAM
 //!   bytes of the Sec 3.4 schedule are written once
 //!   ([`SplitTree::schedule_dram_bytes`]); `search_one` keeps its own
@@ -25,12 +27,11 @@
 //!   descent state across the frames of a stream ([`BatchState`]), and
 //!   drains each sub-tree queue through the same drain as
 //!   `batch_search` (conflicts stall or are elided per the
-//!   depth-from-leaves `h_e` knob of [`BatchSearchConfig`]); its
-//!   config-free geometry can be recorded once
-//!   ([`SplitTree::trace_batch`], a [`BatchTrace`]) and arbitrated per
-//!   config ([`replay_batch`]), and a query segment's geometry once
-//!   ([`SplitTree::trace_segment`], a [`SegmentTrace`]) and replayed
-//!   inside any wavefront it rides ([`SplitTree::replay_segments`]);
+//!   depth-from-leaves `h_e` knob of [`BatchSearchConfig`]); a query
+//!   segment's config-free geometry can be recorded once
+//!   ([`SplitTree::trace_segment`], a [`SegmentTrace`]) and replayed on
+//!   the same tree inside any wavefront it rides, under any config
+//!   ([`SplitTree::replay_segments`]);
 //! * [`refit`] — incremental frame-coherent tree maintenance
 //!   ([`KdTree::refit`]): in-place coordinate update + validation +
 //!   per-sub-tree repair for temporally coherent frames, with an honest
@@ -76,8 +77,7 @@ pub use baselines::{
     crescent_dram_bytes, split_exhaustive_report, split_exhaustive_search, BaselineReport,
 };
 pub use batch::{
-    replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, BatchTrace, SegmentTrace,
-    TaggedBatch, TaggedResults,
+    BatchSearchConfig, BatchSearchStats, BatchState, SegmentTrace, TaggedBatch, TaggedResults,
 };
 pub use refit::{RebuildReason, RefitConfig, RefitOutcome, RefitScratch, RefitStats};
 pub use search::{radius_search, radius_search_traced};

@@ -11,13 +11,14 @@
 //! `BankedSram`, no recycled scratch, no recorded walks and no
 //! `min_elide_idx` index shortcut, so the proptests below check the one
 //! drain — over stage-1 routes (`batch_search`), from the tree
-//! (`drain_subtree_queue`, where descendant reuse splices walks) and from
-//! a trace ([`replay_batch`]) — against an independent statement of the
-//! arbitration rule. Another proptest checks the wavefront's stage 1 (the
-//! config-free [`BatchSearchStats`] fields and the top-tree hits) against
-//! per-query routing with `SplitTree::route_query`, and a last one holds
-//! a wavefront replayed from per-segment traces
-//! (`SplitTree::replay_segments`) to the live `SplitTree::search_batch`.
+//! (`drain_subtree_queue`) and in place from a segment trace
+//! (`SplitTree::replay_segments`), descendant reuse splicing walks in
+//! each — against an independent statement of the arbitration rule.
+//! Another proptest checks the wavefront's stage 1 (the config-free
+//! [`BatchSearchStats`] fields and the top-tree hits), live and replayed
+//! from a [`SegmentTrace`], against per-query routing with
+//! `SplitTree::route_query`, and a last one holds a wavefront replayed
+//! from several segments' traces to the live `SplitTree::search_batch`.
 //!
 //! Each proptest runs 384 cases, or `PROPTEST_CASES` when it is set (CI
 //! runs them deeper that way).
@@ -27,7 +28,7 @@ use std::collections::BTreeSet;
 use crescent_pointcloud::{Neighbor, Point3, PointCloud, POINT_BYTES};
 use proptest::prelude::*;
 
-use crate::batch::{replay_batch, BatchSearchConfig, BatchSearchStats, BatchState, SegmentTrace};
+use crate::batch::{BatchSearchConfig, BatchSearchStats, BatchState, SegmentTrace};
 use crate::split::{
     drain_subtree_queue, finalize, DrainCounters, DrainScratch, ElisionConfig, SplitSearchConfig,
     SplitSearchStats, SplitTree, TreeArbiter,
@@ -413,10 +414,11 @@ proptest! {
         prop_assert_eq!(bits(&got), bits(&want));
     }
 
-    /// A batch's trace replayed with descendant reuse off equals the
-    /// reference model: per-query stage-1 routing, then the reference
-    /// drain of every sub-tree queue in arrival order. The whole stage-2
-    /// counter record and every neighbor list match bit for bit.
+    /// A batch traced as one segment and replayed, descendant reuse on
+    /// or off, equals the reference model: per-query stage-1 routing,
+    /// then the reference drain of every sub-tree queue in arrival
+    /// order. The whole stage-2 counter record and every neighbor list
+    /// match bit for bit.
     #[test]
     fn replay_matches_the_reference_model(
         points in arb_points(160),
@@ -426,14 +428,17 @@ proptest! {
         num_pes in 1usize..17,
         num_banks in 1usize..17,
         depth in 0usize..9,
+        reuse in 0u8..2,
     ) {
         let cloud: PointCloud = points.into_iter().collect();
         let tree = KdTree::build(&cloud);
         let split = SplitTree::new(&tree, top_pick.min(tree.height() - 1)).unwrap();
-        let mut state = BatchState::new();
-        let trace = split.trace_batch(&queries, radius, &mut state);
-        let config = BatchSearchConfig::banked(radius, None, num_pes, num_banks, depth);
-        let (got, stats) = replay_batch(&trace, &config, &mut state);
+        let reuse = reuse == 1;
+        let trace = split.trace_segment(&queries, radius);
+        let config = BatchSearchConfig::banked(radius, None, num_pes, num_banks, depth)
+            .with_descendant_reuse(reuse);
+        let (got, stats) =
+            split.replay_segments(&[(&queries, &trace)], &config, &mut BatchState::new());
 
         let mut want = vec![Vec::new(); queries.len()];
         let mut queues = vec![Vec::new(); split.num_subtrees()];
@@ -445,7 +450,7 @@ proptest! {
         let threshold = tree.height().saturating_sub(depth);
         let mut expected = DrainCounters::default();
         for (&root, queue) in split.subtree_roots().iter().zip(&queues) {
-            let banks = Banks { count: num_banks, threshold, reuse: false };
+            let banks = Banks { count: num_banks, threshold, reuse };
             expected +=
                 reference_drain(&tree, root, queue, &queries, radius, num_pes, Some(banks), &mut want);
         }
@@ -496,9 +501,10 @@ proptest! {
     }
 
     /// Stage 1 of the wavefront, two batches through one `BatchState`
-    /// (the second repeats a prefix of the first), equals per-query
-    /// routing: every config-free `BatchSearchStats` field, the sub-tree
-    /// assignments and each query's top-tree hits in root-to-leaf order.
+    /// (the second repeats a prefix of the first), live and replayed from
+    /// a segment trace, equals per-query routing: every config-free
+    /// `BatchSearchStats` field, the sub-tree assignments and each
+    /// query's top-tree hits (read from the trace) in root-to-leaf order.
     /// A node is fetched once per batch iff some query's route reaches
     /// it; the DRAM bytes are Sec 3.4's schedule (queries moved three
     /// times, the top tree and each touched sub-tree streamed once).
@@ -558,8 +564,8 @@ proptest! {
             let (_, stats) = split.search_batch(queries, &config, &mut searched);
             prop_assert_eq!(config_free(stats), want.clone());
             prop_assert_eq!(searched.assignments(), assignments.as_slice());
-            let trace = split.trace_batch(queries, radius, &mut traced);
-            let (_, stats) = replay_batch(&trace, &config, &mut traced);
+            let trace = split.trace_segment(queries, radius);
+            let (_, stats) = split.replay_segments(&[(queries, &trace)], &config, &mut traced);
             prop_assert_eq!(config_free(stats), want);
             let mut got = vec![Vec::new(); queries.len()];
             for &(qi, n) in &trace.top_hits {

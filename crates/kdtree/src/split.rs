@@ -21,15 +21,17 @@
 //!   shared arbitration implementation (`TreeArbiter`, in this module).
 //!
 //! Both stages run on one lock-step simulator, `drain_queue`: a cursor
-//! per PE over its query's walk. In stage 1 of [`SplitTree::batch_search`]
-//! the walk is the query's top-tree route (`Routes`); in stage 2 it is
-//! the query's radius-pruned preorder walk of its sub-tree, read from the
+//! per PE over its query's walk, in one step format (`TraceStep`, 8
+//! bytes: a heap slot flagged when its point is in radius, and the end
+//! of its walked span). In stage 1 of [`SplitTree::batch_search`] the
+//! walk is the query's top-tree route (`Routes`); in stage 2 it is the
+//! query's radius-pruned preorder walk of its sub-tree, walked from the
 //! tree as each PE picks a query up (`drain_subtree_queue`, both search
-//! drivers), from a [`BatchTrace`](crate::BatchTrace), or refilled from
-//! a [`SegmentTrace`](crate::SegmentTrace)'s recorded heap slots
-//! (`refill_walk`). A descendant reuse splices the loser's walk to
-//! continue beneath the winner's node (`splice_walk`), so it needs a
-//! source that can walk the tree.
+//! drivers) or read in place from a [`SegmentTrace`](crate::SegmentTrace).
+//! The drain reads a hit's point index and distance from the tree when
+//! it visits the step. A descendant reuse splices the loser's walk to
+//! continue beneath the winner's node (`splice_walk`) in the PE's own
+//! buffer.
 //!
 //! Both stage-1 descents of the search drivers — `Routes` and the
 //! wavefront — and [`crescent_dram_bytes`](crate::crescent_dram_bytes)
@@ -328,19 +330,13 @@ impl<'a> SplitTree<'a> {
         let mut routes = Routes {
             split: self,
             queries,
+            r2,
             pending: 0..queries.len(),
             walks,
             subtrees: vec![None; queries.len()],
         };
-        stats.top = drain_queue(
-            &mut routes,
-            r2,
-            self.tree.len(),
-            config.num_pes,
-            &mut arbiter,
-            pes,
-            &mut results,
-        );
+        stats.top =
+            drain_queue(&mut routes, self.tree, config.num_pes, &mut arbiter, pes, &mut results);
 
         // ---- group queries per sub-tree, preserving arrival order ----
         // (a query whose routing fetch was elided has no sub-tree)
@@ -376,7 +372,8 @@ impl<'a> SplitTree<'a> {
 
     /// Appends `q`'s stage-1 route from heap slot `idx` to `steps`: each
     /// top-tree node it descends through, on the query's side of each
-    /// split, with no backtracking. Every step ends where the route ends,
+    /// split, with no backtracking, flagged a hit when its point lies
+    /// within the squared radius `r2`. Every step ends where the route ends,
     /// so an elided routing fetch drops the rest of the route. Returns the
     /// sub-tree the route lands in (a ragged bottom goes through
     /// [`Self::nearest_subtree_for`]); at `h_t = 0` the route is empty.
@@ -386,7 +383,13 @@ impl<'a> SplitTree<'a> {
     /// it. The tree must not be empty.
     ///
     /// [`crescent_dram_bytes`]: crate::crescent_dram_bytes
-    pub(crate) fn route(&self, mut idx: usize, q: Point3, steps: &mut Vec<TraceStep>) -> usize {
+    pub(crate) fn route(
+        &self,
+        mut idx: usize,
+        q: Point3,
+        r2: f32,
+        steps: &mut Vec<TraceStep>,
+    ) -> usize {
         let start = steps.len();
         let first = self.subtree_roots[0];
         let s = loop {
@@ -394,12 +397,7 @@ impl<'a> SplitTree<'a> {
                 break idx - first;
             }
             let point = self.tree.point_of(idx);
-            steps.push(TraceStep {
-                node: idx as u32,
-                end: 0,
-                dist2: point.dist2(q),
-                index: self.tree.point_index_of(idx) as u32,
-            });
+            steps.push(TraceStep::new(idx, point.dist2(q) <= r2));
             let axis = self.tree.axis_of(idx);
             let next = if q.coord(axis) - point.coord(axis) <= 0.0 {
                 self.tree.left(idx)
@@ -613,14 +611,14 @@ impl std::ops::AddAssign for DrainCounters {
 /// subtree, then its far subtree if the split plane lies within the
 /// radius. The drain prunes on the radius alone, so this order is fixed
 /// by geometry and each node's walked subtree is the contiguous span up
-/// to its `end`.
+/// to its `end`, an offset in `steps`.
 pub(crate) fn walk(tree: &KdTree, idx: usize, q: Point3, r2: f32, steps: &mut Vec<TraceStep>) {
     Walker { points: &tree.points, meta: &tree.meta, q, r2 }.walk(idx, steps);
 }
 
 /// What [`walk`] reads on every step: the tree's point and meta columns
-/// (children by heap arithmetic, axis and point index unpacked from one
-/// meta word), the query and the squared radius.
+/// (children by heap arithmetic, the axis unpacked from the meta word),
+/// the query and the squared radius.
 struct Walker<'a> {
     points: &'a [Point3],
     meta: &'a [u32],
@@ -632,14 +630,8 @@ impl Walker<'_> {
     fn walk(&self, idx: usize, steps: &mut Vec<TraceStep>) {
         let at = steps.len();
         let point = self.points[idx];
-        let m = self.meta[idx];
-        steps.push(TraceStep {
-            node: idx as u32,
-            end: 0,
-            dist2: point.dist2(self.q),
-            index: m & META_INDEX_MASK,
-        });
-        let axis = (m >> META_AXIS_SHIFT) as usize;
+        steps.push(TraceStep::new(idx, point.dist2(self.q) <= self.r2));
+        let axis = (self.meta[idx] >> META_AXIS_SHIFT) as usize;
         let delta = self.q.coord(axis) - point.coord(axis);
         let (near, far) =
             if delta <= 0.0 { (2 * idx + 1, 2 * idx + 2) } else { (2 * idx + 2, 2 * idx + 1) };
@@ -653,77 +645,62 @@ impl Walker<'_> {
     }
 }
 
-/// Flags a recorded walk step whose node's point lies within the radius
-/// (heap slots stay below 2³⁰, the tree's meta limit).
+/// Flags a walk step whose node's point lies within the radius (heap
+/// slots stay below 2³⁰, the tree's meta limit).
 const WALK_HIT: u32 = 1 << 31;
 
-/// Records the walk `steps` at squared radius `r2` for [`refill_walk`]:
-/// one word per step, the node's heap slot flagged with whether its
-/// point is a hit.
-pub(crate) fn record_walk(steps: &[TraceStep], r2: f32, out: &mut Vec<u32>) {
-    debug_assert!(steps.iter().all(|s| s.node < WALK_HIT >> 1), "heap slots fit in 30 bits");
-    out.extend(steps.iter().map(|s| s.node | if s.dist2 <= r2 { WALK_HIT } else { 0 }));
-}
-
-/// Refills `steps` with `q`'s stage-2 walk from its [`record_walk`]
-/// words. A hit's distance and point index are read back from `tree`,
-/// exactly as [`walk`] computes them; any other step only needs to miss
-/// the radius, so it carries a NaN distance (no `<=` test passes it) and
-/// is never read from the tree. Each span's end is recovered by heap
-/// ancestry: a preorder walk descends only to children, so a step's heap
-/// parent is an earlier step whose span is still open, and every open
-/// span beneath that parent ends where the step begins.
-pub(crate) fn refill_walk(tree: &KdTree, q: Point3, recorded: &[u32], steps: &mut Vec<TraceStep>) {
-    /// Marks the walk's root as having no open span around it.
-    const OUTSIDE: u32 = u32::MAX;
-    steps.clear();
-    // the innermost open span; each open step's `end` links to the next
-    // open span around it until its own end is known
-    let mut open = OUTSIDE;
-    for &word in recorded {
-        let node = word & !WALK_HIT;
-        let here = steps.len() as u32;
-        if open != OUTSIDE {
-            let parent = (node - 1) / 2;
-            while steps[open as usize].node != parent {
-                open = std::mem::replace(&mut steps[open as usize].end, here);
-            }
-        }
-        steps.push(if word & WALK_HIT != 0 {
-            let slot = node as usize;
-            let index = tree.meta[slot] & META_INDEX_MASK;
-            TraceStep { node, end: open, dist2: tree.points[slot].dist2(q), index }
-        } else {
-            TraceStep { node, end: open, dist2: f32::NAN, index: 0 }
-        });
-        open = here;
-    }
-    let len = steps.len() as u32;
-    while open != OUTSIDE {
-        open = std::mem::replace(&mut steps[open as usize].end, len);
-    }
-}
-
-/// One node of a stage-2 walk (16 bytes).
+/// One node of a walk or route (8 bytes), the one step format every
+/// walk source hands the drain.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TraceStep {
-    /// Heap slot of the node: the tree-buffer address the PE requests.
-    pub(crate) node: u32,
-    /// Offset just past this node's walked subtree in the walk's buffer:
+    /// Heap slot of the node (the tree-buffer address the PE requests),
+    /// with [`WALK_HIT`] set when its point lies within the radius.
+    slot: u32,
+    /// Offset just past this node's walked subtree in the walk's array:
     /// where the walk resumes when the fetch is elided.
     end: u32,
-    /// Squared distance from the query to the node's point.
-    dist2: f32,
-    /// The node's original point index.
-    index: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<TraceStep>() == 8);
+
 impl TraceStep {
-    /// The node's point as a neighbor of the query, if it lies within the
-    /// squared radius `r2`.
+    /// A step on heap slot `node`, flagged a hit or not; its span end is
+    /// set once the walk beneath it is written.
     #[inline]
-    pub(crate) fn hit(&self, r2: f32) -> Option<Neighbor> {
-        (self.dist2 <= r2).then_some(Neighbor { index: self.index as usize, dist2: self.dist2 })
+    fn new(node: usize, hit: bool) -> Self {
+        debug_assert!(node < (WALK_HIT >> 1) as usize, "heap slots fit in 30 bits");
+        TraceStep { slot: node as u32 | if hit { WALK_HIT } else { 0 }, end: 0 }
+    }
+
+    /// Heap slot of the node.
+    #[inline]
+    pub(crate) fn node(self) -> usize {
+        (self.slot & !WALK_HIT) as usize
+    }
+
+    /// Whether the node's point lies within the radius.
+    #[inline]
+    fn is_hit(self) -> bool {
+        self.slot & WALK_HIT != 0
+    }
+
+    /// The node's point as a neighbor of query `q`, if it is a hit: its
+    /// point index and squared distance are read from `tree`, exactly as
+    /// [`walk`] computed the distance.
+    #[inline]
+    pub(crate) fn hit(self, tree: &KdTree, q: Point3) -> Option<Neighbor> {
+        self.is_hit().then(|| {
+            let slot = self.node();
+            let index = (tree.meta[slot] & META_INDEX_MASK) as usize;
+            Neighbor { index, dist2: tree.points[slot].dist2(q) }
+        })
+    }
+
+    /// This step with its span end moved by `by` (a walk copied to
+    /// another offset).
+    #[inline]
+    pub(crate) fn shifted(self, by: isize) -> Self {
+        TraceStep { end: (self.end as isize + by) as u32, ..self }
     }
 }
 
@@ -732,6 +709,8 @@ impl TraceStep {
 pub(crate) struct Cursor {
     /// The query the PE serves.
     pub(crate) query: usize,
+    /// The query's point, which the drain measures each hit against.
+    pub(crate) q: Point3,
     /// The step the PE requests next.
     pub(crate) at: usize,
     /// One past the walk's last step.
@@ -739,10 +718,8 @@ pub(crate) struct Cursor {
 }
 
 /// Where [`drain_queue`] reads each PE's walk. Stage 2 reads it from the
-/// tree, walked when a PE picks its query up (`drain_subtree_queue`),
-/// from the walks a [`BatchTrace`](crate::BatchTrace) recorded
-/// ([`replay_batch`](crate::replay_batch)), or refilled from a
-/// [`SegmentTrace`](crate::SegmentTrace)
+/// tree, walked when a PE picks its query up (`drain_subtree_queue`), or
+/// in place from a [`SegmentTrace`](crate::SegmentTrace)
 /// ([`SplitTree::replay_segments`]); stage 1 of
 /// [`SplitTree::batch_search`] reads each query's top-tree route
 /// (`Routes`). The drain is generic over it, so no source pays a
@@ -781,8 +758,9 @@ impl WalkSource for TreeWalks<'_> {
         let &query = self.queue.next()?;
         let steps = &mut self.walks[pe];
         steps.clear();
-        walk(self.tree, self.root, self.queries[query], self.r2, steps);
-        Some(Cursor { query, at: 0, end: steps.len() })
+        let q = self.queries[query];
+        walk(self.tree, self.root, q, self.r2, steps);
+        Some(Cursor { query, q, at: 0, end: steps.len() })
     }
 
     fn steps(&self, pe: usize) -> &[TraceStep] {
@@ -790,14 +768,13 @@ impl WalkSource for TreeWalks<'_> {
     }
 
     fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
-        let q = self.queries[cursor.query];
-        splice_walk(self.tree, w, q, self.r2, &mut self.walks[pe], self.tail, cursor);
+        splice_walk(self.tree, w, self.r2, &mut self.walks[pe], self.tail, cursor);
     }
 }
 
 /// Descendant reuse on a walk held in a PE's buffer `steps`: replaces
-/// the span of the step at `cursor.at` with `q`'s walk beneath `w`, a
-/// node under it, read from the tree. `tail` is scratch.
+/// the span of the step at `cursor.at` with the cursor's query's walk
+/// beneath `w`, a node under it, read from the tree. `tail` is scratch.
 ///
 /// Inlined into each source's `splice`, where its body used to live:
 /// the sweep's parallel pass read about 12 % slower with it called.
@@ -805,7 +782,6 @@ impl WalkSource for TreeWalks<'_> {
 pub(crate) fn splice_walk(
     tree: &KdTree,
     w: usize,
-    q: Point3,
     r2: f32,
     steps: &mut Vec<TraceStep>,
     tail: &mut Vec<TraceStep>,
@@ -813,14 +789,12 @@ pub(crate) fn splice_walk(
 ) {
     let span_end = steps[cursor.at].end as usize;
     tail.clear();
-    tail.extend_from_slice(&steps[span_end..]);
+    tail.extend_from_slice(&steps[span_end..cursor.end]);
     steps.truncate(cursor.at);
-    walk(tree, w, q, r2, steps);
+    walk(tree, w, cursor.q, r2, steps);
     // the rest of the walk moves by the span's change in length
-    let start = steps.len();
-    steps.extend(
-        tail.iter().map(|s| TraceStep { end: (s.end as usize - span_end + start) as u32, ..*s }),
-    );
+    let by = steps.len() as isize - span_end as isize;
+    steps.extend(tail.iter().map(|s| s.shifted(by)));
     cursor.end = steps.len();
 }
 
@@ -833,6 +807,7 @@ pub(crate) fn splice_walk(
 struct Routes<'a, 's> {
     split: &'a SplitTree<'s>,
     queries: &'a [Point3],
+    r2: f32,
     pending: std::ops::Range<usize>,
     walks: &'a mut [Vec<TraceStep>],
     /// Each query's sub-tree (`None` until routed, or once elided).
@@ -844,10 +819,11 @@ impl WalkSource for Routes<'_, '_> {
         let steps = &mut self.walks[pe];
         loop {
             let query = self.pending.next()?;
+            let q = self.queries[query];
             steps.clear();
-            self.subtrees[query] = Some(self.split.route(0, self.queries[query], steps));
+            self.subtrees[query] = Some(self.split.route(0, q, self.r2, steps));
             if !steps.is_empty() {
-                return Some(Cursor { query, at: 0, end: steps.len() });
+                return Some(Cursor { query, q, at: 0, end: steps.len() });
             }
         }
     }
@@ -859,8 +835,7 @@ impl WalkSource for Routes<'_, '_> {
     fn splice(&mut self, pe: usize, cursor: &mut Cursor, w: usize) {
         let steps = &mut self.walks[pe];
         steps.truncate(cursor.at);
-        let query = cursor.query;
-        self.subtrees[query] = Some(self.split.route(w, self.queries[query], steps));
+        self.subtrees[cursor.query] = Some(self.split.route(w, cursor.q, self.r2, steps));
         cursor.end = steps.len();
     }
 
@@ -900,30 +875,30 @@ pub(crate) fn drain_subtree_queue(
     let DrainScratch { pes, walks, tail } = scratch;
     walks.resize_with(num_pes.max(1), Vec::new);
     let mut source = TreeWalks { tree, root, queue: queue.iter(), queries, r2, walks, tail };
-    drain_queue(&mut source, r2, tree.len(), num_pes, arbiter, pes, results)
+    drain_queue(&mut source, tree, num_pes, arbiter, pes, results)
 }
 
 /// The lock-step simulator of both search stages, and the one place an
-/// [`Arbitration`] is acted on: drains one queue of an `nodes`-node tree
-/// (a batch's stage-1 routes or one sub-tree queue). Idle PEs pick up the
-/// next queued query (reserving room in its hit list for every in-radius
-/// step of its walk), and every round each active PE requests the node
-/// at its cursor from `arbiter` and acts on the outcome in the same pass.
-/// An honored fetch (or a same-node reuse) visits the node and moves to
-/// the next step, a stalled one stays, an elided one jumps past the
-/// node's walked span ([`WalkSource::elide`]), and a reuse of a node
-/// beneath it splices the walk to continue there. Stall rounds come from
-/// here alone, and skipped node counts from heap arithmetic.
-#[allow(clippy::too_many_arguments)]
+/// [`Arbitration`] is acted on: drains one queue of `tree` (a batch's
+/// stage-1 routes or one sub-tree queue). Idle PEs pick up the next
+/// queued query (reserving room in its hit list for every hit step of
+/// its walk), and every round each active PE requests the node at its
+/// cursor from `arbiter` and acts on the outcome in the same pass. An
+/// honored fetch (or a same-node reuse) visits the node, reading a hit's
+/// point index and distance from `tree`, and moves to the next step, a
+/// stalled one stays, an elided one jumps past the node's walked span
+/// ([`WalkSource::elide`]), and a reuse of a node beneath it splices the
+/// walk to continue there. Stall rounds come from here alone, and
+/// skipped node counts from heap arithmetic.
 pub(crate) fn drain_queue(
     source: &mut impl WalkSource,
-    r2: f32,
-    nodes: usize,
+    tree: &KdTree,
     num_pes: usize,
     arbiter: &mut TreeArbiter,
     pes: &mut Vec<Option<Cursor>>,
     results: &mut [Vec<Neighbor>],
 ) -> DrainCounters {
+    let nodes = tree.len();
     let mut out = DrainCounters::default();
     pes.clear();
     pes.resize(num_pes.max(1), None);
@@ -932,7 +907,7 @@ pub(crate) fn drain_queue(
         for (i, pe) in pes.iter_mut().enumerate().filter(|(_, pe)| pe.is_none()) {
             let Some(cursor) = source.pick_up(i) else { break };
             let walk = &source.steps(i)[cursor.at..cursor.end];
-            results[cursor.query].reserve(walk.iter().filter(|step| step.dist2 <= r2).count());
+            results[cursor.query].reserve(walk.iter().filter(|step| step.is_hit()).count());
             *pe = Some(cursor);
             active += 1;
         }
@@ -950,7 +925,7 @@ pub(crate) fn drain_queue(
             out.attempts += rest.len();
             out.visits += rest.len();
             arbiter.grant_uncontended(rest.len());
-            results[cursor.query].extend(rest.iter().filter_map(|step| step.hit(r2)));
+            results[cursor.query].extend(rest.iter().filter_map(|step| step.hit(tree, cursor.q)));
             active = 0;
             continue;
         }
@@ -960,8 +935,9 @@ pub(crate) fn drain_queue(
         for (i, pe) in pes.iter_mut().enumerate() {
             let Some(cursor) = pe else { continue };
             let step = source.steps(i)[cursor.at];
+            let node = step.node();
             out.attempts += 1;
-            let visit = match arbiter.request(i, step.node as usize) {
+            let visit = match arbiter.request(i, node) {
                 Arbitration::Honored => true,
                 Arbitration::Stalled => {
                     out.conflicts += 1;
@@ -973,7 +949,7 @@ pub(crate) fn drain_queue(
                     // drop the node and its walked subtree
                     out.conflicts += 1;
                     out.elided += 1;
-                    out.skipped += heap_subtree_len(nodes, step.node as usize);
+                    out.skipped += heap_subtree_len(nodes, node);
                     source.elide(cursor, step);
                     false
                 }
@@ -983,10 +959,9 @@ pub(crate) fn drain_queue(
                     // same node: the multicast data is exactly what this
                     // PE asked for; otherwise continue beneath the winner
                     // and skip the bypassed part of the lost subtree
-                    let same = w == step.node as usize;
+                    let same = w == node;
                     if !same {
-                        out.skipped += heap_subtree_len(nodes, step.node as usize)
-                            - heap_subtree_len(nodes, w);
+                        out.skipped += heap_subtree_len(nodes, node) - heap_subtree_len(nodes, w);
                         source.splice(i, cursor, w);
                     }
                     same
@@ -994,7 +969,7 @@ pub(crate) fn drain_queue(
             };
             if visit {
                 out.visits += 1;
-                if let Some(n) = step.hit(r2) {
+                if let Some(n) = step.hit(tree, cursor.q) {
                     results[cursor.query].push(n);
                 }
                 cursor.at += 1;

@@ -10,8 +10,8 @@
 //! under random maintenance / DRAM-bandwidth / aggregation-elision
 //! points, equals a direct `run_frame_stream` field for field. Another
 //! pins the explorer's search-key collapses: a traced stream replayed
-//! under any (PEs, banks, `h_e`) equals the live search, and a 1-PE
-//! stream does not depend on banks or `h_e`.
+//! under any (PEs, banks, `h_e`), descendant reuse on or off, equals the
+//! live search, and a 1-PE stream does not depend on banks or `h_e`.
 //!
 //! A last property pins [`FrameStream::frame`], which the sweep's setup
 //! calls once per frame on its worker pool: on `ScenarioGen` streams and
@@ -255,23 +255,25 @@ proptest! {
         }
     }
 
-    /// The explorer's search-key collapses on `ScenarioGen` streams:
-    /// without descendant reuse, one trace per tree sequence and `h_t`
-    /// replays to the live search's neighbor sets and `FrameSearch`
-    /// records under every (PEs, banks, `h_e`); and with one PE, neither
-    /// banks nor `h_e` reach those outputs (with or without reuse).
+    /// The explorer's search-key collapses on `ScenarioGen` streams: one
+    /// trace per tree sequence and `h_t` replays to the live search's
+    /// neighbor sets and `FrameSearch` records under every (PEs, banks,
+    /// `h_e`), descendant reuse on or off (on in the scenario that turns
+    /// it on, and in half the cases besides); and with one PE, neither
+    /// banks nor `h_e` reach those outputs.
     #[test]
     fn replays_and_one_pe_streams_equal_the_live_search(
         cfg in small_streams(),
         top_height in 1usize..7,
         knobs in prop::collection::vec((1usize..9, 0usize..4, 0usize..9), 1..4),
+        reuse in 0u8..2,
     ) {
         let frames: Vec<Frame> = FrameStream::new(&cfg).collect();
         let clouds: Vec<&PointCloud> = frames.iter().map(|f| &f.cloud).collect();
         let inputs: Vec<(&PointCloud, &[Point3])> =
             frames.iter().map(|f| (&f.cloud, f.queries.as_slice())).collect();
         let trees = maintain_tree_sequence(&clouds, TreeMaintenance::RebuildEveryFrame, top_height);
-        let reuse = cfg.scenario.descendant_reuse();
+        let reuse = cfg.scenario.descendant_reuse() || reuse == 1;
         let traces = trace_stream(&inputs, &trees, cfg.radius, top_height);
         let setup = |pes: usize, log_banks: usize, elision_depth: usize| {
             let config = AcceleratorConfig::builder()
@@ -293,9 +295,8 @@ proptest! {
         for (pes, log_banks, elision_depth) in knobs {
             let (search, config) = setup(pes, log_banks, elision_depth);
             let live = search_stream(&inputs, &trees, &search, top_height, &config);
-            if !reuse {
-                prop_assert_eq!(&replay_stream(&traces, &search, &config), &live);
-            }
+            let replayed = replay_stream(&traces, &inputs, &trees, &search, top_height, &config);
+            prop_assert_eq!(&replayed, &live);
             let (search, config) = setup(1, log_banks, elision_depth);
             prop_assert_eq!(search_stream(&inputs, &trees, &search, top_height, &config), one_pe.clone());
         }
